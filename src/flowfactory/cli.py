@@ -319,9 +319,16 @@ def cmd_bench(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_run_flags(p, samples_default=1000):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=samples_default)
+    p.add_argument("--samples", type=positive_int, default=samples_default)
     p.add_argument("--max-restarts", type=int, default=10_000_000)
     p.add_argument("--out", default=None)
 

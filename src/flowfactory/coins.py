@@ -50,20 +50,28 @@ class SimulatedCoins(CoinSource):
             if b <= 0 or b >= 1:
                 raise BoundaryCoin(f"bias of edge {i} is {b}, not strictly inside (0,1)")
         self._rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self._flip_counts = np.zeros(self.num_edges, dtype=np.int64)
+        # Per-edge tallies of single flips; every round adds one flip to each
+        # edge, and rounds are counted from the mask buffers on read.
+        self._flip_counts = [0] * self.num_edges
         self._bit_buf: list[np.ndarray | None] = [None] * self.num_edges
         self._bit_pos = [0] * self.num_edges
-        self._mask_buf: np.ndarray | None = None
+        self._masks: list[int] = []
         self._mask_pos = 0
+        self._rounds_before = 0
         self.tape: list[tuple[int, int]] | None = [] if record_tape else None
 
     @property
+    def _rounds(self) -> int:
+        return self._rounds_before + self._mask_pos
+
+    @property
     def flip_counts(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self._flip_counts)
+        rounds = self._rounds
+        return tuple(c + rounds for c in self._flip_counts)
 
     @property
     def total_flips(self) -> int:
-        return int(self._flip_counts.sum())
+        return sum(self._flip_counts) + self._rounds * self.num_edges
 
     def _draw_bits(self, edge: int, size: int) -> np.ndarray:
         num, den = self._biases[edge].numerator, self._biases[edge].denominator
@@ -97,19 +105,27 @@ class SimulatedCoins(CoinSource):
             self.tape.append((edge, bit))
         return bit
 
+    def _draw_masks(self) -> list[int]:
+        """_BUFFER round masks, drawn edge by edge and packed 64 edges a word."""
+        masks = [0] * _BUFFER
+        for lo in range(0, self.num_edges, 64):
+            word = np.zeros(_BUFFER, dtype=np.uint64)
+            for e in range(lo, min(lo + 64, self.num_edges)):
+                word |= self._draw_bits(e, _BUFFER).astype(np.uint64) << (e - lo)
+            words = word.tolist()
+            masks = words if lo == 0 else [a | (b << lo) for a, b in zip(masks, words)]
+        return masks
+
     def flip_round(self) -> int:
         if self.tape is not None:
             return super().flip_round()
-        if self._mask_buf is None or self._mask_pos >= len(self._mask_buf):
-            masks = np.zeros(_BUFFER, dtype=np.int64)
-            for e in range(self.num_edges):
-                masks |= self._draw_bits(e, _BUFFER).astype(np.int64) << e
-            self._mask_buf = masks
-            self._mask_pos = 0
-        mask = int(self._mask_buf[self._mask_pos])
-        self._mask_pos += 1
-        self._flip_counts += 1
-        return mask
+        pos = self._mask_pos
+        if pos >= len(self._masks):
+            self._rounds_before += pos
+            self._masks = self._draw_masks()
+            pos = 0
+        self._mask_pos = pos + 1
+        return self._masks[pos]
 
 
 class TapeCoins(CoinSource):

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
+
+import numpy as np
 
 from .coins import CoinSource
 from .errors import (
@@ -25,6 +28,7 @@ from .graphs import (
     FlowPolytope,
     FlowVertex,
     enumerate_vertices,
+    is_vertex,
     undirected_connected,
 )
 from .spanning import (
@@ -136,38 +140,36 @@ class FlowSampler:
             raise NoArborescence("edge set spans no directed tree")
         m = len(P.edges)
         self._m = m
+        self._flow_cache: dict[int, tuple] = {}
         if m <= cap:
-            self._valid_masks = {
-                sum(b << i for i, b in enumerate(f)): f for f in enumerate_vertices(P, cap)
-            }
+            valid = {sum(b << i for i, b in enumerate(f)): f for f in enumerate_vertices(P, cap)}
+            self._vertex_of = valid.get
             self._all_trees = enumerate_directed_trees(P.graph, cap)
             assert len(self._all_trees) == self.total_trees
+            # A tree's support spans the incident nodes, so its flip is an
+            # arborescence toward the root exactly when the flipped edges'
+            # tails are the non-root nodes, once each.  Nodes are bits by
+            # position in `incident`; f=0 keeps an edge's tail, f=1 its head.
+            bit = {v: 1 << i for i, v in enumerate(incident)}
+            self._tail_bit = np.array([bit[u] for u, _ in P.edges], dtype=np.int64)
+            self._head_bit = np.array([bit[v] for _, v in P.edges], dtype=np.int64)
+            self._tree_ids = np.array(self._all_trees, dtype=np.intp)
+            self._nonroot = sum(bit.values()) - bit[self.root]
         else:
-            self._valid_masks = None
+            self._vertex_of = self._decode_vertex
             self._all_trees = None
-        self._flow_cache: dict[int, tuple] = {}
 
-    def _is_valid_mask(self, mask: int) -> FlowVertex | None:
-        if self._valid_masks is not None:
-            return self._valid_masks.get(mask)
-        from .graphs import is_vertex
-
+    def _decode_vertex(self, mask: int) -> FlowVertex | None:
         bits = tuple((mask >> i) & 1 for i in range(self._m))
         return bits if is_vertex(self.P, bits) else None
 
     def _qualifying_trees(self, mask: int, f: FlowVertex) -> tuple[tuple[int, ...], ...]:
-        """Trees whose flip under f is an arborescence toward the root."""
-        from .graphs import flip_tree
-        from .spanning import is_arborescence
-
+        """Trees whose flip under f is an arborescence toward the root, in _all_trees order."""
         data = self._flow_cache.get(mask)
         if data is None:
-            data = tuple(
-                t
-                for t in self._all_trees
-                if is_arborescence(flip_tree(self.P.graph, f, t), self.root)
-            )
-            self._flow_cache[mask] = data
+            tails = np.where(f, self._head_bit, self._tail_bit)[self._tree_ids]
+            ok = np.bitwise_or.reduce(tails, axis=1) == self._nonroot
+            data = self._flow_cache[mask] = tuple(compress(self._all_trees, ok.tolist()))
         return data
 
     def _sample_tree(self, mask: int, f: FlowVertex, rng) -> tuple[int, ...] | None:
@@ -196,25 +198,24 @@ class FlowSampler:
         return tuple(sorted(sample_flip_tree(self.P, f, self.root, rng)))
 
     def sample(self, coins: CoinSource, rng, max_restarts: int = DEFAULT_MAX_RESTARTS) -> SampleTrace:
-        m = self._m
         flip_round = coins.flip_round
         flip = coins.flip
+        vertex_of = self._vertex_of
+        sample_tree = self._sample_tree
         restarts = 0
-        flips = 0
+        reflips = 0
         while True:
             mask = flip_round()
-            flips += m
-            f = self._is_valid_mask(mask)
+            f = vertex_of(mask)
             if f is not None:
-                tree = self._sample_tree(mask, f, rng)
+                tree = sample_tree(mask, f, rng)
                 if tree is not None:
-                    ok = True
                     for eid in tree:
-                        flips += 1
+                        reflips += 1
                         if flip(eid) == f[eid]:
-                            ok = False
                             break
-                    if ok:
+                    else:
+                        flips = self._m * (restarts + 1) + reflips
                         return SampleTrace(output=f, total_flips=flips, restarts=restarts)
             restarts += 1
             if restarts > max_restarts:

@@ -16,6 +16,12 @@ def triangle():
     return build_circulation_polytope(3)
 
 
+def circ5m():
+    """Circulation on K5 without the pair {1,2}: 18 edges, |T| = 1200."""
+    edges = tuple((u, v) for u in range(1, 6) for v in range(1, 6) if u != v and {u, v} != {1, 2})
+    return FlowPolytope(Graph(5, edges), (0,) * 5)
+
+
 def square():
     # Undirected 4-cycle 1-2-4-3-1, both directions of every side.
     edges = []

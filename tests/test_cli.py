@@ -124,6 +124,16 @@ def test_parse_error_exit(tmp_path, capsys):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("command", ["sample", "sample-path", "bench"])
+def test_sample_count_below_one_is_parse_error(tmp_path, capsys, command, count):
+    poly, coins = _write_two_node(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, poly, coins, "--samples", count, "--out", str(out)]) == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dist_output(tmp_path, capsys):
     poly, coins = _write_two_node(tmp_path)
     assert main(["dist", poly, coins]) == 0

@@ -1,0 +1,34 @@
+"""Micro-benchmarks of the sampler's per-round layers (pytest-benchmark).
+
+Fixed rounds keep them short; compare runs with `pytest tests/test_layer_bench.py
+--benchmark-only` or `--benchmark-autosave`.
+"""
+
+from flowfactory import FlowSampler, SimulatedCoins, build_circulation_polytope, enumerate_vertices
+
+from instances import HALF, circ5m
+
+
+def test_bench_flip_round_circ4(benchmark):
+    coins = SimulatedCoins([HALF] * len(build_circulation_polytope(4).edges), seed=0)
+    coins.flip_round()
+
+    def rounds():
+        for _ in range(10_000):
+            coins.flip_round()
+
+    benchmark.pedantic(rounds, rounds=5, iterations=1)
+    assert coins.total_flips == 12 * (1 + 5 * 10_000)
+
+
+def test_bench_qualifying_tree_fill_circ5m(benchmark):
+    P = circ5m()
+    sampler = FlowSampler(P)
+    vertices = [(sum(b << i for i, b in enumerate(f)), f) for f in enumerate_vertices(P)[:200]]
+
+    def fill():
+        for mask, f in vertices:
+            sampler._qualifying_trees(mask, f)
+
+    benchmark.pedantic(fill, setup=sampler._flow_cache.clear, rounds=5, iterations=1)
+    assert len(sampler._flow_cache) == 200
