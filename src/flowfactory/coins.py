@@ -8,8 +8,9 @@ sequence and knows no biases at all.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Sequence
+from typing import Container, Sequence
 
 import numpy as np
 
@@ -33,6 +34,31 @@ class CoinSource:
             mask |= self.flip(e) << e
         return mask
 
+    def next_round_in(self, masks: Container[int], limit: int) -> tuple[int | None, int]:
+        """Flip rounds until one's mask is in `masks`, flipping at most `limit` rounds.
+
+        Returns (mask, rounds flipped, that one included), or (None, rounds
+        flipped) when no round within the limit hit.
+        """
+        flip_round = self.flip_round
+        for n in range(1, limit + 1):
+            mask = flip_round()
+            if mask in masks:
+                return mask, n
+        return None, max(limit, 0)
+
+
+class MaskSet(frozenset):
+    """A fixed set of round masks, also held as a sorted uint64 array (`words`).
+
+    `words` is None when some mask needs more than 64 bits; SimulatedCoins
+    then scans round by round.
+    """
+
+    def __init__(self, masks=()):
+        fits = all(0 <= mask < (1 << 64) for mask in self)
+        self.words = np.array(sorted(self), dtype=np.uint64) if fits else None
+
 
 class SimulatedCoins(CoinSource):
     """Seeded coins with hidden rational biases strictly inside (0,1).
@@ -41,6 +67,12 @@ class SimulatedCoins(CoinSource):
     on [0, den).  Draws are buffered through numpy for speed; per-edge flip
     tallies are kept for trace accounting.  With record_tape=True every flip
     is appended to `tape` as (edge, bit) in consumption order.
+
+    Rounds come from buffers of _BUFFER masks.  next_round_in tests a whole
+    buffer against a MaskSet in numpy once (hits are cached per buffer and
+    set) and jumps to the next hit, refilling exactly where flip_round would,
+    so the rng is drawn in the same order and every bit is the same as a
+    flip_round loop would see.
     """
 
     def __init__(self, biases: Sequence[Fraction], seed: int = 0, record_tape: bool = False):
@@ -56,6 +88,8 @@ class SimulatedCoins(CoinSource):
         self._bit_buf: list[np.ndarray | None] = [None] * self.num_edges
         self._bit_pos = [0] * self.num_edges
         self._masks: list[int] = []
+        self._words: np.ndarray | None = None
+        self._hits: dict[MaskSet, list[int]] = {}
         self._mask_pos = 0
         self._rounds_before = 0
         self.tape: list[tuple[int, int]] | None = [] if record_tape else None
@@ -105,8 +139,11 @@ class SimulatedCoins(CoinSource):
             self.tape.append((edge, bit))
         return bit
 
-    def _draw_masks(self) -> list[int]:
-        """_BUFFER round masks, drawn edge by edge and packed 64 edges a word."""
+    def _refill(self) -> None:
+        """Draw the next _BUFFER round masks, edge by edge, packed 64 edges a word."""
+        self._rounds_before += self._mask_pos
+        self._mask_pos = 0
+        self._hits.clear()
         masks = [0] * _BUFFER
         for lo in range(0, self.num_edges, 64):
             word = np.zeros(_BUFFER, dtype=np.uint64)
@@ -114,18 +151,38 @@ class SimulatedCoins(CoinSource):
                 word |= self._draw_bits(e, _BUFFER).astype(np.uint64) << (e - lo)
             words = word.tolist()
             masks = words if lo == 0 else [a | (b << lo) for a, b in zip(masks, words)]
-        return masks
+        self._masks = masks
+        self._words = word if 0 < self.num_edges <= 64 else None
 
     def flip_round(self) -> int:
         if self.tape is not None:
             return super().flip_round()
         pos = self._mask_pos
         if pos >= len(self._masks):
-            self._rounds_before += pos
-            self._masks = self._draw_masks()
+            self._refill()
             pos = 0
         self._mask_pos = pos + 1
         return self._masks[pos]
+
+    def next_round_in(self, masks: Container[int], limit: int) -> tuple[int | None, int]:
+        if self.tape is not None or not 0 < self.num_edges <= 64 or getattr(masks, "words", None) is None:
+            return super().next_round_in(masks, limit)
+        n = 0
+        while n < limit:
+            if self._mask_pos >= len(self._masks):
+                self._refill()
+            pos = self._mask_pos
+            hits = self._hits.get(masks)
+            if hits is None:
+                hits = self._hits[masks] = np.flatnonzero(np.isin(self._words, masks.words)).tolist()
+            stop = min(pos + limit - n, len(self._masks))
+            i = bisect_left(hits, pos)
+            if i < len(hits) and hits[i] < stop:
+                self._mask_pos = hits[i] + 1
+                return self._masks[hits[i]], n + self._mask_pos - pos
+            self._mask_pos = stop
+            n += stop - pos
+        return None, n
 
 
 class TapeCoins(CoinSource):

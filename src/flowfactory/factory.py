@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 from math import lcm
 
 import numpy as np
 
-from .coins import CoinSource
+from .coins import CoinSource, MaskSet
 from .errors import (
     CoefficientsNotSubunit,
     DisconnectedEdges,
@@ -115,6 +116,20 @@ def sample_path(
 # The flow-polytope factory
 # ---------------------------------------------------------------------------
 
+class _VertexMasks:
+    """Stage-1 test above the enumeration cap: decode a round mask, check it is a vertex."""
+
+    def __init__(self, P: FlowPolytope):
+        self._P = P
+
+    def __contains__(self, mask: int) -> bool:
+        return is_vertex(self._P, _decode(mask, len(self._P.edges)))
+
+
+def _decode(mask: int, m: int) -> FlowVertex:
+    return tuple((mask >> i) & 1 for i in range(m))
+
+
 class FlowSampler:
     """Reusable sampler for one polytope; caches the per-flow tree structures.
 
@@ -125,6 +140,12 @@ class FlowSampler:
     restart if the tree does not qualify.  Re-flip the coin of every tree
     edge and restart if any outcome reproduces f on its edge; otherwise
     output f.
+
+    Stage 1 asks the coins for the next round whose mask is a vertex
+    (CoinSource.next_round_in) and counts the rounds skipped as restarts.
+    Up to the enumeration cap the vertices are a MaskSet, which
+    SimulatedCoins tests a whole mask buffer at a time; above it each
+    round's mask is decoded and checked on its own.
     """
 
     def __init__(self, P: FlowPolytope, root: int | None = None, cap: int = ENUMERATION_CAP):
@@ -143,7 +164,8 @@ class FlowSampler:
         self._flow_cache: dict[int, tuple] = {}
         if m <= cap:
             valid = {sum(b << i for i, b in enumerate(f)): f for f in enumerate_vertices(P, cap)}
-            self._vertex_of = valid.get
+            self._vertex_masks = MaskSet(valid)
+            self._vertex_of = valid.__getitem__
             self._all_trees = enumerate_directed_trees(P.graph, cap)
             assert len(self._all_trees) == self.total_trees
             # A tree's support spans the incident nodes, so its flip is an
@@ -156,12 +178,9 @@ class FlowSampler:
             self._tree_ids = np.array(self._all_trees, dtype=np.intp)
             self._nonroot = sum(bit.values()) - bit[self.root]
         else:
-            self._vertex_of = self._decode_vertex
+            self._vertex_masks = _VertexMasks(P)
+            self._vertex_of = partial(_decode, m=m)
             self._all_trees = None
-
-    def _decode_vertex(self, mask: int) -> FlowVertex | None:
-        bits = tuple((mask >> i) & 1 for i in range(self._m))
-        return bits if is_vertex(self.P, bits) else None
 
     def _qualifying_trees(self, mask: int, f: FlowVertex) -> tuple[tuple[int, ...], ...]:
         """Trees whose flip under f is an arborescence toward the root, in _all_trees order."""
@@ -198,28 +217,34 @@ class FlowSampler:
         return tuple(sorted(sample_flip_tree(self.P, f, self.root, rng)))
 
     def sample(self, coins: CoinSource, rng, max_restarts: int = DEFAULT_MAX_RESTARTS) -> SampleTrace:
-        flip_round = coins.flip_round
+        # Only a CoinSource runs its own next_round_in: a wrapper that
+        # forwards unknown attributes would otherwise skip its flip_round.
+        if isinstance(coins, CoinSource):
+            next_round_in = coins.next_round_in
+        else:
+            next_round_in = partial(CoinSource.next_round_in, coins)
         flip = coins.flip
+        vertex_masks = self._vertex_masks
         vertex_of = self._vertex_of
         sample_tree = self._sample_tree
         restarts = 0
         reflips = 0
         while True:
-            mask = flip_round()
-            f = vertex_of(mask)
-            if f is not None:
-                tree = sample_tree(mask, f, rng)
-                if tree is not None:
-                    for eid in tree:
-                        reflips += 1
-                        if flip(eid) == f[eid]:
-                            break
-                    else:
-                        flips = self._m * (restarts + 1) + reflips
-                        return SampleTrace(output=f, total_flips=flips, restarts=restarts)
-            restarts += 1
-            if restarts > max_restarts:
+            mask, rounds = next_round_in(vertex_masks, max_restarts + 1 - restarts)
+            if mask is None:
                 raise MaxRestartsExceeded(f"no sample accepted within {max_restarts} restarts")
+            restarts += rounds - 1
+            f = vertex_of(mask)
+            tree = sample_tree(mask, f, rng)
+            if tree is not None:
+                for eid in tree:
+                    reflips += 1
+                    if flip(eid) == f[eid]:
+                        break
+                else:
+                    flips = self._m * (restarts + 1) + reflips
+                    return SampleTrace(output=f, total_flips=flips, restarts=restarts)
+            restarts += 1
 
 
 def sample_flow(

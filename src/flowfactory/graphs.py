@@ -74,17 +74,6 @@ class Graph:
             out[u].append(i)
         return {v: tuple(ids) for v, ids in out.items()}
 
-    @cached_property
-    def in_edges(self) -> dict[int, tuple[int, ...]]:
-        inc: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for i, (_, v) in enumerate(self.edges):
-            inc[v].append(i)
-        return {v: tuple(ids) for v, ids in inc.items()}
-
-    def reverse_id(self, eid: int) -> int | None:
-        """Edge id of the reversal of edge `eid`, or None if absent from E."""
-        return self.edge_index.get(reverse_edge(self.edges[eid]))
-
 
 @dataclass(frozen=True)
 class FlowPolytope:

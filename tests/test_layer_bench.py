@@ -5,6 +5,7 @@ Fixed rounds keep them short; compare runs with `pytest tests/test_layer_bench.p
 """
 
 from flowfactory import FlowSampler, SimulatedCoins, build_circulation_polytope, enumerate_vertices
+from flowfactory.coins import MaskSet
 
 from instances import HALF, circ5m
 
@@ -19,6 +20,22 @@ def test_bench_flip_round_circ4(benchmark):
 
     benchmark.pedantic(rounds, rounds=5, iterations=1)
     assert coins.total_flips == 12 * (1 + 5 * 10_000)
+
+
+def test_bench_stage1_scan_circ4(benchmark):
+    P = build_circulation_polytope(4)
+    vertices = MaskSet(sum(b << i for i, b in enumerate(f)) for f in enumerate_vertices(P))
+    coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
+    rounds = []
+
+    def hits():
+        for _ in range(1000):
+            mask, n = coins.next_round_in(vertices, 1 << 20)
+            rounds.append(n)
+
+    benchmark.pedantic(hits, rounds=5, iterations=1)
+    assert len(rounds) == 5 * 1000
+    assert coins.total_flips == 12 * sum(rounds)
 
 
 def test_bench_qualifying_tree_fill_circ5m(benchmark):

@@ -1,13 +1,19 @@
-"""The per-round coin path and the qualifying-tree fill of FlowSampler.
+"""The per-round coin path, the stage-1 scan and the qualifying-tree fill of FlowSampler.
 
-Seed-to-bytes goldens pin the sampler's output for fixed seeds; the fill is
-checked tree by tree against the flip_tree + is_arborescence reference.
+Seed-to-bytes goldens pin the sampler's output for fixed seeds; the bulk
+stage-1 scan is checked against a flip_round loop; the fill is checked tree
+by tree against the flip_tree + is_arborescence reference.
 """
 
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,13 +21,16 @@ from flowfactory import (
     FlowPolytope,
     FlowSampler,
     Graph,
+    MaxRestartsExceeded,
     SimulatedCoins,
     build_circulation_polytope,
     build_kflow_polytope,
     build_matching_polytope,
     enumerate_vertices,
+    random_interior_point,
 )
 from flowfactory.cli import main
+from flowfactory.coins import _BUFFER, CoinSource, MaskSet
 from flowfactory.graphs import flip_tree
 from flowfactory.io import polytope_to_dict
 from flowfactory.spanning import is_arborescence
@@ -29,13 +38,19 @@ from flowfactory.spanning import is_arborescence
 from instances import HALF, THIRD, circ5m, six_node_exchange, square
 
 
-def _sample_digest(tmp_path, P, samples):
-    poly, coins, out = (tmp_path / n for n in ("poly.json", "coins.json", "out.jsonl"))
+def _write_half_instance(tmp_path, P):
+    """Write P and coins at x = 1/2; return the two paths as strings."""
+    poly, coins = tmp_path / "poly.json", tmp_path / "coins.json"
     poly.write_text(json.dumps(polytope_to_dict(P)))
     coins.write_text(json.dumps(
         {"coins": [{"edge": i, "num": 1, "den": 2} for i in range(len(P.edges))]}))
-    argv = ["sample", str(poly), str(coins), "--samples", str(samples), "--seed", "0",
-            "--out", str(out)]
+    return str(poly), str(coins)
+
+
+def _sample_digest(tmp_path, P, samples):
+    out = tmp_path / "out.jsonl"
+    argv = ["sample", *_write_half_instance(tmp_path, P), "--samples", str(samples),
+            "--seed", "0", "--out", str(out)]
     assert main(argv) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
@@ -84,6 +99,100 @@ def test_flip_round_independent_bits_beyond_64_edges():
     p = 1 / 2 * 2 / 3 + 1 / 2 * 1 / 3
     assert abs(disagree - n * p) < 4 * (n * p * (1 - p)) ** 0.5
     assert coins.flip_counts == (n,) * 70
+
+
+class PerRound:
+    """Coins seen only through flip_round and flip, so stage 1 runs round by round."""
+
+    def __init__(self, coins):
+        self.flip_round = coins.flip_round
+        self.flip = coins.flip
+
+
+def test_next_round_in_matches_flip_round_loop():
+    m = 10
+    biases = [Fraction(k, 11) for k in range(1, m + 1)]
+    bulk, loop = SimulatedCoins(biases, seed=4), SimulatedCoins(biases, seed=4)
+    pick = random.Random(9)
+    sets = [MaskSet(pick.sample(range(1 << m), k)) for k in (0, 1, 40)] + [MaskSet(range(1 << m))]
+    rounds = 0
+    for i in range(400):
+        masks = sets[i % len(sets)]
+        # Limits that end right at a buffer boundary, and ones that cross it.
+        limit = _BUFFER - rounds % _BUFFER if i % 50 == 0 else pick.choice((1, 7, 3000, 40000))
+        got = bulk.next_round_in(masks, limit)
+        assert got == CoinSource.next_round_in(loop, masks, limit), i
+        rounds += got[1]
+        if i % 3 == 0:
+            assert bulk.flip(i % m) == loop.flip(i % m)
+        assert bulk.flip_counts == loop.flip_counts
+    assert rounds > 3 * _BUFFER
+    assert [bulk.flip_round() for _ in range(_BUFFER)] == [loop.flip_round() for _ in range(_BUFFER)]
+
+
+def _alternating_traces(P, other, samples, coins):
+    """Traces of two samplers taking turns on one coin source."""
+    samplers = (FlowSampler(P), FlowSampler(other))
+    rng = random.Random(1)
+    return [samplers[i % 2].sample(coins, rng) for i in range(samples)]
+
+
+def _source_sink(P):
+    return FlowPolytope(P.graph, (1,) + (0,) * (P.n - 2) + (-1,))
+
+
+@pytest.mark.parametrize("P,x,samples", [
+    pytest.param(build_circulation_polytope(4), None, 90, id="circ4"),
+    pytest.param(build_circulation_polytope(4),
+                 random_interior_point(build_circulation_polytope(4), random.Random(2)), 90,
+                 id="circ4-nonuniform"),
+    pytest.param(circ5m(), None, 6, id="circ5m"),
+])
+def test_bulk_scan_matches_per_round_path(P, x, samples):
+    x = x or [HALF] * len(P.edges)
+    bulk, per_round = SimulatedCoins(x, seed=7), SimulatedCoins(x, seed=7)
+    traces = _alternating_traces(P, _source_sink(P), samples, bulk)
+    assert traces == _alternating_traces(P, _source_sink(P), samples, PerRound(per_round))
+    assert bulk.flip_counts == per_round.flip_counts
+    # Enough rounds to cross at least two mask-buffer refills.
+    assert sum(t.restarts + 1 for t in traces) > 2 * _BUFFER
+
+
+class ReflipCountingCoins(SimulatedCoins):
+    """SimulatedCoins that also tallies single flips, which only the re-flip stage uses."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reflips = [0] * self.num_edges
+
+    def flip(self, edge):
+        self.reflips[edge] += 1
+        return super().flip(edge)
+
+
+@pytest.mark.parametrize("per_round", [False, True])
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_restart_cap_consumes_exactly_cap_plus_one_rounds(per_round, k):
+    P = build_circulation_polytope(4)
+    coins = ReflipCountingCoins([HALF] * len(P.edges), seed=k)
+    with pytest.raises(MaxRestartsExceeded):
+        FlowSampler(P).sample(PerRound(coins) if per_round else coins, random.Random(k),
+                              max_restarts=k)
+    rounds = [c - r for c, r in zip(coins.flip_counts, coins.reflips)]
+    assert rounds == [k + 1] * len(P.edges)
+
+
+def test_cli_restart_cap_exits_6_without_traceback(tmp_path):
+    paths = _write_half_instance(tmp_path, build_circulation_polytope(4))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from flowfactory.cli import entry; entry()", "sample", *paths,
+         "--samples", "5", "--seed", "0", "--max-restarts", "0"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 6, proc.stderr
+    assert "MaxRestartsExceeded" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def _assert_fill_matches_reference(P):
