@@ -17,6 +17,7 @@ import numpy as np
 from .errors import BoundaryCoin, InvalidInstance
 
 _BUFFER = 1 << 15
+_TABLE_LIMIT = 1 << 24
 
 
 class CoinSource:
@@ -49,15 +50,21 @@ class CoinSource:
 
 
 class MaskSet(frozenset):
-    """A fixed set of round masks, also held as a sorted uint64 array (`words`).
+    """A fixed set of round masks, also held as a membership table (`table`).
 
-    `words` is None when some mask needs more than 64 bits; SimulatedCoins
-    then scans round by round.
+    `table[w]` is True iff w is in the set, for w up to the largest mask; the
+    one entry after it is False, so a lookup with indices clipped to the
+    table's end answers any word.  `table` is None when some mask is 2^24 or
+    more (or negative); SimulatedCoins then scans round by round.
     """
 
     def __init__(self, masks=()):
-        fits = all(0 <= mask < (1 << 64) for mask in self)
-        self.words = np.array(sorted(self), dtype=np.uint64) if fits else None
+        top = max(self, default=-1)
+        if min(self, default=0) < 0 or top >= _TABLE_LIMIT:
+            self.table = None
+        else:
+            self.table = np.zeros(top + 2, dtype=bool)
+            self.table[list(self)] = True
 
 
 class SimulatedCoins(CoinSource):
@@ -68,11 +75,13 @@ class SimulatedCoins(CoinSource):
     tallies are kept for trace accounting.  With record_tape=True every flip
     is appended to `tape` as (edge, bit) in consumption order.
 
-    Rounds come from buffers of _BUFFER masks.  next_round_in tests a whole
-    buffer against a MaskSet in numpy once (hits are cached per buffer and
-    set) and jumps to the next hit, refilling exactly where flip_round would,
-    so the rng is drawn in the same order and every bit is the same as a
-    flip_round loop would see.
+    Rounds come from buffers of _BUFFER masks, drawn edge by edge into
+    uint64 word arrays that are allocated once and reused; the masks are
+    turned into Python ints only when flip_round reads the buffer.
+    next_round_in looks a whole buffer up in a MaskSet's table once (hits are
+    cached per buffer and set) and jumps to the next hit, refilling exactly
+    where flip_round would, so the rng is drawn in the same order and every
+    bit is the same as a flip_round loop would see.
     """
 
     def __init__(self, biases: Sequence[Fraction], seed: int = 0, record_tape: bool = False):
@@ -87,10 +96,17 @@ class SimulatedCoins(CoinSource):
         self._flip_counts = [0] * self.num_edges
         self._bit_buf: list[np.ndarray | None] = [None] * self.num_edges
         self._bit_pos = [0] * self.num_edges
-        self._masks: list[int] = []
-        self._words: np.ndarray | None = None
+        # Round buffers, reused by every refill: one row of words per 64
+        # edges, and scratch rows for one edge's bits, the same bits shifted
+        # into place, and a buffer's table lookup.
+        self._words = np.empty((max(1, (self.num_edges + 63) // 64), _BUFFER), dtype=np.uint64)
+        self._bits = np.empty(_BUFFER, dtype=bool)
+        self._shifted = np.empty(_BUFFER, dtype=np.uint64)
+        self._found = np.empty(_BUFFER, dtype=bool)
+        self._masks: list[int] | None = None
         self._hits: dict[MaskSet, list[int]] = {}
         self._mask_pos = 0
+        self._mask_end = 0
         self._rounds_before = 0
         self.tape: list[tuple[int, int]] | None = [] if record_tape else None
 
@@ -107,30 +123,30 @@ class SimulatedCoins(CoinSource):
     def total_flips(self) -> int:
         return sum(self._flip_counts) + self._rounds * self.num_edges
 
-    def _draw_bits(self, edge: int, size: int) -> np.ndarray:
+    def _draw_bits(self, edge: int, out: np.ndarray) -> np.ndarray:
+        """Fill the bool array `out` with flips of `edge`; return it."""
         num, den = self._biases[edge].numerator, self._biases[edge].denominator
         if den < (1 << 63):
-            return (self._rng.integers(0, den, size=size, dtype=np.uint64) < num).astype(np.uint8)
+            return np.less(self._rng.integers(0, den, size=len(out), dtype=np.uint64), num, out=out)
         # Huge denominators: exact draws from raw bits, one at a time.
-        bits = np.empty(size, dtype=np.uint8)
         nbits = den.bit_length()
-        for i in range(size):
+        for i in range(len(out)):
             while True:
                 u = 0
                 for word in self._rng.integers(0, 1 << 32, size=(nbits + 31) // 32, dtype=np.uint64):
                     u = (u << 32) | int(word)
                 u &= (1 << nbits) - 1
                 if u < den:
-                    bits[i] = 1 if u < num else 0
+                    out[i] = u < num
                     break
-        return bits
+        return out
 
     def flip(self, edge: int) -> int:
         if not 0 <= edge < self.num_edges:
             raise InvalidInstance(f"unknown edge id {edge}")
         buf = self._bit_buf[edge]
         if buf is None or self._bit_pos[edge] >= len(buf):
-            self._bit_buf[edge] = buf = self._draw_bits(edge, _BUFFER)
+            self._bit_buf[edge] = buf = self._draw_bits(edge, np.empty(_BUFFER, dtype=bool))
             self._bit_pos[edge] = 0
         bit = int(buf[self._bit_pos[edge]])
         self._bit_pos[edge] += 1
@@ -143,43 +159,56 @@ class SimulatedCoins(CoinSource):
         """Draw the next _BUFFER round masks, edge by edge, packed 64 edges a word."""
         self._rounds_before += self._mask_pos
         self._mask_pos = 0
+        self._mask_end = _BUFFER
+        self._masks = None
         self._hits.clear()
-        masks = [0] * _BUFFER
-        for lo in range(0, self.num_edges, 64):
-            word = np.zeros(_BUFFER, dtype=np.uint64)
-            for e in range(lo, min(lo + 64, self.num_edges)):
-                word |= self._draw_bits(e, _BUFFER).astype(np.uint64) << (e - lo)
-            words = word.tolist()
-            masks = words if lo == 0 else [a | (b << lo) for a, b in zip(masks, words)]
-        self._masks = masks
-        self._words = word if 0 < self.num_edges <= 64 else None
+        bits, shifted = self._bits, self._shifted
+        for row, word in enumerate(self._words):
+            word.fill(0)
+            for e in range(64 * row, min(64 * row + 64, self.num_edges)):
+                np.left_shift(self._draw_bits(e, bits), e - 64 * row, out=shifted, dtype=np.uint64)
+                np.bitwise_or(word, shifted, out=word)
+
+    def _mask_list(self) -> list[int]:
+        """The current buffer's masks as Python ints."""
+        masks = self._words[0].tolist()
+        for row in range(1, len(self._words)):
+            masks = [a | (b << 64 * row) for a, b in zip(masks, self._words[row].tolist())]
+        return masks
 
     def flip_round(self) -> int:
         if self.tape is not None:
             return super().flip_round()
         pos = self._mask_pos
-        if pos >= len(self._masks):
-            self._refill()
-            pos = 0
+        masks = self._masks
+        if masks is None or pos >= len(masks):
+            if pos >= self._mask_end:
+                self._refill()
+                pos = 0
+            masks = self._masks = self._mask_list()
         self._mask_pos = pos + 1
-        return self._masks[pos]
+        return masks[pos]
 
     def next_round_in(self, masks: Container[int], limit: int) -> tuple[int | None, int]:
-        if self.tape is not None or not 0 < self.num_edges <= 64 or getattr(masks, "words", None) is None:
+        # Words of at most 63 edges stay below 2^63, where take's cast of
+        # the uint64 words to indices is exact.
+        table = getattr(masks, "table", None)
+        if self.tape is not None or not 0 < self.num_edges < 64 or table is None:
             return super().next_round_in(masks, limit)
         n = 0
         while n < limit:
-            if self._mask_pos >= len(self._masks):
+            if self._mask_pos >= self._mask_end:
                 self._refill()
             pos = self._mask_pos
             hits = self._hits.get(masks)
             if hits is None:
-                hits = self._hits[masks] = np.flatnonzero(np.isin(self._words, masks.words)).tolist()
-            stop = min(pos + limit - n, len(self._masks))
+                found = table.take(self._words[0], out=self._found, mode="clip")
+                hits = self._hits[masks] = np.flatnonzero(found).tolist()
+            stop = min(pos + limit - n, self._mask_end)
             i = bisect_left(hits, pos)
             if i < len(hits) and hits[i] < stop:
                 self._mask_pos = hits[i] + 1
-                return self._masks[hits[i]], n + self._mask_pos - pos
+                return int(self._words[0, hits[i]]), n + self._mask_pos - pos
             self._mask_pos = stop
             n += stop - pos
         return None, n

@@ -366,16 +366,6 @@ def decompose_components(P: FlowPolytope) -> list[FlowPolytope]:
     return result
 
 
-def component_edge_ids(P: FlowPolytope) -> list[tuple[int, ...]]:
-    """Original edge ids belonging to each component, aligned with decompose_components."""
-    comps = undirected_components(P.graph)
-    node_to_comp = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    ids: list[list[int]] = [[] for _ in comps]
-    for i, (u, _) in enumerate(P.edges):
-        ids[node_to_comp[u]].append(i)
-    return [tuple(g) for g in ids]
-
-
 # ---------------------------------------------------------------------------
 # Vertex enumeration and fixed-variable elimination
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
-"""Shared small instances used across the test modules."""
+"""Shared small instances, and the environment of child interpreters, used across the test modules."""
 
+import os
 from fractions import Fraction
 
 from flowfactory import FlowPolytope, Graph, build_circulation_polytope
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
+
+
+def subprocess_env():
+    """os.environ with this checkout's src first on PYTHONPATH, for a fresh interpreter."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def two_node():

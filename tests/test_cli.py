@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +14,7 @@ from flowfactory.io import (
 
 from fractions import Fraction
 
-from instances import triangle, two_node
+from instances import subprocess_env, triangle, two_node
 
 
 def _write_two_node(tmp_path, num=1, den=3):
@@ -219,3 +221,19 @@ def test_bench_deterministic_stats(tmp_path, capsys):
     assert d1["stats"] == d2["stats"]
     assert main(["bench", poly, coins, "--samples", "1"]) == 0
     capsys.readouterr()
+
+
+def test_cli_calls_do_not_import_scipy(tmp_path):
+    """Only the statistical harness needs scipy; sample and verify must not pay its import."""
+    poly, coins = _write_two_node(tmp_path)
+    out = str(tmp_path / "out.jsonl")
+    script = (
+        "import sys, flowfactory\n"
+        "from flowfactory.cli import main\n"
+        f"assert main(['sample', {poly!r}, {coins!r}, '--samples', '5', '--seed', '0', '--out', {out!r}]) == 0\n"
+        f"assert main(['verify', {poly!r}, {coins!r}, '--out', {out!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))[:5]\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ Fixed rounds keep them short; compare runs with `pytest tests/test_layer_bench.p
 """
 
 from flowfactory import FlowSampler, SimulatedCoins, build_circulation_polytope, enumerate_vertices
-from flowfactory.coins import MaskSet
+from flowfactory.coins import _BUFFER, MaskSet
 
 from instances import HALF, circ5m
 
@@ -36,6 +36,20 @@ def test_bench_stage1_scan_circ4(benchmark):
     benchmark.pedantic(hits, rounds=5, iterations=1)
     assert len(rounds) == 5 * 1000
     assert coins.total_flips == 12 * sum(rounds)
+
+
+def test_bench_refill_and_scan_circ5m(benchmark):
+    P = circ5m()
+    vertices = MaskSet(sum(b << i for i, b in enumerate(f)) for f in enumerate_vertices(P))
+    coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
+
+    def refill_and_scan():
+        coins._refill()
+        coins.next_round_in(vertices, 1)  # looks the whole buffer up, flips one round
+
+    benchmark.pedantic(refill_and_scan, rounds=5, iterations=1)
+    assert coins.total_flips == 18 * 5
+    assert len(coins._hits[vertices]) > _BUFFER * 2440 / (1 << 18) / 2
 
 
 def test_bench_qualifying_tree_fill_circ5m(benchmark):

@@ -7,7 +7,6 @@ by tree against the flip_tree + is_arborescence reference.
 
 import hashlib
 import json
-import os
 import random
 import subprocess
 import sys
@@ -35,7 +34,7 @@ from flowfactory.graphs import flip_tree
 from flowfactory.io import polytope_to_dict
 from flowfactory.spanning import is_arborescence
 
-from instances import HALF, THIRD, circ5m, six_node_exchange, square
+from instances import HALF, THIRD, circ5m, six_node_exchange, square, subprocess_env
 
 
 def _write_half_instance(tmp_path, P):
@@ -115,6 +114,11 @@ def test_next_round_in_matches_flip_round_loop():
     bulk, loop = SimulatedCoins(biases, seed=4), SimulatedCoins(biases, seed=4)
     pick = random.Random(9)
     sets = [MaskSet(pick.sample(range(1 << m), k)) for k in (0, 1, 40)] + [MaskSet(range(1 << m))]
+    # Sets whose table entry past the largest mask (where clipped words land) matters.
+    sets += [MaskSet({0}), MaskSet({0, 3}), MaskSet({(1 << m) - 1})]
+    # A mask of 2^24 or more leaves the set without a table: the flip_round loop runs.
+    sets.append(MaskSet({5, (1 << m) - 2, 1 << 24}))
+    assert sets[-1].table is None
     rounds = 0
     for i in range(400):
         masks = sets[i % len(sets)]
@@ -128,6 +132,35 @@ def test_next_round_in_matches_flip_round_loop():
         assert bulk.flip_counts == loop.flip_counts
     assert rounds > 3 * _BUFFER
     assert [bulk.flip_round() for _ in range(_BUFFER)] == [loop.flip_round() for _ in range(_BUFFER)]
+
+
+def test_next_round_in_at_64_edges_reads_top_bit():
+    # Half of these words are 2^63 or more; none is 0, so no round may hit.
+    coins = SimulatedCoins([HALF] * 64, seed=5)
+    assert coins.next_round_in(MaskSet({0}), 2000) == (None, 2000)
+
+
+def test_round_buffer_refills_fault_in_no_new_memory():
+    """Reused round buffers: 40 refills plus scans on circ4 take almost no minor page faults.
+
+    Arrays allocated afresh for every buffer are returned to the OS and faulted
+    in again (hundreds of faults a refill); a fresh interpreter sees that.
+    """
+    script = (
+        "import resource\n"
+        "from fractions import Fraction\n"
+        "from flowfactory.coins import _BUFFER, MaskSet, SimulatedCoins\n"
+        "coins, none = SimulatedCoins([Fraction(1, 2)] * 12, seed=0), MaskSet()\n"
+        "coins.next_round_in(none, _BUFFER)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "assert coins.next_round_in(none, 40 * _BUFFER) == (None, 40 * _BUFFER)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults_per_refill = float(proc.stdout)
+    assert faults_per_refill < 64, faults_per_refill
 
 
 def _alternating_traces(P, other, samples, coins):
@@ -184,12 +217,10 @@ def test_restart_cap_consumes_exactly_cap_plus_one_rounds(per_round, k):
 
 def test_cli_restart_cap_exits_6_without_traceback(tmp_path):
     paths = _write_half_instance(tmp_path, build_circulation_polytope(4))
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", "from flowfactory.cli import entry; entry()", "sample", *paths,
          "--samples", "5", "--seed", "0", "--max-restarts", "0"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=subprocess_env(), timeout=120)
     assert proc.returncode == 6, proc.stderr
     assert "MaxRestartsExceeded" in proc.stderr
     assert "Traceback" not in proc.stderr
