@@ -12,7 +12,6 @@ from .errors import (
     CoefficientsNotSubunit,
     DegenerateDistribution,
     DisconnectedEdges,
-    EmptyPolytope,
     FlowFactoryError,
     IdentityViolated,
     InvalidInstance,
@@ -48,7 +47,6 @@ from .graphs import (
     flip_tree,
     is_vertex,
     m_map,
-    reduce_polytope,
     strongly_connected,
     undirected_connected,
     validate_point,
@@ -69,12 +67,10 @@ from .oracle import (
     statistical_test,
 )
 from .spanning import (
-    Arborescence,
     WeightedDigraph,
     build_laplacian,
     count_arborescences,
     enumerate_directed_trees,
-    sample_arborescence,
     sample_flip_tree,
     sarb,
     zls_cofactor_check,

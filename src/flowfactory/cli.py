@@ -185,17 +185,15 @@ _ALL_CHECKS = (
 
 
 def _run_check(name: str, P, x) -> tuple[bool, str]:
-    from .graphs import enumerate_vertices, m_map
+    from .graphs import enumerate_vertices, flip_tree, m_map
     from .spanning import (
         WeightedDigraph,
         build_laplacian,
         enumerate_directed_trees,
-        flip_multigraph,
         is_arborescence,
         qualifying_tree_count,
         zls_cofactor_check,
     )
-    from .graphs import flip_tree
 
     roots = P.graph.incident_nodes
     if name == "root-independence":

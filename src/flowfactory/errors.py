@@ -29,10 +29,6 @@ class TooLargeForOracle(FlowFactoryError):
     """Instance exceeds the enumeration cap for exact oracle computations."""
 
 
-class EmptyPolytope(FlowFactoryError):
-    """The polytope has no 0/1 vertices."""
-
-
 class NotCirculation(FlowFactoryError):
     """Vector does not satisfy the circulation balance equations."""
 

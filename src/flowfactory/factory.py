@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress
 from math import lcm
-
-import numpy as np
 
 from .coins import CoinSource, MaskSet
 from .errors import (
@@ -29,14 +26,16 @@ from .graphs import (
     FlowPolytope,
     FlowVertex,
     enumerate_vertices,
+    flip_tree,
     is_vertex,
     undirected_connected,
 )
 from .spanning import (
     directed_tree_count,
     enumerate_directed_trees,
+    is_arborescence,
     qualifying_tree_count,
-    sample_flip_tree,
+    wilson_walk,
 )
 
 DEFAULT_MAX_RESTARTS = 10_000_000
@@ -131,24 +130,27 @@ def _decode(mask: int, m: int) -> FlowVertex:
 
 
 class FlowSampler:
-    """Reusable sampler for one polytope; caches the per-flow tree structures.
+    """Reusable sampler for one polytope; caches the per-vertex tree counts.
 
     One round: flip every coin into a candidate flow f; restart unless f is a
-    vertex.  Draw a directed tree uniformly from all of T(E) (realised as an
-    exact accept with probability K_f/|T(E)| followed by a uniform qualifying
-    tree, where K_f counts the trees whose flip under f is an arborescence);
-    restart if the tree does not qualify.  Re-flip the coin of every tree
-    edge and restart if any outcome reproduces f on its edge; otherwise
-    output f.
+    vertex.  Draw a directed tree uniformly from all of T(E) and restart if
+    its flip under f is not an arborescence toward the root: realised as an
+    exact accept with probability K_f/|T(E)|, where K_f counts the trees whose
+    flip is one, followed by a uniform such tree from Wilson's walk on the
+    flip image.  Re-flip the coin of every tree edge as the walk yields it
+    and restart at the first outcome that reproduces f on its edge; otherwise
+    output f.  The walk and the re-flips draw from different sources, so
+    stopping the walk at a collision leaves the law of every round unchanged.
 
     Stage 1 asks the coins for the next round whose mask is a vertex
     (CoinSource.next_round_in) and counts the rounds skipped as restarts.
     Up to the enumeration cap the vertices are a MaskSet, which
     SimulatedCoins tests a whole mask buffer at a time; above it each
-    round's mask is decoded and checked on its own.
+    round's mask is decoded and checked on its own.  K_f is a determinant,
+    computed the first time a vertex passes stage 1 and kept per mask.
     """
 
-    def __init__(self, P: FlowPolytope, root: int | None = None, cap: int = ENUMERATION_CAP):
+    def __init__(self, P: FlowPolytope, root: int | None = None):
         if not undirected_connected(P.graph):
             raise DisconnectedEdges("variable edges are disconnected; decompose first")
         self.P = P
@@ -161,60 +163,14 @@ class FlowSampler:
             raise NoArborescence("edge set spans no directed tree")
         m = len(P.edges)
         self._m = m
-        self._flow_cache: dict[int, tuple] = {}
-        if m <= cap:
-            valid = {sum(b << i for i, b in enumerate(f)): f for f in enumerate_vertices(P, cap)}
-            self._vertex_masks = MaskSet(valid)
-            self._vertex_of = valid.__getitem__
-            self._all_trees = enumerate_directed_trees(P.graph, cap)
-            assert len(self._all_trees) == self.total_trees
-            # A tree's support spans the incident nodes, so its flip is an
-            # arborescence toward the root exactly when the flipped edges'
-            # tails are the non-root nodes, once each.  Nodes are bits by
-            # position in `incident`; f=0 keeps an edge's tail, f=1 its head.
-            bit = {v: 1 << i for i, v in enumerate(incident)}
-            self._tail_bit = np.array([bit[u] for u, _ in P.edges], dtype=np.int64)
-            self._head_bit = np.array([bit[v] for _, v in P.edges], dtype=np.int64)
-            self._tree_ids = np.array(self._all_trees, dtype=np.intp)
-            self._nonroot = sum(bit.values()) - bit[self.root]
-        else:
+        self._tree_counts: dict[int, int] = {}
+        if m > ENUMERATION_CAP:
             self._vertex_masks = _VertexMasks(P)
             self._vertex_of = partial(_decode, m=m)
-            self._all_trees = None
-
-    def _qualifying_trees(self, mask: int, f: FlowVertex) -> tuple[tuple[int, ...], ...]:
-        """Trees whose flip under f is an arborescence toward the root, in _all_trees order."""
-        data = self._flow_cache.get(mask)
-        if data is None:
-            tails = np.where(f, self._head_bit, self._tail_bit)[self._tree_ids]
-            ok = np.bitwise_or.reduce(tails, axis=1) == self._nonroot
-            data = self._flow_cache[mask] = tuple(compress(self._all_trees, ok.tolist()))
-        return data
-
-    def _sample_tree(self, mask: int, f: FlowVertex, rng) -> tuple[int, ...] | None:
-        """Uniform tree from all of T(E), or None if it does not qualify.
-
-        With enumeration available one uniform draw below |T(E)| doubles as
-        the accept test and the index into the qualifying list; otherwise the
-        exact count gives the accept probability and the self-reducible
-        sampler produces the tree.
-        """
-        if self._all_trees is not None:
-            qual = self._qualifying_trees(mask, f)
-            if not qual:
-                raise NoArborescence(
-                    "no tree flips to an arborescence; sampler hypotheses violated"
-                )
-            u = rng.randrange(self.total_trees)
-            return qual[u] if u < len(qual) else None
-        k = qualifying_tree_count(self.P, f, self.root)
-        if k == 0:
-            raise NoArborescence(
-                "no tree flips to an arborescence; sampler hypotheses violated"
-            )
-        if rng.randrange(self.total_trees) >= k:
-            return None
-        return tuple(sorted(sample_flip_tree(self.P, f, self.root, rng)))
+        else:
+            valid = {sum(b << i for i, b in enumerate(f)): f for f in enumerate_vertices(P)}
+            self._vertex_masks = MaskSet(valid)
+            self._vertex_of = valid.__getitem__
 
     def sample(self, coins: CoinSource, rng, max_restarts: int = DEFAULT_MAX_RESTARTS) -> SampleTrace:
         # Only a CoinSource runs its own next_round_in: a wrapper that
@@ -224,9 +180,11 @@ class FlowSampler:
         else:
             next_round_in = partial(CoinSource.next_round_in, coins)
         flip = coins.flip
+        randrange = rng.randrange
+        P, root, total_trees = self.P, self.root, self.total_trees
         vertex_masks = self._vertex_masks
         vertex_of = self._vertex_of
-        sample_tree = self._sample_tree
+        tree_counts = self._tree_counts
         restarts = 0
         reflips = 0
         while True:
@@ -235,9 +193,15 @@ class FlowSampler:
                 raise MaxRestartsExceeded(f"no sample accepted within {max_restarts} restarts")
             restarts += rounds - 1
             f = vertex_of(mask)
-            tree = sample_tree(mask, f, rng)
-            if tree is not None:
-                for eid in tree:
+            k = tree_counts.get(mask)
+            if k is None:
+                k = tree_counts[mask] = qualifying_tree_count(P, f, root)
+            if k == 0:
+                raise NoArborescence(
+                    "no tree flips to an arborescence; sampler hypotheses violated"
+                )
+            if randrange(total_trees) < k:
+                for eid in wilson_walk(P, f, root, rng):
                     reflips += 1
                     if flip(eid) == f[eid]:
                         break
@@ -375,9 +339,6 @@ def factory_polynomials(P: FlowPolytope, root: int, cap: int = ENUMERATION_CAP) 
     if total == 0:
         raise NoArborescence("edge set spans no directed tree")
     scale = Fraction(1, total)
-    from .graphs import flip_tree
-    from .spanning import is_arborescence
-
     out: dict[FlowVertex, BernsteinPolynomial] = {}
     for f in enumerate_vertices(P, cap):
         terms = []

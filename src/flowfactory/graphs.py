@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 from .errors import (
     AmbiguousDecomposition,
     BoundaryCoin,
-    EmptyPolytope,
     InvalidInstance,
     NotInPolytope,
     TooLargeForOracle,
@@ -73,6 +72,20 @@ class Graph:
         for i, (u, _) in enumerate(self.edges):
             out[u].append(i)
         return {v: tuple(ids) for v, ids in out.items()}
+
+    @cached_property
+    def flip_exits(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
+        """Incident node -> (edge id, other end, bit) for every edge at the node.
+
+        Under a flow f the flip of edge id leaves the node exactly when
+        f[id] == bit: an edge keeps its direction where f is 0, so it leaves
+        its tail with bit 0 and its head with bit 1.
+        """
+        exits: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.incident_nodes}
+        for i, (u, v) in enumerate(self.edges):
+            exits[u].append((i, v, 0))
+            exits[v].append((i, u, 1))
+        return {v: tuple(e) for v, e in exits.items()}
 
 
 @dataclass(frozen=True)
@@ -217,15 +230,6 @@ def flip_tree(G: Graph, f: FlowVertex, tree: Sequence[int]) -> frozenset[Edge]:
     return frozenset(flip_edge(G, f, eid) for eid in tree)
 
 
-def flip_image_multiplicity(P: FlowPolytope, f: FlowVertex) -> dict[Edge, list[int]]:
-    """Directed edge -> ids of the E-edges mapped onto it by the flip (1 or 2)."""
-    pre: dict[Edge, list[int]] = {}
-    for eid in range(len(P.edges)):
-        a = flip_edge(P.graph, f, eid)
-        pre.setdefault(a, []).append(eid)
-    return pre
-
-
 def flip_preimage(P: FlowPolytope, f: FlowVertex, a: Edge) -> tuple[int, ...]:
     """Ids of edges e in E with flip_edge(e) == a (the empty tuple if none)."""
     ids = []
@@ -367,7 +371,7 @@ def decompose_components(P: FlowPolytope) -> list[FlowPolytope]:
 
 
 # ---------------------------------------------------------------------------
-# Vertex enumeration and fixed-variable elimination
+# Vertex enumeration
 # ---------------------------------------------------------------------------
 
 def enumerate_vertices(P: FlowPolytope, cap: int = ENUMERATION_CAP) -> list[FlowVertex]:
@@ -422,32 +426,3 @@ def enumerate_vertices(P: FlowPolytope, cap: int = ENUMERATION_CAP) -> list[Flow
     rec(0)
     return out
 
-
-def reduce_polytope(
-    P: FlowPolytope, cap: int = ENUMERATION_CAP
-) -> tuple[FlowPolytope, dict[int, int]]:
-    """Drop every edge whose coordinate is constant over all vertices.
-
-    Returns the residual polytope (same node set, demands adjusted for the
-    edges fixed at 1) plus a map edge id -> fixed bit for the dropped edges.
-    """
-    verts = enumerate_vertices(P, cap=cap)
-    if not verts:
-        raise EmptyPolytope("polytope has no vertices")
-    m = len(P.edges)
-    fixed: dict[int, int] = {}
-    for i in range(m):
-        vals = {f[i] for f in verts}
-        if len(vals) == 1:
-            fixed[i] = next(iter(vals))
-    if not fixed:
-        return P, {}
-    keep = [i for i in range(m) if i not in fixed]
-    demands = list(P.demands)
-    for i, b in fixed.items():
-        if b:
-            u, v = P.edges[i]
-            demands[u - 1] -= 1
-            demands[v - 1] += 1
-    edges = tuple(P.edges[i] for i in keep)
-    return FlowPolytope(Graph(P.n, edges), tuple(demands)), fixed

@@ -3,12 +3,15 @@
 All counting is exact: integer matrices go through fraction-free Bareiss
 elimination, rational matrices are cleared to integers first.  The Laplacian
 uses the out-weight diagonal, so the minor at r counts arborescences directed
-toward r (validated against enumeration in the test suite).
+toward r (validated against enumeration in the test suite).  Trees whose flip
+is an arborescence are counted on the flip image of the edge set and drawn
+uniformly by Wilson's loop-erased random walk on it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -28,8 +31,6 @@ from .graphs import (
     FlowPolytope,
     FlowVertex,
     Graph,
-    flip_edge,
-    flip_image_multiplicity,
 )
 
 
@@ -49,12 +50,6 @@ class WeightedDigraph:
                 raise InvalidInstance(f"edge ({u},{v}) leaves the node set")
             if w < 0:
                 raise InvalidInstance(f"negative weight on edge ({u},{v})")
-
-
-@dataclass(frozen=True)
-class Arborescence:
-    tree: frozenset[Edge]
-    root: int
 
 
 # ---------------------------------------------------------------------------
@@ -292,112 +287,79 @@ def is_arborescence(edges, root: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact uniform sampling via self-reducibility
+# Trees whose flip is an arborescence: exact count and Wilson's walk
 # ---------------------------------------------------------------------------
-
-def _aggregate_count(nodes, find, active, root):
-    classes = tuple(sorted({find(v) for v in nodes}))
-    agg: dict[Edge, int] = {}
-    for (u, v), w in active.items():
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            key = (ru, rv)
-            agg[key] = agg.get(key, 0) + w
-    witems = tuple(sorted(agg.items()))
-    return _arb_count_cached(classes, witems, find(root))
-
-
-def sample_arborescence(W: WeightedDigraph, root: int, rng) -> Arborescence:
-    """Draw an arborescence toward `root` with probability proportional to the
-    product of its edge multiplicities.
-
-    Edges are visited in ascending (from, to) order; each is included or
-    excluded using exact contracted/deleted Matrix-Tree counts, and every
-    random decision draws a uniform integer below the exact total.
-    """
-    for w in W.weights.values():
-        if not isinstance(w, int):
-            raise InvalidInstance("sample_arborescence needs integer multiplicities")
-    rep = {v: v for v in W.nodes}
-
-    def find(v):
-        while rep[v] != v:
-            v = rep[v]
-        return v
-
-    active = {e: w for e, w in sorted(W.weights.items()) if w > 0}
-    cur = _aggregate_count(W.nodes, find, active, root)
-    if cur == 0:
-        raise NoArborescence(f"no arborescence toward node {root}")
-
-    chosen: list[Edge] = []
-    for e in sorted(active):
-        if e not in active:
-            continue
-        u, v = e
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            del active[e]
-            continue
-        if ru == find(root):
-            # Out-edges of the root class never appear in an arborescence.
-            del active[e]
-            continue
-        w = active[e]
-        # Tentatively contract: u's class takes e as its out-edge, so its
-        # other out-edges disappear and the class merges into v's.
-        removed = {e2 for e2 in active if find(e2[0]) == ru}
-        saved = {e2: active[e2] for e2 in removed}
-        for e2 in removed:
-            del active[e2]
-        rep[ru] = rv
-        contracted = _aggregate_count(W.nodes, find, active, root)
-        n_inc = w * contracted
-        if rng.randrange(cur) < n_inc:
-            chosen.append(e)
-            cur = contracted
-        else:
-            rep[ru] = ru
-            active.update(saved)
-            del active[e]
-            cur -= n_inc
-    assert len(chosen) == len(W.nodes) - 1
-    return Arborescence(frozenset(chosen), root)
-
-
-# ---------------------------------------------------------------------------
-# Sampling a tree whose flip is an arborescence
-# ---------------------------------------------------------------------------
-
-def flip_multigraph(P: FlowPolytope, f: FlowVertex) -> tuple[WeightedDigraph, dict[Edge, list[int]]]:
-    """Multigraph of flip images with multiplicities, plus the preimage map."""
-    pre = flip_image_multiplicity(P, f)
-    nodes = P.graph.incident_nodes
-    weights = {a: len(ids) for a, ids in pre.items()}
-    return WeightedDigraph(nodes, weights), pre
-
 
 def qualifying_tree_count(P: FlowPolytope, f: FlowVertex, root: int) -> int:
-    """Number of directed trees T in T(E) with Flip_f(T) an arborescence toward root."""
-    W, _ = flip_multigraph(P, f)
-    return count_arborescences(W, root)
+    """Number of directed trees T in T(E) with Flip_f(T) an arborescence toward root.
+
+    These are the arborescences toward root of the flip image, with one edge
+    id chosen per image edge: an image edge with two preimages counts twice,
+    and an arborescence never holds two edges over one pair of nodes, so the
+    chosen ids always span a tree.  The count is the determinant of the flip
+    image's out-Laplacian with root's row and column removed.
+    """
+    exits = P.graph.flip_exits
+    if root not in exits:
+        raise InvalidInstance(f"root {root} not among nodes")
+    idx = {v: i for i, v in enumerate(v for v in exits if v != root)}
+    L = [[0] * len(idx) for _ in idx]
+    for v, i in idx.items():
+        row = L[i]
+        for eid, w, bit in exits[v]:
+            if f[eid] == bit:
+                row[i] += 1
+                j = idx.get(w)
+                if j is not None:
+                    row[j] -= 1
+    return det_bareiss(L)
+
+
+def wilson_walk(P: FlowPolytope, f: FlowVertex, root: int, rng) -> Iterator[int]:
+    """Uniform tree whose flip under f is an arborescence toward root, yielded edge id by edge id.
+
+    Wilson's algorithm on the flip image (Wilson, STOC 1996; Propp and
+    Wilson, J. Algorithms 1998 for digraphs): from each node in turn, walk
+    along uniformly chosen edge ids whose flip leaves the current node until
+    the walk meets the tree, keeping only the last exit taken from each node
+    (which erases the loops), then join that branch to the tree, yielding its
+    edge ids as it joins.  Every choice of edge ids is equally likely, so an
+    image edge with two preimages needs no special case.  An exit is drawn by
+    rejection: a uniform index below the node's edge count, from
+    `getrandbits` as `randrange` does, kept once it names an edge whose flip
+    leaves the node.  Every node must reach root in the flip image (the count
+    is nonzero), or the walk never ends.
+    """
+    exits = P.graph.flip_exits
+    getrandbits = rng.getrandbits
+    in_tree = {root}
+    exit_of: dict[int, tuple[int, int]] = {}
+    for start in exits:
+        u = start
+        while u not in in_tree:
+            choices = exits[u]
+            n = len(choices)
+            k = n.bit_length()
+            while True:
+                r = getrandbits(k)
+                if r < n:
+                    eid, v, bit = choices[r]
+                    if f[eid] == bit:
+                        break
+            exit_of[u] = (eid, v)
+            u = v
+        u = start
+        while u not in in_tree:
+            in_tree.add(u)
+            eid, u = exit_of[u]
+            yield eid
 
 
 def sample_flip_tree(P: FlowPolytope, f: FlowVertex, root: int, rng) -> frozenset[int]:
     """Uniform tree among those whose flip under f is an arborescence toward root.
 
-    Samples an arborescence of the flip-image multigraph proportionally to its
-    multiplicity product, then resolves each multiplicity-2 image edge to a
-    uniformly chosen preimage; qualifying trees correspond one-to-one with
-    (arborescence, preimage choice) pairs.
+    Raises NoArborescence, before any draw, when there is none.
     """
-    W, pre = flip_multigraph(P, f)
-    arb = sample_arborescence(W, root, rng)
-    tree = []
-    for a in sorted(arb.tree):
-        ids = pre[a]
-        if len(ids) == 1:
-            tree.append(ids[0])
-        else:
-            tree.append(ids[rng.randrange(len(ids))])
-    return frozenset(tree)
+    if qualifying_tree_count(P, f, root) == 0:
+        raise NoArborescence(f"no tree flips to an arborescence toward node {root}")
+    return frozenset(wilson_walk(P, f, root, rng))

@@ -18,12 +18,11 @@ from flowfactory import (
     flip_tree,
     is_vertex,
     m_map,
-    reduce_polytope,
     strongly_connected,
     undirected_connected,
     validate_point,
 )
-from flowfactory.errors import EmptyPolytope, TooLargeForOracle
+from flowfactory.errors import TooLargeForOracle
 
 from instances import THIRD, disconnected_pair, square, square_cycle_flow, triangle, two_node
 
@@ -232,29 +231,6 @@ def test_kflow_vertices_decompose_into_paths():
                 v = nxt[1]
             edges -= set(path)
         assert not edges
-
-
-def test_reduce_polytope():
-    P1 = build_matching_polytope(1)
-    residual, fixed = reduce_polytope(P1)
-    assert fixed == {0: 1}
-    assert residual.edges == ()
-    Pk = build_kflow_polytope(2, 1)
-    residual, fixed = reduce_polytope(Pk)
-    assert fixed == {0: 1}
-    # nothing fixed when an interior point exists
-    residual, fixed = reduce_polytope(triangle())
-    assert fixed == {}
-    empty = FlowPolytope(Graph(2, ((1, 2),)), (0, 0))
-    # the lone edge can only be 0, so it gets eliminated
-    residual, fixed = reduce_polytope(empty)
-    assert fixed == {0: 0}
-
-
-def test_reduce_polytope_empty():
-    P = FlowPolytope(Graph(2, ((1, 2),)), (2, -2))
-    with pytest.raises(EmptyPolytope):
-        reduce_polytope(P)
 
 
 def test_vertex_differences_are_balanced():

@@ -4,8 +4,11 @@ Fixed rounds keep them short; compare runs with `pytest tests/test_layer_bench.p
 --benchmark-only` or `--benchmark-autosave`.
 """
 
-from flowfactory import FlowSampler, SimulatedCoins, build_circulation_polytope, enumerate_vertices
+import random
+
+from flowfactory import SimulatedCoins, build_circulation_polytope, enumerate_vertices
 from flowfactory.coins import _BUFFER, MaskSet
+from flowfactory.spanning import qualifying_tree_count, wilson_walk
 
 from instances import HALF, circ5m
 
@@ -52,14 +55,26 @@ def test_bench_refill_and_scan_circ5m(benchmark):
     assert len(coins._hits[vertices]) > _BUFFER * 2440 / (1 << 18) / 2
 
 
-def test_bench_qualifying_tree_fill_circ5m(benchmark):
+def test_bench_tree_count_circ5m(benchmark):
     P = circ5m()
-    sampler = FlowSampler(P)
-    vertices = [(sum(b << i for i, b in enumerate(f)), f) for f in enumerate_vertices(P)[:200]]
+    vertices = enumerate_vertices(P)[:200]
+    counts = []
 
-    def fill():
-        for mask, f in vertices:
-            sampler._qualifying_trees(mask, f)
+    def count():
+        counts[:] = [qualifying_tree_count(P, f, 1) for f in vertices]
 
-    benchmark.pedantic(fill, setup=sampler._flow_cache.clear, rounds=5, iterations=1)
-    assert len(sampler._flow_cache) == 200
+    benchmark.pedantic(count, rounds=5, iterations=1)
+    assert len(counts) == 200 and min(counts) > 0
+
+
+def test_bench_wilson_walk_circ5m(benchmark):
+    P = circ5m()
+    vertices = enumerate_vertices(P)
+    rng = random.Random(0)
+    trees = []
+
+    def draws():
+        trees[:] = [tuple(wilson_walk(P, vertices[i], 1, rng)) for i in range(1000)]
+
+    benchmark.pedantic(draws, rounds=5, iterations=1)
+    assert len(trees) == 1000 and all(len(t) == 4 for t in trees)

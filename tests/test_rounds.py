@@ -1,8 +1,9 @@
-"""The per-round coin path, the stage-1 scan and the qualifying-tree fill of FlowSampler.
+"""The per-round coin path, the stage-1 scan and the tree stage of FlowSampler.
 
 Seed-to-bytes goldens pin the sampler's output for fixed seeds; the bulk
-stage-1 scan is checked against a flip_round loop; the fill is checked tree
-by tree against the flip_tree + is_arborescence reference.
+stage-1 scan is checked against a flip_round loop and against the stage-1
+test used above the enumeration cap; the tree count K_f and the trees of
+Wilson's walk are checked against the flip_tree + is_arborescence reference.
 """
 
 import hashlib
@@ -21,18 +22,27 @@ from flowfactory import (
     FlowSampler,
     Graph,
     MaxRestartsExceeded,
+    NoArborescence,
     SimulatedCoins,
     build_circulation_polytope,
     build_kflow_polytope,
     build_matching_polytope,
     enumerate_vertices,
     random_interior_point,
+    sample_flip_tree,
 )
+from flowfactory import factory
 from flowfactory.cli import main
 from flowfactory.coins import _BUFFER, CoinSource, MaskSet
+from flowfactory.factory import _VertexMasks
 from flowfactory.graphs import flip_tree
 from flowfactory.io import polytope_to_dict
-from flowfactory.spanning import is_arborescence
+from flowfactory.spanning import (
+    enumerate_directed_trees,
+    is_arborescence,
+    qualifying_tree_count,
+    wilson_walk,
+)
 
 from instances import HALF, THIRD, circ5m, six_node_exchange, square, subprocess_env
 
@@ -56,12 +66,12 @@ def _sample_digest(tmp_path, P, samples):
 
 def test_sample_bytes_golden_circ4(tmp_path, capsys):
     assert _sample_digest(tmp_path, build_circulation_polytope(4), 200) == (
-        "e0daaae12ba277a0c94bb1afab9725e70b0ae4c2b33c9e0cf41642903b998f68")
+        "c0dea6f674b62d16375cce97029af07416b1fe791419d37207536ad5e9eb538a")
 
 
 def test_sample_bytes_golden_circ5m(tmp_path, capsys):
     assert _sample_digest(tmp_path, circ5m(), 3) == (
-        "129d0ca40d9172978766ac6fca4fbbff809e13303fa90116a2b557902fe3adef")
+        "8aba115ea0c70e2d65cc3cef590124b7d41a75ac7f26bd5015bb023e60c65cd8")
 
 
 def test_flip_counts_exact_under_mixed_use():
@@ -179,7 +189,7 @@ def _source_sink(P):
     pytest.param(build_circulation_polytope(4),
                  random_interior_point(build_circulation_polytope(4), random.Random(2)), 90,
                  id="circ4-nonuniform"),
-    pytest.param(circ5m(), None, 6, id="circ5m"),
+    pytest.param(circ5m(), None, 8, id="circ5m"),
 ])
 def test_bulk_scan_matches_per_round_path(P, x, samples):
     x = x or [HALF] * len(P.edges)
@@ -189,6 +199,50 @@ def test_bulk_scan_matches_per_round_path(P, x, samples):
     assert bulk.flip_counts == per_round.flip_counts
     # Enough rounds to cross at least two mask-buffer refills.
     assert sum(t.restarts + 1 for t in traces) > 2 * _BUFFER
+
+
+@pytest.mark.parametrize("P,samples", [
+    pytest.param(build_circulation_polytope(4), 40, id="circ4"),
+    pytest.param(circ5m(), 3, id="circ5m"),
+])
+def test_above_cap_path_matches_default(monkeypatch, P, samples):
+    """Above the enumeration cap each round's mask is decoded and checked on its own.
+
+    That stage-1 test draws the same coins and passes the same rounds, so the
+    samples, their traces and the coin tallies equal the default path's.
+    """
+
+    def run():
+        coins = SimulatedCoins([HALF] * len(P.edges), seed=5)
+        sampler, rng = FlowSampler(P), random.Random(6)
+        return [sampler.sample(coins, rng) for _ in range(samples)], coins.flip_counts, sampler
+
+    *default, sampler = run()
+    assert isinstance(sampler._vertex_masks, MaskSet)
+    monkeypatch.setattr(factory, "ENUMERATION_CAP", 0)
+    *above_cap, sampler = run()
+    assert isinstance(sampler._vertex_masks, _VertexMasks)
+    assert above_cap == default
+
+
+def test_unreachable_root_raises_before_any_walk(monkeypatch):
+    # In every flip image nodes 1 and 2 exit only toward each other, so
+    # neither reaches node 3 and a walk toward it would never end.
+    P = FlowPolytope(Graph(3, ((1, 2), (2, 1), (3, 2))), (0, 0, 0))
+
+    def no_walk(*args):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(factory, "wilson_walk", no_walk)
+    with pytest.raises(NoArborescence):
+        FlowSampler(P, root=3).sample(SimulatedCoins([HALF] * 3, seed=0), random.Random(0))
+    rng = random.Random(0)
+    state = rng.getstate()
+    for f in enumerate_vertices(P):
+        assert qualifying_tree_count(P, f, 3) == 0
+        with pytest.raises(NoArborescence):
+            sample_flip_tree(P, f, 3, rng)
+    assert rng.getstate() == state
 
 
 class ReflipCountingCoins(SimulatedCoins):
@@ -226,22 +280,24 @@ def test_cli_restart_cap_exits_6_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def _assert_fill_matches_reference(P):
+def _assert_tree_stage_matches_reference(P):
+    rng = random.Random(3)
+    trees = set(enumerate_directed_trees(P.graph))
     for root in P.graph.incident_nodes:
-        sampler = FlowSampler(P, root=root)
         for f in enumerate_vertices(P):
-            mask = sum(b << i for i, b in enumerate(f))
-            expected = tuple(t for t in sampler._all_trees
-                             if is_arborescence(flip_tree(P.graph, f, t), root))
-            assert sampler._qualifying_trees(mask, f) == expected, (root, f)
+            qualifying = {t for t in trees if is_arborescence(flip_tree(P.graph, f, t), root)}
+            assert qualifying_tree_count(P, f, root) == len(qualifying), (root, f)
+            for _ in range(3 if qualifying else 0):
+                tree = tuple(sorted(wilson_walk(P, f, root, rng)))
+                assert tree in qualifying, (root, f, tree)
 
 
-def test_qualifying_tree_fill_matches_reference():
+def test_tree_count_and_wilson_walk_match_reference():
     instances = [build_circulation_polytope(n) for n in (2, 3, 4)]
     instances += [build_matching_polytope(2), build_matching_polytope(3),
                   build_kflow_polytope(4, 2), square(), six_node_exchange()[0]]
     for P in instances:
-        _assert_fill_matches_reference(P)
+        _assert_tree_stage_matches_reference(P)
 
 
 @st.composite
@@ -256,5 +312,5 @@ def strongly_connected_circulations(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(strongly_connected_circulations())
-def test_qualifying_tree_fill_matches_reference_random(P):
-    _assert_fill_matches_reference(P)
+def test_tree_count_and_wilson_walk_match_reference_random(P):
+    _assert_tree_stage_matches_reference(P)

@@ -5,26 +5,26 @@ import pytest
 
 from flowfactory import (
     CirculationVector,
+    FlowPolytope,
     Graph,
+    InvalidInstance,
     NoArborescence,
     NotCirculation,
     WeightedDigraph,
     build_laplacian,
     count_arborescences,
     enumerate_directed_trees,
-    sample_arborescence,
     sample_flip_tree,
     sarb,
     zls_cofactor_check,
 )
 from flowfactory.errors import NotZLS
-from flowfactory.graphs import flip_tree, m_map
+from flowfactory.graphs import flip_tree, is_vertex, m_map
 from flowfactory.spanning import (
     det_bareiss,
     det_cofactor,
     det_exact,
     directed_tree_count,
-    flip_multigraph,
     is_arborescence,
     qualifying_tree_count,
 )
@@ -204,27 +204,29 @@ def test_is_arborescence():
 
 
 def test_sample_arborescence_unique():
-    W = WeightedDigraph((1, 2), {(2, 1): 1})
+    # The flip image is the single edge (2,1): one arborescence toward 1.
+    P = FlowPolytope(Graph(2, ((2, 1),)), (0, 0))
     rng = random.Random(0)
     for _ in range(10):
-        a = sample_arborescence(W, 1, rng)
-        assert a.tree == frozenset({(2, 1)})
+        assert sample_flip_tree(P, (0,), 1, rng) == frozenset({0})
 
 
 def test_sample_arborescence_no_solution():
-    W = WeightedDigraph((1, 2, 3), {(1, 2): 1, (2, 3): 1})
+    # The flip image is the path 1 -> 2 -> 3: nothing reaches node 1.
+    P = FlowPolytope(Graph(3, ((1, 2), (2, 3))), (0, 0, 0))
     with pytest.raises(NoArborescence):
-        sample_arborescence(W, 1, random.Random(0))
+        sample_flip_tree(P, (0, 0), 1, random.Random(0))
 
 
 def test_sample_arborescence_uniform_complete_3():
-    W = WeightedDigraph((1, 2, 3), {(u, v): 1 for u in (1, 2, 3) for v in (1, 2, 3) if u != v})
+    # Under the empty flow the triangle's flip image is the complete digraph.
+    P = triangle()
     rng = random.Random(1234)
     counts = {}
     n = 30000
     for _ in range(n):
-        a = sample_arborescence(W, 1, rng)
-        counts[a.tree] = counts.get(a.tree, 0) + 1
+        a = flip_tree(P.graph, (0,) * 6, tuple(sample_flip_tree(P, (0,) * 6, 1, rng)))
+        counts[a] = counts.get(a, 0) + 1
     assert len(counts) == 3
     for c in counts.values():
         # binomial 4-sigma band around n/3
@@ -232,32 +234,42 @@ def test_sample_arborescence_uniform_complete_3():
 
 
 def test_sample_arborescence_multiplicity_weighting():
-    # doubling one edge's multiplicity doubles the weight of the trees
-    # containing it
-    W = WeightedDigraph((1, 2, 3), {(2, 1): 2, (3, 1): 1, (2, 3): 1, (3, 2): 1})
-    assert count_arborescences(W, 1) == 2 * 1 + 2 * 1 + 1 * 1  # {21,31},{21,32},{23,31}
+    # Under f the image edge (2,1) has two preimages, edge 0 = (1,2) reversed
+    # and edge 1 = (2,1) kept, so it weighs twice in the arborescence law.
+    P = FlowPolytope(Graph(3, ((1, 2), (2, 1), (3, 1), (2, 3), (3, 2))), (1, -1, 0))
+    f = (1, 0, 0, 0, 0)
+    assert is_vertex(P, f)
+    assert qualifying_tree_count(P, f, 1) == 2 * 1 + 2 * 1 + 1 * 1  # {21,31},{21,32},{23,31}
     rng = random.Random(99)
     counts = {}
     n = 30000
     for _ in range(n):
-        a = sample_arborescence(W, 1, rng)
-        counts[a.tree] = counts.get(a.tree, 0) + 1
+        t = sample_flip_tree(P, f, 1, rng)
+        counts[t] = counts.get(t, 0) + 1
+    # Five qualifying trees, each equally likely.
+    assert set(counts) == {frozenset(t) for t in ((0, 2), (1, 2), (0, 4), (1, 4), (3, 2))}
+    for c in counts.values():
+        assert abs(c - n / 5) < 4 * (n * (1 / 5) * (4 / 5)) ** 0.5
+    arborescences = {}
+    for t, c in counts.items():
+        a = flip_tree(P.graph, f, tuple(t))
+        arborescences[a] = arborescences.get(a, 0) + c
     exact = {
         frozenset({(2, 1), (3, 1)}): 2 / 5,
         frozenset({(2, 1), (3, 2)}): 2 / 5,
         frozenset({(2, 3), (3, 1)}): 1 / 5,
     }
-    for tree, p in exact.items():
-        c = counts.get(tree, 0)
-        assert abs(c - n * p) < 4 * (n * p * (1 - p)) ** 0.5
+    assert set(arborescences) == set(exact)
+    for a, p in exact.items():
+        assert abs(arborescences[a] - n * p) < 4 * (n * p * (1 - p)) ** 0.5
 
 
 def test_flip_multigraph_multiplicities():
     P = two_node()
-    W, pre = flip_multigraph(P, (0, 1))
-    # both edges map onto (1,2): one kept, one reversed
-    assert W.weights == {(1, 2): 2}
-    assert sorted(pre[(1, 2)]) == [0, 1]
+    # both edges map onto (1,2) under f = (0, 1): one kept, one reversed
+    assert P.graph.flip_exits == {1: ((0, 2, 0), (1, 2, 1)), 2: ((0, 1, 1), (1, 1, 0))}
+    assert qualifying_tree_count(P, (0, 1), 2) == 2
+    assert qualifying_tree_count(P, (0, 1), 1) == 0
 
 
 def test_qualifying_tree_count_triangle():
@@ -267,6 +279,8 @@ def test_qualifying_tree_count_triangle():
     assert qualifying_tree_count(P, (0,) * 6, 1) == 3
     c3 = tuple(1 if e in {(1, 2), (2, 3), (3, 1)} else 0 for e in P.edges)
     assert qualifying_tree_count(P, c3, 1) == 4
+    with pytest.raises(InvalidInstance):
+        qualifying_tree_count(P, c3, 4)
 
 
 def test_sample_flip_tree_two_node():
