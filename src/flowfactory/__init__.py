@@ -7,7 +7,6 @@ sampler relies on.
 
 from .coins import CoinSource, SimulatedCoins, TapeCoins
 from .errors import (
-    AmbiguousDecomposition,
     BoundaryCoin,
     CoefficientsNotSubunit,
     DegenerateDistribution,
@@ -41,7 +40,6 @@ from .graphs import (
     build_circulation_polytope,
     build_kflow_polytope,
     build_matching_polytope,
-    decompose_components,
     enumerate_vertices,
     flip_edge,
     flip_tree,

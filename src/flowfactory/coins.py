@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Container, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BoundaryCoin, InvalidInstance
 
 _BUFFER = 1 << 15
-_TABLE_LIMIT = 1 << 24
+_WORD = (1 << 64) - 1
 
 
 class CoinSource:
@@ -35,8 +35,8 @@ class CoinSource:
             mask |= self.flip(e) << e
         return mask
 
-    def next_round_in(self, masks: Container[int], limit: int) -> tuple[int | None, int]:
-        """Flip rounds until one's mask is in `masks`, flipping at most `limit` rounds.
+    def next_round_in(self, vertices: VertexTest, limit: int) -> tuple[int | None, int]:
+        """Flip rounds until one's mask is in `vertices`, flipping at most `limit` rounds.
 
         Returns (mask, rounds flipped, that one included), or (None, rounds
         flipped) when no round within the limit hit.
@@ -44,27 +44,66 @@ class CoinSource:
         flip_round = self.flip_round
         for n in range(1, limit + 1):
             mask = flip_round()
-            if mask in masks:
+            if mask in vertices:
                 return mask, n
         return None, max(limit, 0)
 
 
-class MaskSet(frozenset):
-    """A fixed set of round masks, also held as a membership table (`table`).
+class VertexTest:
+    """Stage-1 test of a round mask: is it a 0/1 flow meeting every node's demand?
 
-    `table[w]` is True iff w is in the set, for w up to the largest mask; the
-    one entry after it is False, so a lookup with indices clipped to the
-    table's end answers any word.  `table` is None when some mask is 2^24 or
-    more (or negative); SimulatedCoins then scans round by round.
+    Bit i of a mask is edge i of `edges`, whose nodes are 1..len(demands).
+    The mask is a vertex iff at every node v the net flow
+    popcount(mask & out_v) - popcount(mask & in_v) equals the demand d_v.
+    An edge enters or leaves v, never both, so net flow plus indeg(v) is
+    popcount(mask & out_v) + popcount(~mask & in_v), that is
+    popcount((mask & (out_v | in_v)) ^ in_v): one count per node.  Node v is
+    kept as (out_v | in_v, in_v, d_v + indeg(v)).  Net flows sum to zero over
+    the nodes, so once the demands do too the last node's test follows from
+    the others' and is left out.  Demands that do not sum to zero, or a node
+    whose count could never reach its target (d_v outside [-indeg(v),
+    outdeg(v)]), make the test hit nothing.
+
+    `mask in test` checks one Python int; `scan` checks a buffer of packed
+    uint64 words at once.
     """
 
-    def __init__(self, masks=()):
-        top = max(self, default=-1)
-        if min(self, default=0) < 0 or top >= _TABLE_LIMIT:
-            self.table = None
-        else:
-            self.table = np.zeros(top + 2, dtype=bool)
-            self.table[list(self)] = True
+    def __init__(self, edges: Sequence[tuple[int, int]], demands: Sequence[int]):
+        at = [0] * (len(demands) + 1)
+        into = [0] * (len(demands) + 1)
+        for i, (u, v) in enumerate(edges):
+            at[u] |= 1 << i
+            at[v] |= 1 << i
+            into[v] |= 1 << i
+        nodes = [(at[v], into[v], d + into[v].bit_count()) for v, d in enumerate(demands, 1)]
+        self.feasible = sum(demands) == 0 and all(0 <= t <= s.bit_count() for s, _, t in nodes)
+        self.nodes = tuple((s, i, t) for s, i, t in nodes[:-1] if s)
+
+    def __contains__(self, mask: int) -> bool:
+        return self.feasible and all(((mask & s) ^ i).bit_count() == t for s, i, t in self.nodes)
+
+    def scan(self, words: np.ndarray, found: np.ndarray, part: np.ndarray,
+             equal: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """Set found[j] iff the mask in column j of `words` passes; return found.
+
+        Row r of `words` holds bits 64r..64r+63 of every mask.  `part`
+        (uint64), `equal` (bool) and `count` are scratch rows as long as a
+        row of words; `count`'s dtype must hold the number of edges.
+        """
+        found.fill(self.feasible)
+        if not self.feasible:
+            return found
+        for s, i, t in self.nodes:
+            for r, word in enumerate(words):
+                np.bitwise_and(word, (s >> 64 * r) & _WORD, out=part)
+                np.bitwise_xor(part, (i >> 64 * r) & _WORD, out=part)
+                if r == 0:
+                    np.bitwise_count(part, out=count)
+                else:
+                    count += np.bitwise_count(part)
+            np.equal(count, t, out=equal)
+            np.logical_and(found, equal, out=found)
+        return found
 
 
 class SimulatedCoins(CoinSource):
@@ -77,11 +116,12 @@ class SimulatedCoins(CoinSource):
 
     Rounds come from buffers of _BUFFER masks, drawn edge by edge into
     uint64 word arrays that are allocated once and reused; the masks are
-    turned into Python ints only when flip_round reads the buffer.
-    next_round_in looks a whole buffer up in a MaskSet's table once (hits are
-    cached per buffer and set) and jumps to the next hit, refilling exactly
-    where flip_round would, so the rng is drawn in the same order and every
-    bit is the same as a flip_round loop would see.
+    turned into Python ints only when flip_round reads the buffer, or when
+    a scan finds its hits.  next_round_in runs a VertexTest's scan over a
+    whole buffer once (the hits' positions and masks are cached per buffer
+    and test) and jumps to the next hit, refilling exactly where flip_round
+    would, so the rng is drawn in the same order and every bit is the same
+    as a flip_round loop would see.
     """
 
     def __init__(self, biases: Sequence[Fraction], seed: int = 0, record_tape: bool = False):
@@ -96,15 +136,17 @@ class SimulatedCoins(CoinSource):
         self._flip_counts = [0] * self.num_edges
         self._bit_buf: list[np.ndarray | None] = [None] * self.num_edges
         self._bit_pos = [0] * self.num_edges
-        # Round buffers, reused by every refill: one row of words per 64
-        # edges, and scratch rows for one edge's bits, the same bits shifted
-        # into place, and a buffer's table lookup.
+        # Round buffers, reused by every refill and scan: one row of words
+        # per 64 edges, and scratch rows for one edge's bits (a scan's
+        # per-node matches), the same bits shifted into place (a scan's
+        # masked words), a scan's per-node counts and its hits.
         self._words = np.empty((max(1, (self.num_edges + 63) // 64), _BUFFER), dtype=np.uint64)
         self._bits = np.empty(_BUFFER, dtype=bool)
         self._shifted = np.empty(_BUFFER, dtype=np.uint64)
+        self._count = np.empty(_BUFFER, dtype=np.min_scalar_type(self.num_edges))
         self._found = np.empty(_BUFFER, dtype=bool)
         self._masks: list[int] | None = None
-        self._hits: dict[MaskSet, list[int]] = {}
+        self._hits: dict[VertexTest, tuple[list[int], list[int]]] = {}
         self._mask_pos = 0
         self._mask_end = 0
         self._rounds_before = 0
@@ -169,11 +211,11 @@ class SimulatedCoins(CoinSource):
                 np.left_shift(self._draw_bits(e, bits), e - 64 * row, out=shifted, dtype=np.uint64)
                 np.bitwise_or(word, shifted, out=word)
 
-    def _mask_list(self) -> list[int]:
-        """The current buffer's masks as Python ints."""
-        masks = self._words[0].tolist()
+    def _mask_list(self, at=slice(None)) -> list[int]:
+        """The current buffer's masks (those at positions `at`) as Python ints."""
+        masks = self._words[0, at].tolist()
         for row in range(1, len(self._words)):
-            masks = [a | (b << 64 * row) for a, b in zip(masks, self._words[row].tolist())]
+            masks = [a | (b << 64 * row) for a, b in zip(masks, self._words[row, at].tolist())]
         return masks
 
     def flip_round(self) -> int:
@@ -189,26 +231,25 @@ class SimulatedCoins(CoinSource):
         self._mask_pos = pos + 1
         return masks[pos]
 
-    def next_round_in(self, masks: Container[int], limit: int) -> tuple[int | None, int]:
-        # Words of at most 63 edges stay below 2^63, where take's cast of
-        # the uint64 words to indices is exact.
-        table = getattr(masks, "table", None)
-        if self.tape is not None or not 0 < self.num_edges < 64 or table is None:
-            return super().next_round_in(masks, limit)
+    def next_round_in(self, vertices: VertexTest, limit: int) -> tuple[int | None, int]:
+        if self.tape is not None:
+            return super().next_round_in(vertices, limit)
         n = 0
         while n < limit:
             if self._mask_pos >= self._mask_end:
                 self._refill()
             pos = self._mask_pos
-            hits = self._hits.get(masks)
+            hits = self._hits.get(vertices)
             if hits is None:
-                found = table.take(self._words[0], out=self._found, mode="clip")
-                hits = self._hits[masks] = np.flatnonzero(found).tolist()
+                found = vertices.scan(self._words, self._found, self._shifted, self._bits, self._count)
+                at = np.flatnonzero(found)
+                hits = self._hits[vertices] = (at.tolist(), self._mask_list(at))
+            at, masks = hits
             stop = min(pos + limit - n, self._mask_end)
-            i = bisect_left(hits, pos)
-            if i < len(hits) and hits[i] < stop:
-                self._mask_pos = hits[i] + 1
-                return int(self._words[0, hits[i]]), n + self._mask_pos - pos
+            i = bisect_left(at, pos)
+            if i < len(at) and at[i] < stop:
+                self._mask_pos = at[i] + 1
+                return masks[i], n + self._mask_pos - pos
             self._mask_pos = stop
             n += stop - pos
         return None, n

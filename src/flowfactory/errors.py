@@ -21,10 +21,6 @@ class DisconnectedEdges(FlowFactoryError):
     """The variable edge set is disconnected as an undirected graph."""
 
 
-class AmbiguousDecomposition(FlowFactoryError):
-    """Component decomposition cannot attribute a node's demand to any component."""
-
-
 class TooLargeForOracle(FlowFactoryError):
     """Instance exceeds the enumeration cap for exact oracle computations."""
 

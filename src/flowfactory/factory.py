@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from .coins import CoinSource, MaskSet
+from .coins import CoinSource, VertexTest
 from .errors import (
     CoefficientsNotSubunit,
     DisconnectedEdges,
@@ -22,12 +22,10 @@ from .errors import (
     NoArborescence,
 )
 from .graphs import (
-    ENUMERATION_CAP,
     FlowPolytope,
     FlowVertex,
     enumerate_vertices,
     flip_tree,
-    is_vertex,
     undirected_connected,
 )
 from .spanning import (
@@ -115,20 +113,6 @@ def sample_path(
 # The flow-polytope factory
 # ---------------------------------------------------------------------------
 
-class _VertexMasks:
-    """Stage-1 test above the enumeration cap: decode a round mask, check it is a vertex."""
-
-    def __init__(self, P: FlowPolytope):
-        self._P = P
-
-    def __contains__(self, mask: int) -> bool:
-        return is_vertex(self._P, _decode(mask, len(self._P.edges)))
-
-
-def _decode(mask: int, m: int) -> FlowVertex:
-    return tuple((mask >> i) & 1 for i in range(m))
-
-
 class FlowSampler:
     """Reusable sampler for one polytope; caches the per-vertex tree counts.
 
@@ -143,16 +127,16 @@ class FlowSampler:
     stopping the walk at a collision leaves the law of every round unchanged.
 
     Stage 1 asks the coins for the next round whose mask is a vertex
-    (CoinSource.next_round_in) and counts the rounds skipped as restarts.
-    Up to the enumeration cap the vertices are a MaskSet, which
-    SimulatedCoins tests a whole mask buffer at a time; above it each
-    round's mask is decoded and checked on its own.  K_f is a determinant,
-    computed the first time a vertex passes stage 1 and kept per mask.
+    (CoinSource.next_round_in with a VertexTest, the same per-node
+    flow-balance test at every size) and counts the rounds skipped as
+    restarts; SimulatedCoins runs the test over a whole mask buffer at a
+    time.  The first time a vertex passes stage 1 its mask is decoded and
+    its K_f, a determinant, computed; both are kept per mask.
     """
 
     def __init__(self, P: FlowPolytope, root: int | None = None):
         if not undirected_connected(P.graph):
-            raise DisconnectedEdges("variable edges are disconnected; decompose first")
+            raise DisconnectedEdges("variable edges are disconnected as an undirected graph")
         self.P = P
         incident = P.graph.incident_nodes
         self.root = root if root is not None else incident[0]
@@ -161,16 +145,9 @@ class FlowSampler:
         self.total_trees = directed_tree_count(P.graph)
         if self.total_trees == 0:
             raise NoArborescence("edge set spans no directed tree")
-        m = len(P.edges)
-        self._m = m
-        self._tree_counts: dict[int, int] = {}
-        if m > ENUMERATION_CAP:
-            self._vertex_masks = _VertexMasks(P)
-            self._vertex_of = partial(_decode, m=m)
-        else:
-            valid = {sum(b << i for i, b in enumerate(f)): f for f in enumerate_vertices(P)}
-            self._vertex_masks = MaskSet(valid)
-            self._vertex_of = valid.__getitem__
+        self._m = len(P.edges)
+        self._vertices = VertexTest(P.edges, P.demands)
+        self._known: dict[int, tuple[FlowVertex, int]] = {}
 
     def sample(self, coins: CoinSource, rng, max_restarts: int = DEFAULT_MAX_RESTARTS) -> SampleTrace:
         # Only a CoinSource runs its own next_round_in: a wrapper that
@@ -182,20 +159,19 @@ class FlowSampler:
         flip = coins.flip
         randrange = rng.randrange
         P, root, total_trees = self.P, self.root, self.total_trees
-        vertex_masks = self._vertex_masks
-        vertex_of = self._vertex_of
-        tree_counts = self._tree_counts
+        vertices, known, m = self._vertices, self._known, self._m
         restarts = 0
         reflips = 0
         while True:
-            mask, rounds = next_round_in(vertex_masks, max_restarts + 1 - restarts)
+            mask, rounds = next_round_in(vertices, max_restarts + 1 - restarts)
             if mask is None:
                 raise MaxRestartsExceeded(f"no sample accepted within {max_restarts} restarts")
             restarts += rounds - 1
-            f = vertex_of(mask)
-            k = tree_counts.get(mask)
-            if k is None:
-                k = tree_counts[mask] = qualifying_tree_count(P, f, root)
+            hit = known.get(mask)
+            if hit is None:
+                f = tuple((mask >> i) & 1 for i in range(m))
+                hit = known[mask] = (f, qualifying_tree_count(P, f, root))
+            f, k = hit
             if k == 0:
                 raise NoArborescence(
                     "no tree flips to an arborescence; sampler hypotheses violated"
@@ -206,7 +182,7 @@ class FlowSampler:
                     if flip(eid) == f[eid]:
                         break
                 else:
-                    flips = self._m * (restarts + 1) + reflips
+                    flips = m * (restarts + 1) + reflips
                     return SampleTrace(output=f, total_flips=flips, restarts=restarts)
             restarts += 1
 
@@ -326,7 +302,7 @@ def bernoulli_race(
             raise MaxRestartsExceeded("all candidate polynomials appear to vanish")
 
 
-def factory_polynomials(P: FlowPolytope, root: int, cap: int = ENUMERATION_CAP) -> dict[FlowVertex, BernsteinPolynomial]:
+def factory_polynomials(P: FlowPolytope, root: int) -> dict[FlowVertex, BernsteinPolynomial]:
     """Explicit Bernstein form of the sampling polynomial of every vertex.
 
     One monomial per qualifying tree: the product over all edges of the flow
@@ -334,13 +310,13 @@ def factory_polynomials(P: FlowPolytope, root: int, cap: int = ENUMERATION_CAP) 
     polynomials share the rescale 1/|T(E)| so their ratios are preserved and
     each coefficient sum stays below one.
     """
-    trees = enumerate_directed_trees(P.graph, cap)
+    trees = enumerate_directed_trees(P.graph)
     total = directed_tree_count(P.graph)
     if total == 0:
         raise NoArborescence("edge set spans no directed tree")
     scale = Fraction(1, total)
     out: dict[FlowVertex, BernsteinPolynomial] = {}
-    for f in enumerate_vertices(P, cap):
+    for f in enumerate_vertices(P):
         terms = []
         for tree in trees:
             if not is_arborescence(flip_tree(P.graph, f, tree), root):

@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
-    AmbiguousDecomposition,
     BoundaryCoin,
     InvalidInstance,
     NotInPolytope,
@@ -316,58 +315,6 @@ def strongly_connected(edges, nodes=None) -> bool:
 
     start = next(iter(nodes))
     return len(reach(fwd, start)) == len(nodes) and len(reach(bwd, start)) == len(nodes)
-
-
-# ---------------------------------------------------------------------------
-# Component decomposition
-# ---------------------------------------------------------------------------
-
-def undirected_components(G: Graph) -> list[tuple[int, ...]]:
-    """Connected components of the undirected support, as sorted node tuples."""
-    parent = {v: v for v in G.incident_nodes}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in G.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    comps: dict[int, list[int]] = {}
-    for v in G.incident_nodes:
-        comps.setdefault(find(v), []).append(v)
-    return sorted((tuple(sorted(c)) for c in comps.values()), key=lambda c: c[0])
-
-
-def decompose_components(P: FlowPolytope) -> list[FlowPolytope]:
-    """Split P into one independent sub-polytope per undirected component.
-
-    Sub-polytope nodes are renumbered 1..k in increasing original label;
-    edges keep their original relative order.  A node with nonzero demand
-    that touches no edge belongs to no component, so its demand cannot be
-    attributed: AmbiguousDecomposition.
-    """
-    comps = undirected_components(P.graph)
-    incident = set(P.graph.incident_nodes)
-    for v in range(1, P.n + 1):
-        if v not in incident and P.demand(v) != 0:
-            raise AmbiguousDecomposition(
-                f"node {v} has demand {P.demand(v)} but no incident edge"
-            )
-    if len(comps) <= 1:
-        return [P]
-    result = []
-    for comp in comps:
-        relabel = {v: i + 1 for i, v in enumerate(comp)}
-        edges = tuple(
-            (relabel[u], relabel[v]) for (u, v) in P.edges if u in relabel
-        )
-        demands = tuple(P.demand(v) for v in comp)
-        result.append(FlowPolytope(Graph(len(comp), edges), demands))
-    return result
 
 
 # ---------------------------------------------------------------------------

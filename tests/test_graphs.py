@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from flowfactory import (
-    AmbiguousDecomposition,
     BoundaryCoin,
     CirculationVector,
     FlowPolytope,
@@ -12,7 +11,6 @@ from flowfactory import (
     build_circulation_polytope,
     build_kflow_polytope,
     build_matching_polytope,
-    decompose_components,
     enumerate_vertices,
     flip_edge,
     flip_tree,
@@ -155,41 +153,6 @@ def test_connectivity():
     assert undirected_connected(square().graph)
     assert strongly_connected([(1, 2), (2, 3), (3, 1)])
     assert not strongly_connected([(1, 2), (2, 3)])
-
-
-def test_decompose_components():
-    P = triangle()
-    assert decompose_components(P) == [P]
-    D = disconnected_pair()
-    parts = decompose_components(D)
-    assert len(parts) == 2
-    for part in parts:
-        assert part.edges == ((1, 2), (2, 1))
-        assert part.demands == (0, 0)
-    # shared node keeps the instance connected
-    shared = FlowPolytope(Graph(3, ((1, 2), (2, 1), (1, 3), (3, 1))), (0, 0, 0))
-    assert decompose_components(shared) == [shared]
-    # demand on an isolated node cannot be attributed anywhere
-    bad = FlowPolytope(Graph(3, ((1, 2), (2, 1))), (0, 1, -1))
-    with pytest.raises(AmbiguousDecomposition):
-        decompose_components(bad)
-
-
-def test_decompose_concatenation_bijects():
-    D = disconnected_pair()
-    parts = decompose_components(D)
-    ids = [(0, 1), (2, 3)]  # edge ids of each 2-cycle of D
-    whole = set(enumerate_vertices(D))
-    combined = set()
-    for a in enumerate_vertices(parts[0]):
-        for b in enumerate_vertices(parts[1]):
-            bits = [0] * len(D.edges)
-            for local, eid in enumerate(ids[0]):
-                bits[eid] = a[local]
-            for local, eid in enumerate(ids[1]):
-                bits[eid] = b[local]
-            combined.add(tuple(bits))
-    assert combined == whole
 
 
 def test_enumerate_vertices_counts():

@@ -7,7 +7,7 @@ Fixed rounds keep them short; compare runs with `pytest tests/test_layer_bench.p
 import random
 
 from flowfactory import SimulatedCoins, build_circulation_polytope, enumerate_vertices
-from flowfactory.coins import _BUFFER, MaskSet
+from flowfactory.coins import _BUFFER, VertexTest
 from flowfactory.spanning import qualifying_tree_count, wilson_walk
 
 from instances import HALF, circ5m
@@ -27,7 +27,7 @@ def test_bench_flip_round_circ4(benchmark):
 
 def test_bench_stage1_scan_circ4(benchmark):
     P = build_circulation_polytope(4)
-    vertices = MaskSet(sum(b << i for i, b in enumerate(f)) for f in enumerate_vertices(P))
+    vertices = VertexTest(P.edges, P.demands)
     coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
     rounds = []
 
@@ -43,16 +43,33 @@ def test_bench_stage1_scan_circ4(benchmark):
 
 def test_bench_refill_and_scan_circ5m(benchmark):
     P = circ5m()
-    vertices = MaskSet(sum(b << i for i, b in enumerate(f)) for f in enumerate_vertices(P))
+    vertices = VertexTest(P.edges, P.demands)
     coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
 
     def refill_and_scan():
         coins._refill()
-        coins.next_round_in(vertices, 1)  # looks the whole buffer up, flips one round
+        coins.next_round_in(vertices, 1)  # tests the whole buffer, flips one round
 
     benchmark.pedantic(refill_and_scan, rounds=5, iterations=1)
     assert coins.total_flips == 18 * 5
-    assert len(coins._hits[vertices]) > _BUFFER * 2440 / (1 << 18) / 2
+    at, _ = coins._hits[vertices]
+    assert len(at) > _BUFFER * 2440 / (1 << 18) / 2
+
+
+def test_bench_refill_and_scan_circ6(benchmark):
+    P = build_circulation_polytope(6)
+    vertices = VertexTest(P.edges, P.demands)
+    coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
+
+    def refill_and_scan():
+        coins._refill()
+        coins.next_round_in(vertices, 1)
+
+    benchmark.pedantic(refill_and_scan, rounds=5, iterations=1)
+    assert coins.total_flips == 30 * 5
+    at, masks = coins._hits[vertices]
+    assert masks == [int(coins._words[0, j]) for j in at]
+    assert masks and all(w in vertices for w in masks)
 
 
 def test_bench_tree_count_circ5m(benchmark):

@@ -1,9 +1,11 @@
-"""The per-round coin path, the stage-1 scan and the tree stage of FlowSampler.
+"""The per-round coin path, the stage-1 vertex test and the tree stage of FlowSampler.
 
-Seed-to-bytes goldens pin the sampler's output for fixed seeds; the bulk
-stage-1 scan is checked against a flip_round loop and against the stage-1
-test used above the enumeration cap; the tree count K_f and the trees of
-Wilson's walk are checked against the flip_tree + is_arborescence reference.
+Seed-to-bytes goldens pin the sampler's output for fixed seeds, circ6 (30
+edges) among them; the stage-1 vertex test is checked against is_vertex,
+both on single masks and over whole buffers of packed words, and the bulk
+scan of SimulatedCoins against a flip_round loop; the tree count K_f and the
+trees of Wilson's walk are checked against the flip_tree + is_arborescence
+reference.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,9 +36,8 @@ from flowfactory import (
 )
 from flowfactory import factory
 from flowfactory.cli import main
-from flowfactory.coins import _BUFFER, CoinSource, MaskSet
-from flowfactory.factory import _VertexMasks
-from flowfactory.graphs import flip_tree
+from flowfactory.coins import _BUFFER, CoinSource, VertexTest
+from flowfactory.graphs import flip_tree, is_vertex
 from flowfactory.io import polytope_to_dict
 from flowfactory.spanning import (
     enumerate_directed_trees,
@@ -57,10 +59,14 @@ def _write_half_instance(tmp_path, P):
 
 
 def _sample_digest(tmp_path, P, samples):
+    """sha256 of `flowfactory sample` at x = 1/2, seed 0; every output must be a vertex."""
     out = tmp_path / "out.jsonl"
     argv = ["sample", *_write_half_instance(tmp_path, P), "--samples", str(samples),
             "--seed", "0", "--out", str(out)]
     assert main(argv) == 0
+    for line in out.read_text().splitlines():
+        flow = set(json.loads(line)["flow"])
+        assert is_vertex(P, [int(i in flow) for i in range(len(P.edges))])
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -72,6 +78,11 @@ def test_sample_bytes_golden_circ4(tmp_path, capsys):
 def test_sample_bytes_golden_circ5m(tmp_path, capsys):
     assert _sample_digest(tmp_path, circ5m(), 3) == (
         "8aba115ea0c70e2d65cc3cef590124b7d41a75ac7f26bd5015bb023e60c65cd8")
+
+
+def test_sample_bytes_golden_circ6(tmp_path, capsys):
+    assert _sample_digest(tmp_path, build_circulation_polytope(6), 2) == (
+        "17bf3dd5e8bc222dca1b03d96622aaa9e2d2324d073ce98c2de03d635403105a")
 
 
 def test_flip_counts_exact_under_mixed_use():
@@ -118,36 +129,128 @@ class PerRound:
         self.flip = coins.flip
 
 
-def test_next_round_in_matches_flip_round_loop():
-    m = 10
-    biases = [Fraction(k, 11) for k in range(1, m + 1)]
+def _two_cycle_chain(pairs, end_demand=0):
+    """A path of 2-cycles on 2 * pairs edges.  With the default zero demands any
+    union of 2-cycles is a vertex; otherwise one unit flows from end to end."""
+    edges = tuple(e for v in range(1, pairs + 1) for e in ((v, v + 1), (v + 1, v)))
+    return FlowPolytope(Graph(pairs + 1, edges), (end_demand,) + (0,) * (pairs - 1) + (-end_demand,))
+
+
+def _ten_edge_tests():
+    """Vertex tests over ten edges on four nodes: feasible demands, infeasible ones, and
+    a test on a single edgeless node, which every mask passes."""
+    edges = ((1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (4, 1), (1, 4), (1, 3), (2, 4))
+    demands = [(0, 0, 0, 0), (1, 0, 0, -1), (2, -1, 1, -2), (3, 3, -3, -3), (5, -5, 0, 0)]
+    return [VertexTest(edges, d) for d in demands] + [VertexTest((), (0,))]
+
+
+def _assert_next_round_in_matches_loop(biases, tests, calls):
+    m = len(biases)
     bulk, loop = SimulatedCoins(biases, seed=4), SimulatedCoins(biases, seed=4)
     pick = random.Random(9)
-    sets = [MaskSet(pick.sample(range(1 << m), k)) for k in (0, 1, 40)] + [MaskSet(range(1 << m))]
-    # Sets whose table entry past the largest mask (where clipped words land) matters.
-    sets += [MaskSet({0}), MaskSet({0, 3}), MaskSet({(1 << m) - 1})]
-    # A mask of 2^24 or more leaves the set without a table: the flip_round loop runs.
-    sets.append(MaskSet({5, (1 << m) - 2, 1 << 24}))
-    assert sets[-1].table is None
-    rounds = 0
-    for i in range(400):
-        masks = sets[i % len(sets)]
+    rounds = hits = 0
+    for i in range(calls):
+        vertices = tests[i % len(tests)]
         # Limits that end right at a buffer boundary, and ones that cross it.
         limit = _BUFFER - rounds % _BUFFER if i % 50 == 0 else pick.choice((1, 7, 3000, 40000))
-        got = bulk.next_round_in(masks, limit)
-        assert got == CoinSource.next_round_in(loop, masks, limit), i
+        got = bulk.next_round_in(vertices, limit)
+        assert got == CoinSource.next_round_in(loop, vertices, limit), i
         rounds += got[1]
+        hits += got[0] is not None
         if i % 3 == 0:
             assert bulk.flip(i % m) == loop.flip(i % m)
         assert bulk.flip_counts == loop.flip_counts
-    assert rounds > 3 * _BUFFER
+    assert rounds > 3 * _BUFFER and hits > 0
     assert [bulk.flip_round() for _ in range(_BUFFER)] == [loop.flip_round() for _ in range(_BUFFER)]
 
 
-def test_next_round_in_at_64_edges_reads_top_bit():
-    # Half of these words are 2^63 or more; none is 0, so no round may hit.
-    coins = SimulatedCoins([HALF] * 64, seed=5)
-    assert coins.next_round_in(MaskSet({0}), 2000) == (None, 2000)
+def test_next_round_in_matches_flip_round_loop():
+    _assert_next_round_in_matches_loop([Fraction(k, 11) for k in range(1, 11)], _ten_edge_tests(), 400)
+    # Each pairs a test that hits often with one that (almost) never does,
+    # so that calls also run to their limits across buffers.
+    circ6 = build_circulation_polytope(6).edges
+    _assert_next_round_in_matches_loop(
+        [HALF] * 30, [VertexTest(circ6, d) for d in [(0,) * 6, (5, 5, 5, -5, -5, -5)]], 60)
+    # Sparse coins below edge 64 and dense ones above: hits carry bits of both words.
+    _assert_next_round_in_matches_loop(
+        [Fraction(1, 16)] * 64 + [Fraction(15, 16)] * 6,
+        [VertexTest(P.edges, P.demands) for P in [_two_cycle_chain(35), _two_cycle_chain(35, 1)]], 60)
+
+
+@pytest.mark.parametrize("demand", [1 << 15, 1 << 16])
+def test_vertex_test_never_hits_through_a_wrapped_count(demand):
+    # A node whose demand is beyond its degree is never met, though the
+    # demand (or demand plus in-degree) wrapped to 8 or 16 bits is a value
+    # the node's count reaches.
+    P = FlowPolytope(Graph(3, ((1, 2), (2, 1), (2, 3), (3, 2))), (demand, 0, -demand))
+    vertices = VertexTest(P.edges, P.demands)
+    bulk, loop = SimulatedCoins([HALF] * 4, seed=1), SimulatedCoins([HALF] * 4, seed=1)
+    limit = 2 * _BUFFER + 5
+    assert bulk.next_round_in(vertices, limit) == (None, limit)
+    assert CoinSource.next_round_in(loop, vertices, limit) == (None, limit)
+    assert bulk.flip_counts == loop.flip_counts
+
+
+def test_vertex_test_with_unbalanced_demands_hits_nothing():
+    # The last node's test is left out; here it is the one that fails.
+    vertices = VertexTest(((1, 2), (2, 1), (2, 3), (3, 2)), (0, 0, 1))
+    assert 0 not in vertices
+    coins = SimulatedCoins([HALF] * 4, seed=1)
+    assert coins.next_round_in(vertices, _BUFFER) == (None, _BUFFER)
+
+
+def _scan(vertices, masks, m):
+    """The vertex test run over `masks` packed as one buffer of uint64 word rows."""
+    n = len(masks)
+    words = np.array([[(w >> 64 * r) & ((1 << 64) - 1) for w in masks]
+                      for r in range(max(1, (m + 63) // 64))], dtype=np.uint64)
+    found = vertices.scan(words, np.empty(n, dtype=bool), np.empty(n, dtype=np.uint64),
+                          np.empty(n, dtype=bool), np.empty(n, dtype=np.min_scalar_type(m)))
+    return found.tolist()
+
+
+def _assert_vertex_test_matches_is_vertex(P, masks):
+    m = len(P.edges)
+    vertices = VertexTest(P.edges, P.demands)
+    expected = [is_vertex(P, [(w >> i) & 1 for i in range(m)]) for w in masks]
+    assert [w in vertices for w in masks] == expected
+    assert _scan(vertices, masks, m) == expected
+
+
+@st.composite
+def polytopes_and_masks(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+                  if pairs else ())
+    demands = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+    P = FlowPolytope(Graph(n, edges), (*demands, -sum(demands)))
+    m = len(edges)
+    masks = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=64))
+    if m <= 12:
+        masks += [sum(b << i for i, b in enumerate(f)) for f in enumerate_vertices(P)]
+    return P, masks
+
+
+@settings(max_examples=80, deadline=None)
+@given(polytopes_and_masks())
+def test_vertex_test_matches_is_vertex_random(case):
+    _assert_vertex_test_matches_is_vertex(*case)
+
+
+@pytest.mark.parametrize("P", [
+    pytest.param(_two_cycle_chain(32), id="m64"),
+    pytest.param(_two_cycle_chain(35), id="m70"),
+])
+def test_vertex_test_matches_is_vertex_over_a_buffer(P):
+    # Sparse coins make unions of 2-cycles, vertices among them, common; at
+    # 64 edges half the words of uniform masks are 2^63 or more.
+    m = len(P.edges)
+    sparse, uniform = SimulatedCoins([Fraction(1, 16)] * m, seed=2), SimulatedCoins([HALF] * m, seed=3)
+    masks = [sparse.flip_round() for _ in range(_BUFFER)]
+    masks += [uniform.flip_round() for _ in range(2048)]
+    assert any(w >> 63 for w in masks) and any(w >> 64 for w in masks) == (m > 64)
+    _assert_vertex_test_matches_is_vertex(P, masks)
 
 
 def test_round_buffer_refills_fault_in_no_new_memory():
@@ -159,8 +262,11 @@ def test_round_buffer_refills_fault_in_no_new_memory():
     script = (
         "import resource\n"
         "from fractions import Fraction\n"
-        "from flowfactory.coins import _BUFFER, MaskSet, SimulatedCoins\n"
-        "coins, none = SimulatedCoins([Fraction(1, 2)] * 12, seed=0), MaskSet()\n"
+        "from flowfactory import build_circulation_polytope\n"
+        "from flowfactory.coins import _BUFFER, SimulatedCoins, VertexTest\n"
+        "# circ4's edges with demands no mask meets, though each is within its node's degree\n"
+        "edges = build_circulation_polytope(4).edges\n"
+        "coins, none = SimulatedCoins([Fraction(1, 2)] * 12, seed=0), VertexTest(edges, (3, 3, -3, -3))\n"
         "coins.next_round_in(none, _BUFFER)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "assert coins.next_round_in(none, 40 * _BUFFER) == (None, 40 * _BUFFER)\n"
@@ -199,30 +305,6 @@ def test_bulk_scan_matches_per_round_path(P, x, samples):
     assert bulk.flip_counts == per_round.flip_counts
     # Enough rounds to cross at least two mask-buffer refills.
     assert sum(t.restarts + 1 for t in traces) > 2 * _BUFFER
-
-
-@pytest.mark.parametrize("P,samples", [
-    pytest.param(build_circulation_polytope(4), 40, id="circ4"),
-    pytest.param(circ5m(), 3, id="circ5m"),
-])
-def test_above_cap_path_matches_default(monkeypatch, P, samples):
-    """Above the enumeration cap each round's mask is decoded and checked on its own.
-
-    That stage-1 test draws the same coins and passes the same rounds, so the
-    samples, their traces and the coin tallies equal the default path's.
-    """
-
-    def run():
-        coins = SimulatedCoins([HALF] * len(P.edges), seed=5)
-        sampler, rng = FlowSampler(P), random.Random(6)
-        return [sampler.sample(coins, rng) for _ in range(samples)], coins.flip_counts, sampler
-
-    *default, sampler = run()
-    assert isinstance(sampler._vertex_masks, MaskSet)
-    monkeypatch.setattr(factory, "ENUMERATION_CAP", 0)
-    *above_cap, sampler = run()
-    assert isinstance(sampler._vertex_masks, _VertexMasks)
-    assert above_cap == default
 
 
 def test_unreachable_root_raises_before_any_walk(monkeypatch):
