@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import BoundaryCoin, InvalidInstance
+
+if TYPE_CHECKING:
+    from .graphs import FlowPolytope
 
 _BUFFER = 1 << 15
 _WORD = (1 << 64) - 1
@@ -52,44 +55,49 @@ class CoinSource:
 class VertexTest:
     """Stage-1 test of a round mask: is it a 0/1 flow meeting every node's demand?
 
-    Bit i of a mask is edge i of `edges`, whose nodes are 1..len(demands).
-    The mask is a vertex iff at every node v the net flow
-    popcount(mask & out_v) - popcount(mask & in_v) equals the demand d_v.
-    An edge enters or leaves v, never both, so net flow plus indeg(v) is
-    popcount(mask & out_v) + popcount(~mask & in_v), that is
+    Bit i of a mask is edge i of P.  The mask is a vertex iff at every node
+    v the net flow popcount(mask & out_v) - popcount(mask & in_v) equals the
+    demand d_v.  An edge enters or leaves v, never both, so net flow plus
+    indeg(v) is popcount(mask & out_v) + popcount(~mask & in_v), that is
     popcount((mask & (out_v | in_v)) ^ in_v): one count per node.  Node v is
-    kept as (out_v | in_v, in_v, d_v + indeg(v)).  Net flows sum to zero over
-    the nodes, so once the demands do too the last node's test follows from
-    the others' and is left out.  Demands that do not sum to zero, or a node
-    whose count could never reach its target (d_v outside [-indeg(v),
-    outdeg(v)]), make the test hit nothing.
+    kept as (out_v | in_v, in_v, d_v + indeg(v)).  Net flows and P's demands
+    both sum to zero over the nodes, so the last node's test follows from
+    the others' and is left out.  A node whose count could never reach its
+    target (d_v outside [-indeg(v), outdeg(v)]) makes the test hit nothing.
 
     `mask in test` checks one Python int; `scan` checks a buffer of packed
     uint64 words at once.
     """
 
-    def __init__(self, edges: Sequence[tuple[int, int]], demands: Sequence[int]):
-        at = [0] * (len(demands) + 1)
-        into = [0] * (len(demands) + 1)
-        for i, (u, v) in enumerate(edges):
+    def __init__(self, P: FlowPolytope):
+        at = [0] * (P.n + 1)
+        into = [0] * (P.n + 1)
+        for i, (u, v) in enumerate(P.edges):
             at[u] |= 1 << i
             at[v] |= 1 << i
             into[v] |= 1 << i
-        nodes = [(at[v], into[v], d + into[v].bit_count()) for v, d in enumerate(demands, 1)]
-        self.feasible = sum(demands) == 0 and all(0 <= t <= s.bit_count() for s, _, t in nodes)
+        nodes = [(at[v], into[v], d + into[v].bit_count()) for v, d in enumerate(P.demands, 1)]
+        self.feasible = all(0 <= t <= s.bit_count() for s, _, t in nodes)
         self.nodes = tuple((s, i, t) for s, i, t in nodes[:-1] if s)
+        # A count never exceeds the number of edges, so this dtype holds it.
+        self._count_dtype = np.min_scalar_type(len(P.edges))
+        self._scratch: tuple[np.ndarray, ...] = ()
 
     def __contains__(self, mask: int) -> bool:
         return self.feasible and all(((mask & s) ^ i).bit_count() == t for s, i, t in self.nodes)
 
-    def scan(self, words: np.ndarray, found: np.ndarray, part: np.ndarray,
-             equal: np.ndarray, count: np.ndarray) -> np.ndarray:
-        """Set found[j] iff the mask in column j of `words` passes; return found.
+    def scan(self, words: np.ndarray) -> np.ndarray:
+        """A bool row whose entry j is set iff the mask in column j of `words` passes.
 
-        Row r of `words` holds bits 64r..64r+63 of every mask.  `part`
-        (uint64), `equal` (bool) and `count` are scratch rows as long as a
-        row of words; `count`'s dtype must hold the number of edges.
+        Row r of `words` holds bits 64r..64r+63 of every mask.  The returned
+        row and the scratch behind it belong to the test, are allocated once
+        per buffer length and are overwritten by the next scan.
         """
+        if not self._scratch or len(self._scratch[0]) != words.shape[1]:
+            n = words.shape[1]
+            self._scratch = (np.empty(n, dtype=bool), np.empty(n, dtype=np.uint64),
+                             np.empty(n, dtype=bool), np.empty(n, dtype=self._count_dtype))
+        found, part, equal, count = self._scratch
         found.fill(self.feasible)
         if not self.feasible:
             return found
@@ -136,15 +144,12 @@ class SimulatedCoins(CoinSource):
         self._flip_counts = [0] * self.num_edges
         self._bit_buf: list[np.ndarray | None] = [None] * self.num_edges
         self._bit_pos = [0] * self.num_edges
-        # Round buffers, reused by every refill and scan: one row of words
-        # per 64 edges, and scratch rows for one edge's bits (a scan's
-        # per-node matches), the same bits shifted into place (a scan's
-        # masked words), a scan's per-node counts and its hits.
+        # Round buffers, reused by every refill: one row of words per 64
+        # edges, and scratch rows for one edge's bits and the same bits
+        # shifted into place.
         self._words = np.empty((max(1, (self.num_edges + 63) // 64), _BUFFER), dtype=np.uint64)
         self._bits = np.empty(_BUFFER, dtype=bool)
         self._shifted = np.empty(_BUFFER, dtype=np.uint64)
-        self._count = np.empty(_BUFFER, dtype=np.min_scalar_type(self.num_edges))
-        self._found = np.empty(_BUFFER, dtype=bool)
         self._masks: list[int] | None = None
         self._hits: dict[VertexTest, tuple[list[int], list[int]]] = {}
         self._mask_pos = 0
@@ -241,8 +246,7 @@ class SimulatedCoins(CoinSource):
             pos = self._mask_pos
             hits = self._hits.get(vertices)
             if hits is None:
-                found = vertices.scan(self._words, self._found, self._shifted, self._bits, self._count)
-                at = np.flatnonzero(found)
+                at = np.flatnonzero(vertices.scan(self._words))
                 hits = self._hits[vertices] = (at.tolist(), self._mask_list(at))
             at, masks = hits
             stop = min(pos + limit - n, self._mask_end)

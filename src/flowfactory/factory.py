@@ -146,7 +146,7 @@ class FlowSampler:
         if self.total_trees == 0:
             raise NoArborescence("edge set spans no directed tree")
         self._m = len(P.edges)
-        self._vertices = VertexTest(P.edges, P.demands)
+        self._vertices = VertexTest(P)
         self._known: dict[int, tuple[FlowVertex, int]] = {}
 
     def sample(self, coins: CoinSource, rng, max_restarts: int = DEFAULT_MAX_RESTARTS) -> SampleTrace:

@@ -27,7 +27,7 @@ def test_bench_flip_round_circ4(benchmark):
 
 def test_bench_stage1_scan_circ4(benchmark):
     P = build_circulation_polytope(4)
-    vertices = VertexTest(P.edges, P.demands)
+    vertices = VertexTest(P)
     coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
     rounds = []
 
@@ -43,7 +43,7 @@ def test_bench_stage1_scan_circ4(benchmark):
 
 def test_bench_refill_and_scan_circ5m(benchmark):
     P = circ5m()
-    vertices = VertexTest(P.edges, P.demands)
+    vertices = VertexTest(P)
     coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
 
     def refill_and_scan():
@@ -58,7 +58,7 @@ def test_bench_refill_and_scan_circ5m(benchmark):
 
 def test_bench_refill_and_scan_circ6(benchmark):
     P = build_circulation_polytope(6)
-    vertices = VertexTest(P.edges, P.demands)
+    vertices = VertexTest(P)
     coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
 
     def refill_and_scan():

@@ -141,7 +141,8 @@ def _ten_edge_tests():
     a test on a single edgeless node, which every mask passes."""
     edges = ((1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (4, 1), (1, 4), (1, 3), (2, 4))
     demands = [(0, 0, 0, 0), (1, 0, 0, -1), (2, -1, 1, -2), (3, 3, -3, -3), (5, -5, 0, 0)]
-    return [VertexTest(edges, d) for d in demands] + [VertexTest((), (0,))]
+    return ([VertexTest(FlowPolytope(Graph(4, edges), d)) for d in demands]
+            + [VertexTest(FlowPolytope(Graph(1, ()), (0,)))])
 
 
 def _assert_next_round_in_matches_loop(biases, tests, calls):
@@ -168,13 +169,14 @@ def test_next_round_in_matches_flip_round_loop():
     _assert_next_round_in_matches_loop([Fraction(k, 11) for k in range(1, 11)], _ten_edge_tests(), 400)
     # Each pairs a test that hits often with one that (almost) never does,
     # so that calls also run to their limits across buffers.
-    circ6 = build_circulation_polytope(6).edges
+    circ6 = build_circulation_polytope(6).graph
     _assert_next_round_in_matches_loop(
-        [HALF] * 30, [VertexTest(circ6, d) for d in [(0,) * 6, (5, 5, 5, -5, -5, -5)]], 60)
+        [HALF] * 30,
+        [VertexTest(FlowPolytope(circ6, d)) for d in [(0,) * 6, (5, 5, 5, -5, -5, -5)]], 60)
     # Sparse coins below edge 64 and dense ones above: hits carry bits of both words.
     _assert_next_round_in_matches_loop(
         [Fraction(1, 16)] * 64 + [Fraction(15, 16)] * 6,
-        [VertexTest(P.edges, P.demands) for P in [_two_cycle_chain(35), _two_cycle_chain(35, 1)]], 60)
+        [VertexTest(P) for P in [_two_cycle_chain(35), _two_cycle_chain(35, 1)]], 60)
 
 
 @pytest.mark.parametrize("demand", [1 << 15, 1 << 16])
@@ -183,7 +185,7 @@ def test_vertex_test_never_hits_through_a_wrapped_count(demand):
     # demand (or demand plus in-degree) wrapped to 8 or 16 bits is a value
     # the node's count reaches.
     P = FlowPolytope(Graph(3, ((1, 2), (2, 1), (2, 3), (3, 2))), (demand, 0, -demand))
-    vertices = VertexTest(P.edges, P.demands)
+    vertices = VertexTest(P)
     bulk, loop = SimulatedCoins([HALF] * 4, seed=1), SimulatedCoins([HALF] * 4, seed=1)
     limit = 2 * _BUFFER + 5
     assert bulk.next_round_in(vertices, limit) == (None, limit)
@@ -191,30 +193,20 @@ def test_vertex_test_never_hits_through_a_wrapped_count(demand):
     assert bulk.flip_counts == loop.flip_counts
 
 
-def test_vertex_test_with_unbalanced_demands_hits_nothing():
-    # The last node's test is left out; here it is the one that fails.
-    vertices = VertexTest(((1, 2), (2, 1), (2, 3), (3, 2)), (0, 0, 1))
-    assert 0 not in vertices
-    coins = SimulatedCoins([HALF] * 4, seed=1)
-    assert coins.next_round_in(vertices, _BUFFER) == (None, _BUFFER)
-
-
 def _scan(vertices, masks, m):
     """The vertex test run over `masks` packed as one buffer of uint64 word rows."""
-    n = len(masks)
     words = np.array([[(w >> 64 * r) & ((1 << 64) - 1) for w in masks]
                       for r in range(max(1, (m + 63) // 64))], dtype=np.uint64)
-    found = vertices.scan(words, np.empty(n, dtype=bool), np.empty(n, dtype=np.uint64),
-                          np.empty(n, dtype=bool), np.empty(n, dtype=np.min_scalar_type(m)))
-    return found.tolist()
+    return vertices.scan(words).tolist()
 
 
 def _assert_vertex_test_matches_is_vertex(P, masks):
     m = len(P.edges)
-    vertices = VertexTest(P.edges, P.demands)
+    vertices = VertexTest(P)
     expected = [is_vertex(P, [(w >> i) & 1 for i in range(m)]) for w in masks]
     assert [w in vertices for w in masks] == expected
     assert _scan(vertices, masks, m) == expected
+    assert _scan(vertices, masks[:1], m) == expected[:1]  # a shorter buffer, new scratch
 
 
 @st.composite
@@ -262,11 +254,12 @@ def test_round_buffer_refills_fault_in_no_new_memory():
     script = (
         "import resource\n"
         "from fractions import Fraction\n"
-        "from flowfactory import build_circulation_polytope\n"
+        "from flowfactory import FlowPolytope, build_circulation_polytope\n"
         "from flowfactory.coins import _BUFFER, SimulatedCoins, VertexTest\n"
         "# circ4's edges with demands no mask meets, though each is within its node's degree\n"
-        "edges = build_circulation_polytope(4).edges\n"
-        "coins, none = SimulatedCoins([Fraction(1, 2)] * 12, seed=0), VertexTest(edges, (3, 3, -3, -3))\n"
+        "graph = build_circulation_polytope(4).graph\n"
+        "none = VertexTest(FlowPolytope(graph, (3, 3, -3, -3)))\n"
+        "coins = SimulatedCoins([Fraction(1, 2)] * 12, seed=0)\n"
         "coins.next_round_in(none, _BUFFER)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "assert coins.next_round_in(none, 40 * _BUFFER) == (None, 40 * _BUFFER)\n"
