@@ -8,7 +8,6 @@ sampler relies on.
 from .coins import CoinSource, SimulatedCoins, TapeCoins
 from .errors import (
     BoundaryCoin,
-    CoefficientsNotSubunit,
     DegenerateDistribution,
     DisconnectedEdges,
     FlowFactoryError,
@@ -21,18 +20,7 @@ from .errors import (
     NotZLS,
     TooLargeForOracle,
 )
-from .factory import (
-    BernsteinMonomial,
-    BernsteinPolynomial,
-    FlowSampler,
-    SampleTrace,
-    bernoulli_race,
-    factory_polynomials,
-    sample_flow,
-    sample_monomial_coin,
-    sample_path,
-    sample_polynomial_coin,
-)
+from .factory import FlowSampler, SampleTrace, sample_path
 from .graphs import (
     CirculationVector,
     FlowPolytope,
@@ -45,7 +33,6 @@ from .graphs import (
     flip_tree,
     is_vertex,
     m_map,
-    strongly_connected,
     undirected_connected,
     validate_point,
 )
@@ -53,7 +40,6 @@ from .oracle import (
     BijectionWitness,
     ExactDistribution,
     check_bijection,
-    check_flip_arb_exists,
     check_marginal_identity,
     check_parallel_to_circ,
     check_positivity,

@@ -41,10 +41,6 @@ class MaxRestartsExceeded(FlowFactoryError):
     """A rejection loop hit its safety cap; inputs likely violate preconditions."""
 
 
-class CoefficientsNotSubunit(FlowFactoryError):
-    """Bernstein polynomial coefficients sum to more than one."""
-
-
 class DegenerateDistribution(FlowFactoryError):
     """All sampling polynomials vanish; the output distribution is undefined."""
 

@@ -1,40 +1,24 @@
 """Sampling procedures driven by coin access alone.
 
-Contains the source-to-sink path sampler, the rejection sampler for general
-flow polytopes, and the Bernstein monomial / polynomial / race building
-blocks.  External randomness (uniform choices) always comes from a separate
-seeded generator, never from the coins.
+Contains the source-to-sink path sampler and the rejection sampler for
+general flow polytopes.  External randomness (uniform choices) always comes
+from a separate seeded generator, never from the coins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from math import lcm
 
 from .coins import CoinSource, VertexTest
 from .errors import (
-    CoefficientsNotSubunit,
     DisconnectedEdges,
     InvalidInstance,
     MaxRestartsExceeded,
     NoArborescence,
 )
-from .graphs import (
-    FlowPolytope,
-    FlowVertex,
-    enumerate_vertices,
-    flip_tree,
-    undirected_connected,
-)
-from .spanning import (
-    directed_tree_count,
-    enumerate_directed_trees,
-    is_arborescence,
-    qualifying_tree_count,
-    wilson_walk,
-)
+from .graphs import FlowPolytope, FlowVertex, undirected_connected
+from .spanning import directed_tree_count, qualifying_tree_count, wilson_walk
 
 DEFAULT_MAX_RESTARTS = 10_000_000
 
@@ -185,148 +169,3 @@ class FlowSampler:
                     flips = m * (restarts + 1) + reflips
                     return SampleTrace(output=f, total_flips=flips, restarts=restarts)
             restarts += 1
-
-
-def sample_flow(
-    P: FlowPolytope,
-    coins: CoinSource,
-    rng,
-    root: int | None = None,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
-) -> tuple[FlowVertex, SampleTrace]:
-    """One-shot wrapper around FlowSampler; returns (vertex, trace)."""
-    trace = FlowSampler(P, root=root).sample(coins, rng, max_restarts=max_restarts)
-    return trace.output, trace
-
-
-# ---------------------------------------------------------------------------
-# Bernstein monomials, polynomials, and the race
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BernsteinMonomial:
-    """Product of x_i^a_i (1-x_i)^b_i terms, stored as (variable, a, b) triples."""
-
-    exponents: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for var, a, b in self.exponents:
-            if a < 0 or b < 0:
-                raise InvalidInstance("monomial exponents must be nonnegative")
-            if var in seen:
-                raise InvalidInstance(f"variable {var} repeated in monomial")
-            seen.add(var)
-
-    def value(self, x) -> Fraction:
-        out = Fraction(1)
-        for var, a, b in self.exponents:
-            out *= Fraction(x[var]) ** a * (1 - Fraction(x[var])) ** b
-        return out
-
-
-@dataclass(frozen=True)
-class BernsteinPolynomial:
-    """Nonnegative combination of Bernstein monomials."""
-
-    terms: tuple[tuple[Fraction, BernsteinMonomial], ...]
-
-    def __post_init__(self):
-        for c, _ in self.terms:
-            if c < 0:
-                raise InvalidInstance("coefficients must be nonnegative")
-
-    def value(self, x) -> Fraction:
-        return sum((c * mono.value(x) for c, mono in self.terms), Fraction(0))
-
-    def coefficient_sum(self) -> Fraction:
-        return sum((c for c, _ in self.terms), Fraction(0))
-
-
-def sample_monomial_coin(mono: BernsteinMonomial, coins: CoinSource) -> int:
-    """Flip a coin of bias prod x^a (1-x)^b using exactly sum(a+b) flips."""
-    success = 1
-    for var, a, b in mono.exponents:
-        for _ in range(a):
-            if not coins.flip(var):
-                success = 0
-        for _ in range(b):
-            if coins.flip(var):
-                success = 0
-    return success
-
-
-def sample_polynomial_coin(poly: BernsteinPolynomial, coins: CoinSource, rng) -> int:
-    """Flip a coin of bias equal to the polynomial's value at the hidden biases.
-
-    Picks a term with probability equal to its coefficient (a null index
-    absorbs any slack below one), then runs that term's monomial coin.
-    """
-    total = poly.coefficient_sum()
-    if total > 1:
-        raise CoefficientsNotSubunit(f"coefficients sum to {total} > 1")
-    den = lcm(*[c.denominator for c, _ in poly.terms]) if poly.terms else 1
-    r = rng.randrange(den)
-    acc = 0
-    for c, mono in poly.terms:
-        acc += c.numerator * (den // c.denominator)
-        if r < acc:
-            return sample_monomial_coin(mono, coins)
-    return 0
-
-
-def bernoulli_race(
-    candidates: dict,
-    coins: CoinSource,
-    rng,
-    max_rounds: int = DEFAULT_MAX_RESTARTS,
-):
-    """Output a label with probability proportional to its polynomial's value.
-
-    Loop: pick a label uniformly at random, flip its polynomial coin, accept
-    on heads.  Labels are ordered deterministically so fixed seeds replay.
-    """
-    labels = sorted(candidates)
-    if not labels:
-        raise InvalidInstance("race needs at least one candidate")
-    for poly in candidates.values():
-        if poly.coefficient_sum() > 1:
-            raise CoefficientsNotSubunit("rescale polynomials before racing")
-    rounds = 0
-    while True:
-        label = labels[rng.randrange(len(labels))]
-        if sample_polynomial_coin(candidates[label], coins, rng):
-            return label
-        rounds += 1
-        if rounds > max_rounds:
-            raise MaxRestartsExceeded("all candidate polynomials appear to vanish")
-
-
-def factory_polynomials(P: FlowPolytope, root: int) -> dict[FlowVertex, BernsteinPolynomial]:
-    """Explicit Bernstein form of the sampling polynomial of every vertex.
-
-    One monomial per qualifying tree: the product over all edges of the flow
-    indicator factor times the tree edges' complementary factor.  All
-    polynomials share the rescale 1/|T(E)| so their ratios are preserved and
-    each coefficient sum stays below one.
-    """
-    trees = enumerate_directed_trees(P.graph)
-    total = directed_tree_count(P.graph)
-    if total == 0:
-        raise NoArborescence("edge set spans no directed tree")
-    scale = Fraction(1, total)
-    out: dict[FlowVertex, BernsteinPolynomial] = {}
-    for f in enumerate_vertices(P):
-        terms = []
-        for tree in trees:
-            if not is_arborescence(flip_tree(P.graph, f, tree), root):
-                continue
-            tset = set(tree)
-            exps = []
-            for i in range(len(P.edges)):
-                a = f[i] + (1 - f[i]) * (i in tset)
-                b = (1 - f[i]) + f[i] * (i in tset)
-                exps.append((i, a, b))
-            terms.append((scale, BernsteinMonomial(tuple(exps))))
-        out[f] = BernsteinPolynomial(tuple(terms))
-    return out

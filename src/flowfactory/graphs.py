@@ -229,18 +229,6 @@ def flip_tree(G: Graph, f: FlowVertex, tree: Sequence[int]) -> frozenset[Edge]:
     return frozenset(flip_edge(G, f, eid) for eid in tree)
 
 
-def flip_preimage(P: FlowPolytope, f: FlowVertex, a: Edge) -> tuple[int, ...]:
-    """Ids of edges e in E with flip_edge(e) == a (the empty tuple if none)."""
-    ids = []
-    i = P.graph.edge_index.get(a)
-    if i is not None and f[i] == 0:
-        ids.append(i)
-    j = P.graph.edge_index.get(reverse_edge(a))
-    if j is not None and f[j] == 1:
-        ids.append(j)
-    return tuple(ids)
-
-
 def m_map(P: FlowPolytope, f: FlowVertex, x: Sequence[Fraction]) -> CirculationVector:
     """Affine map sending a polytope point to the circulation hyperplane.
 
@@ -287,34 +275,6 @@ def undirected_connected(G: Graph) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(nodes)
-
-
-def strongly_connected(edges, nodes=None) -> bool:
-    """Strong connectivity of the given directed edges over their incident nodes."""
-    edges = list(edges)
-    if nodes is None:
-        nodes = {u for e in edges for u in e}
-    nodes = set(nodes)
-    if not nodes:
-        return False
-    fwd: dict[int, list[int]] = {v: [] for v in nodes}
-    bwd: dict[int, list[int]] = {v: [] for v in nodes}
-    for u, v in edges:
-        fwd[u].append(v)
-        bwd[v].append(u)
-
-    def reach(adj, start):
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    start = next(iter(nodes))
-    return len(reach(fwd, start)) == len(nodes) and len(reach(bwd, start)) == len(nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,11 @@ def polytope_to_dict(P: FlowPolytope) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; bools are ints in Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def polytope_from_dict(data: dict) -> FlowPolytope:
     if not isinstance(data, dict):
         raise ValueError("polytope file must hold a JSON object")
@@ -33,7 +38,7 @@ def polytope_from_dict(data: dict) -> FlowPolytope:
         demands = data["demands"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"polytope file missing field: {exc}") from exc
-    if not isinstance(n, int) or not isinstance(raw_edges, list) or not isinstance(demands, list):
+    if not _is_int(n) or not isinstance(raw_edges, list) or not isinstance(demands, list):
         raise ValueError("polytope fields have wrong types")
     edges = []
     for pos, rec in enumerate(raw_edges):
@@ -43,8 +48,10 @@ def polytope_from_dict(data: dict) -> FlowPolytope:
             raise ValueError(f"edge record {pos} malformed: {exc}") from exc
         if eid != pos:
             raise ValueError(f"edge id {eid} does not match its position {pos}")
+        if not (_is_int(u) and _is_int(v)):
+            raise ValueError(f"edge record {pos} has a non-integer endpoint")
         edges.append((u, v))
-    if not all(isinstance(d, int) for d in demands):
+    if not all(_is_int(d) for d in demands):
         raise ValueError("demands must be integers")
     if len(demands) != n:
         raise ValueError(f"expected {n} demands, got {len(demands)}")

@@ -24,13 +24,12 @@ from .graphs import (
     Edge,
     FlowPolytope,
     FlowVertex,
+    _net_flow,
     enumerate_vertices,
-    flip_edge,
     flip_tree,
     m_map,
     require_interior_point,
     reverse_edge,
-    strongly_connected,
 )
 from .spanning import enumerate_directed_trees, is_arborescence, sarb
 
@@ -118,9 +117,6 @@ class ExactDistribution:
             (p for f, p in self.probabilities.items() if f[edge]), Fraction(0)
         )
 
-    def marginals(self, m: int) -> tuple[Fraction, ...]:
-        return tuple(self.marginal(i) for i in range(m))
-
 
 def exact_output_distribution(
     P: FlowPolytope, x: Sequence[Fraction], root: int | None = None, cap: int = ENUMERATION_CAP
@@ -128,6 +124,8 @@ def exact_output_distribution(
     """Normalized polynomial values: the sampler's exact output law at x."""
     if root is None:
         root = P.graph.incident_nodes[0]
+    elif root not in P.graph.incident_nodes:
+        raise InvalidInstance(f"root {root} touches no variable edge")
     values = {
         f: eval_polynomial(P, f, root, x, cap) for f in enumerate_vertices(P, cap)
     }
@@ -141,31 +139,15 @@ def exact_output_distribution(
 # Structural checks
 # ---------------------------------------------------------------------------
 
-def check_flip_arb_exists(P: FlowPolytope, f: FlowVertex) -> bool:
-    """True iff the flip image of the whole edge set is strongly connected,
-    i.e. a qualifying tree exists for every root."""
-    edges = [flip_edge(P.graph, f, i) for i in range(len(P.edges))]
-    return strongly_connected(edges, nodes=P.graph.incident_nodes)
-
-
 def check_parallel_to_circ(P: FlowPolytope, cap: int = ENUMERATION_CAP) -> bool:
     """True iff the difference of every two vertices is a circulation.
 
     a - b is balanced exactly when a and b have the same net flow at every
     node, so each vertex's net flow is compared with the first vertex's.
     """
-
-    def net_flow(f: FlowVertex) -> list[int]:
-        net = [0] * (P.n + 1)
-        for (u, v), bit in zip(P.edges, f):
-            if bit:
-                net[u] += 1
-                net[v] -= 1
-        return net
-
     verts = enumerate_vertices(P, cap)
-    first = net_flow(verts[0]) if verts else None
-    return all(net_flow(f) == first for f in verts)
+    first = _net_flow(P, verts[0]) if verts else None
+    return all(_net_flow(P, f) == first for f in verts)
 
 
 # ---------------------------------------------------------------------------

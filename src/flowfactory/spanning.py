@@ -95,23 +95,6 @@ def det_exact(matrix) -> Fraction:
     return Fraction(det_bareiss(ints), scale**n)
 
 
-def det_cofactor(matrix) -> Fraction:
-    """Independent oracle: determinant by cofactor expansion."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(matrix[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        if matrix[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = Fraction(matrix[0][j]) * det_cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Laplacians and counting
 # ---------------------------------------------------------------------------

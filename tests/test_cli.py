@@ -42,6 +42,8 @@ def test_polytope_schema_errors():
         polytope_from_dict({"nodes": 2, "edges": [{"id": 5, "from": 1, "to": 2}], "demands": [0, 0]})
     with pytest.raises(ValueError):
         polytope_from_dict([1, 2])
+    with pytest.raises(ValueError):
+        polytope_from_dict({"nodes": True, "edges": [], "demands": [0]})
 
 
 def test_coins_round_trip():
@@ -126,6 +128,24 @@ def test_parse_error_exit(tmp_path, capsys):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("from", "1"), ("from", 1.0), ("from", [1]), ("to", True)],
+    ids=["str", "float", "list", "bool"],
+)
+@pytest.mark.parametrize("command", ["sample", "verify"])
+def test_non_int_endpoint_is_parse_error(tmp_path, capsys, command, field, value):
+    poly, coins = _write_two_node(tmp_path)
+    data = polytope_to_dict(two_node())
+    data["edges"][0][field] = value
+    with open(poly, "w") as fh:
+        json.dump(data, fh)
+    assert main([command, poly, coins]) == 2
+    err = capsys.readouterr().err
+    assert "non-integer endpoint" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 @pytest.mark.parametrize("command", ["sample", "sample-path", "bench"])
 def test_sample_count_below_one_is_parse_error(tmp_path, capsys, command, count):
@@ -148,6 +168,12 @@ def test_dist_output(tmp_path, capsys):
         {"den": 3, "edge": 0, "num": 1},
         {"den": 3, "edge": 1, "num": 1},
     ]
+
+
+def test_dist_root_outside_graph(tmp_path, capsys):
+    poly, coins = _write_two_node(tmp_path)
+    assert main(["dist", poly, coins, "--root", "99"]) == 4
+    assert "InvalidInstance: root 99 touches no variable edge" in capsys.readouterr().err
 
 
 def test_dist_marginals_echo_coins(tmp_path, capsys):

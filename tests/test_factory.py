@@ -4,25 +4,15 @@ from fractions import Fraction
 import pytest
 
 from flowfactory import (
-    BernsteinMonomial,
-    BernsteinPolynomial,
     BoundaryCoin,
-    CoefficientsNotSubunit,
     DisconnectedEdges,
     FlowSampler,
     InvalidInstance,
     SimulatedCoins,
     TapeCoins,
-    bernoulli_race,
-    exact_output_distribution,
-    factory_polynomials,
     is_vertex,
-    sample_flow,
-    sample_monomial_coin,
     sample_path,
-    sample_polynomial_coin,
 )
-from flowfactory.errors import MaxRestartsExceeded
 
 from instances import (
     HALF,
@@ -75,17 +65,24 @@ def test_tape_replay():
         replay2.flip(1)  # diverges from the recorded edge
 
 
-def test_sampler_runs_on_bias_free_tape():
+@pytest.mark.parametrize("make", [two_node, triangle], ids=["two_node", "triangle"])
+def test_sampler_runs_on_bias_free_tape(make):
     # the sampler must work given only bits: record a run, replay it, and
-    # check both runs produce identical output without bias access
-    P = two_node()
-    coins = SimulatedCoins([THIRD, THIRD], seed=8, record_tape=True)
-    rng = random.Random(15)
-    out1, trace1 = sample_flow(P, coins, rng)
-    replay = TapeCoins(coins.tape, 2)
-    out2, trace2 = sample_flow(P, replay, random.Random(15))
-    assert out1 == out2
-    assert trace1.total_flips == trace2.total_flips
+    # check both runs produce identical traces without bias access
+    P = make()
+    m = len(P.edges)
+    sampler = FlowSampler(P)
+
+    def traces(coins):
+        rng = random.Random(15)
+        return [sampler.sample(coins, rng) for _ in range(5)]
+
+    coins = SimulatedCoins([THIRD] * m, seed=8, record_tape=True)
+    first = traces(coins)
+    replay = TapeCoins(coins.tape, m)
+    assert traces(replay) == first
+    with pytest.raises(InvalidInstance):
+        replay.flip(0)  # every recorded flip was consumed
 
 
 def test_sample_path_diamond():
@@ -158,9 +155,8 @@ def test_sample_flow_two_node_distribution():
 
 def test_sample_flow_rejects_disconnected():
     P = disconnected_pair()
-    coins = SimulatedCoins([THIRD] * 4, seed=0)
     with pytest.raises(DisconnectedEdges):
-        sample_flow(P, coins, random.Random(0))
+        FlowSampler(P)
 
 
 def test_sample_flow_trace_accounting():
@@ -168,7 +164,7 @@ def test_sample_flow_trace_accounting():
     coins = SimulatedCoins([THIRD, THIRD], seed=31)
     rng = random.Random(32)
     before = coins.total_flips
-    _, trace = sample_flow(P, coins, rng)
+    trace = FlowSampler(P).sample(coins, rng)
     assert coins.total_flips - before == trace.total_flips
     assert trace.restarts >= 0
 
@@ -185,125 +181,3 @@ def test_sample_flow_root_choice_preserves_distribution():
         empties.append(empty)
     for empty in empties:
         assert abs(empty - n * 2 / 3) < 4 * (n * (2 / 3) * (1 / 3)) ** 0.5
-
-
-def test_monomial_coin():
-    assert sample_monomial_coin(BernsteinMonomial(()), None) == 1
-    coins = SimulatedCoins([HALF, HALF], seed=51)
-    mono = BernsteinMonomial(((0, 1, 0), (1, 0, 1)))  # x1 * (1 - x2)
-    n = 20000
-    heads = sum(sample_monomial_coin(mono, coins) for _ in range(n))
-    assert abs(heads - n / 4) < 4 * (n * 0.25 * 0.75) ** 0.5
-    # x1^2 at bias 1/3 -> 1/9
-    coins2 = SimulatedCoins([THIRD], seed=52)
-    sq = BernsteinMonomial(((0, 2, 0),))
-    heads2 = sum(sample_monomial_coin(sq, coins2) for _ in range(n))
-    p = 1 / 9
-    assert abs(heads2 - n * p) < 4 * (n * p * (1 - p)) ** 0.5
-
-
-def test_monomial_validation():
-    with pytest.raises(InvalidInstance):
-        BernsteinMonomial(((0, -1, 0),))
-    with pytest.raises(InvalidInstance):
-        BernsteinMonomial(((0, 1, 0), (0, 0, 1)))
-
-
-def test_polynomial_coin_constant():
-    one = BernsteinPolynomial(((Fraction(1), BernsteinMonomial(())),))
-    coins = SimulatedCoins([HALF], seed=0)
-    assert all(sample_polynomial_coin(one, coins, random.Random(0)) for _ in range(20))
-
-
-def test_polynomial_coin_bias_invariance():
-    # (1/2) x + (1/2)(1-x) is 1/2 whatever the coin hides
-    q = BernsteinPolynomial(
-        (
-            (HALF, BernsteinMonomial(((0, 1, 0),))),
-            (HALF, BernsteinMonomial(((0, 0, 1),))),
-        )
-    )
-    for bias in [Fraction(1, 7), Fraction(9, 10)]:
-        coins = SimulatedCoins([bias], seed=61)
-        rng = random.Random(62)
-        n = 20000
-        heads = sum(sample_polynomial_coin(q, coins, rng) for _ in range(n))
-        assert abs(heads - n / 2) < 4 * (n * 0.25) ** 0.5
-
-
-def test_polynomial_coin_value():
-    # (1/3) x1 + (1/3) x2 at (1/2, 1/4) -> 1/4
-    q = BernsteinPolynomial(
-        (
-            (THIRD, BernsteinMonomial(((0, 1, 0),))),
-            (THIRD, BernsteinMonomial(((1, 1, 0),))),
-        )
-    )
-    assert q.value((HALF, Fraction(1, 4))) == Fraction(1, 4)
-    coins = SimulatedCoins([HALF, Fraction(1, 4)], seed=71)
-    rng = random.Random(72)
-    n = 20000
-    heads = sum(sample_polynomial_coin(q, coins, rng) for _ in range(n))
-    assert abs(heads - n / 4) < 4 * (n * 0.25 * 0.75) ** 0.5
-
-
-def test_polynomial_coin_subunit_guard():
-    q = BernsteinPolynomial(
-        ((Fraction(2, 3), BernsteinMonomial(())), (HALF, BernsteinMonomial(())))
-    )
-    with pytest.raises(CoefficientsNotSubunit):
-        sample_polynomial_coin(q, SimulatedCoins([HALF], seed=0), random.Random(0))
-
-
-def test_bernoulli_race_single_candidate():
-    q = BernsteinPolynomial(((HALF, BernsteinMonomial(())),))
-    label = bernoulli_race({"only": q}, SimulatedCoins([HALF], seed=0), random.Random(0))
-    assert label == "only"
-
-
-def test_bernoulli_race_normalizes():
-    cands = {
-        "A": BernsteinPolynomial(((Fraction(1), BernsteinMonomial(((0, 1, 0),))),)),
-        "B": BernsteinPolynomial(((Fraction(1), BernsteinMonomial(((0, 0, 1),))),)),
-    }
-    coins = SimulatedCoins([Fraction(1, 4)], seed=81)
-    rng = random.Random(82)
-    n = 20000
-    a = sum(bernoulli_race(cands, coins, rng) == "A" for _ in range(n))
-    assert abs(a - n / 4) < 4 * (n * 0.25 * 0.75) ** 0.5
-
-
-def test_bernoulli_race_cap():
-    zero = BernsteinPolynomial(())
-    with pytest.raises(MaxRestartsExceeded):
-        bernoulli_race({"z": zero}, SimulatedCoins([HALF], seed=0), random.Random(0), max_rounds=50)
-
-
-def test_race_over_factory_polynomials_matches_sampler():
-    # racing the explicit per-vertex polynomials reproduces the exact law
-    P = two_node()
-    x = (THIRD, THIRD)
-    polys = factory_polynomials(P, root=1)
-    assert set(polys) == {(0, 0), (1, 1)}
-    total = sum((q.value(x) for q in polys.values()), Fraction(0))
-    dist = exact_output_distribution(P, x)
-    for f, q in polys.items():
-        assert q.value(x) / total == dist.probabilities[f]
-        assert q.coefficient_sum() <= 1
-    coins = SimulatedCoins(x, seed=91)
-    rng = random.Random(92)
-    n = 20000
-    empty = sum(bernoulli_race(polys, coins, rng) == (0, 0) for _ in range(n))
-    assert abs(empty - n * 2 / 3) < 4 * (n * (2 / 3) * (1 / 3)) ** 0.5
-
-
-def test_factory_polynomial_values_match_oracle():
-    from flowfactory import eval_polynomial
-    from flowfactory.spanning import directed_tree_count
-
-    P = triangle()
-    x = (THIRD,) * 6
-    scale = Fraction(1, directed_tree_count(P.graph))
-    polys = factory_polynomials(P, root=1)
-    for f, q in polys.items():
-        assert q.value(x) == scale * eval_polynomial(P, f, 1, x)

@@ -16,7 +16,6 @@ from flowfactory import (
     flip_tree,
     is_vertex,
     m_map,
-    strongly_connected,
     undirected_connected,
     validate_point,
 )
@@ -151,8 +150,6 @@ def test_connectivity():
     assert undirected_connected(triangle().graph)
     assert not undirected_connected(disconnected_pair().graph)
     assert undirected_connected(square().graph)
-    assert strongly_connected([(1, 2), (2, 3), (3, 1)])
-    assert not strongly_connected([(1, 2), (2, 3)])
 
 
 def test_enumerate_vertices_counts():

@@ -10,7 +10,6 @@ from flowfactory import (
     build_kflow_polytope,
     build_matching_polytope,
     check_bijection,
-    check_flip_arb_exists,
     check_marginal_identity,
     check_parallel_to_circ,
     check_positivity,
@@ -23,7 +22,8 @@ from flowfactory import (
     random_interior_point,
     statistical_test,
 )
-from flowfactory.graphs import flip_preimage, m_map
+from flowfactory.graphs import m_map, reverse_edge
+from flowfactory.spanning import qualifying_tree_count
 
 from instances import (
     THIRD,
@@ -81,6 +81,18 @@ def test_factored_form_agrees():
             for f in enumerate_vertices(P):
                 for r in P.graph.incident_nodes:
                     assert eval_polynomial(P, f, r, x) == eval_polynomial_factored(P, f, r, x)
+
+
+def flip_preimage(P, f, a):
+    """Ids of edges e in E with flip_edge(e) == a (the empty tuple if none)."""
+    ids = []
+    i = P.graph.edge_index.get(a)
+    if i is not None and f[i] == 0:
+        ids.append(i)
+    j = P.graph.edge_index.get(reverse_edge(a))
+    if j is not None and f[j] == 1:
+        ids.append(j)
+    return tuple(ids)
 
 
 def test_flip_preimage_weight_identity():
@@ -165,16 +177,20 @@ def test_distribution_sums_to_one():
             assert dist.marginal(i) == x[i]
 
 
-def test_check_flip_arb_exists():
+def test_flip_arb_exists_at_every_root():
+    # the sampler needs a qualifying tree for every vertex at whatever root it uses
+    def at_every_root(P, f):
+        return all(qualifying_tree_count(P, f, r) > 0 for r in P.graph.incident_nodes)
+
     P = triangle()
     for f in enumerate_vertices(P):
-        assert check_flip_arb_exists(P, f)
+        assert at_every_root(P, f)
     from flowfactory import FlowPolytope, Graph
 
     cyc = FlowPolytope(Graph(3, ((1, 2), (2, 3), (3, 1))), (0, 0, 0))
-    assert check_flip_arb_exists(cyc, (0, 0, 0))
+    assert at_every_root(cyc, (0, 0, 0))
     path = FlowPolytope(Graph(3, ((1, 2), (2, 3))), (0, 0, 0))
-    assert not check_flip_arb_exists(path, (0, 0))
+    assert not at_every_root(path, (0, 0))
 
 
 def test_check_parallel_to_circ():

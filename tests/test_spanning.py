@@ -22,7 +22,6 @@ from flowfactory.errors import NotZLS
 from flowfactory.graphs import flip_tree, is_vertex, m_map
 from flowfactory.spanning import (
     det_bareiss,
-    det_cofactor,
     det_exact,
     directed_tree_count,
     is_arborescence,
@@ -38,6 +37,23 @@ def test_det_bareiss_small():
     assert det_bareiss([[1, 2], [3, 4]]) == -2
     assert det_bareiss([[0, 1], [1, 0]]) == -1
     assert det_bareiss([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+
+
+def det_cofactor(matrix) -> Fraction:
+    """Independent reference: determinant by cofactor expansion."""
+    n = len(matrix)
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return Fraction(matrix[0][0])
+    total = Fraction(0)
+    for j in range(n):
+        if matrix[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+        term = Fraction(matrix[0][j]) * det_cofactor(minor)
+        total += term if j % 2 == 0 else -term
+    return total
 
 
 def test_det_exact_vs_cofactor_random():
