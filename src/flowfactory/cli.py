@@ -254,6 +254,8 @@ def cmd_verify(args) -> int:
             raise InvalidInstance(f"unknown check {name}; choose from {','.join(_ALL_CHECKS)}")
         try:
             ok, detail = _run_check(name, P, biases)
+        except TooLargeForOracle:
+            raise
         except FlowFactoryError as exc:
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         checks.append({"name": name, "pass": ok, "detail": detail})

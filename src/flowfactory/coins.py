@@ -119,8 +119,7 @@ class SimulatedCoins(CoinSource):
 
     Flips are exact: a flip of a p = num/den coin is [U < num] for U uniform
     on [0, den).  Draws are buffered through numpy for speed; per-edge flip
-    tallies are kept for trace accounting.  With record_tape=True every flip
-    is appended to `tape` as (edge, bit) in consumption order.
+    tallies are kept for trace accounting.
 
     Rounds come from buffers of _BUFFER masks, drawn edge by edge into
     uint64 word arrays that are allocated once and reused; the masks are
@@ -132,7 +131,7 @@ class SimulatedCoins(CoinSource):
     as a flip_round loop would see.
     """
 
-    def __init__(self, biases: Sequence[Fraction], seed: int = 0, record_tape: bool = False):
+    def __init__(self, biases: Sequence[Fraction], seed: int = 0):
         self.num_edges = len(biases)
         self._biases = tuple(Fraction(b) for b in biases)
         for i, b in enumerate(self._biases):
@@ -155,7 +154,6 @@ class SimulatedCoins(CoinSource):
         self._mask_pos = 0
         self._mask_end = 0
         self._rounds_before = 0
-        self.tape: list[tuple[int, int]] | None = [] if record_tape else None
 
     @property
     def _rounds(self) -> int:
@@ -198,8 +196,6 @@ class SimulatedCoins(CoinSource):
         bit = int(buf[self._bit_pos[edge]])
         self._bit_pos[edge] += 1
         self._flip_counts[edge] += 1
-        if self.tape is not None:
-            self.tape.append((edge, bit))
         return bit
 
     def _refill(self) -> None:
@@ -224,8 +220,6 @@ class SimulatedCoins(CoinSource):
         return masks
 
     def flip_round(self) -> int:
-        if self.tape is not None:
-            return super().flip_round()
         pos = self._mask_pos
         masks = self._masks
         if masks is None or pos >= len(masks):
@@ -237,8 +231,6 @@ class SimulatedCoins(CoinSource):
         return masks[pos]
 
     def next_round_in(self, vertices: VertexTest, limit: int) -> tuple[int | None, int]:
-        if self.tape is not None:
-            return super().next_round_in(vertices, limit)
         n = 0
         while n < limit:
             if self._mask_pos >= self._mask_end:

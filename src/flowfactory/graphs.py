@@ -281,15 +281,15 @@ def undirected_connected(G: Graph) -> bool:
 # Vertex enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_vertices(P: FlowPolytope, cap: int = ENUMERATION_CAP) -> list[FlowVertex]:
+def enumerate_vertices(P: FlowPolytope) -> list[FlowVertex]:
     """All 0/1 points of P in lexicographic (by edge id) order.
 
     Branch-and-prune over edge ids: a partial assignment is cut as soon as a
     node's balance can no longer reach its demand with the edges that remain.
     """
     m = len(P.edges)
-    if m > cap:
-        raise TooLargeForOracle(f"|E| = {m} exceeds enumeration cap {cap}")
+    if m > ENUMERATION_CAP:
+        raise TooLargeForOracle(f"|E| = {m} exceeds enumeration cap {ENUMERATION_CAP}")
     incident = set(P.graph.incident_nodes)
     for v in range(1, P.n + 1):
         if v not in incident and P.demand(v) != 0:

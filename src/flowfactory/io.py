@@ -79,11 +79,11 @@ def coins_from_dict(data: dict, num_edges: int) -> tuple[Fraction, ...]:
             i, num, den = rec["edge"], rec["num"], rec["den"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"coin record malformed: {exc}") from exc
-        if not (isinstance(i, int) and 0 <= i < num_edges):
+        if not (_is_int(i) and 0 <= i < num_edges):
             raise ValueError(f"coin record names unknown edge {i}")
         if biases[i] is not None:
             raise ValueError(f"duplicate coin record for edge {i}")
-        if not (isinstance(num, int) and isinstance(den, int) and den > 0):
+        if not (_is_int(num) and _is_int(den) and den > 0):
             raise ValueError(f"coin for edge {i} is not a num/den rational")
         biases[i] = Fraction(num, den)
     if any(b is None for b in biases):

@@ -19,7 +19,6 @@ from .errors import (
     InvalidInstance,
 )
 from .graphs import (
-    ENUMERATION_CAP,
     CirculationVector,
     Edge,
     FlowPolytope,
@@ -38,9 +37,7 @@ from .spanning import enumerate_directed_trees, is_arborescence, sarb
 # The sampling polynomials
 # ---------------------------------------------------------------------------
 
-def eval_polynomial(
-    P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction], cap: int = ENUMERATION_CAP
-) -> Fraction:
+def eval_polynomial(P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]) -> Fraction:
     """Value of the sampling polynomial of vertex f at x, by tree enumeration.
 
     prefix(f, x) times the sum, over directed trees whose flip under f is an
@@ -51,7 +48,7 @@ def eval_polynomial(
         xi = Fraction(x[i])
         prefix *= xi if f[i] else (1 - xi)
     total = Fraction(0)
-    for tree in enumerate_directed_trees(P.graph, cap):
+    for tree in enumerate_directed_trees(P.graph):
         if not is_arborescence(flip_tree(P.graph, f, tree), root):
             continue
         term = Fraction(1)
@@ -74,31 +71,31 @@ def eval_polynomial_factored(
     return prefix * sarb(m_map(P, f, x), root, nodes=P.graph.incident_nodes)
 
 
-def check_root_independence(P: FlowPolytope, x: Sequence[Fraction], cap: int = ENUMERATION_CAP) -> bool:
+def check_root_independence(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
     roots = P.graph.incident_nodes
-    for f in enumerate_vertices(P, cap):
-        vals = {eval_polynomial(P, f, r, x, cap) for r in roots}
+    for f in enumerate_vertices(P):
+        vals = {eval_polynomial(P, f, r, x) for r in roots}
         if len(vals) != 1:
             return False
     return True
 
 
-def check_marginal_identity(P: FlowPolytope, x: Sequence[Fraction], cap: int = ENUMERATION_CAP) -> bool:
+def check_marginal_identity(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
     """Exact zero test of sum over vertices of (f - x) weighted by P_f(x)."""
     root = P.graph.incident_nodes[0]
     m = len(P.edges)
     acc = [Fraction(0)] * m
-    for f in enumerate_vertices(P, cap):
-        w = eval_polynomial(P, f, root, x, cap)
+    for f in enumerate_vertices(P):
+        w = eval_polynomial(P, f, root, x)
         for i in range(m):
             acc[i] += (f[i] - Fraction(x[i])) * w
     return all(a == 0 for a in acc)
 
 
-def check_positivity(P: FlowPolytope, x: Sequence[Fraction], cap: int = ENUMERATION_CAP) -> bool:
+def check_positivity(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
     root = P.graph.incident_nodes[0]
     total = sum(
-        (eval_polynomial(P, f, root, x, cap) for f in enumerate_vertices(P, cap)),
+        (eval_polynomial(P, f, root, x) for f in enumerate_vertices(P)),
         Fraction(0),
     )
     return total > 0
@@ -119,7 +116,7 @@ class ExactDistribution:
 
 
 def exact_output_distribution(
-    P: FlowPolytope, x: Sequence[Fraction], root: int | None = None, cap: int = ENUMERATION_CAP
+    P: FlowPolytope, x: Sequence[Fraction], root: int | None = None
 ) -> ExactDistribution:
     """Normalized polynomial values: the sampler's exact output law at x."""
     if root is None:
@@ -127,7 +124,7 @@ def exact_output_distribution(
     elif root not in P.graph.incident_nodes:
         raise InvalidInstance(f"root {root} touches no variable edge")
     values = {
-        f: eval_polynomial(P, f, root, x, cap) for f in enumerate_vertices(P, cap)
+        f: eval_polynomial(P, f, root, x) for f in enumerate_vertices(P)
     }
     total = sum(values.values(), Fraction(0))
     if total == 0:
@@ -139,13 +136,13 @@ def exact_output_distribution(
 # Structural checks
 # ---------------------------------------------------------------------------
 
-def check_parallel_to_circ(P: FlowPolytope, cap: int = ENUMERATION_CAP) -> bool:
+def check_parallel_to_circ(P: FlowPolytope) -> bool:
     """True iff the difference of every two vertices is a circulation.
 
     a - b is balanced exactly when a and b have the same net flow at every
     node, so each vertex's net flow is compared with the first vertex's.
     """
-    verts = enumerate_vertices(P, cap)
+    verts = enumerate_vertices(P)
     first = _net_flow(P, verts[0]) if verts else None
     return all(_net_flow(P, f) == first for f in verts)
 
@@ -188,7 +185,7 @@ def _orient_toward(support: list[frozenset], root: int) -> frozenset[Edge]:
     return frozenset(oriented)
 
 
-def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int, cap: int = ENUMERATION_CAP) -> BijectionWitness:
+def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWitness:
     """Verify the exchange map between the flows rooting a tree at eta's ends.
 
     With eta = (s,t) outside the tree T, the vertices f with f_eta = 0 whose
@@ -245,7 +242,7 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int, cap: int = ENUM
     outside = [i for i in range(len(P.edges)) if i != eta and i not in tree]
     F_s = []
     F_t = []
-    for f in enumerate_vertices(P, cap):
+    for f in enumerate_vertices(P):
         img = flip_tree(P.graph, f, tree)
         if f[eta] == 0 and img == A_s:
             F_s.append(f)
@@ -375,14 +372,14 @@ def statistical_test(
     )
 
 
-def random_interior_point(P: FlowPolytope, rng, cap: int = ENUMERATION_CAP) -> tuple[Fraction, ...]:
+def random_interior_point(P: FlowPolytope, rng) -> tuple[Fraction, ...]:
     """Random rational point of P with every coordinate strictly inside (0,1).
 
     Convex combination of the enumerated vertices with random integer
     weights; membership holds by construction, and combinations touching the
     boundary are redrawn.
     """
-    verts = enumerate_vertices(P, cap)
+    verts = enumerate_vertices(P)
     if len(verts) < 2:
         raise InvalidInstance("polytope has no interior point to draw")
     m = len(P.edges)

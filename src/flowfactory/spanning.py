@@ -112,39 +112,39 @@ def build_laplacian(W: WeightedDigraph) -> list[list]:
     return L
 
 
-@lru_cache(maxsize=1 << 18)
-def _arb_count_cached(nodes: tuple[int, ...], witems: tuple, root: int):
-    k = len(nodes)
-    if root not in nodes:
-        raise InvalidInstance(f"root {root} not among nodes")
-    if k == 1:
-        return 1
-    idx = {v: i for i, v in enumerate(nodes)}
-    r = idx[root]
-    size = k - 1
-    L = [[0] * size for _ in range(size)]
+def _root_minor(nodes, arcs, root: int) -> int:
+    """Determinant of the out-Laplacian of integer-weighted arcs (u, v, w)
+    on `nodes`, with root's row and column removed.
 
-    def pos(i):
-        return i if i < r else i - 1
-
-    exact = False
-    for (u, v), w in witems:
-        if isinstance(w, Fraction):
-            exact = True
-        i, j = idx[u], idx[v]
-        if i != r:
-            L[pos(i)][pos(i)] += w
-            if j != r:
-                L[pos(i)][pos(j)] -= w
-    if exact:
-        return det_exact(L)
+    By Tutte's directed Matrix-Tree theorem this is the weighted count of
+    arborescences toward root.
+    """
+    idx = {v: i for i, v in enumerate(v for v in nodes if v != root)}
+    L = [[0] * len(idx) for _ in idx]
+    for u, v, w in arcs:
+        i = idx.get(u)
+        if i is not None:
+            row = L[i]
+            row[i] += w
+            j = idx.get(v)
+            if j is not None:
+                row[j] -= w
     return det_bareiss(L)
 
 
 def count_arborescences(W: WeightedDigraph, root: int):
-    """Weighted count of arborescences directed toward `root` (Matrix-Tree)."""
-    witems = tuple(sorted((e, w) for e, w in W.weights.items() if w != 0))
-    return _arb_count_cached(W.nodes, witems, root)
+    """Weighted count of arborescences directed toward `root` (Matrix-Tree).
+
+    Rational weights are scaled to integers by the lcm of their
+    denominators; each arborescence has k - 1 edges, so the count is
+    divided by scale ** (k - 1).
+    """
+    if root not in W.nodes:
+        raise InvalidInstance(f"root {root} not among nodes")
+    scale = lcm(*(Fraction(w).denominator for w in W.weights.values()))
+    arcs = [(u, v, int(w * scale)) for (u, v), w in W.weights.items()]
+    count = _root_minor(W.nodes, arcs, root)
+    return count if scale == 1 else Fraction(count, scale ** (len(W.nodes) - 1))
 
 
 def sarb(x: CirculationVector, root: int, nodes: tuple[int, ...] | None = None) -> Fraction:
@@ -203,11 +203,11 @@ def _support_is_spanning_tree(edges: list[Edge], nodes: tuple[int, ...]) -> bool
 
 
 @lru_cache(maxsize=256)
-def enumerate_directed_trees(G: Graph, cap: int = ENUMERATION_CAP) -> tuple[tuple[int, ...], ...]:
+def enumerate_directed_trees(G: Graph) -> tuple[tuple[int, ...], ...]:
     """All directed trees spanning the incident nodes, as sorted edge-id tuples."""
     m = len(G.edges)
-    if m > cap:
-        raise TooLargeForOracle(f"|E| = {m} exceeds enumeration cap {cap}")
+    if m > ENUMERATION_CAP:
+        raise TooLargeForOracle(f"|E| = {m} exceeds enumeration cap {ENUMERATION_CAP}")
     nodes = G.incident_nodes
     k = len(nodes)
     if k < 2 or m < k - 1:
@@ -221,26 +221,12 @@ def enumerate_directed_trees(G: Graph, cap: int = ENUMERATION_CAP) -> tuple[tupl
 
 
 def directed_tree_count(G: Graph) -> int:
-    """|T(E)| via the undirected Matrix-Tree theorem on the support multigraph."""
+    """|T(E)| via the Matrix-Tree theorem on the support, one arc each way per edge."""
     nodes = G.incident_nodes
-    k = len(nodes)
-    if k < 2:
+    if len(nodes) < 2:
         return 0
-    mult: dict[frozenset, int] = {}
-    for e in G.edges:
-        key = frozenset(e)
-        mult[key] = mult.get(key, 0) + 1
-    idx = {v: i for i, v in enumerate(nodes)}
-    L = [[0] * (k - 1) for _ in range(k - 1)]
-    for key, w in mult.items():
-        u, v = tuple(key)
-        i, j = idx[u], idx[v]
-        for a, b in ((i, j), (j, i)):
-            if a != k - 1:
-                L[a][a] += w
-                if b != k - 1:
-                    L[a][b] -= w
-    return det_bareiss(L)
+    arcs = [a for u, v in G.edges for a in ((u, v, 1), (v, u, 1))]
+    return _root_minor(nodes, arcs, nodes[-1])
 
 
 def is_arborescence(edges, root: int) -> bool:
@@ -285,17 +271,9 @@ def qualifying_tree_count(P: FlowPolytope, f: FlowVertex, root: int) -> int:
     exits = P.graph.flip_exits
     if root not in exits:
         raise InvalidInstance(f"root {root} not among nodes")
-    idx = {v: i for i, v in enumerate(v for v in exits if v != root)}
-    L = [[0] * len(idx) for _ in idx]
-    for v, i in idx.items():
-        row = L[i]
-        for eid, w, bit in exits[v]:
-            if f[eid] == bit:
-                row[i] += 1
-                j = idx.get(w)
-                if j is not None:
-                    row[j] -= 1
-    return det_bareiss(L)
+    arcs = [(v, w, 1) for v, out in exits.items() if v != root
+            for eid, w, bit in out if f[eid] == bit]
+    return _root_minor(exits, arcs, root)
 
 
 def wilson_walk(P: FlowPolytope, f: FlowVertex, root: int, rng) -> Iterator[int]:

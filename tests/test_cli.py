@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from flowfactory import build_circulation_polytope
 from flowfactory.cli import main
 from flowfactory.io import (
     coins_from_dict,
@@ -146,6 +147,18 @@ def test_non_int_endpoint_is_parse_error(tmp_path, capsys, command, field, value
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,value", [("edge", False), ("num", True), ("den", True)])
+def test_bool_coin_field_is_parse_error(tmp_path, capsys, field, value):
+    poly, coins = _write_two_node(tmp_path)
+    with open(coins) as fh:
+        data = json.load(fh)
+    data["coins"][0][field] = value
+    with open(coins, "w") as fh:
+        json.dump(data, fh)
+    assert main(["dist", poly, coins]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 @pytest.mark.parametrize("command", ["sample", "sample-path", "bench"])
 def test_sample_count_below_one_is_parse_error(tmp_path, capsys, command, count):
@@ -216,6 +229,19 @@ def test_verify_positivity_failure_exit(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["checks"][0]["name"] == "positivity"
     assert report["checks"][0]["pass"] is False
+
+
+@pytest.mark.parametrize("command", ["verify", "dist"])
+def test_oracle_command_above_enumeration_limit_exits_7(tmp_path, capsys, command):
+    P = build_circulation_polytope(6)  # 30 edges
+    poly = tmp_path / "p.json"
+    coins = tmp_path / "c.json"
+    poly.write_text(json.dumps(polytope_to_dict(P)))
+    coins.write_text(json.dumps(coins_to_dict([Fraction(1, 2)] * len(P.edges))))
+    assert main([command, str(poly), str(coins)]) == 7
+    err = capsys.readouterr().err
+    assert "TooLargeForOracle" in err
+    assert "Traceback" not in err
 
 
 def test_sample_path_cli(tmp_path, capsys):

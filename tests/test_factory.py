@@ -5,6 +5,7 @@ import pytest
 
 from flowfactory import (
     BoundaryCoin,
+    CoinSource,
     DisconnectedEdges,
     FlowSampler,
     InvalidInstance,
@@ -53,8 +54,22 @@ def test_flip_round_matches_single_flips_in_distribution():
     assert abs(ones[1] - n / 2) < 4 * (n * 0.25) ** 0.5
 
 
+class RecordingCoins(CoinSource):
+    """Passes on the flips of `coins` one at a time, logging each as (edge, bit)."""
+
+    def __init__(self, coins):
+        self.num_edges = coins.num_edges
+        self._flip = coins.flip
+        self.tape = []
+
+    def flip(self, edge):
+        bit = self._flip(edge)
+        self.tape.append((edge, bit))
+        return bit
+
+
 def test_tape_replay():
-    coins = SimulatedCoins([THIRD, THIRD], seed=3, record_tape=True)
+    coins = RecordingCoins(SimulatedCoins([THIRD, THIRD], seed=3))
     seq = [coins.flip(i % 2) for i in range(20)]
     replay = TapeCoins(coins.tape, 2)
     assert [replay.flip(i % 2) for i in range(20)] == seq
@@ -77,7 +92,7 @@ def test_sampler_runs_on_bias_free_tape(make):
         rng = random.Random(15)
         return [sampler.sample(coins, rng) for _ in range(5)]
 
-    coins = SimulatedCoins([THIRD] * m, seed=8, record_tape=True)
+    coins = RecordingCoins(SimulatedCoins([THIRD] * m, seed=8))
     first = traces(coins)
     replay = TapeCoins(coins.tape, m)
     assert traces(replay) == first

@@ -40,6 +40,7 @@ from flowfactory.coins import _BUFFER, CoinSource, VertexTest
 from flowfactory.graphs import flip_tree, is_vertex
 from flowfactory.io import polytope_to_dict
 from flowfactory.spanning import (
+    directed_tree_count,
     enumerate_directed_trees,
     is_arborescence,
     qualifying_tree_count,
@@ -358,6 +359,7 @@ def test_cli_restart_cap_exits_6_without_traceback(tmp_path):
 def _assert_tree_stage_matches_reference(P):
     rng = random.Random(3)
     trees = set(enumerate_directed_trees(P.graph))
+    assert directed_tree_count(P.graph) == len(trees)
     for root in P.graph.incident_nodes:
         for f in enumerate_vertices(P):
             qualifying = {t for t in trees if is_arborescence(flip_tree(P.graph, f, t), root)}

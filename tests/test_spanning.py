@@ -138,6 +138,31 @@ def test_matrix_tree_random_digraphs():
             assert count_arborescences(W, r) == _brute_count(W, r)
 
 
+def test_matrix_tree_random_rational_weights():
+    # unbalanced digraphs with rational weights: the count scaled back from
+    # the integer minor equals the product-sum over enumerated arborescences
+    import itertools
+
+    rng = random.Random(778)
+    for _ in range(30):
+        n = rng.randrange(2, 6)
+        nodes = tuple(range(1, n + 1))
+        weights = {
+            (u, v): Fraction(rng.randrange(1, 10), rng.randrange(1, 8))
+            for u in nodes for v in nodes if u != v and rng.random() < 0.6
+        }
+        W = WeightedDigraph(nodes, weights)
+        for r in nodes:
+            brute = Fraction(0)
+            for arcs in itertools.combinations(weights, n - 1):
+                if is_arborescence(arcs, r):
+                    term = Fraction(1)
+                    for e in arcs:
+                        term *= weights[e]
+                    brute += term
+            assert count_arborescences(W, r) == brute, (weights, r)
+
+
 def test_sarb_examples():
     ones = CirculationVector(3, {(u, v): Fraction(1) for u in (1, 2, 3) for v in (1, 2, 3) if u != v})
     for r in (1, 2, 3):
