@@ -326,10 +326,17 @@ def positive_int(text: str) -> int:
     return n
 
 
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def _add_run_flags(p, samples_default=1000):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=positive_int, default=samples_default)
-    p.add_argument("--max-restarts", type=int, default=10_000_000)
+    p.add_argument("--max-restarts", type=nonnegative_int, default=10_000_000)
     p.add_argument("--out", default=None)
 
 
@@ -399,3 +406,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,8 +1,8 @@
 """Coin sources: the opaque flip interface and its test-harness implementations.
 
 A coin source exposes nothing but bits.  SimulatedCoins holds the hidden
-rational biases and produces exact Bernoulli(p) flips by drawing uniform
-integers below the bias denominator; TapeCoins replays a recorded flip
+rational biases and produces exact Bernoulli(p) flips by comparing uniform
+random digits with the binary digits of p; TapeCoins replays a recorded flip
 sequence and knows no biases at all.
 """
 
@@ -21,6 +21,14 @@ if TYPE_CHECKING:
 
 _BUFFER = 1 << 15
 _WORD = (1 << 64) - 1
+# Digits of a bias compared for a whole row of flips, one raw word per 64
+# flips, before each flip still undecided takes a raw word of its own.
+_SLICED = 6
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of `words` as a bool row, bit j of word w at 64w + j."""
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little").view(bool)
 
 
 class CoinSource:
@@ -117,9 +125,12 @@ class VertexTest:
 class SimulatedCoins(CoinSource):
     """Seeded coins with hidden rational biases strictly inside (0,1).
 
-    Flips are exact: a flip of a p = num/den coin is [U < num] for U uniform
-    on [0, den).  Draws are buffered through numpy for speed; per-edge flip
-    tallies are kept for trace accounting.
+    Flips are exact: a flip of a p = num/den coin is [U < p] for U a uniform
+    binary fraction, decided at the first digit where U and p differ.  The
+    digits come from the raw 64-bit words of the generator, one bit a flip,
+    so each word serves 64 flips at once (see _draw_bits).  Draws are
+    buffered through numpy for speed; per-edge flip tallies are kept for
+    trace accounting.
 
     Rounds come from buffers of _BUFFER masks, drawn edge by edge into
     uint64 word arrays that are allocated once and reused; the masks are
@@ -169,21 +180,43 @@ class SimulatedCoins(CoinSource):
         return sum(self._flip_counts) + self._rounds * self.num_edges
 
     def _draw_bits(self, edge: int, out: np.ndarray) -> np.ndarray:
-        """Fill the bool array `out` with flips of `edge`; return it."""
+        """Fill the bool array `out` with flips of `edge`; return it.
+
+        Flip j is [U_j < p] for a uniform binary fraction U_j, decided at the
+        first digit where U_j and p differ.  p's first _SLICED digits (long
+        division of num by den) are compared for every flip at once, one row
+        of raw words a digit: that digit of U_j is bit j % 64 of word j // 64.
+        A dyadic p stops at its last digit, since a flip still equal to p
+        there has U_j >= p.  The flips still open after _SLICED digits, about
+        one in 64, then take one raw word each, compared as an integer with
+        p's next 64 digits, until they differ.
+        """
         num, den = self._biases[edge].numerator, self._biases[edge].denominator
-        if den < (1 << 63):
-            return np.less(self._rng.integers(0, den, size=len(out), dtype=np.uint64), num, out=out)
-        # Huge denominators: exact draws from raw bits, one at a time.
-        nbits = den.bit_length()
-        for i in range(len(out)):
-            while True:
-                u = 0
-                for word in self._rng.integers(0, 1 << 32, size=(nbits + 31) // 32, dtype=np.uint64):
-                    u = (u << 32) | int(word)
-                u &= (1 << nbits) - 1
-                if u < den:
-                    out[i] = u < num
-                    break
+        raw = self._rng.bit_generator.random_raw
+        words = (len(out) + 63) // 64
+        ones = np.zeros(words, dtype=np.uint64)  # flips decided heads
+        open_ = np.full(words, _WORD, dtype=np.uint64)  # flips equal to p so far
+        r = num
+        for _ in range(_SLICED):
+            u = raw(words)
+            r <<= 1
+            if r >= den:  # p's digit is 1: U's digit 0 decides heads
+                r -= den
+                ones |= open_ & ~u
+                open_ &= u
+            else:  # p's digit is 0: U's digit 1 decides tails
+                open_ &= ~u
+            if not r:
+                break
+        out[:] = _unpack(ones, len(out))
+        if r:
+            lanes = np.flatnonzero(_unpack(open_, len(out)))
+            while r and len(lanes):
+                d, r = divmod(r << 64, den)
+                u = raw(len(lanes))
+                out[lanes] = u < np.uint64(d)
+                # Lanes still equal take p's next 64 digits; where p ends, they are tails.
+                lanes = lanes[u == np.uint64(d)]
         return out
 
     def flip(self, edge: int) -> int:

@@ -66,6 +66,17 @@ def test_gen_matches_library(tmp_path, capsys):
     assert json.dumps(reparsed, sort_keys=True, indent=2) + "\n" == text1
 
 
+@pytest.mark.parametrize("module", ["flowfactory", "flowfactory.cli"])
+def test_python_m_runs_the_cli(capsys, module):
+    argv = ["gen", "circulation", "--nodes", "3"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert expected and proc.stdout == expected
+
+
 def test_gen_invalid_size():
     assert main(["gen", "circulation", "--nodes", "1"]) == 4
 
@@ -166,6 +177,15 @@ def test_sample_count_below_one_is_parse_error(tmp_path, capsys, command, count)
     out = tmp_path / "out"
     assert main([command, poly, coins, "--samples", count, "--out", str(out)]) == 2
     assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "sample-path", "bench"])
+def test_negative_restart_cap_is_parse_error(tmp_path, capsys, command):
+    poly, coins = _write_two_node(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, poly, coins, "--max-restarts", "-5", "--out", str(out)]) == 2
+    assert "--max-restarts" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,12 +5,13 @@ Fixed rounds keep them short; compare runs with `pytest tests/test_layer_bench.p
 """
 
 import random
+from fractions import Fraction
 
 from flowfactory import SimulatedCoins, build_circulation_polytope, enumerate_vertices
 from flowfactory.coins import _BUFFER, VertexTest
 from flowfactory.spanning import qualifying_tree_count, wilson_walk
 
-from instances import HALF, circ5m
+from instances import HALF, THIRD, circ5m
 
 
 def test_bench_flip_round_circ4(benchmark):
@@ -23,6 +24,24 @@ def test_bench_flip_round_circ4(benchmark):
 
     benchmark.pedantic(rounds, rounds=5, iterations=1)
     assert coins.total_flips == 12 * (1 + 5 * 10_000)
+
+
+def _bench_refill_circ4(benchmark, p):
+    """Refill a round buffer of circ4's 12 edges, all at bias p; check the heads frequency."""
+    coins = SimulatedCoins([p] * len(build_circulation_polytope(4).edges), seed=0)
+    benchmark.pedantic(coins._refill, rounds=5, iterations=1)
+    n = 12 * _BUFFER
+    heads = sum(w.bit_count() for w in coins._words[0].tolist())
+    assert abs(heads - float(n * p)) < 4 * float(n * p * (1 - p)) ** 0.5
+    assert coins.total_flips == 0
+
+
+def test_bench_refill_circ4_third(benchmark):
+    _bench_refill_circ4(benchmark, THIRD)
+
+
+def test_bench_refill_circ4_huge_den(benchmark):
+    _bench_refill_circ4(benchmark, Fraction(2**64, 2**65 + 1))
 
 
 def test_bench_stage1_scan_circ4(benchmark):

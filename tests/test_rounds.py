@@ -1,15 +1,18 @@
 """The per-round coin path, the stage-1 vertex test and the tree stage of FlowSampler.
 
 Seed-to-bytes goldens pin the sampler's output for fixed seeds, circ6 (30
-edges) among them; the stage-1 vertex test is checked against is_vertex,
-both on single masks and over whole buffers of packed words, and the bulk
-scan of SimulatedCoins against a flip_round loop; the tree count K_f and the
-trees of Wilson's walk are checked against the flip_tree + is_arborescence
-reference.
+edges) among them; each coin draw is checked flip by flip against [U < p]
+rebuilt from the raw words it took, and biases with denominators above
+2^63 by their frequencies and end to end; the stage-1 vertex test is
+checked against is_vertex, both on single masks and over whole buffers of
+packed words, and the bulk scan of SimulatedCoins against a flip_round
+loop; the tree count K_f and the trees of Wilson's walk are checked against
+the flip_tree + is_arborescence reference.
 """
 
 import hashlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -36,7 +39,7 @@ from flowfactory import (
 )
 from flowfactory import factory
 from flowfactory.cli import main
-from flowfactory.coins import _BUFFER, CoinSource, VertexTest
+from flowfactory.coins import _BUFFER, _SLICED, _WORD, CoinSource, VertexTest
 from flowfactory.graphs import flip_tree, is_vertex
 from flowfactory.io import polytope_to_dict
 from flowfactory.spanning import (
@@ -50,19 +53,19 @@ from flowfactory.spanning import (
 from instances import HALF, THIRD, circ5m, six_node_exchange, square, subprocess_env
 
 
-def _write_half_instance(tmp_path, P):
-    """Write P and coins at x = 1/2; return the two paths as strings."""
+def _write_instance(tmp_path, P, p=HALF):
+    """Write P and coins at x = p on every edge; return the two paths as strings."""
     poly, coins = tmp_path / "poly.json", tmp_path / "coins.json"
     poly.write_text(json.dumps(polytope_to_dict(P)))
     coins.write_text(json.dumps(
-        {"coins": [{"edge": i, "num": 1, "den": 2} for i in range(len(P.edges))]}))
+        {"coins": [{"edge": i, "num": p.numerator, "den": p.denominator} for i in range(len(P.edges))]}))
     return str(poly), str(coins)
 
 
-def _sample_digest(tmp_path, P, samples):
-    """sha256 of `flowfactory sample` at x = 1/2, seed 0; every output must be a vertex."""
+def _sample_digest(tmp_path, P, samples, p=HALF):
+    """sha256 of `flowfactory sample` at x = p, seed 0; every output must be a vertex."""
     out = tmp_path / "out.jsonl"
-    argv = ["sample", *_write_half_instance(tmp_path, P), "--samples", str(samples),
+    argv = ["sample", *_write_instance(tmp_path, P, p), "--samples", str(samples),
             "--seed", "0", "--out", str(out)]
     assert main(argv) == 0
     for line in out.read_text().splitlines():
@@ -73,17 +76,17 @@ def _sample_digest(tmp_path, P, samples):
 
 def test_sample_bytes_golden_circ4(tmp_path, capsys):
     assert _sample_digest(tmp_path, build_circulation_polytope(4), 200) == (
-        "c0dea6f674b62d16375cce97029af07416b1fe791419d37207536ad5e9eb538a")
+        "b3fcf3cab5d15ba5e0fe523fe109e6e4158a34ceb04dd20c8b34f7a4de4c96b6")
 
 
 def test_sample_bytes_golden_circ5m(tmp_path, capsys):
     assert _sample_digest(tmp_path, circ5m(), 3) == (
-        "8aba115ea0c70e2d65cc3cef590124b7d41a75ac7f26bd5015bb023e60c65cd8")
+        "3f6d68f7cdbbbde2d03fb7619435a5627f752883f862c2110fc9313a44e501e3")
 
 
 def test_sample_bytes_golden_circ6(tmp_path, capsys):
     assert _sample_digest(tmp_path, build_circulation_polytope(6), 2) == (
-        "17bf3dd5e8bc222dca1b03d96622aaa9e2d2324d073ce98c2de03d635403105a")
+        "4f448eab7f98c1d87769ad5cd7f0c9a252edd4e859034fea698184bbe55654c0")
 
 
 def test_flip_counts_exact_under_mixed_use():
@@ -120,6 +123,126 @@ def test_flip_round_independent_bits_beyond_64_edges():
     p = 1 / 2 * 2 / 3 + 1 / 2 * 1 / 3
     assert abs(disagree - n * p) < 4 * (n * p * (1 - p)) ** 0.5
     assert coins.flip_counts == (n,) * 70
+
+
+# Biases whose draws stop at a dyadic digit (1/2, 1/16), within the 64-digit
+# tail (1/2^70), or never (the rest); 10^30/(10^30+1) has a denominator
+# above 2^63.
+_EXACT_BIASES = [HALF, THIRD, Fraction(2, 5), Fraction(1, 16), Fraction(3, 7), Fraction(1, 2**70),
+                 Fraction(10**30, 10**30 + 1)]
+# Denominators of 65 and 102 bits.
+_HUGE_BIASES = [Fraction(2**64, 2**65 + 1), Fraction(10**30, 3 * 10**30 + 1)]
+
+
+class RawRecorder:
+    """Stands in for a SimulatedCoins rng: hands out the raw words of `raw` and keeps each call's words."""
+
+    def __init__(self, raw):
+        self.bit_generator = self
+        self._raw = raw
+        self.calls = []
+
+    def random_raw(self, size):
+        words = np.asarray(self._raw(size), dtype=np.uint64)
+        self.calls.append(words.tolist())
+        return words
+
+
+def _decided(p, a, t):
+    """True or False once U, known to its first t digits a, is surely below p or surely not; else None."""
+    low = Fraction(a, 1 << t)
+    if low + Fraction(1, 1 << t) <= p:
+        return True
+    return False if low >= p else None
+
+
+def _flips_from_words(p, calls, n):
+    """The flips [U_j < p], j < n, with each U_j's digits rebuilt from the raw words a draw took.
+
+    The first calls, one per sliced digit of p, hold that digit of every U_j
+    (bit j % 64 of word j // 64); each later call holds the next 64 digits of
+    every flip still undecided, in order.  The calls must have exactly those
+    lengths, so the draw took no word more or fewer than that needs.
+    """
+    words = (n + 63) // 64
+    den = p.denominator
+    sliced = min(_SLICED, den.bit_length() - 1) if den & (den - 1) == 0 else _SLICED
+    assert [len(c) for c in calls[:sliced]] == [words] * sliced
+    digits = [0] * n
+    for c in calls[:sliced]:
+        digits = [2 * a + (c[j // 64] >> (j % 64) & 1) for j, a in enumerate(digits)]
+    t = [sliced] * n
+    for c in calls[sliced:]:
+        lanes = [j for j in range(n) if _decided(p, digits[j], t[j]) is None]
+        assert len(c) == len(lanes)
+        for j, u in zip(lanes, c):
+            digits[j], t[j] = (digits[j] << 64) | u, t[j] + 64
+    flips = [_decided(p, a, k) for a, k in zip(digits, t)]
+    assert None not in flips
+    return flips
+
+
+@pytest.mark.parametrize("p", _EXACT_BIASES, ids=str)
+def test_draw_bits_is_u_below_p_at_the_first_differing_digit(p):
+    coins = SimulatedCoins([p], seed=5)
+    recorder = coins._rng = RawRecorder(np.random.default_rng(6).bit_generator.random_raw)
+    for n in (_BUFFER, 1000):
+        recorder.calls.clear()
+        out = coins._draw_bits(0, np.empty(n, dtype=bool))
+        assert out.tolist() == _flips_from_words(p, recorder.calls, n)
+        # Only 1/2 and 1/16 stop within the sliced digits; the rest reach the tail.
+        assert (len(recorder.calls) > _SLICED) == (p.denominator not in (2, 16))
+
+
+@pytest.mark.parametrize("p", [THIRD, Fraction(3, 7), Fraction(10**30, 10**30 + 1), Fraction(1, 2**70)],
+                         ids=str)
+def test_draw_bits_continues_while_u_equals_p(p):
+    """Raw words that repeat p's own digits, which random words do with probability 2^-64 a
+    word, keep every flip open through the sliced digits and two 64-digit words."""
+    rng = np.random.default_rng(7)
+    sent = []
+
+    def digits_of_p(size):
+        t = len(sent)
+        if t < _SLICED:
+            word = _WORD if math.floor(p * 2 ** (t + 1)) & 1 else 0
+        elif t < _SLICED + 2:
+            word = math.floor(p * 2 ** (_SLICED + 64 * (t - _SLICED + 1))) & _WORD
+        else:
+            return rng.bit_generator.random_raw(size)
+        sent.append(word)
+        return np.full(size, word, dtype=np.uint64)
+
+    coins = SimulatedCoins([p], seed=0)
+    coins._rng = recorder = RawRecorder(digits_of_p)
+    n = 256
+    out = coins._draw_bits(0, np.empty(n, dtype=bool))
+    assert out.tolist() == _flips_from_words(p, recorder.calls, n)
+    if p.denominator == 2**70:
+        # p's digits end within the first 64-digit word: a flip equal to p that far is tails.
+        assert len(recorder.calls) == _SLICED + 1 and not out.any()
+    else:
+        assert [len(c) for c in recorder.calls[_SLICED:]] == [n, n, n]
+
+
+@pytest.mark.parametrize("p", _HUGE_BIASES, ids=str)
+def test_huge_denominator_flip_frequencies(p):
+    coins = SimulatedCoins([p, p, p], seed=12)
+    n = 40000
+    ones = [0, 0, 0]
+    for _ in range(n):
+        mask = coins.flip_round()
+        for e in range(3):
+            ones[e] += (mask >> e) & 1
+    single = sum(coins.flip(1) for _ in range(n))
+    sd = float(n * p * (1 - p)) ** 0.5
+    for count in ones + [single]:
+        assert abs(count - float(n * p)) < 4 * sd, (ones, single)
+    assert coins.flip_counts == (n, 2 * n, n)
+
+
+def test_sample_with_huge_denominator_coins(tmp_path, capsys):
+    _sample_digest(tmp_path, build_circulation_polytope(3), 50, _HUGE_BIASES[0])
 
 
 class PerRound:
@@ -346,7 +469,7 @@ def test_restart_cap_consumes_exactly_cap_plus_one_rounds(per_round, k):
 
 
 def test_cli_restart_cap_exits_6_without_traceback(tmp_path):
-    paths = _write_half_instance(tmp_path, build_circulation_polytope(4))
+    paths = _write_instance(tmp_path, build_circulation_polytope(4))
     proc = subprocess.run(
         [sys.executable, "-c", "from flowfactory.cli import entry; entry()", "sample", *paths,
          "--samples", "5", "--seed", "0", "--max-restarts", "0"],
