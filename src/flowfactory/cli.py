@@ -246,12 +246,9 @@ def _run_check(name: str, P, x) -> tuple[bool, str]:
 def cmd_verify(args) -> int:
     P, biases = _load_instance(args)
     require_interior_point(P, biases)
-    names = args.checks.split(",") if args.checks else list(_ALL_CHECKS)
     checks = []
     all_pass = True
-    for name in names:
-        if name not in _ALL_CHECKS:
-            raise InvalidInstance(f"unknown check {name}; choose from {','.join(_ALL_CHECKS)}")
+    for name in args.checks:
         try:
             ok, detail = _run_check(name, P, biases)
         except TooLargeForOracle:
@@ -333,6 +330,15 @@ def nonnegative_int(text: str) -> int:
     return n
 
 
+def check_names(text: str) -> list[str]:
+    names = text.split(",")
+    unknown = [name for name in names if name not in _ALL_CHECKS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown check {unknown[0]!r}; choose from {','.join(_ALL_CHECKS)}")
+    return names
+
+
 def _add_run_flags(p, samples_default=1000):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=positive_int, default=samples_default)
@@ -375,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="exact identity checks; exit 8 on failure")
     v.add_argument("polytope")
     v.add_argument("coins")
-    v.add_argument("--checks", default=None, help="comma-separated subset of checks")
+    v.add_argument("--checks", type=check_names, default=list(_ALL_CHECKS),
+                   help="comma-separated subset of checks")
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)
 

@@ -73,8 +73,8 @@ class VertexTest:
     the others' and is left out.  A node whose count could never reach its
     target (d_v outside [-indeg(v), outdeg(v)]) makes the test hit nothing.
 
-    `mask in test` checks one Python int; `scan` checks a buffer of packed
-    uint64 words at once.
+    `mask in test` checks one Python int; `scan` checks a whole buffer of
+    rounds held as one row of flip words per edge, 64 rounds a word.
     """
 
     def __init__(self, P: FlowPolytope):
@@ -87,38 +87,40 @@ class VertexTest:
         nodes = [(at[v], into[v], d + into[v].bit_count()) for v, d in enumerate(P.demands, 1)]
         self.feasible = all(0 <= t <= s.bit_count() for s, _, t in nodes)
         self.nodes = tuple((s, i, t) for s, i, t in nodes[:-1] if s)
-        # A count never exceeds the number of edges, so this dtype holds it.
-        self._count_dtype = np.min_scalar_type(len(P.edges))
-        self._scratch: tuple[np.ndarray, ...] = ()
+        # Per node: (edge id, whether it enters the node) for each edge at it, and the target.
+        self._edges = tuple(
+            (tuple((e, bool(i >> e & 1)) for e in range(s.bit_length()) if s >> e & 1), t)
+            for s, i, t in self.nodes)
 
     def __contains__(self, mask: int) -> bool:
         return self.feasible and all(((mask & s) ^ i).bit_count() == t for s, i, t in self.nodes)
 
-    def scan(self, words: np.ndarray) -> np.ndarray:
-        """A bool row whose entry j is set iff the mask in column j of `words` passes.
+    def scan(self, rows: np.ndarray) -> np.ndarray:
+        """Words whose bit j is set iff round j of `rows` passes.
 
-        Row r of `words` holds bits 64r..64r+63 of every mask.  The returned
-        row and the scratch behind it belong to the test, are allocated once
-        per buffer length and are overwritten by the next scan.
+        Row e of `rows` holds edge e's flips, round j at bit j % 64 of word
+        j // 64.  Each node's count is summed bit-sliced, 64 rounds a word
+        op: plane k holds bit k of every round's count, and each edge's row
+        (inverted for an edge into the node) is added with a ripple of
+        carries.  A round passes the node where every plane equals the
+        target's bit.
         """
-        if not self._scratch or len(self._scratch[0]) != words.shape[1]:
-            n = words.shape[1]
-            self._scratch = (np.empty(n, dtype=bool), np.empty(n, dtype=np.uint64),
-                             np.empty(n, dtype=bool), np.empty(n, dtype=self._count_dtype))
-        found, part, equal, count = self._scratch
-        found.fill(self.feasible)
+        found = np.full(rows.shape[1], _WORD if self.feasible else 0, dtype=np.uint64)
         if not self.feasible:
             return found
-        for s, i, t in self.nodes:
-            for r, word in enumerate(words):
-                np.bitwise_and(word, (s >> 64 * r) & _WORD, out=part)
-                np.bitwise_xor(part, (i >> 64 * r) & _WORD, out=part)
-                if r == 0:
-                    np.bitwise_count(part, out=count)
-                else:
-                    count += np.bitwise_count(part)
-            np.equal(count, t, out=equal)
-            np.logical_and(found, equal, out=found)
+        for edges, t in self._edges:
+            planes: list[np.ndarray] = []
+            for added, (e, inward) in enumerate(edges, 1):
+                carry = ~rows[e] if inward else rows[e]
+                for k, plane in enumerate(planes):
+                    planes[k] = plane ^ carry
+                    carry = plane & carry
+                # The count is at most `added`, so the carry out is zero
+                # unless `added` needs one more bit.
+                if added.bit_length() > len(planes):
+                    planes.append(carry)
+            for k, plane in enumerate(planes):
+                found &= plane if t >> k & 1 else ~plane
         return found
 
 
@@ -132,14 +134,15 @@ class SimulatedCoins(CoinSource):
     buffered through numpy for speed; per-edge flip tallies are kept for
     trace accounting.
 
-    Rounds come from buffers of _BUFFER masks, drawn edge by edge into
-    uint64 word arrays that are allocated once and reused; the masks are
-    turned into Python ints only when flip_round reads the buffer, or when
-    a scan finds its hits.  next_round_in runs a VertexTest's scan over a
-    whole buffer once (the hits' positions and masks are cached per buffer
-    and test) and jumps to the next hit, refilling exactly where flip_round
-    would, so the rng is drawn in the same order and every bit is the same
-    as a flip_round loop would see.
+    Rounds come from buffers of _BUFFER rounds, kept as one row of flip
+    words per edge just as _draw_bits decides them (round j at bit j % 64
+    of word j // 64), in an array allocated once and reused by every
+    refill.  next_round_in runs a VertexTest's scan over those rows once
+    per buffer and test, builds the masks of the hits alone as Python ints
+    (both are cached), and jumps to the next hit, refilling exactly where
+    flip_round would, so the rng is drawn in the same order and every bit
+    is the same as a flip_round loop would see.  flip_round turns the whole
+    buffer into masks on its first read of it.
     """
 
     def __init__(self, biases: Sequence[Fraction], seed: int = 0):
@@ -154,12 +157,7 @@ class SimulatedCoins(CoinSource):
         self._flip_counts = [0] * self.num_edges
         self._bit_buf: list[np.ndarray | None] = [None] * self.num_edges
         self._bit_pos = [0] * self.num_edges
-        # Round buffers, reused by every refill: one row of words per 64
-        # edges, and scratch rows for one edge's bits and the same bits
-        # shifted into place.
-        self._words = np.empty((max(1, (self.num_edges + 63) // 64), _BUFFER), dtype=np.uint64)
-        self._bits = np.empty(_BUFFER, dtype=bool)
-        self._shifted = np.empty(_BUFFER, dtype=np.uint64)
+        self._rows = np.empty((self.num_edges, _BUFFER // 64), dtype=np.uint64)
         self._masks: list[int] | None = None
         self._hits: dict[VertexTest, tuple[list[int], list[int]]] = {}
         self._mask_pos = 0
@@ -179,8 +177,8 @@ class SimulatedCoins(CoinSource):
     def total_flips(self) -> int:
         return sum(self._flip_counts) + self._rounds * self.num_edges
 
-    def _draw_bits(self, edge: int, out: np.ndarray) -> np.ndarray:
-        """Fill the bool array `out` with flips of `edge`; return it.
+    def _draw_bits(self, edge: int, n: int) -> np.ndarray:
+        """n flips of `edge` as words: flip j is bit j % 64 of word j // 64.
 
         Flip j is [U_j < p] for a uniform binary fraction U_j, decided at the
         first digit where U_j and p differ.  p's first _SLICED digits (long
@@ -189,11 +187,12 @@ class SimulatedCoins(CoinSource):
         A dyadic p stops at its last digit, since a flip still equal to p
         there has U_j >= p.  The flips still open after _SLICED digits, about
         one in 64, then take one raw word each, compared as an integer with
-        p's next 64 digits, until they differ.
+        p's next 64 digits, until they differ.  Bits from n on in the last
+        word are not flips.
         """
         num, den = self._biases[edge].numerator, self._biases[edge].denominator
         raw = self._rng.bit_generator.random_raw
-        words = (len(out) + 63) // 64
+        words = (n + 63) // 64
         ones = np.zeros(words, dtype=np.uint64)  # flips decided heads
         open_ = np.full(words, _WORD, dtype=np.uint64)  # flips equal to p so far
         r = num
@@ -208,23 +207,24 @@ class SimulatedCoins(CoinSource):
                 open_ &= ~u
             if not r:
                 break
-        out[:] = _unpack(ones, len(out))
         if r:
-            lanes = np.flatnonzero(_unpack(open_, len(out)))
+            lanes = np.flatnonzero(_unpack(open_, n))
+            heads = np.zeros(64 * words, dtype=bool)
             while r and len(lanes):
                 d, r = divmod(r << 64, den)
                 u = raw(len(lanes))
-                out[lanes] = u < np.uint64(d)
+                heads[lanes[u < np.uint64(d)]] = True
                 # Lanes still equal take p's next 64 digits; where p ends, they are tails.
                 lanes = lanes[u == np.uint64(d)]
-        return out
+            ones |= np.packbits(heads, bitorder="little").view(np.uint64)
+        return ones
 
     def flip(self, edge: int) -> int:
         if not 0 <= edge < self.num_edges:
             raise InvalidInstance(f"unknown edge id {edge}")
         buf = self._bit_buf[edge]
         if buf is None or self._bit_pos[edge] >= len(buf):
-            self._bit_buf[edge] = buf = self._draw_bits(edge, np.empty(_BUFFER, dtype=bool))
+            self._bit_buf[edge] = buf = _unpack(self._draw_bits(edge, _BUFFER), _BUFFER)
             self._bit_pos[edge] = 0
         bit = int(buf[self._bit_pos[edge]])
         self._bit_pos[edge] += 1
@@ -232,24 +232,29 @@ class SimulatedCoins(CoinSource):
         return bit
 
     def _refill(self) -> None:
-        """Draw the next _BUFFER round masks, edge by edge, packed 64 edges a word."""
+        """Draw the next _BUFFER rounds, edge by edge, into the flip rows."""
         self._rounds_before += self._mask_pos
         self._mask_pos = 0
         self._mask_end = _BUFFER
         self._masks = None
         self._hits.clear()
-        bits, shifted = self._bits, self._shifted
-        for row, word in enumerate(self._words):
-            word.fill(0)
-            for e in range(64 * row, min(64 * row + 64, self.num_edges)):
-                np.left_shift(self._draw_bits(e, bits), e - 64 * row, out=shifted, dtype=np.uint64)
-                np.bitwise_or(word, shifted, out=word)
+        for e, row in enumerate(self._rows):
+            row[:] = self._draw_bits(e, _BUFFER)
 
-    def _mask_list(self, at=slice(None)) -> list[int]:
-        """The current buffer's masks (those at positions `at`) as Python ints."""
-        masks = self._words[0, at].tolist()
-        for row in range(1, len(self._words)):
-            masks = [a | (b << 64 * row) for a, b in zip(masks, self._words[row, at].tolist())]
+    def _mask_list(self, at: np.ndarray | None = None) -> list[int]:
+        """The current buffer's round masks (those of the rounds at `at`) as Python ints."""
+        if at is None:
+            bits = np.unpackbits(self._rows.view(np.uint8), axis=1, bitorder="little")
+        else:
+            bits = ((self._rows[:, at >> 6] >> (at & 63).astype(np.uint64)) & 1).astype(np.uint8)
+        # Byte b of round j's mask holds edges 8b..8b+7; 8 bytes make a word.
+        words = max(1, (self.num_edges + 63) // 64)
+        packed = np.zeros((bits.shape[1], 8 * words), dtype=np.uint8)
+        packed[:, :(self.num_edges + 7) // 8] = np.packbits(bits, axis=0, bitorder="little").T
+        packed = packed.view(np.uint64)
+        masks = packed[:, 0].tolist()
+        for row in range(1, words):
+            masks = [a | (b << 64 * row) for a, b in zip(masks, packed[:, row].tolist())]
         return masks
 
     def flip_round(self) -> int:
@@ -271,7 +276,7 @@ class SimulatedCoins(CoinSource):
             pos = self._mask_pos
             hits = self._hits.get(vertices)
             if hits is None:
-                at = np.flatnonzero(vertices.scan(self._words))
+                at = np.flatnonzero(_unpack(vertices.scan(self._rows), _BUFFER))
                 hits = self._hits[vertices] = (at.tolist(), self._mask_list(at))
             at, masks = hits
             stop = min(pos + limit - n, self._mask_end)

@@ -18,7 +18,7 @@ from .errors import (
     NoArborescence,
 )
 from .graphs import FlowPolytope, FlowVertex, undirected_connected
-from .spanning import directed_tree_count, qualifying_tree_count, wilson_walk
+from .spanning import directed_tree_count, flip_degree_bound, qualifying_tree_count, wilson_walk
 
 DEFAULT_MAX_RESTARTS = 10_000_000
 
@@ -113,9 +113,13 @@ class FlowSampler:
     Stage 1 asks the coins for the next round whose mask is a vertex
     (CoinSource.next_round_in with a VertexTest, the same per-node
     flow-balance test at every size) and counts the rounds skipped as
-    restarts; SimulatedCoins runs the test over a whole mask buffer at a
-    time.  The first time a vertex passes stage 1 its mask is decoded and
-    its K_f, a determinant, computed; both are kept per mask.
+    restarts; SimulatedCoins runs the test over a whole buffer of rounds at
+    a time.  The accept draw u = randrange(|T(E)|) comes first; a round
+    accepts iff u < K_f, and K_f never exceeds the flip-degree bound B (the
+    same for every vertex, see flip_degree_bound), so K_f is needed only
+    when u < B.  Only then is the mask decoded and its K_f, a determinant,
+    computed; both are kept per mask.  K_f takes no randomness, so the
+    rounds, draws and outputs are those of computing it at every pass.
     """
 
     def __init__(self, P: FlowPolytope, root: int | None = None):
@@ -129,6 +133,7 @@ class FlowSampler:
         self.total_trees = directed_tree_count(P.graph)
         if self.total_trees == 0:
             raise NoArborescence("edge set spans no directed tree")
+        self.degree_bound = flip_degree_bound(P, self.root)
         self._m = len(P.edges)
         self._vertices = VertexTest(P)
         self._known: dict[int, tuple[FlowVertex, int]] = {}
@@ -142,7 +147,7 @@ class FlowSampler:
             next_round_in = partial(CoinSource.next_round_in, coins)
         flip = coins.flip
         randrange = rng.randrange
-        P, root, total_trees = self.P, self.root, self.total_trees
+        P, root, total_trees, bound = self.P, self.root, self.total_trees, self.degree_bound
         vertices, known, m = self._vertices, self._known, self._m
         restarts = 0
         reflips = 0
@@ -151,21 +156,25 @@ class FlowSampler:
             if mask is None:
                 raise MaxRestartsExceeded(f"no sample accepted within {max_restarts} restarts")
             restarts += rounds - 1
-            hit = known.get(mask)
-            if hit is None:
-                f = tuple((mask >> i) & 1 for i in range(m))
-                hit = known[mask] = (f, qualifying_tree_count(P, f, root))
-            f, k = hit
-            if k == 0:
-                raise NoArborescence(
-                    "no tree flips to an arborescence; sampler hypotheses violated"
-                )
-            if randrange(total_trees) < k:
-                for eid in wilson_walk(P, f, root, rng):
-                    reflips += 1
-                    if flip(eid) == f[eid]:
-                        break
-                else:
-                    flips = m * (restarts + 1) + reflips
-                    return SampleTrace(output=f, total_flips=flips, restarts=restarts)
+            if bound == 0:
+                raise NoArborescence("a node has no exit in any flip image; no tree qualifies")
+            u = randrange(total_trees)
+            if u < bound:
+                hit = known.get(mask)
+                if hit is None:
+                    f = tuple((mask >> i) & 1 for i in range(m))
+                    hit = known[mask] = (f, qualifying_tree_count(P, f, root))
+                f, k = hit
+                if k == 0:
+                    raise NoArborescence(
+                        "no tree flips to an arborescence; sampler hypotheses violated"
+                    )
+                if u < k:
+                    for eid in wilson_walk(P, f, root, rng):
+                        reflips += 1
+                        if flip(eid) == f[eid]:
+                            break
+                    else:
+                        flips = m * (restarts + 1) + reflips
+                        return SampleTrace(output=f, total_flips=flips, restarts=restarts)
             restarts += 1

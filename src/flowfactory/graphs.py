@@ -161,8 +161,9 @@ def build_kflow_polytope(n: int, k: int) -> FlowPolytope:
     """Unions of k edge-disjoint paths from node 1 to node n in the full DAG."""
     if n < 2:
         raise InvalidInstance(f"k-flow polytope needs n >= 2, got {n}")
-    if k < 1:
-        raise InvalidInstance(f"k-flow polytope needs k >= 1, got {k}")
+    if not 1 <= k <= n - 1:
+        # Node 1 has n - 1 out-edges, so no 0/1 flow sends it more than n - 1 units.
+        raise InvalidInstance(f"k-flow polytope on {n} nodes needs 1 <= k <= {n - 1}, got {k}")
     edges = tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
     demands = (k,) + (0,) * (n - 2) + (-k,)
     return FlowPolytope(Graph(n, edges), demands)

@@ -276,6 +276,23 @@ def qualifying_tree_count(P: FlowPolytope, f: FlowVertex, root: int) -> int:
     return _root_minor(exits, arcs, root)
 
 
+def flip_degree_bound(P: FlowPolytope, root: int) -> int:
+    """B = prod over incident nodes v != root of (outdeg(v) - d(v)); K_f <= B for every vertex f.
+
+    In the flip image of any vertex f node v has outdeg(v) - d(v) exits (its
+    idle out-edges and its flow-carrying in-edges), and an arborescence
+    toward root takes exactly one exit edge id from each other node.  A
+    negative factor means no 0/1 flow meets v's demand, so there is no
+    vertex to bound; it counts as 0, like a node with no exit.
+    """
+    out = P.graph.out_edges
+    bound = 1
+    for v in P.graph.incident_nodes:
+        if v != root:
+            bound *= max(len(out[v]) - P.demand(v), 0)
+    return bound
+
+
 def wilson_walk(P: FlowPolytope, f: FlowVertex, root: int, rng) -> Iterator[int]:
     """Uniform tree whose flip under f is an arborescence toward root, yielded edge id by edge id.
 

@@ -81,6 +81,16 @@ def test_gen_invalid_size():
     assert main(["gen", "circulation", "--nodes", "1"]) == 4
 
 
+@pytest.mark.parametrize("k", [0, 3, 5])
+def test_gen_kflow_k_outside_one_to_n_minus_1_exits_4(tmp_path, capsys, k):
+    # On 3 nodes node 1 has 2 out-edges, so k = 3 or 5 leaves the polytope without a vertex.
+    out = tmp_path / "kflow.json"
+    assert main(["gen", "kflow", "--nodes", "3", "--k", str(k), "--out", str(out)]) == 4
+    assert not out.exists()
+    assert "InvalidInstance" in capsys.readouterr().err
+    assert main(["gen", "kflow", "--nodes", "3", "--k", "2", "--out", str(out)]) == 0
+
+
 def test_sample_deterministic(tmp_path, capsys):
     poly, coins = _write_two_node(tmp_path)
     out1 = tmp_path / "a.jsonl"
@@ -249,6 +259,17 @@ def test_verify_positivity_failure_exit(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["checks"][0]["name"] == "positivity"
     assert report["checks"][0]["pass"] is False
+
+
+@pytest.mark.parametrize("checks", ["bogus", ",", "positivity,bogus", ""])
+def test_verify_unknown_check_is_parse_error(tmp_path, checks):
+    paths = _write_two_node(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowfactory", "verify", *paths, "--checks", checks],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "unknown check" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("command", ["verify", "dist"])

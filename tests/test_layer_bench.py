@@ -31,7 +31,7 @@ def _bench_refill_circ4(benchmark, p):
     coins = SimulatedCoins([p] * len(build_circulation_polytope(4).edges), seed=0)
     benchmark.pedantic(coins._refill, rounds=5, iterations=1)
     n = 12 * _BUFFER
-    heads = sum(w.bit_count() for w in coins._words[0].tolist())
+    heads = sum(w.bit_count() for w in coins._rows.ravel().tolist())
     assert abs(heads - float(n * p)) < 4 * float(n * p * (1 - p)) ** 0.5
     assert coins.total_flips == 0
 
@@ -87,7 +87,8 @@ def test_bench_refill_and_scan_circ6(benchmark):
     benchmark.pedantic(refill_and_scan, rounds=5, iterations=1)
     assert coins.total_flips == 30 * 5
     at, masks = coins._hits[vertices]
-    assert masks == [int(coins._words[0, j]) for j in at]
+    rows = coins._rows.tolist()
+    assert masks == [sum((rows[e][j // 64] >> j % 64 & 1) << e for e in range(30)) for j in at]
     assert masks and all(w in vertices for w in masks)
 
 

@@ -5,9 +5,10 @@ edges) among them; each coin draw is checked flip by flip against [U < p]
 rebuilt from the raw words it took, and biases with denominators above
 2^63 by their frequencies and end to end; the stage-1 vertex test is
 checked against is_vertex, both on single masks and over whole buffers of
-packed words, and the bulk scan of SimulatedCoins against a flip_round
-loop; the tree count K_f and the trees of Wilson's walk are checked against
-the flip_tree + is_arborescence reference.
+per-edge flip rows, and the bulk scan of SimulatedCoins against a
+flip_round loop; the tree count K_f, its bound B and the trees of Wilson's
+walk are checked against the flip_tree + is_arborescence reference, and
+computing K_f only below B against computing it at every stage-1 pass.
 """
 
 import hashlib
@@ -39,12 +40,13 @@ from flowfactory import (
 )
 from flowfactory import factory
 from flowfactory.cli import main
-from flowfactory.coins import _BUFFER, _SLICED, _WORD, CoinSource, VertexTest
+from flowfactory.coins import _BUFFER, _SLICED, _WORD, CoinSource, VertexTest, _unpack
 from flowfactory.graphs import flip_tree, is_vertex
 from flowfactory.io import polytope_to_dict
 from flowfactory.spanning import (
     directed_tree_count,
     enumerate_directed_trees,
+    flip_degree_bound,
     is_arborescence,
     qualifying_tree_count,
     wilson_walk,
@@ -188,7 +190,7 @@ def test_draw_bits_is_u_below_p_at_the_first_differing_digit(p):
     recorder = coins._rng = RawRecorder(np.random.default_rng(6).bit_generator.random_raw)
     for n in (_BUFFER, 1000):
         recorder.calls.clear()
-        out = coins._draw_bits(0, np.empty(n, dtype=bool))
+        out = _unpack(coins._draw_bits(0, n), n)
         assert out.tolist() == _flips_from_words(p, recorder.calls, n)
         # Only 1/2 and 1/16 stop within the sliced digits; the rest reach the tail.
         assert (len(recorder.calls) > _SLICED) == (p.denominator not in (2, 16))
@@ -216,7 +218,7 @@ def test_draw_bits_continues_while_u_equals_p(p):
     coins = SimulatedCoins([p], seed=0)
     coins._rng = recorder = RawRecorder(digits_of_p)
     n = 256
-    out = coins._draw_bits(0, np.empty(n, dtype=bool))
+    out = _unpack(coins._draw_bits(0, n), n)
     assert out.tolist() == _flips_from_words(p, recorder.calls, n)
     if p.denominator == 2**70:
         # p's digits end within the first 64-digit word: a flip equal to p that far is tails.
@@ -318,10 +320,14 @@ def test_vertex_test_never_hits_through_a_wrapped_count(demand):
 
 
 def _scan(vertices, masks, m):
-    """The vertex test run over `masks` packed as one buffer of uint64 word rows."""
-    words = np.array([[(w >> 64 * r) & ((1 << 64) - 1) for w in masks]
-                      for r in range(max(1, (m + 63) // 64))], dtype=np.uint64)
-    return vertices.scan(words).tolist()
+    """The vertex test run over `masks` as one buffer of per-edge flip rows."""
+    nbytes = max(1, (m + 7) // 8)
+    cols = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in masks), dtype=np.uint8)
+    bits = np.unpackbits(cols.reshape(len(masks), nbytes), axis=1, bitorder="little")[:, :m]
+    rows = np.zeros((m, 64 * ((len(masks) + 63) // 64)), dtype=np.uint8)
+    rows[:, :len(masks)] = bits.T
+    rows = np.packbits(rows, axis=1, bitorder="little").view(np.uint64)
+    return _unpack(vertices.scan(rows), len(masks)).tolist()
 
 
 def _assert_vertex_test_matches_is_vertex(P, masks):
@@ -330,7 +336,7 @@ def _assert_vertex_test_matches_is_vertex(P, masks):
     expected = [is_vertex(P, [(w >> i) & 1 for i in range(m)]) for w in masks]
     assert [w in vertices for w in masks] == expected
     assert _scan(vertices, masks, m) == expected
-    assert _scan(vertices, masks[:1], m) == expected[:1]  # a shorter buffer, new scratch
+    assert _scan(vertices, masks[:1], m) == expected[:1]  # a buffer of one word
 
 
 @st.composite
@@ -444,6 +450,63 @@ def test_unreachable_root_raises_before_any_walk(monkeypatch):
     assert rng.getstate() == state
 
 
+def test_node_without_exit_raises_at_the_first_stage1_pass():
+    # Under its only vertex the edge 1->2 flips to 2->1, so node 1 has no
+    # exit toward root 2: B = 0, and the first stage-1 pass raises before
+    # any accept draw, however high the restart cap.  (No interior point
+    # exists here, so the CLI never gets this far.)
+    P = FlowPolytope(Graph(2, ((1, 2),)), (1, -1))
+    sampler = FlowSampler(P, root=2)
+    assert sampler.degree_bound == 0 and sampler.total_trees == 1
+    coins, rng = SimulatedCoins([HALF], seed=0), random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(NoArborescence):
+        sampler.sample(coins, rng)
+    _, rounds = SimulatedCoins([HALF], seed=0).next_round_in(VertexTest(P), 1000)
+    assert coins.total_flips == rounds and rng.getstate() == state
+
+
+def test_negative_degree_factors_are_no_bound():
+    # Nodes 1 and 2 each need two units out of one out-edge: no vertex exists,
+    # and the product of their factors, (-1)(-1), bounds nothing.
+    P = FlowPolytope(Graph(3, ((1, 2), (2, 3), (3, 1))), (2, 2, -4))
+    assert flip_degree_bound(P, 3) == 0
+    with pytest.raises(MaxRestartsExceeded):
+        FlowSampler(P, root=3).sample(SimulatedCoins([HALF] * 3, seed=0), random.Random(0),
+                                      max_restarts=1000)
+
+
+class CountingQualifyingTrees:
+    """Stands in for factory.qualifying_tree_count and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return qualifying_tree_count(*args)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_degree_bound_gate_changes_no_draw(monkeypatch, seed):
+    """K_f computed only below B gives the traces and flips of computing it at every pass."""
+    P = circ5m()
+    runs = []
+    for gate in (True, False):
+        counter = CountingQualifyingTrees()
+        monkeypatch.setattr(factory, "qualifying_tree_count", counter)
+        sampler = FlowSampler(P)
+        if not gate:
+            sampler.degree_bound = sampler.total_trees
+        coins, rng = SimulatedCoins([HALF] * len(P.edges), seed=seed), random.Random(seed)
+        traces = [sampler.sample(coins, rng) for _ in range(40)]
+        runs.append((traces, coins.flip_counts, rng.getstate(), counter.calls))
+    (gated, gated_flips, gated_rng, counted), (full, full_flips, full_rng, distinct) = runs
+    assert gated == full and gated_flips == full_flips and gated_rng == full_rng
+    # Without the gate every distinct stage-1 mask is counted once.
+    assert 0 < counted < distinct
+
+
 class ReflipCountingCoins(SimulatedCoins):
     """SimulatedCoins that also tallies single flips, which only the re-flip stage uses."""
 
@@ -487,6 +550,7 @@ def _assert_tree_stage_matches_reference(P):
         for f in enumerate_vertices(P):
             qualifying = {t for t in trees if is_arborescence(flip_tree(P.graph, f, t), root)}
             assert qualifying_tree_count(P, f, root) == len(qualifying), (root, f)
+            assert flip_degree_bound(P, root) >= len(qualifying), (root, f)
             for _ in range(3 if qualifying else 0):
                 tree = tuple(sorted(wilson_walk(P, f, root, rng)))
                 assert tree in qualifying, (root, f, tree)
