@@ -340,7 +340,7 @@ def check_names(text: str) -> list[str]:
 
 
 def _add_run_flags(p, samples_default=1000):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--samples", type=positive_int, default=samples_default)
     p.add_argument("--max-restarts", type=nonnegative_int, default=10_000_000)
     p.add_argument("--out", default=None)

@@ -18,7 +18,7 @@ from .errors import (
     NoArborescence,
 )
 from .graphs import FlowPolytope, FlowVertex, undirected_connected
-from .spanning import directed_tree_count, flip_degree_bound, qualifying_tree_count, wilson_walk
+from .spanning import directed_tree_count, exit_map, flip_degree_bound, live_exits
 
 DEFAULT_MAX_RESTARTS = 10_000_000
 
@@ -98,28 +98,21 @@ def sample_path(
 # ---------------------------------------------------------------------------
 
 class FlowSampler:
-    """Reusable sampler for one polytope; caches the per-vertex tree counts.
+    """Reusable sampler for one polytope; caches each vertex's flip-image exits.
 
     One round: flip every coin into a candidate flow f; restart unless f is a
     vertex.  Draw a directed tree uniformly from all of T(E) and restart if
-    its flip under f is not an arborescence toward the root: realised as an
-    exact accept with probability K_f/|T(E)|, where K_f counts the trees whose
-    flip is one, followed by a uniform such tree from Wilson's walk on the
-    flip image.  Re-flip the coin of every tree edge as the walk yields it
-    and restart at the first outcome that reproduces f on its edge; otherwise
-    output f.  The walk and the re-flips draw from different sources, so
-    stopping the walk at a collision leaves the law of every round unchanged.
+    its flip under f is not an arborescence toward the root.  Re-flip the
+    coin of every tree edge and restart at the first outcome that reproduces
+    f on its edge; otherwise output f.
 
-    Stage 1 asks the coins for the next round whose mask is a vertex
-    (CoinSource.next_round_in with a VertexTest, the same per-node
-    flow-balance test at every size) and counts the rounds skipped as
-    restarts; SimulatedCoins runs the test over a whole buffer of rounds at
-    a time.  The accept draw u = randrange(|T(E)|) comes first; a round
-    accepts iff u < K_f, and K_f never exceeds the flip-degree bound B (the
-    same for every vertex, see flip_degree_bound), so K_f is needed only
-    when u < B.  Only then is the mask decoded and its K_f, a determinant,
-    computed; both are kept per mask.  K_f takes no randomness, so the
-    rounds, draws and outputs are those of computing it at every pass.
+    Stage 1 is CoinSource.next_round_in with a VertexTest; the rounds it
+    skips count as restarts.  The tree stage is one draw u = randrange(|T(E)|):
+    u < B = flip_degree_bound names one of the B maps that pick an exit per
+    non-root node of f's flip image, and K_f of them are the trees whose flip
+    is an arborescence (see live_exits, exit_map).  So the round goes on with
+    probability K_f/|T(E)| and a uniform such tree, re-flipped in node order.
+    A vertex's exits are listed at its first pass with u < B and kept per mask.
     """
 
     def __init__(self, P: FlowPolytope, root: int | None = None):
@@ -136,7 +129,7 @@ class FlowSampler:
         self.degree_bound = flip_degree_bound(P, self.root)
         self._m = len(P.edges)
         self._vertices = VertexTest(P)
-        self._known: dict[int, tuple[FlowVertex, int]] = {}
+        self._known: dict[int, tuple[FlowVertex, tuple]] = {}
 
     def sample(self, coins: CoinSource, rng, max_restarts: int = DEFAULT_MAX_RESTARTS) -> SampleTrace:
         # Only a CoinSource runs its own next_round_in: a wrapper that
@@ -163,14 +156,10 @@ class FlowSampler:
                 hit = known.get(mask)
                 if hit is None:
                     f = tuple((mask >> i) & 1 for i in range(m))
-                    hit = known[mask] = (f, qualifying_tree_count(P, f, root))
-                f, k = hit
-                if k == 0:
-                    raise NoArborescence(
-                        "no tree flips to an arborescence; sampler hypotheses violated"
-                    )
-                if u < k:
-                    for eid in wilson_walk(P, f, root, rng):
+                    hit = known[mask] = (f, live_exits(P, f, root))
+                f, live = hit
+                if (tree := exit_map(live, root, u)) is not None:
+                    for eid in tree:
                         reflips += 1
                         if flip(eid) == f[eid]:
                             break

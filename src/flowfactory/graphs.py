@@ -72,20 +72,6 @@ class Graph:
             out[u].append(i)
         return {v: tuple(ids) for v, ids in out.items()}
 
-    @cached_property
-    def flip_exits(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
-        """Incident node -> (edge id, other end, bit) for every edge at the node.
-
-        Under a flow f the flip of edge id leaves the node exactly when
-        f[id] == bit: an edge keeps its direction where f is 0, so it leaves
-        its tail with bit 0 and its head with bit 1.
-        """
-        exits: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.incident_nodes}
-        for i, (u, v) in enumerate(self.edges):
-            exits[u].append((i, v, 0))
-            exits[v].append((i, u, 1))
-        return {v: tuple(e) for v, e in exits.items()}
-
 
 @dataclass(frozen=True)
 class FlowPolytope:

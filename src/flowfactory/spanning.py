@@ -4,18 +4,17 @@ All counting is exact: integer matrices go through fraction-free Bareiss
 elimination, rational matrices are cleared to integers first.  The Laplacian
 uses the out-weight diagonal, so the minor at r counts arborescences directed
 toward r (validated against enumeration in the test suite).  Trees whose flip
-is an arborescence are counted on the flip image of the edge set and drawn
-uniformly by Wilson's loop-erased random walk on it.
+is an arborescence are counted on the flip image of the edge set, and drawn
+as the acyclic maps among those that pick one exit per node of the image.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from .errors import (
     InvalidInstance,
@@ -31,6 +30,7 @@ from .graphs import (
     FlowPolytope,
     FlowVertex,
     Graph,
+    flip_edge,
 )
 
 
@@ -256,7 +256,7 @@ def is_arborescence(edges, root: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Trees whose flip is an arborescence: exact count and Wilson's walk
+# Trees whose flip is an arborescence: exact count and exit maps
 # ---------------------------------------------------------------------------
 
 def qualifying_tree_count(P: FlowPolytope, f: FlowVertex, root: int) -> int:
@@ -268,12 +268,11 @@ def qualifying_tree_count(P: FlowPolytope, f: FlowVertex, root: int) -> int:
     chosen ids always span a tree.  The count is the determinant of the flip
     image's out-Laplacian with root's row and column removed.
     """
-    exits = P.graph.flip_exits
-    if root not in exits:
+    nodes = P.graph.incident_nodes
+    if root not in nodes:
         raise InvalidInstance(f"root {root} not among nodes")
-    arcs = [(v, w, 1) for v, out in exits.items() if v != root
-            for eid, w, bit in out if f[eid] == bit]
-    return _root_minor(exits, arcs, root)
+    arcs = [(*flip_edge(P.graph, f, eid), 1) for eid in range(len(P.edges))]
+    return _root_minor(nodes, arcs, root)
 
 
 def flip_degree_bound(P: FlowPolytope, root: int) -> int:
@@ -293,51 +292,62 @@ def flip_degree_bound(P: FlowPolytope, root: int) -> int:
     return bound
 
 
-def wilson_walk(P: FlowPolytope, f: FlowVertex, root: int, rng) -> Iterator[int]:
-    """Uniform tree whose flip under f is an arborescence toward root, yielded edge id by edge id.
+def live_exits(P: FlowPolytope, f: FlowVertex, root: int) -> tuple[tuple[int, tuple], ...]:
+    """Each incident node v != root with its exits in f's flip image, as (edge id, other end) pairs.
 
-    Wilson's algorithm on the flip image (Wilson, STOC 1996; Propp and
-    Wilson, J. Algorithms 1998 for digraphs): from each node in turn, walk
-    along uniformly chosen edge ids whose flip leaves the current node until
-    the walk meets the tree, keeping only the last exit taken from each node
-    (which erases the loops), then join that branch to the tree, yielding its
-    edge ids as it joins.  Every choice of edge ids is equally likely, so an
-    image edge with two preimages needs no special case.  An exit is drawn by
-    rejection: a uniform index below the node's edge count, from
-    `getrandbits` as `randrange` does, kept once it names an edge whose flip
-    leaves the node.  Every node must reach root in the flip image (the count
-    is nonzero), or the walk never ends.
+    Under any vertex f, node v has outdeg(v) - d(v) exits, so flip_degree_bound
+    counts the maps that pick one exit per node.  An edge id is an exit of
+    one end only, so the maps that are arborescences toward root are the
+    trees qualifying_tree_count counts, each once.  Raises NoArborescence
+    when some node cannot reach root in the flip image: then there is none.
     """
-    exits = P.graph.flip_exits
-    getrandbits = rng.getrandbits
-    in_tree = {root}
-    exit_of: dict[int, tuple[int, int]] = {}
-    for start in exits:
-        u = start
-        while u not in in_tree:
-            choices = exits[u]
-            n = len(choices)
-            k = n.bit_length()
-            while True:
-                r = getrandbits(k)
-                if r < n:
-                    eid, v, bit = choices[r]
-                    if f[eid] == bit:
-                        break
-            exit_of[u] = (eid, v)
-            u = v
-        u = start
-        while u not in in_tree:
-            in_tree.add(u)
-            eid, u = exit_of[u]
-            yield eid
+    live: dict[int, list[tuple[int, int]]] = {v: [] for v in P.graph.incident_nodes}
+    into: dict[int, set[int]] = {v: set() for v in live}
+    if root not in live:
+        raise InvalidInstance(f"root {root} not among nodes")
+    for eid in range(len(P.edges)):
+        v, w = flip_edge(P.graph, f, eid)
+        live[v].append((eid, w))
+        into[w].add(v)
+    reached = [root]
+    for w in reached:
+        reached += into[w].difference(reached)
+    if len(reached) < len(live):
+        raise NoArborescence(f"no tree flips to an arborescence toward node {root}")
+    return tuple((v, tuple(out)) for v, out in live.items() if v != root)
+
+
+def exit_map(live, root: int, u: int) -> list[int] | None:
+    """Edge ids of the exit map that u names, node by node, if it is an arborescence toward root.
+
+    u is read in mixed radix over the exit counts of `live` (see live_exits),
+    the first node's digit least significant, and each digit picks that
+    node's exit.  The map is an arborescence iff k steps along it take every
+    node to root, k the number of nodes; otherwise this returns None.
+    """
+    step = {root: root}
+    eids = []
+    for v, out in live:
+        u, d = divmod(u, len(out))
+        eid, step[v] = out[d]
+        eids.append(eid)
+    for v in step:
+        for _ in eids:
+            v = step[v]
+        if v != root:
+            return None
+    return eids
 
 
 def sample_flip_tree(P: FlowPolytope, f: FlowVertex, root: int, rng) -> frozenset[int]:
     """Uniform tree among those whose flip under f is an arborescence toward root.
 
-    Raises NoArborescence, before any draw, when there is none.
+    Draws u = randrange(B) until the exit map u names is one (cycle popping
+    with a full restart: Propp and Wilson, J. Algorithms 1998).  Raises
+    NoArborescence, before any draw, when there is none.
     """
-    if qualifying_tree_count(P, f, root) == 0:
-        raise NoArborescence(f"no tree flips to an arborescence toward node {root}")
-    return frozenset(wilson_walk(P, f, root, rng))
+    live = live_exits(P, f, root)
+    bound = prod(len(out) for _, out in live)
+    while (tree := exit_map(live, root, rng.randrange(bound))) is None:
+        pass
+    return frozenset(tree)

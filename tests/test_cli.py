@@ -199,6 +199,15 @@ def test_negative_restart_cap_is_parse_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "sample-path", "bench"])
+def test_negative_seed_is_parse_error(tmp_path, capsys, command):
+    poly, coins = _write_two_node(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, poly, coins, "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dist_output(tmp_path, capsys):
     poly, coins = _write_two_node(tmp_path)
     assert main(["dist", poly, coins]) == 0

@@ -11,6 +11,7 @@ from flowfactory import (
     InvalidInstance,
     SimulatedCoins,
     TapeCoins,
+    build_circulation_polytope,
     is_vertex,
     sample_path,
 )
@@ -80,7 +81,8 @@ def test_tape_replay():
         replay2.flip(1)  # diverges from the recorded edge
 
 
-@pytest.mark.parametrize("make", [two_node, triangle], ids=["two_node", "triangle"])
+@pytest.mark.parametrize("make", [two_node, triangle, lambda: build_circulation_polytope(4)],
+                         ids=["two_node", "triangle", "circ4"])
 def test_sampler_runs_on_bias_free_tape(make):
     # the sampler must work given only bits: record a run, replay it, and
     # check both runs produce identical traces without bias access

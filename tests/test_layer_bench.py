@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from flowfactory import SimulatedCoins, build_circulation_polytope, enumerate_vertices
 from flowfactory.coins import _BUFFER, VertexTest
-from flowfactory.spanning import qualifying_tree_count, wilson_walk
+from flowfactory.spanning import qualifying_tree_count, sample_flip_tree
 
 from instances import HALF, THIRD, circ5m
 
@@ -104,14 +104,14 @@ def test_bench_tree_count_circ5m(benchmark):
     assert len(counts) == 200 and min(counts) > 0
 
 
-def test_bench_wilson_walk_circ5m(benchmark):
+def test_bench_exit_maps_circ5m(benchmark):
     P = circ5m()
     vertices = enumerate_vertices(P)
     rng = random.Random(0)
     trees = []
 
     def draws():
-        trees[:] = [tuple(wilson_walk(P, vertices[i], 1, rng)) for i in range(1000)]
+        trees[:] = [sample_flip_tree(P, vertices[i], 1, rng) for i in range(1000)]
 
     benchmark.pedantic(draws, rounds=5, iterations=1)
     assert len(trees) == 1000 and all(len(t) == 4 for t in trees)

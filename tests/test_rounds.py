@@ -6,9 +6,8 @@ rebuilt from the raw words it took, and biases with denominators above
 2^63 by their frequencies and end to end; the stage-1 vertex test is
 checked against is_vertex, both on single masks and over whole buffers of
 per-edge flip rows, and the bulk scan of SimulatedCoins against a
-flip_round loop; the tree count K_f, its bound B and the trees of Wilson's
-walk are checked against the flip_tree + is_arborescence reference, and
-computing K_f only below B against computing it at every stage-1 pass.
+flip_round loop; the tree count K_f, its bound B and the exit maps below B
+are checked against the flip_tree + is_arborescence reference.
 """
 
 import hashlib
@@ -38,7 +37,6 @@ from flowfactory import (
     random_interior_point,
     sample_flip_tree,
 )
-from flowfactory import factory
 from flowfactory.cli import main
 from flowfactory.coins import _BUFFER, _SLICED, _WORD, CoinSource, VertexTest, _unpack
 from flowfactory.graphs import flip_tree, is_vertex
@@ -46,10 +44,11 @@ from flowfactory.io import polytope_to_dict
 from flowfactory.spanning import (
     directed_tree_count,
     enumerate_directed_trees,
+    exit_map,
     flip_degree_bound,
     is_arborescence,
+    live_exits,
     qualifying_tree_count,
-    wilson_walk,
 )
 
 from instances import HALF, THIRD, circ5m, six_node_exchange, square, subprocess_env
@@ -78,17 +77,17 @@ def _sample_digest(tmp_path, P, samples, p=HALF):
 
 def test_sample_bytes_golden_circ4(tmp_path, capsys):
     assert _sample_digest(tmp_path, build_circulation_polytope(4), 200) == (
-        "b3fcf3cab5d15ba5e0fe523fe109e6e4158a34ceb04dd20c8b34f7a4de4c96b6")
+        "b332f27f16d76158c6e7da92f8b77b8eda653ef8dfa92d63538c1a47cc028e71")
 
 
 def test_sample_bytes_golden_circ5m(tmp_path, capsys):
     assert _sample_digest(tmp_path, circ5m(), 3) == (
-        "3f6d68f7cdbbbde2d03fb7619435a5627f752883f862c2110fc9313a44e501e3")
+        "25240625a676180cf5cfc958952cf51f72fc4477b4607c7a39dcde9d4df57618")
 
 
 def test_sample_bytes_golden_circ6(tmp_path, capsys):
     assert _sample_digest(tmp_path, build_circulation_polytope(6), 2) == (
-        "4f448eab7f98c1d87769ad5cd7f0c9a252edd4e859034fea698184bbe55654c0")
+        "65fc62a6d692cd7dedcfa35a09455274b3746d7bedfcac1da84e279a79eddae5")
 
 
 def test_flip_counts_exact_under_mixed_use():
@@ -430,15 +429,10 @@ def test_bulk_scan_matches_per_round_path(P, x, samples):
     assert sum(t.restarts + 1 for t in traces) > 2 * _BUFFER
 
 
-def test_unreachable_root_raises_before_any_walk(monkeypatch):
+def test_unreachable_root_raises_before_any_walk():
     # In every flip image nodes 1 and 2 exit only toward each other, so
-    # neither reaches node 3 and a walk toward it would never end.
+    # neither reaches node 3 and no exit map is an arborescence toward it.
     P = FlowPolytope(Graph(3, ((1, 2), (2, 1), (3, 2))), (0, 0, 0))
-
-    def no_walk(*args):
-        raise AssertionError("a walk started")
-
-    monkeypatch.setattr(factory, "wilson_walk", no_walk)
     with pytest.raises(NoArborescence):
         FlowSampler(P, root=3).sample(SimulatedCoins([HALF] * 3, seed=0), random.Random(0))
     rng = random.Random(0)
@@ -474,37 +468,6 @@ def test_negative_degree_factors_are_no_bound():
     with pytest.raises(MaxRestartsExceeded):
         FlowSampler(P, root=3).sample(SimulatedCoins([HALF] * 3, seed=0), random.Random(0),
                                       max_restarts=1000)
-
-
-class CountingQualifyingTrees:
-    """Stands in for factory.qualifying_tree_count and counts its calls."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __call__(self, *args):
-        self.calls += 1
-        return qualifying_tree_count(*args)
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_degree_bound_gate_changes_no_draw(monkeypatch, seed):
-    """K_f computed only below B gives the traces and flips of computing it at every pass."""
-    P = circ5m()
-    runs = []
-    for gate in (True, False):
-        counter = CountingQualifyingTrees()
-        monkeypatch.setattr(factory, "qualifying_tree_count", counter)
-        sampler = FlowSampler(P)
-        if not gate:
-            sampler.degree_bound = sampler.total_trees
-        coins, rng = SimulatedCoins([HALF] * len(P.edges), seed=seed), random.Random(seed)
-        traces = [sampler.sample(coins, rng) for _ in range(40)]
-        runs.append((traces, coins.flip_counts, rng.getstate(), counter.calls))
-    (gated, gated_flips, gated_rng, counted), (full, full_flips, full_rng, distinct) = runs
-    assert gated == full and gated_flips == full_flips and gated_rng == full_rng
-    # Without the gate every distinct stage-1 mask is counted once.
-    assert 0 < counted < distinct
 
 
 class ReflipCountingCoins(SimulatedCoins):
@@ -543,17 +506,22 @@ def test_cli_restart_cap_exits_6_without_traceback(tmp_path):
 
 
 def _assert_tree_stage_matches_reference(P):
-    rng = random.Random(3)
     trees = set(enumerate_directed_trees(P.graph))
     assert directed_tree_count(P.graph) == len(trees)
     for root in P.graph.incident_nodes:
+        bound = flip_degree_bound(P, root)
         for f in enumerate_vertices(P):
             qualifying = {t for t in trees if is_arborescence(flip_tree(P.graph, f, t), root)}
             assert qualifying_tree_count(P, f, root) == len(qualifying), (root, f)
-            assert flip_degree_bound(P, root) >= len(qualifying), (root, f)
-            for _ in range(3 if qualifying else 0):
-                tree = tuple(sorted(wilson_walk(P, f, root, rng)))
-                assert tree in qualifying, (root, f, tree)
+            if not qualifying:
+                with pytest.raises(NoArborescence):
+                    live_exits(P, f, root)
+                continue
+            live = live_exits(P, f, root)
+            assert math.prod(len(out) for _, out in live) == bound, (root, f)
+            maps = [exit_map(live, root, u) for u in range(bound)]
+            named = sorted(tuple(sorted(t)) for t in maps if t is not None)
+            assert named == sorted(qualifying), (root, f)
 
 
 def test_tree_count_and_wilson_walk_match_reference():
