@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -46,18 +46,30 @@ class CoinSource:
             mask |= self.flip(e) << e
         return mask
 
+    def hits_in(self, vertices: VertexTest, limit: int) -> Iterator[tuple[int, int]]:
+        """Flip up to `limit` rounds, yielding (mask, rounds) for each whose mask is in `vertices`.
+
+        `rounds` counts the rounds flipped since the last yield (or the
+        start), the hit included.  While the walk is suspended its caller
+        may flip single coins but must draw no rounds by other means.
+        """
+        flip_round = self.flip_round
+        n = 0
+        for _ in range(limit):
+            n += 1
+            mask = flip_round()
+            if mask in vertices:
+                yield mask, n
+                n = 0
+
     def next_round_in(self, vertices: VertexTest, limit: int) -> tuple[int | None, int]:
         """Flip rounds until one's mask is in `vertices`, flipping at most `limit` rounds.
 
         Returns (mask, rounds flipped, that one included), or (None, rounds
-        flipped) when no round within the limit hit.
+        flipped) when no round within the limit hit.  This is the first step
+        of CoinSource's own flip_round walk, whatever the subclass.
         """
-        flip_round = self.flip_round
-        for n in range(1, limit + 1):
-            mask = flip_round()
-            if mask in vertices:
-                return mask, n
-        return None, max(limit, 0)
+        return next(CoinSource.hits_in(self, vertices, limit), (None, max(limit, 0)))
 
 
 class VertexTest:
@@ -137,12 +149,14 @@ class SimulatedCoins(CoinSource):
     Rounds come from buffers of _BUFFER rounds, kept as one row of flip
     words per edge just as _draw_bits decides them (round j at bit j % 64
     of word j // 64), in an array allocated once and reused by every
-    refill.  next_round_in runs a VertexTest's scan over those rows once
-    per buffer and test, builds the masks of the hits alone as Python ints
-    (both are cached), and jumps to the next hit, refilling exactly where
-    flip_round would, so the rng is drawn in the same order and every bit
-    is the same as a flip_round loop would see.  flip_round turns the whole
-    buffer into masks on its first read of it.
+    refill.  hits_in runs a VertexTest's scan over those rows once per
+    buffer and test, builds the masks of the hits alone as Python ints (both
+    are cached), and walks that hit list, refilling exactly where flip_round
+    would, so the rng is drawn in the same order and every bit is the same
+    as a flip_round loop would see.  It moves the round position past each
+    hit before yielding it, and carries the rounds left at the end of a
+    buffer into the next yield.  flip_round turns the whole buffer into
+    masks on its first read of it.
     """
 
     def __init__(self, biases: Sequence[Fraction], seed: int = 0):
@@ -268,9 +282,9 @@ class SimulatedCoins(CoinSource):
         self._mask_pos = pos + 1
         return masks[pos]
 
-    def next_round_in(self, vertices: VertexTest, limit: int) -> tuple[int | None, int]:
-        n = 0
-        while n < limit:
+    def hits_in(self, vertices: VertexTest, limit: int) -> Iterator[tuple[int, int]]:
+        n = 0  # rounds flipped since the last yield
+        while limit > 0:
             if self._mask_pos >= self._mask_end:
                 self._refill()
             pos = self._mask_pos
@@ -279,14 +293,20 @@ class SimulatedCoins(CoinSource):
                 at = np.flatnonzero(_unpack(vertices.scan(self._rows), _BUFFER))
                 hits = self._hits[vertices] = (at.tolist(), self._mask_list(at))
             at, masks = hits
-            stop = min(pos + limit - n, self._mask_end)
-            i = bisect_left(at, pos)
-            if i < len(at) and at[i] < stop:
-                self._mask_pos = at[i] + 1
-                return masks[i], n + self._mask_pos - pos
+            start, stop = pos, min(pos + limit, self._mask_end)
+            for i in range(bisect_left(at, pos), len(at)):
+                end = at[i] + 1
+                if end > stop:
+                    break
+                self._mask_pos = end
+                yield masks[i], n + end - pos
+                n, pos = 0, end
             self._mask_pos = stop
             n += stop - pos
-        return None, n
+            limit -= stop - start
+
+    def next_round_in(self, vertices: VertexTest, limit: int) -> tuple[int | None, int]:
+        return next(self.hits_in(vertices, limit), (None, max(limit, 0)))
 
 
 class TapeCoins(CoinSource):

@@ -8,7 +8,6 @@ from a separate seeded generator, never from the coins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .coins import CoinSource, VertexTest
 from .errors import (
@@ -18,7 +17,7 @@ from .errors import (
     NoArborescence,
 )
 from .graphs import FlowPolytope, FlowVertex, undirected_connected
-from .spanning import directed_tree_count, exit_map, flip_degree_bound, live_exits
+from .spanning import ExitTables, directed_tree_count, flip_degree_bound
 
 DEFAULT_MAX_RESTARTS = 10_000_000
 
@@ -98,7 +97,7 @@ def sample_path(
 # ---------------------------------------------------------------------------
 
 class FlowSampler:
-    """Reusable sampler for one polytope; caches each vertex's flip-image exits.
+    """Reusable sampler for one polytope; tables each node's flip-image exits by its local edge bits.
 
     One round: flip every coin into a candidate flow f; restart unless f is a
     vertex.  Draw a directed tree uniformly from all of T(E) and restart if
@@ -106,13 +105,15 @@ class FlowSampler:
     coin of every tree edge and restart at the first outcome that reproduces
     f on its edge; otherwise output f.
 
-    Stage 1 is CoinSource.next_round_in with a VertexTest; the rounds it
-    skips count as restarts.  The tree stage is one draw u = randrange(|T(E)|):
-    u < B = flip_degree_bound names one of the B maps that pick an exit per
-    non-root node of f's flip image, and K_f of them are the trees whose flip
-    is an arborescence (see live_exits, exit_map).  So the round goes on with
-    probability K_f/|T(E)| and a uniform such tree, re-flipped in node order.
-    A vertex's exits are listed at its first pass with u < B and kept per mask.
+    Stage 1 is one CoinSource.hits_in walk per sample with a VertexTest;
+    every round it walks before the accepted one is a restart.  The tree
+    stage is one draw u = randrange(|T(E)|) per stage-1 pass: u < B =
+    flip_degree_bound names one of the B maps that pick an exit per non-root
+    node of f's flip image, and K_f of them are the trees whose flip is an
+    arborescence (see ExitTables).  So the round goes on with probability
+    K_f/|T(E)| and a uniform such tree, re-flipped in node order.  The
+    sampler keeps no state per vertex: each node's exits are read from its
+    table, at most 2^deg(v) entries, by f's bits at its edges.
     """
 
     def __init__(self, P: FlowPolytope, root: int | None = None):
@@ -127,43 +128,34 @@ class FlowSampler:
         if self.total_trees == 0:
             raise NoArborescence("edge set spans no directed tree")
         self.degree_bound = flip_degree_bound(P, self.root)
+        self.exits = ExitTables(P, self.root)
         self._m = len(P.edges)
         self._vertices = VertexTest(P)
-        self._known: dict[int, tuple[FlowVertex, tuple]] = {}
 
     def sample(self, coins: CoinSource, rng, max_restarts: int = DEFAULT_MAX_RESTARTS) -> SampleTrace:
-        # Only a CoinSource runs its own next_round_in: a wrapper that
-        # forwards unknown attributes would otherwise skip its flip_round.
+        # Only a CoinSource runs its own hits_in: a wrapper that forwards
+        # unknown attributes would otherwise skip its flip_round.
         if isinstance(coins, CoinSource):
-            next_round_in = coins.next_round_in
+            hits = coins.hits_in(self._vertices, max_restarts + 1)
         else:
-            next_round_in = partial(CoinSource.next_round_in, coins)
+            hits = CoinSource.hits_in(coins, self._vertices, max_restarts + 1)
         flip = coins.flip
         randrange = rng.randrange
-        P, root, total_trees, bound = self.P, self.root, self.total_trees, self.degree_bound
-        vertices, known, m = self._vertices, self._known, self._m
-        restarts = 0
+        total_trees, bound, tree_of = self.total_trees, self.degree_bound, self.exits.tree
+        rounds = 0
         reflips = 0
-        while True:
-            mask, rounds = next_round_in(vertices, max_restarts + 1 - restarts)
-            if mask is None:
-                raise MaxRestartsExceeded(f"no sample accepted within {max_restarts} restarts")
-            restarts += rounds - 1
+        for mask, n in hits:
+            rounds += n
             if bound == 0:
                 raise NoArborescence("a node has no exit in any flip image; no tree qualifies")
             u = randrange(total_trees)
-            if u < bound:
-                hit = known.get(mask)
-                if hit is None:
+            if u < bound and (tree := tree_of(mask, u)) is not None:
+                for eid in tree:
+                    reflips += 1
+                    if flip(eid) == (mask >> eid) & 1:
+                        break
+                else:
+                    m = self._m
                     f = tuple((mask >> i) & 1 for i in range(m))
-                    hit = known[mask] = (f, live_exits(P, f, root))
-                f, live = hit
-                if (tree := exit_map(live, root, u)) is not None:
-                    for eid in tree:
-                        reflips += 1
-                        if flip(eid) == f[eid]:
-                            break
-                    else:
-                        flips = m * (restarts + 1) + reflips
-                        return SampleTrace(output=f, total_flips=flips, restarts=restarts)
-            restarts += 1
+                    return SampleTrace(output=f, total_flips=m * rounds + reflips, restarts=rounds - 1)
+        raise MaxRestartsExceeded(f"no sample accepted within {max_restarts} restarts")

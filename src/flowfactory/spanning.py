@@ -5,7 +5,8 @@ elimination, rational matrices are cleared to integers first.  The Laplacian
 uses the out-weight diagonal, so the minor at r counts arborescences directed
 toward r (validated against enumeration in the test suite).  Trees whose flip
 is an arborescence are counted on the flip image of the edge set, and drawn
-as the acyclic maps among those that pick one exit per node of the image.
+as the acyclic maps among those that pick one exit per node of the image,
+each node's exits read from a table keyed by the flow's bits at its edges.
 """
 
 from __future__ import annotations
@@ -292,62 +293,109 @@ def flip_degree_bound(P: FlowPolytope, root: int) -> int:
     return bound
 
 
-def live_exits(P: FlowPolytope, f: FlowVertex, root: int) -> tuple[tuple[int, tuple], ...]:
-    """Each incident node v != root with its exits in f's flip image, as (edge id, other end) pairs.
+class ExitTables:
+    """Each non-root node's exits in the flip image of a vertex, tabled by its local edge bits.
 
-    Under any vertex f, node v has outdeg(v) - d(v) exits, so flip_degree_bound
-    counts the maps that pick one exit per node.  An edge id is an exit of
-    one end only, so the maps that are arborescences toward root are the
-    trees qualifying_tree_count counts, each once.  Raises NoArborescence
-    when some node cannot reach root in the flip image: then there is none.
+    In the flip image of a 0/1 flow f, node v's exits are its out-edges idle
+    under f and its in-edges that carry flow: outdeg(v) - d(v) of them when
+    f is a vertex, so flip_degree_bound counts the maps that pick one exit
+    per node.  Which they are depends only on f's bits at v's edges.  So
+    each incident node v != root keeps one table keyed by mask & (edges at
+    v), bit i of a mask being f on edge i; an entry holds v's exits as
+    (edge id, other end) pairs in edge-id order and the bitmask of those
+    other ends, and is filled the first time its pattern is read.  An edge
+    id is an exit of one end only, so the maps that are arborescences toward
+    root are the trees qualifying_tree_count counts, each once.
     """
-    live: dict[int, list[tuple[int, int]]] = {v: [] for v in P.graph.incident_nodes}
-    into: dict[int, set[int]] = {v: set() for v in live}
-    if root not in live:
-        raise InvalidInstance(f"root {root} not among nodes")
-    for eid in range(len(P.edges)):
-        v, w = flip_edge(P.graph, f, eid)
-        live[v].append((eid, w))
-        into[w].add(v)
-    reached = [root]
-    for w in reached:
-        reached += into[w].difference(reached)
-    if len(reached) < len(live):
-        raise NoArborescence(f"no tree flips to an arborescence toward node {root}")
-    return tuple((v, tuple(out)) for v, out in live.items() if v != root)
 
+    def __init__(self, P: FlowPolytope, root: int):
+        nodes = P.graph.incident_nodes
+        if root not in nodes:
+            raise InvalidInstance(f"root {root} not among nodes")
+        self.root = root
+        self._all = sum(1 << v for v in nodes)
+        # Per node: (node, edges at it as a mask, its table, (edge id, other end, inward) per edge).
+        tables = []
+        for v in nodes:
+            if v != root:
+                edges = tuple((eid, b if a == v else a, b == v)
+                              for eid, (a, b) in enumerate(P.edges) if v in (a, b))
+                tables.append((v, sum(1 << eid for eid, _, _ in edges), {}, edges))
+        self._nodes = tuple(tables)
+        self._step = [0] * (P.n + 1)  # each node's exit target in the map last read
 
-def exit_map(live, root: int, u: int) -> list[int] | None:
-    """Edge ids of the exit map that u names, node by node, if it is an arborescence toward root.
+    @staticmethod
+    def _fill(node, mask: int) -> tuple[tuple[tuple[int, int], ...], int]:
+        _, at, table, edges = node
+        exits = tuple((eid, w) for eid, w, inward in edges if (mask >> eid) & 1 == inward)
+        entry = table[mask & at] = (exits, sum({1 << w for _, w in exits}))
+        return entry
 
-    u is read in mixed radix over the exit counts of `live` (see live_exits),
-    the first node's digit least significant, and each digit picks that
-    node's exit.  The map is an arborescence iff k steps along it take every
-    node to root, k the number of nodes; otherwise this returns None.
-    """
-    step = {root: root}
-    eids = []
-    for v, out in live:
-        u, d = divmod(u, len(out))
-        eid, step[v] = out[d]
-        eids.append(eid)
-    for v in step:
-        for _ in eids:
-            v = step[v]
-        if v != root:
-            return None
-    return eids
+    def _require_reach(self, mask: int, reach: int) -> None:
+        """Raise NoArborescence unless every node reaches root in mask's flip image.
+
+        `reach` holds nodes already known to reach root, root among them;
+        every node's entry for mask must be filled.
+        """
+        while reach != self._all:
+            before = reach
+            for v, at, table, _ in self._nodes:
+                if table[mask & at][1] & reach:
+                    reach |= 1 << v
+            if reach == before:
+                raise NoArborescence(f"no tree flips to an arborescence toward node {self.root}")
+
+    def maps(self, mask: int) -> int:
+        """The number of exit maps of mask's flip image (B for a vertex).
+
+        Raises NoArborescence when some node cannot reach root in the flip
+        image: then none of the maps is an arborescence.
+        """
+        count = prod(len((node[2].get(mask & node[1]) or self._fill(node, mask))[0])
+                     for node in self._nodes)
+        self._require_reach(mask, 1 << self.root)
+        return count
+
+    def tree(self, mask: int, u: int) -> list[int] | None:
+        """Edge ids of the exit map that u names, node by node, if it is an arborescence toward root.
+
+        u is read in mixed radix over the nodes' exit counts, the first
+        node's digit least significant, and each digit picks that node's
+        exit.  Returns None when the map has a cycle; raises NoArborescence
+        there if some node cannot reach root by any exit, since then no map
+        is an arborescence.
+        """
+        step = self._step
+        eids = []
+        for node in self._nodes:
+            exits = (node[2].get(mask & node[1]) or self._fill(node, mask))[0]
+            u, d = divmod(u, len(exits))
+            eid, step[node[0]] = exits[d]
+            eids.append(eid)
+        reach = 1 << self.root  # nodes whose path along the map reaches root
+        for v, _, _, _ in self._nodes:
+            path = 0
+            while not reach >> v & 1:
+                if path >> v & 1:
+                    self._require_reach(mask, reach)
+                    return None
+                path |= 1 << v
+                v = step[v]
+            reach |= path
+        return eids
 
 
 def sample_flip_tree(P: FlowPolytope, f: FlowVertex, root: int, rng) -> frozenset[int]:
     """Uniform tree among those whose flip under f is an arborescence toward root.
 
-    Draws u = randrange(B) until the exit map u names is one (cycle popping
-    with a full restart: Propp and Wilson, J. Algorithms 1998).  Raises
-    NoArborescence, before any draw, when there is none.
+    Draws u uniformly below the number of exit maps until the map u names
+    (see ExitTables.tree) is one: cycle popping with a full restart (Propp
+    and Wilson, J. Algorithms 1998).  Raises NoArborescence, before any
+    draw, when there is none.
     """
-    live = live_exits(P, f, root)
-    bound = prod(len(out) for _, out in live)
-    while (tree := exit_map(live, root, rng.randrange(bound))) is None:
+    tables = ExitTables(P, root)
+    mask = sum(b << i for i, b in enumerate(f))
+    bound = tables.maps(mask)
+    while (tree := tables.tree(mask, rng.randrange(bound))) is None:
         pass
     return frozenset(tree)

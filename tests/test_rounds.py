@@ -42,12 +42,11 @@ from flowfactory.coins import _BUFFER, _SLICED, _WORD, CoinSource, VertexTest, _
 from flowfactory.graphs import flip_tree, is_vertex
 from flowfactory.io import polytope_to_dict
 from flowfactory.spanning import (
+    ExitTables,
     directed_tree_count,
     enumerate_directed_trees,
-    exit_map,
     flip_degree_bound,
     is_arborescence,
-    live_exits,
     qualifying_tree_count,
 )
 
@@ -55,11 +54,13 @@ from instances import HALF, THIRD, circ5m, six_node_exchange, square, subprocess
 
 
 def _write_instance(tmp_path, P, p=HALF):
-    """Write P and coins at x = p on every edge; return the two paths as strings."""
+    """Write P and coins at x = p, one bias for every edge or a sequence of them;
+    return the two paths as strings."""
+    x = p if isinstance(p, (list, tuple)) else [p] * len(P.edges)
     poly, coins = tmp_path / "poly.json", tmp_path / "coins.json"
     poly.write_text(json.dumps(polytope_to_dict(P)))
     coins.write_text(json.dumps(
-        {"coins": [{"edge": i, "num": p.numerator, "den": p.denominator} for i in range(len(P.edges))]}))
+        {"coins": [{"edge": i, "num": b.numerator, "den": b.denominator} for i, b in enumerate(x)]}))
     return str(poly), str(coins)
 
 
@@ -88,6 +89,16 @@ def test_sample_bytes_golden_circ5m(tmp_path, capsys):
 def test_sample_bytes_golden_circ6(tmp_path, capsys):
     assert _sample_digest(tmp_path, build_circulation_polytope(6), 2) == (
         "65fc62a6d692cd7dedcfa35a09455274b3746d7bedfcac1da84e279a79eddae5")
+
+
+def test_sample_bytes_golden_kflow5_2(tmp_path, capsys):
+    # Nodes 1 and 5 have demands 2 and -2, so their exit radices outdeg(v) - d(v)
+    # differ from their out-degrees; the point is the barycenter of the 14 vertices.
+    P = build_kflow_polytope(5, 2)
+    vertices = enumerate_vertices(P)
+    x = [Fraction(sum(f[i] for f in vertices), len(vertices)) for i in range(len(P.edges))]
+    assert _sample_digest(tmp_path, P, 20, x) == (
+        "31f695d9d7d46f76d1f4c86ee8f5c43d6cfb7de48305171eeffa14ef1636d991")
 
 
 def test_flip_counts_exact_under_mixed_use():
@@ -270,9 +281,21 @@ def _ten_edge_tests():
             + [VertexTest(FlowPolytope(Graph(1, ()), (0,)))])
 
 
+class CountingRounds(SimulatedCoins):
+    """SimulatedCoins that counts its flip_round calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rounds_read = 0
+
+    def flip_round(self):
+        self.rounds_read += 1
+        return super().flip_round()
+
+
 def _assert_next_round_in_matches_loop(biases, tests, calls):
     m = len(biases)
-    bulk, loop = SimulatedCoins(biases, seed=4), SimulatedCoins(biases, seed=4)
+    bulk, loop = SimulatedCoins(biases, seed=4), CountingRounds(biases, seed=4)
     pick = random.Random(9)
     rounds = hits = 0
     for i in range(calls):
@@ -287,6 +310,8 @@ def _assert_next_round_in_matches_loop(biases, tests, calls):
             assert bulk.flip(i % m) == loop.flip(i % m)
         assert bulk.flip_counts == loop.flip_counts
     assert rounds > 3 * _BUFFER and hits > 0
+    # The reference really walked round by round, not through the bulk scan.
+    assert loop.rounds_read == rounds
     assert [bulk.flip_round() for _ in range(_BUFFER)] == [loop.flip_round() for _ in range(_BUFFER)]
 
 
@@ -302,6 +327,40 @@ def test_next_round_in_matches_flip_round_loop():
     _assert_next_round_in_matches_loop(
         [Fraction(1, 16)] * 64 + [Fraction(15, 16)] * 6,
         [VertexTest(P) for P in [_two_cycle_chain(35), _two_cycle_chain(35, 1)]], 60)
+
+
+@pytest.mark.parametrize("P,start,limit", [
+    # circ4 hits about 1,200 rounds a buffer; circ6 about 45, with gaps of
+    # hundreds of rounds carried across each refill.
+    pytest.param(build_circulation_polytope(4), 0, _BUFFER, id="circ4-to-a-refill"),
+    pytest.param(build_circulation_polytope(4), 1000, 2 * _BUFFER - 1000, id="circ4-mid-to-a-refill"),
+    pytest.param(build_circulation_polytope(4), 5, 3 * _BUFFER + 17, id="circ4-across-refills"),
+    pytest.param(build_circulation_polytope(6), 0, 6 * _BUFFER, id="circ6-to-a-refill"),
+    pytest.param(build_circulation_polytope(6), 7, 5 * _BUFFER + 3, id="circ6-across-refills"),
+])
+def test_hit_walk_matches_flip_round_walk(P, start, limit):
+    m = len(P.edges)
+    vertices = VertexTest(P)
+    bulk, loop = SimulatedCoins([HALF] * m, seed=6), CountingRounds([HALF] * m, seed=6)
+    for coins in (bulk, loop):
+        for _ in range(start):
+            coins.flip_round()
+    loop.rounds_read = 0
+
+    def walk(coins, hits):
+        seen, flips = [], []
+        for i, hit in enumerate(hits):
+            seen.append(hit)
+            if i % 5 == 0:  # single flips between hits, as the re-flip stage makes
+                flips.append(coins.flip(i % m))
+        return seen, flips, coins.flip_counts
+
+    got = walk(bulk, bulk.hits_in(vertices, limit))
+    assert got == walk(loop, CoinSource.hits_in(loop, vertices, limit))
+    assert loop.rounds_read == limit and bulk._rounds == start + limit
+    hits = got[0]
+    assert len(hits) > 10 and sum(n for _, n in hits) <= limit
+    assert [bulk.flip_round() for _ in range(100)] == [loop.flip_round() for _ in range(100)]
 
 
 @pytest.mark.parametrize("demand", [1 << 15, 1 << 16])
@@ -429,12 +488,45 @@ def test_bulk_scan_matches_per_round_path(P, x, samples):
     assert sum(t.restarts + 1 for t in traces) > 2 * _BUFFER
 
 
+def _dict_entries(value):
+    """Entries of every dict in `value`, looking into dicts, lists and tuples."""
+    if isinstance(value, dict):
+        return len(value) + sum(_dict_entries(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(_dict_entries(v) for v in value)
+    return 0
+
+
+def test_sampler_state_is_bounded_by_the_exit_tables():
+    # The sampler's own state, its exit tables' included, holds no entry per
+    # vertex met: at most one per local edge pattern of each non-root node.
+    P = circ5m()
+    sampler = FlowSampler(P)
+    coins, rng = SimulatedCoins([HALF] * len(P.edges), seed=2), random.Random(3)
+    for _ in range(200):
+        sampler.sample(coins, rng)
+    degree = {v: sum(v in e for e in P.edges) for v in P.graph.incident_nodes}
+    patterns = sum(2 ** d for v, d in degree.items() if v != sampler.root)
+    entries = _dict_entries([*vars(sampler).values(), *vars(sampler.exits).values()])
+    assert 0 < entries <= patterns
+
+
 def test_unreachable_root_raises_before_any_walk():
     # In every flip image nodes 1 and 2 exit only toward each other, so
     # neither reaches node 3 and no exit map is an arborescence toward it.
     P = FlowPolytope(Graph(3, ((1, 2), (2, 1), (3, 2))), (0, 0, 0))
-    with pytest.raises(NoArborescence):
-        FlowSampler(P, root=3).sample(SimulatedCoins([HALF] * 3, seed=0), random.Random(0))
+    sampler = FlowSampler(P, root=3)
+    for seed in range(4):
+        coins, rng = SimulatedCoins([HALF] * 3, seed=seed), random.Random(seed)
+        with pytest.raises(NoArborescence):
+            sampler.sample(coins, rng)
+        # It raises at the first stage-1 pass whose draw falls below B, before any further draw.
+        draws, rounds = random.Random(seed), 0
+        for _, n in SimulatedCoins([HALF] * 3, seed=seed).hits_in(VertexTest(P), 1000):
+            rounds += n
+            if draws.randrange(sampler.total_trees) < sampler.degree_bound:
+                break
+        assert coins.total_flips == 3 * rounds and rng.getstate() == draws.getstate()
     rng = random.Random(0)
     state = rng.getstate()
     for f in enumerate_vertices(P):
@@ -510,21 +602,25 @@ def _assert_tree_stage_matches_reference(P):
     assert directed_tree_count(P.graph) == len(trees)
     for root in P.graph.incident_nodes:
         bound = flip_degree_bound(P, root)
+        tables = ExitTables(P, root)
         for f in enumerate_vertices(P):
+            mask = sum(b << i for i, b in enumerate(f))
             qualifying = {t for t in trees if is_arborescence(flip_tree(P.graph, f, t), root)}
             assert qualifying_tree_count(P, f, root) == len(qualifying), (root, f)
             if not qualifying:
                 with pytest.raises(NoArborescence):
-                    live_exits(P, f, root)
+                    tables.maps(mask)
+                for u in range(bound):
+                    with pytest.raises(NoArborescence):
+                        tables.tree(mask, u)
                 continue
-            live = live_exits(P, f, root)
-            assert math.prod(len(out) for _, out in live) == bound, (root, f)
-            maps = [exit_map(live, root, u) for u in range(bound)]
+            assert tables.maps(mask) == bound, (root, f)
+            maps = [tables.tree(mask, u) for u in range(bound)]
             named = sorted(tuple(sorted(t)) for t in maps if t is not None)
             assert named == sorted(qualifying), (root, f)
 
 
-def test_tree_count_and_wilson_walk_match_reference():
+def test_tree_count_and_exit_tables_match_reference():
     instances = [build_circulation_polytope(n) for n in (2, 3, 4)]
     instances += [build_matching_polytope(2), build_matching_polytope(3),
                   build_kflow_polytope(4, 2), square(), six_node_exchange()[0]]
@@ -544,5 +640,5 @@ def strongly_connected_circulations(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(strongly_connected_circulations())
-def test_tree_count_and_wilson_walk_match_reference_random(P):
+def test_tree_count_and_exit_tables_match_reference_random(P):
     _assert_tree_stage_matches_reference(P)

@@ -21,11 +21,11 @@ from flowfactory import (
 from flowfactory.errors import NotZLS
 from flowfactory.graphs import flip_tree, is_vertex, m_map
 from flowfactory.spanning import (
+    ExitTables,
     det_bareiss,
     det_exact,
     directed_tree_count,
     is_arborescence,
-    live_exits,
     qualifying_tree_count,
 )
 
@@ -309,7 +309,10 @@ def test_sample_arborescence_multiplicity_weighting():
 def test_flip_multigraph_multiplicities():
     P = two_node()
     # both edges map onto (1,2) under f = (0, 1): one kept, one reversed
-    assert live_exits(P, (0, 1), 2) == ((1, ((0, 2), (1, 2))),)
+    # so node 1 has two exits toward root 2, edges 0 and 1, and each is a tree
+    tables = ExitTables(P, 2)
+    assert tables.maps(0b10) == 2
+    assert [tables.tree(0b10, u) for u in range(2)] == [[0], [1]]
     assert qualifying_tree_count(P, (0, 1), 2) == 2
     assert qualifying_tree_count(P, (0, 1), 1) == 0
 
