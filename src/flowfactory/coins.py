@@ -62,15 +62,6 @@ class CoinSource:
                 yield mask, n
                 n = 0
 
-    def next_round_in(self, vertices: VertexTest, limit: int) -> tuple[int | None, int]:
-        """Flip rounds until one's mask is in `vertices`, flipping at most `limit` rounds.
-
-        Returns (mask, rounds flipped, that one included), or (None, rounds
-        flipped) when no round within the limit hit.  This is the first step
-        of CoinSource's own flip_round walk, whatever the subclass.
-        """
-        return next(CoinSource.hits_in(self, vertices, limit), (None, max(limit, 0)))
-
 
 class VertexTest:
     """Stage-1 test of a round mask: is it a 0/1 flow meeting every node's demand?
@@ -79,10 +70,10 @@ class VertexTest:
     v the net flow popcount(mask & out_v) - popcount(mask & in_v) equals the
     demand d_v.  An edge enters or leaves v, never both, so net flow plus
     indeg(v) is popcount(mask & out_v) + popcount(~mask & in_v), that is
-    popcount((mask & (out_v | in_v)) ^ in_v): one count per node.  Node v is
-    kept as (out_v | in_v, in_v, d_v + indeg(v)).  Net flows and P's demands
-    both sum to zero over the nodes, so the last node's test follows from
-    the others' and is left out.  A node whose count could never reach its
+    popcount((mask & (out_v | in_v)) ^ in_v): one count per node.  Both
+    checks read node v from `nodes` as (out_v | in_v, in_v, d_v + indeg(v)).
+    Net flows and P's demands both sum to zero over the nodes, so the last
+    node's test follows from the others' and is left out.  A node whose count could never reach its
     target (d_v outside [-indeg(v), outdeg(v)]) makes the test hit nothing.
 
     `mask in test` checks one Python int; `scan` checks a whole buffer of
@@ -99,10 +90,6 @@ class VertexTest:
         nodes = [(at[v], into[v], d + into[v].bit_count()) for v, d in enumerate(P.demands, 1)]
         self.feasible = all(0 <= t <= s.bit_count() for s, _, t in nodes)
         self.nodes = tuple((s, i, t) for s, i, t in nodes[:-1] if s)
-        # Per node: (edge id, whether it enters the node) for each edge at it, and the target.
-        self._edges = tuple(
-            (tuple((e, bool(i >> e & 1)) for e in range(s.bit_length()) if s >> e & 1), t)
-            for s, i, t in self.nodes)
 
     def __contains__(self, mask: int) -> bool:
         return self.feasible and all(((mask & s) ^ i).bit_count() == t for s, i, t in self.nodes)
@@ -112,18 +99,19 @@ class VertexTest:
 
         Row e of `rows` holds edge e's flips, round j at bit j % 64 of word
         j // 64.  Each node's count is summed bit-sliced, 64 rounds a word
-        op: plane k holds bit k of every round's count, and each edge's row
-        (inverted for an edge into the node) is added with a ripple of
-        carries.  A round passes the node where every plane equals the
-        target's bit.
+        op: plane k holds bit k of every round's count, and the row of each
+        edge at the node, in edge-id order (inverted for an edge into the
+        node), is added with a ripple of carries.  A round passes the node
+        where every plane equals the target's bit.
         """
         found = np.full(rows.shape[1], _WORD if self.feasible else 0, dtype=np.uint64)
         if not self.feasible:
             return found
-        for edges, t in self._edges:
+        for at, into, t in self.nodes:
             planes: list[np.ndarray] = []
-            for added, (e, inward) in enumerate(edges, 1):
-                carry = ~rows[e] if inward else rows[e]
+            edges = (e for e in range(at.bit_length()) if at >> e & 1)
+            for added, e in enumerate(edges, 1):
+                carry = ~rows[e] if into >> e & 1 else rows[e]
                 for k, plane in enumerate(planes):
                     planes[k] = plane ^ carry
                     carry = plane & carry
@@ -143,7 +131,8 @@ class SimulatedCoins(CoinSource):
     binary fraction, decided at the first digit where U and p differ.  The
     digits come from the raw 64-bit words of the generator, one bit a flip,
     so each word serves 64 flips at once (see _draw_bits).  Draws are
-    buffered through numpy for speed; per-edge flip tallies are kept for
+    buffered through numpy for speed, single flips in a row of words per
+    edge as _draw_bits returns them; per-edge flip tallies are kept for
     trace accounting.
 
     Rounds come from buffers of _BUFFER rounds, kept as one row of flip
@@ -169,8 +158,9 @@ class SimulatedCoins(CoinSource):
         # Per-edge tallies of single flips; every round adds one flip to each
         # edge, and rounds are counted from the mask buffers on read.
         self._flip_counts = [0] * self.num_edges
-        self._bit_buf: list[np.ndarray | None] = [None] * self.num_edges
-        self._bit_pos = [0] * self.num_edges
+        # Per edge: _BUFFER single flips and the next one's position (_BUFFER when used up).
+        self._bits = np.empty((self.num_edges, _BUFFER // 64), dtype=np.uint64)
+        self._bit_pos = [_BUFFER] * self.num_edges
         self._rows = np.empty((self.num_edges, _BUFFER // 64), dtype=np.uint64)
         self._masks: list[int] | None = None
         self._hits: dict[VertexTest, tuple[list[int], list[int]]] = {}
@@ -236,14 +226,13 @@ class SimulatedCoins(CoinSource):
     def flip(self, edge: int) -> int:
         if not 0 <= edge < self.num_edges:
             raise InvalidInstance(f"unknown edge id {edge}")
-        buf = self._bit_buf[edge]
-        if buf is None or self._bit_pos[edge] >= len(buf):
-            self._bit_buf[edge] = buf = _unpack(self._draw_bits(edge, _BUFFER), _BUFFER)
-            self._bit_pos[edge] = 0
-        bit = int(buf[self._bit_pos[edge]])
-        self._bit_pos[edge] += 1
+        pos = self._bit_pos[edge]
+        if pos == _BUFFER:
+            self._bits[edge] = self._draw_bits(edge, _BUFFER)
+            pos = 0
+        self._bit_pos[edge] = pos + 1
         self._flip_counts[edge] += 1
-        return bit
+        return int(self._bits[edge, pos >> 6]) >> (pos & 63) & 1
 
     def _refill(self) -> None:
         """Draw the next _BUFFER rounds, edge by edge, into the flip rows."""
@@ -255,12 +244,9 @@ class SimulatedCoins(CoinSource):
         for e, row in enumerate(self._rows):
             row[:] = self._draw_bits(e, _BUFFER)
 
-    def _mask_list(self, at: np.ndarray | None = None) -> list[int]:
-        """The current buffer's round masks (those of the rounds at `at`) as Python ints."""
-        if at is None:
-            bits = np.unpackbits(self._rows.view(np.uint8), axis=1, bitorder="little")
-        else:
-            bits = ((self._rows[:, at >> 6] >> (at & 63).astype(np.uint64)) & 1).astype(np.uint8)
+    def _mask_list(self, at: np.ndarray) -> list[int]:
+        """The masks of the current buffer's rounds at `at` (bit j % 8 of row byte j // 8) as ints."""
+        bits = (self._rows.view(np.uint8)[:, at >> 3] >> (at & 7).astype(np.uint8)) & 1
         # Byte b of round j's mask holds edges 8b..8b+7; 8 bytes make a word.
         words = max(1, (self.num_edges + 63) // 64)
         packed = np.zeros((bits.shape[1], 8 * words), dtype=np.uint8)
@@ -278,7 +264,7 @@ class SimulatedCoins(CoinSource):
             if pos >= self._mask_end:
                 self._refill()
                 pos = 0
-            masks = self._masks = self._mask_list()
+            masks = self._masks = self._mask_list(np.arange(_BUFFER))
         self._mask_pos = pos + 1
         return masks[pos]
 
@@ -304,9 +290,6 @@ class SimulatedCoins(CoinSource):
             self._mask_pos = stop
             n += stop - pos
             limit -= stop - start
-
-    def next_round_in(self, vertices: VertexTest, limit: int) -> tuple[int | None, int]:
-        return next(self.hits_in(vertices, limit), (None, max(limit, 0)))
 
 
 class TapeCoins(CoinSource):

@@ -17,7 +17,7 @@ from .errors import (
     NoArborescence,
 )
 from .graphs import FlowPolytope, FlowVertex, undirected_connected
-from .spanning import ExitTables, directed_tree_count, flip_degree_bound
+from .spanning import ExitTables, directed_tree_count
 
 DEFAULT_MAX_RESTARTS = 10_000_000
 
@@ -108,7 +108,7 @@ class FlowSampler:
     Stage 1 is one CoinSource.hits_in walk per sample with a VertexTest;
     every round it walks before the accepted one is a restart.  The tree
     stage is one draw u = randrange(|T(E)|) per stage-1 pass: u < B =
-    flip_degree_bound names one of the B maps that pick an exit per non-root
+    ExitTables.bound names one of the B maps that pick an exit per non-root
     node of f's flip image, and K_f of them are the trees whose flip is an
     arborescence (see ExitTables).  So the round goes on with probability
     K_f/|T(E)| and a uniform such tree, re-flipped in node order.  The
@@ -127,9 +127,7 @@ class FlowSampler:
         self.total_trees = directed_tree_count(P.graph)
         if self.total_trees == 0:
             raise NoArborescence("edge set spans no directed tree")
-        self.degree_bound = flip_degree_bound(P, self.root)
         self.exits = ExitTables(P, self.root)
-        self._m = len(P.edges)
         self._vertices = VertexTest(P)
 
     def sample(self, coins: CoinSource, rng, max_restarts: int = DEFAULT_MAX_RESTARTS) -> SampleTrace:
@@ -141,7 +139,7 @@ class FlowSampler:
             hits = CoinSource.hits_in(coins, self._vertices, max_restarts + 1)
         flip = coins.flip
         randrange = rng.randrange
-        total_trees, bound, tree_of = self.total_trees, self.degree_bound, self.exits.tree
+        total_trees, bound, tree_of = self.total_trees, self.exits.bound, self.exits.tree
         rounds = 0
         reflips = 0
         for mask, n in hits:
@@ -155,7 +153,7 @@ class FlowSampler:
                     if flip(eid) == (mask >> eid) & 1:
                         break
                 else:
-                    m = self._m
+                    m = len(self.P.edges)
                     f = tuple((mask >> i) & 1 for i in range(m))
                     return SampleTrace(output=f, total_flips=m * rounds + reflips, restarts=rounds - 1)
         raise MaxRestartsExceeded(f"no sample accepted within {max_restarts} restarts")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -269,9 +269,13 @@ def undirected_connected(G: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 def enumerate_vertices(P: FlowPolytope) -> list[FlowVertex]:
-    """All 0/1 points of P in lexicographic (by edge id) order.
+    """All 0/1 points of P in lexicographic (by edge id) order, enumerated once per polytope."""
+    return list(_vertices(P))
 
-    Branch-and-prune over edge ids: a partial assignment is cut as soon as a
+
+@lru_cache(maxsize=256)
+def _vertices(P: FlowPolytope) -> tuple[FlowVertex, ...]:
+    """Branch-and-prune over edge ids: a partial assignment is cut as soon as a
     node's balance can no longer reach its demand with the edges that remain.
     """
     m = len(P.edges)
@@ -280,7 +284,7 @@ def enumerate_vertices(P: FlowPolytope) -> list[FlowVertex]:
     incident = set(P.graph.incident_nodes)
     for v in range(1, P.n + 1):
         if v not in incident and P.demand(v) != 0:
-            return []
+            return ()
 
     # Remaining out/in edge counts per node after position i has been decided.
     rem_out = [[0] * (m + 1) for _ in range(P.n + 1)]
@@ -318,5 +322,5 @@ def enumerate_vertices(P: FlowPolytope) -> list[FlowVertex]:
             balance[v] += b
 
     rec(0)
-    return out
+    return tuple(out)
 

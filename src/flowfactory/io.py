@@ -46,6 +46,8 @@ def polytope_from_dict(data: dict) -> FlowPolytope:
             eid, u, v = rec["id"], rec["from"], rec["to"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"edge record {pos} malformed: {exc}") from exc
+        if not _is_int(eid):
+            raise ValueError(f"edge record {pos} has a non-integer id")
         if eid != pos:
             raise ValueError(f"edge id {eid} does not match its position {pos}")
         if not (_is_int(u) and _is_int(v)):

@@ -276,36 +276,22 @@ def qualifying_tree_count(P: FlowPolytope, f: FlowVertex, root: int) -> int:
     return _root_minor(nodes, arcs, root)
 
 
-def flip_degree_bound(P: FlowPolytope, root: int) -> int:
-    """B = prod over incident nodes v != root of (outdeg(v) - d(v)); K_f <= B for every vertex f.
-
-    In the flip image of any vertex f node v has outdeg(v) - d(v) exits (its
-    idle out-edges and its flow-carrying in-edges), and an arborescence
-    toward root takes exactly one exit edge id from each other node.  A
-    negative factor means no 0/1 flow meets v's demand, so there is no
-    vertex to bound; it counts as 0, like a node with no exit.
-    """
-    out = P.graph.out_edges
-    bound = 1
-    for v in P.graph.incident_nodes:
-        if v != root:
-            bound *= max(len(out[v]) - P.demand(v), 0)
-    return bound
-
-
 class ExitTables:
     """Each non-root node's exits in the flip image of a vertex, tabled by its local edge bits.
 
     In the flip image of a 0/1 flow f, node v's exits are its out-edges idle
     under f and its in-edges that carry flow: outdeg(v) - d(v) of them when
-    f is a vertex, so flip_degree_bound counts the maps that pick one exit
-    per node.  Which they are depends only on f's bits at v's edges.  So
-    each incident node v != root keeps one table keyed by mask & (edges at
-    v), bit i of a mask being f on edge i; an entry holds v's exits as
-    (edge id, other end) pairs in edge-id order and the bitmask of those
-    other ends, and is filled the first time its pattern is read.  An edge
-    id is an exit of one end only, so the maps that are arborescences toward
-    root are the trees qualifying_tree_count counts, each once.
+    f is a vertex.  So `bound`, the product of those counts over the nodes,
+    is the number B of maps that pick one exit per node for every vertex,
+    and K_f <= B.  A negative count means no 0/1 flow meets v's demand, so
+    there is no vertex to bound; it counts as 0, like a node with no exit.
+    Which exits v has depends only on f's bits at v's edges.  So each
+    incident node v != root keeps one table keyed by mask & (edges at v),
+    bit i of a mask being f on edge i; an entry holds v's exits as (edge
+    id, other end) pairs in edge-id order and the bitmask of those other
+    ends, and is filled the first time its pattern is read.  An edge id is
+    an exit of one end only, so the maps that are arborescences toward root
+    are the trees qualifying_tree_count counts, each once.
     """
 
     def __init__(self, P: FlowPolytope, root: int):
@@ -322,6 +308,8 @@ class ExitTables:
                               for eid, (a, b) in enumerate(P.edges) if v in (a, b))
                 tables.append((v, sum(1 << eid for eid, _, _ in edges), {}, edges))
         self._nodes = tuple(tables)
+        self.bound = prod(max(sum(not inward for _, _, inward in edges) - P.demand(v), 0)
+                          for v, _, _, edges in tables)
         self._step = [0] * (P.n + 1)  # each node's exit target in the map last read
 
     @staticmethod

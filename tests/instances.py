@@ -1,9 +1,20 @@
 """Shared small instances, and the environment of child interpreters, used across the test modules."""
 
 import os
+import random
 from fractions import Fraction
 
-from flowfactory import FlowPolytope, Graph, build_circulation_polytope
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from flowfactory import (
+    FlowPolytope,
+    Graph,
+    build_circulation_polytope,
+    enumerate_vertices,
+    random_interior_point,
+    undirected_connected,
+)
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
@@ -90,3 +101,22 @@ def disconnected_pair():
     """Two vertex-disjoint 2-cycles; undirected support is disconnected."""
     edges = ((1, 2), (2, 1), (3, 4), (4, 3))
     return FlowPolytope(Graph(4, edges), (0, 0, 0, 0))
+
+
+@st.composite
+def interior_instances(draw):
+    """A digraph on 2-5 nodes whose demands are those of a random 0/1 flow on it,
+    and a random interior point; instances without one are rejected."""
+    n = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, min_size=2, max_size=9)))
+    demands = [0] * n
+    for (u, v), on in zip(edges, draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))):
+        demands[u - 1] += on
+        demands[v - 1] -= on
+    P = FlowPolytope(Graph(n, edges), tuple(demands))
+    assume(undirected_connected(P.graph))
+    # An interior point exists iff no edge takes the same value at every vertex.
+    vertices = enumerate_vertices(P)
+    assume(all(len({f[i] for f in vertices}) == 2 for i in range(len(edges))))
+    return P, random_interior_point(P, random.Random(draw(st.integers(0, 1 << 16))))

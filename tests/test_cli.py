@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -45,6 +46,9 @@ def test_polytope_schema_errors():
         polytope_from_dict([1, 2])
     with pytest.raises(ValueError):
         polytope_from_dict({"nodes": True, "edges": [], "demands": [0]})
+    for eid in (False, 0.0):
+        with pytest.raises(ValueError):
+            polytope_from_dict({"nodes": 2, "edges": [{"id": eid, "from": 1, "to": 2}], "demands": [0, 0]})
 
 
 def test_coins_round_trip():
@@ -152,10 +156,10 @@ def test_parse_error_exit(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("from", "1"), ("from", 1.0), ("from", [1]), ("to", True)],
-    ids=["str", "float", "list", "bool"],
+    [("from", "1"), ("from", 1.0), ("from", [1]), ("to", True), ("id", False), ("id", 0.0)],
+    ids=["str", "float", "list", "bool", "id-bool", "id-float"],
 )
-@pytest.mark.parametrize("command", ["sample", "verify"])
+@pytest.mark.parametrize("command", ["sample", "verify", "dist"])
 def test_non_int_endpoint_is_parse_error(tmp_path, capsys, command, field, value):
     poly, coins = _write_two_node(tmp_path)
     data = polytope_to_dict(two_node())
@@ -164,7 +168,7 @@ def test_non_int_endpoint_is_parse_error(tmp_path, capsys, command, field, value
         json.dump(data, fh)
     assert main([command, poly, coins]) == 2
     err = capsys.readouterr().err
-    assert "non-integer endpoint" in err
+    assert f"non-integer {'id' if field == 'id' else 'endpoint'}" in err
     assert "Traceback" not in err
 
 
@@ -220,6 +224,19 @@ def test_dist_output(tmp_path, capsys):
         {"den": 3, "edge": 0, "num": 1},
         {"den": 3, "edge": 1, "num": 1},
     ]
+
+
+@pytest.mark.parametrize("command", ["dist", "verify"])
+def test_oracle_bytes_golden_circ4(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    P = build_circulation_polytope(4)
+    (tmp_path / "poly.json").write_text(json.dumps(polytope_to_dict(P)))
+    (tmp_path / "coins.json").write_text(json.dumps(coins_to_dict([Fraction(1, 2)] * len(P.edges))))
+    assert main([command, "poly.json", "coins.json", "--out", "out.json"]) == 0
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == {
+        "dist": "dfe415d656c9c5fd957fdc3ae805dd3a9f1dbf2ad2f7e08d33f0582be1cd5a3d",
+        "verify": "6049760440f3eee34549959997f12d747d601b57345b8859b5228c1222ee4065",
+    }[command]
 
 
 def test_dist_root_outside_graph(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowfactory import (
@@ -17,11 +17,8 @@ from flowfactory import (
     SimulatedCoins,
     TapeCoins,
     build_circulation_polytope,
-    enumerate_vertices,
     is_vertex,
-    random_interior_point,
     sample_path,
-    undirected_connected,
 )
 
 from instances import (
@@ -31,6 +28,7 @@ from instances import (
     dag6_point,
     diamond_dag,
     disconnected_pair,
+    interior_instances,
     triangle,
     two_node,
 )
@@ -108,25 +106,6 @@ def test_sampler_runs_on_bias_free_tape(make):
     assert traces(replay) == first
     with pytest.raises(InvalidInstance):
         replay.flip(0)  # every recorded flip was consumed
-
-
-@st.composite
-def interior_instances(draw):
-    """A digraph on 2-5 nodes whose demands are those of a random 0/1 flow on it,
-    and a random interior point; instances without one are rejected."""
-    n = draw(st.integers(2, 5))
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
-    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, min_size=2, max_size=9)))
-    demands = [0] * n
-    for (u, v), on in zip(edges, draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))):
-        demands[u - 1] += on
-        demands[v - 1] -= on
-    P = FlowPolytope(Graph(n, edges), tuple(demands))
-    assume(undirected_connected(P.graph))
-    # An interior point exists iff no edge takes the same value at every vertex.
-    vertices = enumerate_vertices(P)
-    assume(all(len({f[i] for f in vertices}) == 2 for i in range(len(edges))))
-    return P, random_interior_point(P, random.Random(draw(st.integers(0, 1 << 16))))
 
 
 @settings(max_examples=60, deadline=None)

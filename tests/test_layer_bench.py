@@ -52,7 +52,7 @@ def test_bench_stage1_scan_circ4(benchmark):
 
     def hits():
         for _ in range(1000):
-            mask, n = coins.next_round_in(vertices, 1 << 20)
+            mask, n = next(coins.hits_in(vertices, 1 << 20))
             rounds.append(n)
 
     benchmark.pedantic(hits, rounds=5, iterations=1)
@@ -67,7 +67,7 @@ def test_bench_refill_and_scan_circ5m(benchmark):
 
     def refill_and_scan():
         coins._refill()
-        coins.next_round_in(vertices, 1)  # tests the whole buffer, flips one round
+        next(coins.hits_in(vertices, 1), None)  # tests the whole buffer, flips one round
 
     benchmark.pedantic(refill_and_scan, rounds=5, iterations=1)
     assert coins.total_flips == 18 * 5
@@ -82,7 +82,7 @@ def test_bench_refill_and_scan_circ6(benchmark):
 
     def refill_and_scan():
         coins._refill()
-        coins.next_round_in(vertices, 1)
+        next(coins.hits_in(vertices, 1), None)
 
     benchmark.pedantic(refill_and_scan, rounds=5, iterations=1)
     assert coins.total_flips == 30 * 5

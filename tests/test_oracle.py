@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from flowfactory import (
     DegenerateDistribution,
@@ -28,6 +29,7 @@ from flowfactory.spanning import qualifying_tree_count
 from instances import (
     THIRD,
     disconnected_pair,
+    interior_instances,
     six_node_exchange,
     square,
     square_cycle_flow,
@@ -281,3 +283,21 @@ def test_square_flow_qualifying_trees_frozen():
     assert len(trees) == 32
     qual = [t for t in trees if is_arborescence(flip_tree(P.graph, f, t), 1)]
     assert len(qual) == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_instances())
+def test_exact_marginals_equal_x_on_random_instances(case):
+    P, x = case
+    for root in P.graph.incident_nodes:
+        dist = exact_output_distribution(P, x, root)
+        assert [dist.marginal(i) for i in range(len(P.edges))] == list(x), root
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_instances())
+def test_factored_form_equals_tree_sum_on_random_instances(case):
+    P, x = case
+    for f in enumerate_vertices(P):
+        for root in P.graph.incident_nodes:
+            assert eval_polynomial(P, f, root, x) == eval_polynomial_factored(P, f, root, x), (f, root)

@@ -1,9 +1,10 @@
 """The per-round coin path, the stage-1 vertex test and the tree stage of FlowSampler.
 
 Seed-to-bytes goldens pin the sampler's output for fixed seeds, circ6 (30
-edges) among them; each coin draw is checked flip by flip against [U < p]
-rebuilt from the raw words it took, and biases with denominators above
-2^63 by their frequencies and end to end; the stage-1 vertex test is
+edges) among them, and the path sampler's single-flip stream; each coin
+draw is checked flip by flip against [U < p] rebuilt from the raw words it
+took, and biases with denominators above 2^63 by their frequencies and
+end to end; the stage-1 vertex test is
 checked against is_vertex, both on single masks and over whole buffers of
 per-edge flip rows, and the bulk scan of SimulatedCoins against a
 flip_round loop; the tree count K_f, its bound B and the exit maps below B
@@ -40,12 +41,11 @@ from flowfactory import (
 from flowfactory.cli import main
 from flowfactory.coins import _BUFFER, _SLICED, _WORD, CoinSource, VertexTest, _unpack
 from flowfactory.graphs import flip_tree, is_vertex
-from flowfactory.io import polytope_to_dict
+from flowfactory.io import coins_to_dict, polytope_from_dict, polytope_to_dict
 from flowfactory.spanning import (
     ExitTables,
     directed_tree_count,
     enumerate_directed_trees,
-    flip_degree_bound,
     is_arborescence,
     qualifying_tree_count,
 )
@@ -99,6 +99,21 @@ def test_sample_bytes_golden_kflow5_2(tmp_path, capsys):
     x = [Fraction(sum(f[i] for f in vertices), len(vertices)) for i in range(len(P.edges))]
     assert _sample_digest(tmp_path, P, 20, x) == (
         "31f695d9d7d46f76d1f4c86ee8f5c43d6cfb7de48305171eeffa14ef1636d991")
+
+
+def test_sample_path_bytes_golden_kflow5(tmp_path, capsys, monkeypatch):
+    # Single flips only, at a non-dyadic point; 40,000 paths take about 40,000
+    # flips of every edge, so each edge's flip buffer refills once.
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "kflow", "--nodes", "5", "--k", "1", "--out", "poly.json"]) == 0
+    P = polytope_from_dict(json.loads((tmp_path / "poly.json").read_text()))
+    x = random_interior_point(P, random.Random(0))
+    assert all(b.denominator & (b.denominator - 1) for b in x)
+    (tmp_path / "coins.json").write_text(json.dumps(coins_to_dict(x)))
+    assert main(["sample-path", "poly.json", "coins.json", "--samples", "40000",
+                 "--seed", "0", "--out", "out.jsonl"]) == 0
+    assert hashlib.sha256((tmp_path / "out.jsonl").read_bytes()).hexdigest() == (
+        "6d41736de8b8261930865e7a031b29b7f6996113cdbbd5416b38241c3d0c6df5")
 
 
 def test_flip_counts_exact_under_mixed_use():
@@ -293,7 +308,12 @@ class CountingRounds(SimulatedCoins):
         return super().flip_round()
 
 
-def _assert_next_round_in_matches_loop(biases, tests, calls):
+def _first_hit(hits, limit):
+    """The first (mask, rounds) of a hit walk, or (None, limit) when none of its `limit` rounds hits."""
+    return next(hits, (None, limit))
+
+
+def _assert_first_hit_matches_loop(biases, tests, calls):
     m = len(biases)
     bulk, loop = SimulatedCoins(biases, seed=4), CountingRounds(biases, seed=4)
     pick = random.Random(9)
@@ -302,8 +322,8 @@ def _assert_next_round_in_matches_loop(biases, tests, calls):
         vertices = tests[i % len(tests)]
         # Limits that end right at a buffer boundary, and ones that cross it.
         limit = _BUFFER - rounds % _BUFFER if i % 50 == 0 else pick.choice((1, 7, 3000, 40000))
-        got = bulk.next_round_in(vertices, limit)
-        assert got == CoinSource.next_round_in(loop, vertices, limit), i
+        got = _first_hit(bulk.hits_in(vertices, limit), limit)
+        assert got == _first_hit(CoinSource.hits_in(loop, vertices, limit), limit), i
         rounds += got[1]
         hits += got[0] is not None
         if i % 3 == 0:
@@ -315,16 +335,16 @@ def _assert_next_round_in_matches_loop(biases, tests, calls):
     assert [bulk.flip_round() for _ in range(_BUFFER)] == [loop.flip_round() for _ in range(_BUFFER)]
 
 
-def test_next_round_in_matches_flip_round_loop():
-    _assert_next_round_in_matches_loop([Fraction(k, 11) for k in range(1, 11)], _ten_edge_tests(), 400)
+def test_first_hit_matches_flip_round_loop():
+    _assert_first_hit_matches_loop([Fraction(k, 11) for k in range(1, 11)], _ten_edge_tests(), 400)
     # Each pairs a test that hits often with one that (almost) never does,
     # so that calls also run to their limits across buffers.
     circ6 = build_circulation_polytope(6).graph
-    _assert_next_round_in_matches_loop(
+    _assert_first_hit_matches_loop(
         [HALF] * 30,
         [VertexTest(FlowPolytope(circ6, d)) for d in [(0,) * 6, (5, 5, 5, -5, -5, -5)]], 60)
     # Sparse coins below edge 64 and dense ones above: hits carry bits of both words.
-    _assert_next_round_in_matches_loop(
+    _assert_first_hit_matches_loop(
         [Fraction(1, 16)] * 64 + [Fraction(15, 16)] * 6,
         [VertexTest(P) for P in [_two_cycle_chain(35), _two_cycle_chain(35, 1)]], 60)
 
@@ -372,9 +392,9 @@ def test_vertex_test_never_hits_through_a_wrapped_count(demand):
     vertices = VertexTest(P)
     bulk, loop = SimulatedCoins([HALF] * 4, seed=1), SimulatedCoins([HALF] * 4, seed=1)
     limit = 2 * _BUFFER + 5
-    assert bulk.next_round_in(vertices, limit) == (None, limit)
-    assert CoinSource.next_round_in(loop, vertices, limit) == (None, limit)
-    assert bulk.flip_counts == loop.flip_counts
+    assert _first_hit(bulk.hits_in(vertices, limit), limit) == (None, limit)
+    assert _first_hit(CoinSource.hits_in(loop, vertices, limit), limit) == (None, limit)
+    assert bulk.flip_counts == loop.flip_counts and bulk.total_flips == 4 * limit
 
 
 def _scan(vertices, masks, m):
@@ -448,9 +468,10 @@ def test_round_buffer_refills_fault_in_no_new_memory():
         "graph = build_circulation_polytope(4).graph\n"
         "none = VertexTest(FlowPolytope(graph, (3, 3, -3, -3)))\n"
         "coins = SimulatedCoins([Fraction(1, 2)] * 12, seed=0)\n"
-        "coins.next_round_in(none, _BUFFER)\n"
+        "next(coins.hits_in(none, _BUFFER), None)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "assert coins.next_round_in(none, 40 * _BUFFER) == (None, 40 * _BUFFER)\n"
+        "assert next(coins.hits_in(none, 40 * _BUFFER), None) is None\n"
+        "assert coins.total_flips == 12 * 41 * _BUFFER\n"
         "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -524,7 +545,7 @@ def test_unreachable_root_raises_before_any_walk():
         draws, rounds = random.Random(seed), 0
         for _, n in SimulatedCoins([HALF] * 3, seed=seed).hits_in(VertexTest(P), 1000):
             rounds += n
-            if draws.randrange(sampler.total_trees) < sampler.degree_bound:
+            if draws.randrange(sampler.total_trees) < sampler.exits.bound:
                 break
         assert coins.total_flips == 3 * rounds and rng.getstate() == draws.getstate()
     rng = random.Random(0)
@@ -543,12 +564,12 @@ def test_node_without_exit_raises_at_the_first_stage1_pass():
     # exists here, so the CLI never gets this far.)
     P = FlowPolytope(Graph(2, ((1, 2),)), (1, -1))
     sampler = FlowSampler(P, root=2)
-    assert sampler.degree_bound == 0 and sampler.total_trees == 1
+    assert sampler.exits.bound == 0 and sampler.total_trees == 1
     coins, rng = SimulatedCoins([HALF], seed=0), random.Random(0)
     state = rng.getstate()
     with pytest.raises(NoArborescence):
         sampler.sample(coins, rng)
-    _, rounds = SimulatedCoins([HALF], seed=0).next_round_in(VertexTest(P), 1000)
+    _, rounds = _first_hit(SimulatedCoins([HALF], seed=0).hits_in(VertexTest(P), 1000), 1000)
     assert coins.total_flips == rounds and rng.getstate() == state
 
 
@@ -556,7 +577,7 @@ def test_negative_degree_factors_are_no_bound():
     # Nodes 1 and 2 each need two units out of one out-edge: no vertex exists,
     # and the product of their factors, (-1)(-1), bounds nothing.
     P = FlowPolytope(Graph(3, ((1, 2), (2, 3), (3, 1))), (2, 2, -4))
-    assert flip_degree_bound(P, 3) == 0
+    assert ExitTables(P, 3).bound == 0
     with pytest.raises(MaxRestartsExceeded):
         FlowSampler(P, root=3).sample(SimulatedCoins([HALF] * 3, seed=0), random.Random(0),
                                       max_restarts=1000)
@@ -601,8 +622,8 @@ def _assert_tree_stage_matches_reference(P):
     trees = set(enumerate_directed_trees(P.graph))
     assert directed_tree_count(P.graph) == len(trees)
     for root in P.graph.incident_nodes:
-        bound = flip_degree_bound(P, root)
         tables = ExitTables(P, root)
+        bound = tables.bound
         for f in enumerate_vertices(P):
             mask = sum(b << i for i, b in enumerate(f))
             qualifying = {t for t in trees if is_arborescence(flip_tree(P.graph, f, t), root)}
