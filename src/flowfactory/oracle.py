@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import (
     DegenerateDistribution,
@@ -37,20 +39,35 @@ from .spanning import enumerate_directed_trees, is_arborescence, sarb
 # The sampling polynomials
 # ---------------------------------------------------------------------------
 
+def _prefix(P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]) -> Fraction:
+    """prod over edges of x^f (1-x)^(1-f), once f, x and root fit P."""
+    m = len(P.edges)
+    if len(f) != m or len(x) != m:
+        raise InvalidInstance(f"expected {m} edge bits and coordinates, got {len(f)} and {len(x)}")
+    if root not in P.graph.incident_nodes:
+        raise InvalidInstance(f"root {root} touches no variable edge")
+    prefix = Fraction(1)
+    for i in range(m):
+        xi = Fraction(x[i])
+        prefix *= xi if f[i] else (1 - xi)
+    return prefix
+
+
+def qualifying_trees(P: FlowPolytope, f: FlowVertex, root: int) -> list[tuple[int, ...]]:
+    """The trees of T(E) whose flip under f is an arborescence toward root."""
+    trees = enumerate_directed_trees(P.graph)
+    return [t for t in trees if is_arborescence(flip_tree(P.graph, f, t), root)]
+
+
 def eval_polynomial(P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]) -> Fraction:
     """Value of the sampling polynomial of vertex f at x, by tree enumeration.
 
-    prefix(f, x) times the sum, over directed trees whose flip under f is an
-    arborescence toward root, of prod over tree edges of x^(1-f)(1-x)^f.
+    prefix(f, x) times the sum, over the qualifying trees of f at root, of
+    prod over tree edges of x^(1-f)(1-x)^f.
     """
-    prefix = Fraction(1)
-    for i in range(len(P.edges)):
-        xi = Fraction(x[i])
-        prefix *= xi if f[i] else (1 - xi)
+    prefix = _prefix(P, f, root, x)
     total = Fraction(0)
-    for tree in enumerate_directed_trees(P.graph):
-        if not is_arborescence(flip_tree(P.graph, f, tree), root):
-            continue
+    for tree in qualifying_trees(P, f, root):
         term = Fraction(1)
         for i in tree:
             xi = Fraction(x[i])
@@ -64,20 +81,18 @@ def eval_polynomial_factored(
 ) -> Fraction:
     """Same value through the factored form: prefix times the arborescence sum
     of the balanced image of x under the flip-affine map."""
-    prefix = Fraction(1)
-    for i in range(len(P.edges)):
-        xi = Fraction(x[i])
-        prefix *= xi if f[i] else (1 - xi)
-    return prefix * sarb(m_map(P, f, x), root, nodes=P.graph.incident_nodes)
+    return _prefix(P, f, root, x) * sarb(m_map(P, f, x), root, nodes=P.graph.incident_nodes)
+
+
+@lru_cache(maxsize=256)
+def polynomial_values(P: FlowPolytope, x: tuple, root: int) -> Mapping[FlowVertex, Fraction]:
+    """eval_polynomial of every vertex at x and root, in vertex order; read-only."""
+    return MappingProxyType({f: eval_polynomial(P, f, root, x) for f in enumerate_vertices(P)})
 
 
 def check_root_independence(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
-    roots = P.graph.incident_nodes
-    for f in enumerate_vertices(P):
-        vals = {eval_polynomial(P, f, r, x) for r in roots}
-        if len(vals) != 1:
-            return False
-    return True
+    tables = [polynomial_values(P, tuple(x), r) for r in P.graph.incident_nodes]
+    return all(t == tables[0] for t in tables)
 
 
 def check_marginal_identity(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
@@ -85,8 +100,7 @@ def check_marginal_identity(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
     root = P.graph.incident_nodes[0]
     m = len(P.edges)
     acc = [Fraction(0)] * m
-    for f in enumerate_vertices(P):
-        w = eval_polynomial(P, f, root, x)
+    for f, w in polynomial_values(P, tuple(x), root).items():
         for i in range(m):
             acc[i] += (f[i] - Fraction(x[i])) * w
     return all(a == 0 for a in acc)
@@ -94,11 +108,7 @@ def check_marginal_identity(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
 
 def check_positivity(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
     root = P.graph.incident_nodes[0]
-    total = sum(
-        (eval_polynomial(P, f, root, x) for f in enumerate_vertices(P)),
-        Fraction(0),
-    )
-    return total > 0
+    return sum(polynomial_values(P, tuple(x), root).values(), Fraction(0)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +131,7 @@ def exact_output_distribution(
     """Normalized polynomial values: the sampler's exact output law at x."""
     if root is None:
         root = P.graph.incident_nodes[0]
-    elif root not in P.graph.incident_nodes:
-        raise InvalidInstance(f"root {root} touches no variable edge")
-    values = {
-        f: eval_polynomial(P, f, root, x) for f in enumerate_vertices(P)
-    }
+    values = polynomial_values(P, tuple(x), root)
     total = sum(values.values(), Fraction(0))
     if total == 0:
         raise DegenerateDistribution("every sampling polynomial vanishes at x")

@@ -287,6 +287,67 @@ def test_verify_positivity_failure_exit(tmp_path, capsys):
     assert report["checks"][0]["pass"] is False
 
 
+def _write_triangle(tmp_path):
+    poly = tmp_path / "p.json"
+    coins = tmp_path / "c.json"
+    poly.write_text(json.dumps(polytope_to_dict(triangle())))
+    coins.write_text(json.dumps({"coins": [
+        {"edge": i, "num": 1, "den": 3} for i in range(6)]}))
+    return str(poly), str(coins)
+
+
+@pytest.mark.parametrize("check, module, name, detail", [
+    ("factored-form", "flowfactory.cli", "eval_polynomial_factored", "mismatch"),
+    ("matrix-tree", "flowfactory.spanning", "qualifying_tree_count", "count mismatch"),
+])
+def test_verify_check_fails_on_a_perturbed_side(tmp_path, monkeypatch, check, module, name, detail):
+    # Perturb the side of the comparison that no table caches, at the last
+    # vertex and the last root, so the check has to reach it to fail.
+    import importlib
+
+    from flowfactory.graphs import enumerate_vertices
+    from flowfactory.io import flow_key
+
+    P = triangle()
+    f_bad, r_bad = enumerate_vertices(P)[-1], P.graph.incident_nodes[-1]
+    mod = importlib.import_module(module)
+    honest = getattr(mod, name)
+
+    def perturbed(P, f, root, *rest):
+        return honest(P, f, root, *rest) + (f == f_bad and root == r_bad)
+
+    monkeypatch.setattr(mod, name, perturbed)
+    out = tmp_path / "report.json"
+    assert main(["verify", *_write_triangle(tmp_path), "--checks", check, "--out", str(out)]) == 8
+    report = json.loads(out.read_text())
+    assert report["checks"] == [{
+        "name": check, "pass": False,
+        "detail": f"{detail} at f={flow_key(f_bad)} root={r_bad}",
+    }]
+
+
+def test_verify_evaluates_each_vertex_polynomial_once_per_root(tmp_path, monkeypatch):
+    import re
+    from pathlib import Path
+
+    from flowfactory import cli, oracle
+
+    calls = []
+    honest = oracle.eval_polynomial
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return honest(*args)
+
+    oracle.polynomial_values.cache_clear()
+    monkeypatch.setattr(oracle, "eval_polynomial", counted)
+    assert main(["verify", *_write_triangle(tmp_path)]) == 0
+    assert len(calls) == 30 and len(set(calls)) == 30  # 10 vertices x 3 roots
+    text = Path(cli.__file__).read_text()
+    for name in ("flip_tree", "is_arborescence", "eval_polynomial"):
+        assert not re.search(rf"\b{name}\b", text), name
+
+
 @pytest.mark.parametrize("checks", ["bogus", ",", "positivity,bogus", ""])
 def test_verify_unknown_check_is_parse_error(tmp_path, checks):
     paths = _write_two_node(tmp_path)

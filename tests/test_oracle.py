@@ -24,6 +24,7 @@ from flowfactory import (
     statistical_test,
 )
 from flowfactory.graphs import m_map, reverse_edge
+from flowfactory.oracle import polynomial_values, qualifying_trees
 from flowfactory.spanning import qualifying_tree_count
 
 from instances import (
@@ -50,6 +51,34 @@ def test_eval_polynomial_disconnected_is_zero():
     P = disconnected_pair()
     for f in enumerate_vertices(P):
         assert eval_polynomial(P, f, 1, (THIRD,) * 4) == 0
+
+
+@pytest.mark.parametrize("evaluate", [eval_polynomial, eval_polynomial_factored])
+def test_evaluators_reject_a_root_off_the_graph(evaluate):
+    P = two_node()
+    with pytest.raises(InvalidInstance, match="root 99 touches no variable edge"):
+        evaluate(P, (0, 0), 99, X2)
+
+
+@pytest.mark.parametrize("evaluate", [eval_polynomial, eval_polynomial_factored])
+def test_evaluators_reject_inputs_of_the_wrong_length(evaluate):
+    P = triangle()
+    f = enumerate_vertices(P)[1]
+    x = (THIRD,) * 6
+    for bad_f, bad_x in [(f[:-1], x), (f + (1, 1), x), (f, x[:-1]), (f, x + (THIRD,))]:
+        with pytest.raises(InvalidInstance, match="expected 6 edge bits and coordinates"):
+            evaluate(P, bad_f, 1, bad_x)
+
+
+def test_polynomial_values_is_a_read_only_table_of_eval_polynomial():
+    P = triangle()
+    x = (THIRD,) * 6
+    for root in P.graph.incident_nodes:
+        table = polynomial_values(P, x, root)
+        assert list(table) == enumerate_vertices(P)
+        assert all(v == eval_polynomial(P, f, root, x) for f, v in table.items())
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = Fraction(0)
 
 
 def test_triangle_polynomial_table():
@@ -283,6 +312,7 @@ def test_square_flow_qualifying_trees_frozen():
     assert len(trees) == 32
     qual = [t for t in trees if is_arborescence(flip_tree(P.graph, f, t), 1)]
     assert len(qual) == 8
+    assert qualifying_trees(P, f, 1) == qual
 
 
 @settings(max_examples=60, deadline=None)
