@@ -4,9 +4,9 @@ Subcommands: gen, sample, sample-path, dist, verify, bench.  All outputs are
 sorted-key JSON/JSONL so that a fixed seed reproduces byte-identical files.
 
 Exit codes: 0 success; 2 parse error; 3 boundary coin; 4 invalid instance or
-point outside the polytope; 5 disconnected edges / no arborescence; 6 restart
-cap exceeded; 7 instance too large for the exact oracle; 8 verification
-failure.
+point outside the polytope; 5 disconnected or empty edge list / no
+arborescence; 6 restart cap exceeded; 7 instance too large for the exact
+oracle; 8 verification failure.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ def _exit_code(exc: Exception) -> int:
 
 def _load_instance(args):
     P = io.polytope_from_dict(io.load_json(args.polytope))
+    if not P.edges:
+        raise DisconnectedEdges("the edge list is empty: no variable edge to sample or verify")
     biases = io.coins_from_dict(io.load_json(args.coins), len(P.edges))
     return P, biases
 

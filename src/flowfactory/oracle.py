@@ -1,10 +1,14 @@
 """Exact-rational verification of the identities behind the sampler.
 
-Everything here is Fraction arithmetic; "equal" means equal in lowest terms.
+Everything here is exact arithmetic; "equal" means equal in lowest terms.
 The per-vertex sampling polynomial of a flow polytope is evaluated two
 independent ways (tree enumeration, and the factored arborescence-sum form)
 so each can vouch for the other, and the exact output distribution feeds the
-statistical acceptance harness.
+statistical acceptance harness.  The tree enumeration reads one table per
+polytope: flip_tree(G, f, t) reads f only at t's edges, so each tree's
+vertices fall into at most 2^|t| groups by their bits there, one flip image
+per group.  The tree-sum evaluator, the Matrix-Tree check and the exchange
+bijection all read those images and their arborescence verdicts.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -39,41 +45,103 @@ from .spanning import enumerate_directed_trees, is_arborescence, sarb
 # The sampling polynomials
 # ---------------------------------------------------------------------------
 
-def _prefix(P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]) -> Fraction:
-    """prod over edges of x^f (1-x)^(1-f), once f, x and root fit P."""
+def _scaled(
+    P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]
+) -> tuple[int, list[int], int]:
+    """x over one common denominator d, once f, x and root fit P.
+
+    Returns (prefix numerator, numerators of x, d); the prefix, prod over
+    edges of x^f (1-x)^(1-f), is that numerator over d^|E|.
+    """
     m = len(P.edges)
     if len(f) != m or len(x) != m:
         raise InvalidInstance(f"expected {m} edge bits and coordinates, got {len(f)} and {len(x)}")
     if root not in P.graph.incident_nodes:
         raise InvalidInstance(f"root {root} touches no variable edge")
-    prefix = Fraction(1)
-    for i in range(m):
-        xi = Fraction(x[i])
-        prefix *= xi if f[i] else (1 - xi)
-    return prefix
+    xs = [Fraction(c) for c in x]
+    den = lcm(*(c.denominator for c in xs))
+    num = [c.numerator * (den // c.denominator) for c in xs]
+    return prod(n if b else den - n for n, b in zip(num, f)), num, den
+
+
+class _FlipImages:
+    """Every tree's flip images over one polytope's vertices, and their arborescence verdicts.
+
+    flip_tree(G, f, t) reads f only at t's edges, so one image serves every
+    vertex with the same bits there: a tree has at most 2^|t| of them.  A
+    tree's entry is (f's bits at the tree, {bits: (image, the vertices with
+    those bits, in vertex order)}), built the first time the tree is read
+    with one flip_tree call per pattern.  is_arborescence runs once per
+    (image, root), and each (f, root) keeps its qualifying trees; an f that
+    is no vertex adds its own patterns, with no vertices, as it meets them.
+    """
+
+    def __init__(self, P: FlowPolytope):
+        self._graph = P.graph
+        self._vertices = enumerate_vertices(P)
+        self._trees = enumerate_directed_trees(P.graph)
+        self._by_tree: dict = {}
+        self._verdicts: dict = {}
+        self._qualifying: dict = {}
+
+    def groups(self, tree: tuple[int, ...]):
+        """The tree's entry: (f's bits at it, {bits: (image, vertices with those bits)})."""
+        entry = self._by_tree.get(tree)
+        if entry is None:
+            bits = itemgetter(*tree)
+            members: dict = {}
+            for f in self._vertices:
+                members.setdefault(bits(f), []).append(f)
+            entry = self._by_tree[tree] = (bits, {
+                key: (flip_tree(self._graph, fs[0], tree), tuple(fs)) for key, fs in members.items()
+            })
+        return entry
+
+    def qualifying(self, f: FlowVertex, root: int) -> tuple[tuple[int, ...], ...]:
+        f = tuple(f)
+        found = self._qualifying.get((f, root))
+        if found is None:
+            found = []
+            for tree in self._trees:
+                bits, groups = self.groups(tree)
+                key = bits(f)
+                hit = groups.get(key)
+                if hit is None:
+                    hit = groups[key] = (flip_tree(self._graph, f, tree), ())
+                verdict = self._verdicts.get((hit[0], root))
+                if verdict is None:
+                    verdict = self._verdicts[hit[0], root] = is_arborescence(hit[0], root)
+                if verdict:
+                    found.append(tree)
+            found = self._qualifying[f, root] = tuple(found)
+        return found
+
+
+@lru_cache(maxsize=32)
+def _flip_images(P: FlowPolytope) -> _FlipImages:
+    return _FlipImages(P)
 
 
 def qualifying_trees(P: FlowPolytope, f: FlowVertex, root: int) -> list[tuple[int, ...]]:
     """The trees of T(E) whose flip under f is an arborescence toward root."""
-    trees = enumerate_directed_trees(P.graph)
-    return [t for t in trees if is_arborescence(flip_tree(P.graph, f, t), root)]
+    return list(_flip_images(P).qualifying(f, root))
 
 
 def eval_polynomial(P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]) -> Fraction:
     """Value of the sampling polynomial of vertex f at x, by tree enumeration.
 
     prefix(f, x) times the sum, over the qualifying trees of f at root, of
-    prod over tree edges of x^(1-f)(1-x)^f.
+    prod over tree edges of x^(1-f)(1-x)^f.  With x over one denominator d,
+    every term is an integer over d^|E| d^(k-1) for k incident nodes.
     """
-    prefix = _prefix(P, f, root, x)
-    total = Fraction(0)
+    prefix, num, den = _scaled(P, f, root, x)
+    total = 0
     for tree in qualifying_trees(P, f, root):
-        term = Fraction(1)
+        term = 1
         for i in tree:
-            xi = Fraction(x[i])
-            term *= (1 - xi) if f[i] else xi
+            term *= den - num[i] if f[i] else num[i]
         total += term
-    return prefix * total
+    return Fraction(prefix * total, den ** (len(num) + len(P.graph.incident_nodes) - 1))
 
 
 def eval_polynomial_factored(
@@ -81,7 +149,8 @@ def eval_polynomial_factored(
 ) -> Fraction:
     """Same value through the factored form: prefix times the arborescence sum
     of the balanced image of x under the flip-affine map."""
-    return _prefix(P, f, root, x) * sarb(m_map(P, f, x), root, nodes=P.graph.incident_nodes)
+    prefix, num, den = _scaled(P, f, root, x)
+    return Fraction(prefix, den ** len(num)) * sarb(m_map(P, f, x), root, nodes=P.graph.incident_nodes)
 
 
 @lru_cache(maxsize=256)
@@ -244,16 +313,15 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     if recomposed != dict(g_vec.values):
         raise IdentityViolated("cycle decomposition does not recompose the vector")
 
-    # Enumerate both flow families and check the map between them.
+    # Both flow families, from the tree's flip-image groups, and the map between them.
     outside = [i for i in range(len(P.edges)) if i != eta and i not in tree]
     F_s = []
     F_t = []
-    for f in enumerate_vertices(P):
-        img = flip_tree(P.graph, f, tree)
-        if f[eta] == 0 and img == A_s:
-            F_s.append(f)
-        elif f[eta] == 1 and img == A_t:
-            F_t.append(f)
+    for img, fs in _flip_images(P).groups(tree)[1].values():
+        if img == A_s:
+            F_s += [f for f in fs if f[eta] == 0]
+        elif img == A_t:
+            F_t += [f for f in fs if f[eta] == 1]
     F_t_set = set(F_t)
     images = set()
     for f in F_s:

@@ -328,24 +328,85 @@ def test_verify_check_fails_on_a_perturbed_side(tmp_path, monkeypatch, check, mo
 
 def test_verify_evaluates_each_vertex_polynomial_once_per_root(tmp_path, monkeypatch):
     import re
+    from collections import Counter
     from pathlib import Path
 
     from flowfactory import cli, oracle
 
-    calls = []
+    calls, flips, verdicts = [], Counter(), Counter()
     honest = oracle.eval_polynomial
+    flip_tree, is_arborescence = oracle.flip_tree, oracle.is_arborescence
 
     def counted(*args):
         calls.append(args[1:3])
         return honest(*args)
 
+    def counted_flip(G, f, tree):
+        image = flip_tree(G, f, tree)
+        flips[tree, image] += 1
+        return image
+
+    def counted_verdict(image, root):
+        verdicts[frozenset(image), root] += 1
+        return is_arborescence(image, root)
+
     oracle.polynomial_values.cache_clear()
+    oracle._flip_images.cache_clear()
     monkeypatch.setattr(oracle, "eval_polynomial", counted)
+    monkeypatch.setattr(oracle, "flip_tree", counted_flip)
+    monkeypatch.setattr(oracle, "is_arborescence", counted_verdict)
     assert main(["verify", *_write_triangle(tmp_path)]) == 0
     assert len(calls) == 30 and len(set(calls)) == 30  # 10 vertices x 3 roots
+    # One flip per (tree, image) and one verdict per (image, root).
+    assert flips and max(flips.values()) == 1
+    assert verdicts and max(verdicts.values()) == 1
     text = Path(cli.__file__).read_text()
     for name in ("flip_tree", "is_arborescence", "eval_polynomial"):
         assert not re.search(rf"\b{name}\b", text), name
+
+
+def test_verify_bijection_fails_on_one_perturbed_flip_image(tmp_path, monkeypatch):
+    # Reverse one edge of the image of one (tree, bit pattern): the grouped
+    # families must then break the exchange map, and mend once it is gone.
+    from flowfactory import oracle
+    from flowfactory.graphs import reverse_edge
+
+    P = triangle()
+    tree = oracle.enumerate_directed_trees(P.graph)[0]
+    honest = oracle.flip_tree
+
+    def perturbed(G, f, t):
+        image = honest(G, f, t)
+        if t == tree and tuple(f[i] for i in t) == (0, 1):
+            edge = G.edges[t[0]]
+            image = image - {edge} | {reverse_edge(edge)}
+        return image
+
+    paths = _write_triangle(tmp_path)
+    out = tmp_path / "report.json"
+    argv = ["verify", *paths, "--checks", "bijection", "--out", str(out)]
+    oracle._flip_images.cache_clear()
+    monkeypatch.setattr(oracle, "flip_tree", perturbed)
+    assert main(argv) == 8
+    (check,) = json.loads(out.read_text())["checks"]
+    assert not check["pass"] and check["detail"].startswith("IdentityViolated: "), check
+    monkeypatch.undo()
+    oracle._flip_images.cache_clear()
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["checks"][0]["pass"] is True
+
+
+@pytest.mark.parametrize("command", ["verify", "dist", "sample", "sample-path", "bench"])
+def test_empty_edge_list_exits_5(tmp_path, capsys, command):
+    poly = tmp_path / "p.json"
+    coins = tmp_path / "c.json"
+    poly.write_text(json.dumps({"nodes": 2, "edges": [], "demands": [0, 0]}))
+    coins.write_text(json.dumps({"coins": []}))
+    assert main([command, str(poly), str(coins)]) == 5
+    captured = capsys.readouterr()
+    assert captured.err == ("error: DisconnectedEdges: the edge list is empty: "
+                            "no variable edge to sample or verify\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("checks", ["bogus", ",", "positivity,bogus", ""])

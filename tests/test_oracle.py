@@ -23,9 +23,9 @@ from flowfactory import (
     random_interior_point,
     statistical_test,
 )
-from flowfactory.graphs import m_map, reverse_edge
+from flowfactory.graphs import flip_tree, m_map, reverse_edge
 from flowfactory.oracle import polynomial_values, qualifying_trees
-from flowfactory.spanning import qualifying_tree_count
+from flowfactory.spanning import is_arborescence, qualifying_tree_count
 
 from instances import (
     THIRD,
@@ -305,9 +305,6 @@ def test_square_flow_qualifying_trees_frozen():
     # square instance: 32 directed trees, 8 qualify for the cycle flow
     P = square()
     f = square_cycle_flow(P)
-    from flowfactory.graphs import flip_tree
-    from flowfactory.spanning import is_arborescence
-
     trees = enumerate_directed_trees(P.graph)
     assert len(trees) == 32
     qual = [t for t in trees if is_arborescence(flip_tree(P.graph, f, t), 1)]
@@ -331,3 +328,19 @@ def test_factored_form_equals_tree_sum_on_random_instances(case):
     for f in enumerate_vertices(P):
         for root in P.graph.incident_nodes:
             assert eval_polynomial(P, f, root, x) == eval_polynomial_factored(P, f, root, x), (f, root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_instances())
+def test_qualifying_trees_match_brute_force_on_random_instances(case):
+    # Every vertex, and one 0/1 vector that is none (a vertex with bit 0
+    # flipped unbalances that edge's ends), against a fresh flip of every tree.
+    P, _ = case
+    trees = enumerate_directed_trees(P.graph)
+    vertices = enumerate_vertices(P)
+    off = (1 - vertices[0][0],) + vertices[0][1:]
+    for f in [*vertices, off]:
+        for root in P.graph.incident_nodes:
+            expected = [t for t in trees if is_arborescence(flip_tree(P.graph, f, t), root)]
+            assert qualifying_trees(P, f, root) == expected, (f, root)
+            assert len(expected) == qualifying_tree_count(P, f, root), (f, root)
