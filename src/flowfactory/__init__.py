@@ -56,7 +56,6 @@ from .spanning import (
     count_arborescences,
     enumerate_directed_trees,
     sample_flip_tree,
-    sarb,
     zls_cofactor_check,
 )
 

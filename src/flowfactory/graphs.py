@@ -117,8 +117,8 @@ class CirculationVector:
     def is_balanced(self) -> bool:
         net: dict[int, Fraction] = {}
         for (u, v), w in self.values.items():
-            net[u] = net.get(u, Fraction(0)) + w
-            net[v] = net.get(v, Fraction(0)) - w
+            net[u] = net.get(u, 0) + w
+            net[v] = net.get(v, 0) - w
         return all(x == 0 for x in net.values())
 
 
@@ -216,28 +216,23 @@ def flip_tree(G: Graph, f: FlowVertex, tree: Sequence[int]) -> frozenset[Edge]:
     return frozenset(flip_edge(G, f, eid) for eid in tree)
 
 
-def m_map(P: FlowPolytope, f: FlowVertex, x: Sequence[Fraction]) -> CirculationVector:
+def m_map(P: FlowPolytope, f: FlowVertex, x: Sequence, one: int = 1) -> CirculationVector:
     """Affine map sending a polytope point to the circulation hyperplane.
 
     Component at directed edge e is x_e(1-f_e) + (1-x_rev)f_rev, with edges
-    absent from E contributing zero.
+    absent from E contributing zero.  x holds exact numbers; given integer
+    numerators over a common denominator `one` instead, the components are
+    the integer numerators of M_f(x) over it.
     """
-    idx = P.graph.edge_index
     values: dict[Edge, Fraction] = {}
-    candidates = set(P.edges)
     for i, e in enumerate(P.edges):
+        # Edge i adds x_i at itself when f is 0 on it, and 1 - x_i at its reversal when f is 1.
         if f[i]:
-            candidates.add(reverse_edge(e))
-    for e in candidates:
-        val = Fraction(0)
-        i = idx.get(e)
-        if i is not None and f[i] == 0:
-            val += Fraction(x[i])
-        j = idx.get(reverse_edge(e))
-        if j is not None and f[j] == 1:
-            val += 1 - Fraction(x[j])
-        if val:
-            values[e] = val
+            e, val = reverse_edge(e), one - x[i]
+        else:
+            val = x[i]
+        values[e] = values.get(e, 0) + val
+    values = {e: val for e, val in values.items() if val}
     return CirculationVector(P.n, values)
 
 

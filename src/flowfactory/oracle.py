@@ -4,11 +4,13 @@ Everything here is exact arithmetic; "equal" means equal in lowest terms.
 The per-vertex sampling polynomial of a flow polytope is evaluated two
 independent ways (tree enumeration, and the factored arborescence-sum form)
 so each can vouch for the other, and the exact output distribution feeds the
-statistical acceptance harness.  The tree enumeration reads one table per
-polytope: flip_tree(G, f, t) reads f only at t's edges, so each tree's
-vertices fall into at most 2^|t| groups by their bits there, one flip image
-per group.  The tree-sum evaluator, the Matrix-Tree check and the exchange
-bijection all read those images and their arborescence verdicts.
+statistical acceptance harness.  The tree enumeration works by orientation:
+the flip of a tree t under f is an arborescence toward r iff it is t
+oriented toward r, that is iff f is 1 exactly on t's edges that point away
+from r.  So each (tree, root) picks out one bit pattern on the tree, and
+the vertices that qualify are the AND, over the tree's edges, of one
+|V|-bit set per (edge, bit).  The tree-sum evaluator, the Matrix-Tree check
+and the exchange bijection all read those sets.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import itemgetter
+from operator import add
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     DegenerateDistribution,
     IdentityViolated,
     InvalidInstance,
+    NotCirculation,
 )
 from .graphs import (
     CirculationVector,
@@ -33,98 +36,120 @@ from .graphs import (
     FlowVertex,
     _net_flow,
     enumerate_vertices,
-    flip_tree,
     m_map,
     require_interior_point,
     reverse_edge,
 )
-from .spanning import enumerate_directed_trees, is_arborescence, sarb
+from .spanning import _root_minor, enumerate_directed_trees
 
 
 # ---------------------------------------------------------------------------
 # The sampling polynomials
 # ---------------------------------------------------------------------------
 
+def _require_fit(P: FlowPolytope, root: int, *vectors: Sequence) -> None:
+    """Raise InvalidInstance unless every vector has one entry per edge of P and root touches one."""
+    m = len(P.edges)
+    if any(len(v) != m for v in vectors):
+        lengths = " and ".join(str(len(v)) for v in vectors)
+        raise InvalidInstance(f"expected {m} edge bits and coordinates, got {lengths}")
+    if root not in P.graph.incident_nodes:
+        raise InvalidInstance(f"root {root} touches no variable edge")
+
+
 def _scaled(
     P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]
-) -> tuple[int, list[int], int]:
+) -> tuple[int, tuple[int, ...], int]:
     """x over one common denominator d, once f, x and root fit P.
 
     Returns (prefix numerator, numerators of x, d); the prefix, prod over
     edges of x^f (1-x)^(1-f), is that numerator over d^|E|.
     """
-    m = len(P.edges)
-    if len(f) != m or len(x) != m:
-        raise InvalidInstance(f"expected {m} edge bits and coordinates, got {len(f)} and {len(x)}")
-    if root not in P.graph.incident_nodes:
-        raise InvalidInstance(f"root {root} touches no variable edge")
-    xs = [Fraction(c) for c in x]
-    den = lcm(*(c.denominator for c in xs))
-    num = [c.numerator * (den // c.denominator) for c in xs]
+    _require_fit(P, root, f, x)
+    num, den = _over_common_denominator(tuple(x))
     return prod(n if b else den - n for n, b in zip(num, f)), num, den
 
 
-class _FlipImages:
-    """Every tree's flip images over one polytope's vertices, and their arborescence verdicts.
+@lru_cache(maxsize=256)
+def _over_common_denominator(x: tuple) -> tuple[tuple[int, ...], int]:
+    """The numerators of x over the lcm d of its denominators, and d."""
+    xs = [Fraction(c) for c in x]
+    den = lcm(*(c.denominator for c in xs))
+    return tuple(c.numerator * (den // c.denominator) for c in xs), den
 
-    flip_tree(G, f, t) reads f only at t's edges, so one image serves every
-    vertex with the same bits there: a tree has at most 2^|t| of them.  A
-    tree's entry is (f's bits at the tree, {bits: (image, the vertices with
-    those bits, in vertex order)}), built the first time the tree is read
-    with one flip_tree call per pattern.  is_arborescence runs once per
-    (image, root), and each (f, root) keeps its qualifying trees; an f that
-    is no vertex adds its own patterns, with no vertices, as it meets them.
+
+def _positions(bits: int) -> Iterator[int]:
+    """The positions of the set bits of `bits`, lowest first."""
+    digits = bin(bits)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
+class _Orientations:
+    """Every tree's orientation toward every root, and the vertices whose bits spell it.
+
+    Bit j of a vertex set stands for the j-th vertex in vertex order.  Each
+    edge keeps two sets, the vertices that are 0 on it and those that are 1,
+    so a (tree, root) entry, (the tree oriented toward root, the vertices
+    that are 1 exactly on its edges that this orientation reverses), costs
+    one _orient_toward call and k - 1 ANDs, made the first time it is read.
+    Each root's qualifying trees for every vertex are then listed from those
+    sets, tree by tree, the first time the root is read.
     """
 
     def __init__(self, P: FlowPolytope):
-        self._graph = P.graph
-        self._vertices = enumerate_vertices(P)
-        self._trees = enumerate_directed_trees(P.graph)
-        self._by_tree: dict = {}
-        self._verdicts: dict = {}
-        self._qualifying: dict = {}
+        self._edges = P.edges
+        self.vertices = enumerate_vertices(P)
+        self.trees = enumerate_directed_trees(P.graph)
+        self._all = (1 << len(self.vertices)) - 1
+        ones = [int("".join(map(str, column[::-1])), 2) for column in zip(*self.vertices)]
+        #: Per edge id: (vertices 0 on it, vertices 1 on it).
+        self.bits = [(self._all ^ one, one) for one in ones or [0] * len(P.edges)]
+        self._oriented: dict = {}
+        self._by_root: dict = {}
 
-    def groups(self, tree: tuple[int, ...]):
-        """The tree's entry: (f's bits at it, {bits: (image, vertices with those bits)})."""
-        entry = self._by_tree.get(tree)
-        if entry is None:
-            bits = itemgetter(*tree)
-            members: dict = {}
-            for f in self._vertices:
-                members.setdefault(bits(f), []).append(f)
-            entry = self._by_tree[tree] = (bits, {
-                key: (flip_tree(self._graph, fs[0], tree), tuple(fs)) for key, fs in members.items()
-            })
-        return entry
-
-    def qualifying(self, f: FlowVertex, root: int) -> tuple[tuple[int, ...], ...]:
-        f = tuple(f)
-        found = self._qualifying.get((f, root))
+    def orientation(self, tree: tuple[int, ...], root: int) -> tuple[frozenset[Edge], int]:
+        """(tree oriented toward root, the set of vertices whose flip of tree is that orientation)."""
+        found = self._oriented.get((tree, root))
         if found is None:
+            edges = [self._edges[i] for i in tree]
+            toward = _orient_toward(edges, root)
+            members = self._all
+            for i, e in zip(tree, edges):
+                members &= self.bits[i][e not in toward]
+            found = self._oriented[tree, root] = (toward, members)
+        return found
+
+    def qualifying(self, f: FlowVertex, root: int) -> Sequence[tuple[int, ...]]:
+        """The trees whose flip under the 0/1 vector f is an arborescence toward root, in tree order."""
+        by_vertex = self._by_root.get(root)
+        if by_vertex is None:
+            lists: list[list] = [[] for _ in self.vertices]
+            for tree in self.trees:
+                for j in _positions(self.orientation(tree, root)[1]):
+                    lists[j].append(tree)
+            by_vertex = self._by_root[root] = dict(zip(self.vertices, map(tuple, lists)))
+        found = by_vertex.get(tuple(f))
+        if found is None:  # f is no vertex: compare its bits with each orientation
             found = []
-            for tree in self._trees:
-                bits, groups = self.groups(tree)
-                key = bits(f)
-                hit = groups.get(key)
-                if hit is None:
-                    hit = groups[key] = (flip_tree(self._graph, f, tree), ())
-                verdict = self._verdicts.get((hit[0], root))
-                if verdict is None:
-                    verdict = self._verdicts[hit[0], root] = is_arborescence(hit[0], root)
-                if verdict:
+            for tree in self.trees:
+                toward = self.orientation(tree, root)[0]
+                if all(f[i] == (self._edges[i] not in toward) for i in tree):
                     found.append(tree)
-            found = self._qualifying[f, root] = tuple(found)
         return found
 
 
 @lru_cache(maxsize=32)
-def _flip_images(P: FlowPolytope) -> _FlipImages:
-    return _FlipImages(P)
+def _orientations(P: FlowPolytope) -> _Orientations:
+    return _Orientations(P)
 
 
 def qualifying_trees(P: FlowPolytope, f: FlowVertex, root: int) -> list[tuple[int, ...]]:
-    """The trees of T(E) whose flip under f is an arborescence toward root."""
-    return list(_flip_images(P).qualifying(f, root))
+    """The trees of T(E) whose flip under the 0/1 vector f is an arborescence toward root."""
+    _require_fit(P, root, f)
+    return list(_orientations(P).qualifying(f, root))
 
 
 def eval_polynomial(P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]) -> Fraction:
@@ -136,7 +161,7 @@ def eval_polynomial(P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fract
     """
     prefix, num, den = _scaled(P, f, root, x)
     total = 0
-    for tree in qualifying_trees(P, f, root):
+    for tree in _orientations(P).qualifying(f, root):
         term = 1
         for i in tree:
             term *= den - num[i] if f[i] else num[i]
@@ -148,9 +173,19 @@ def eval_polynomial_factored(
     P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]
 ) -> Fraction:
     """Same value through the factored form: prefix times the arborescence sum
-    of the balanced image of x under the flip-affine map."""
+    of the balanced image M_f(x) of x under the flip-affine map.
+
+    With x over one denominator d, M_f(x) is integer arcs over d, and the
+    weighted arborescence count toward root is the root minor of their
+    out-Laplacian (Tutte's Matrix-Tree theorem) over d^(k-1).
+    """
     prefix, num, den = _scaled(P, f, root, x)
-    return Fraction(prefix, den ** len(num)) * sarb(m_map(P, f, x), root, nodes=P.graph.incident_nodes)
+    image = m_map(P, f, num, one=den)
+    if not image.is_balanced():
+        raise NotCirculation("vector violates the balance equations")
+    nodes = P.graph.incident_nodes
+    count = _root_minor(nodes, [(u, v, w) for (u, v), w in image.values.items()], root)
+    return Fraction(prefix * count, den ** (len(num) + len(nodes) - 1))
 
 
 @lru_cache(maxsize=256)
@@ -238,11 +273,10 @@ class BijectionWitness:
     F_t: tuple[FlowVertex, ...]
 
 
-def _orient_toward(support: list[frozenset], root: int) -> frozenset[Edge]:
-    """Unique orientation of an undirected tree with every edge toward root."""
+def _orient_toward(edges: Sequence[Edge], root: int) -> frozenset[Edge]:
+    """Unique orientation of a tree's undirected support with every edge toward root."""
     adj: dict[int, list[int]] = {}
-    for pair in support:
-        u, v = tuple(pair)
+    for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     oriented = set()
@@ -255,7 +289,7 @@ def _orient_toward(support: list[frozenset], root: int) -> frozenset[Edge]:
                 seen.add(w)
                 oriented.add((w, v))
                 stack.append(w)
-    if len(oriented) != len(support):
+    if len(oriented) != len(edges):
         raise InvalidInstance("support is not a tree containing the root")
     return frozenset(oriented)
 
@@ -269,6 +303,9 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     T toward t.  Every claimed property is checked by enumeration; failure
     raises IdentityViolated.
     """
+    m = len(P.edges)
+    if eta not in range(m):
+        raise InvalidInstance(f"eta {eta} is no edge id in 0..{m - 1}")
     tree = tuple(sorted(T))
     if eta in tree:
         raise InvalidInstance("eta must lie outside the tree")
@@ -276,14 +313,15 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     support = [frozenset(P.edges[i]) for i in tree]
     if len(set(support)) != len(support):
         raise InvalidInstance("tree edges repeat an undirected support edge")
-    A_s = _orient_toward(support, s)
-    A_t = _orient_toward(support, t)
+    table = _orientations(P)
+    A_s, toward_s = table.orientation(tree, s)
+    A_t, toward_t = table.orientation(tree, t)
 
     tree_edges = {i: P.edges[i] for i in tree}
     C_plus = frozenset(e for e in tree_edges.values() if e in A_s and e not in A_t)
     C_minus = frozenset(e for e in tree_edges.values() if e in A_t and e not in A_s)
 
-    g = {i: 0 for i in range(len(P.edges))}
+    g = [0] * m
     g[eta] = 1
     for i, e in tree_edges.items():
         if e in C_plus:
@@ -292,12 +330,10 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
             g[i] = -1
 
     # g must be balanced and supported inside T + eta.
-    g_vec = CirculationVector(
-        P.n, {P.edges[i]: Fraction(v) for i, v in g.items() if v}
-    )
+    g_vec = CirculationVector(P.n, {P.edges[i]: v for i, v in enumerate(g) if v})
     if not g_vec.is_balanced():
         raise IdentityViolated("exchange vector is not balanced")
-    for i, v in g.items():
+    for i, v in enumerate(g):
         if v and i != eta and i not in tree:
             raise IdentityViolated("exchange vector leaves the tree support")
 
@@ -305,38 +341,33 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     cycle = {P.edges[eta]} | set(C_plus) | {reverse_edge(e) for e in C_minus}
     if not _is_directed_cycle(cycle):
         raise IdentityViolated("eta with the exchange edges is not a directed cycle")
-    recomposed: dict[Edge, Fraction] = {e: Fraction(1) for e in cycle}
+    recomposed = dict.fromkeys(cycle, 1)
     for e in C_minus:
         for a in (e, reverse_edge(e)):
-            recomposed[a] = recomposed.get(a, Fraction(0)) - 1
+            recomposed[a] = recomposed.get(a, 0) - 1
     recomposed = {e: v for e, v in recomposed.items() if v}
-    if recomposed != dict(g_vec.values):
+    if recomposed != g_vec.values:
         raise IdentityViolated("cycle decomposition does not recompose the vector")
 
-    # Both flow families, from the tree's flip-image groups, and the map between them.
-    outside = [i for i in range(len(P.edges)) if i != eta and i not in tree]
-    F_s = []
-    F_t = []
-    for img, fs in _flip_images(P).groups(tree)[1].values():
-        if img == A_s:
-            F_s += [f for f in fs if f[eta] == 0]
-        elif img == A_t:
-            F_t += [f for f in fs if f[eta] == 1]
-    F_t_set = set(F_t)
+    # Both flow families, in vertex order, and the map between them.
+    zero_eta, one_eta = table.bits[eta]
+    F_s = [table.vertices[j] for j in _positions(toward_s & zero_eta)]
+    F_t = [table.vertices[j] for j in _positions(toward_t & one_eta)]
+    if F_s and any(v for i, v in enumerate(g) if i != eta and i not in tree):
+        raise IdentityViolated("exchange map moves a coordinate off the tree")
+    targets = set(F_t)
     images = set()
     for f in F_s:
-        fp = tuple(f[i] + g[i] for i in range(len(P.edges)))
-        if any(b not in (0, 1) for b in fp):
-            raise IdentityViolated("image of the exchange map leaves {0,1}")
-        if fp not in F_t_set:
+        fp = tuple(map(add, f, g))
+        if fp not in targets:
+            if any(b not in (0, 1) for b in fp):
+                raise IdentityViolated("image of the exchange map leaves {0,1}")
             raise IdentityViolated("exchange map leaves the target family")
-        if any(f[i] != fp[i] for i in outside):
-            raise IdentityViolated("exchange map moves a coordinate off the tree")
         images.add(fp)
     if len(images) != len(F_s) or len(F_s) != len(F_t):
         raise IdentityViolated("exchange map is not a bijection")
     return BijectionWitness(
-        g=g,
+        g=dict(enumerate(g)),
         eta=eta,
         C_plus=C_plus,
         C_minus=C_minus,

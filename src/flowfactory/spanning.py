@@ -20,13 +20,11 @@ from math import lcm, prod
 from .errors import (
     InvalidInstance,
     NoArborescence,
-    NotCirculation,
     NotZLS,
     TooLargeForOracle,
 )
 from .graphs import (
     ENUMERATION_CAP,
-    CirculationVector,
     Edge,
     FlowPolytope,
     FlowVertex,
@@ -146,21 +144,6 @@ def count_arborescences(W: WeightedDigraph, root: int):
     arcs = [(u, v, int(w * scale)) for (u, v), w in W.weights.items()]
     count = _root_minor(W.nodes, arcs, root)
     return count if scale == 1 else Fraction(count, scale ** (len(W.nodes) - 1))
-
-
-def sarb(x: CirculationVector, root: int, nodes: tuple[int, ...] | None = None) -> Fraction:
-    """Sum over arborescences toward `root` of the product of edge values.
-
-    Root-independent for balanced vectors (ZLS Laplacian); raises
-    NotCirculation otherwise.
-    """
-    if not x.is_balanced():
-        raise NotCirculation("vector violates the balance equations")
-    if nodes is None:
-        nodes = tuple(range(1, x.n + 1))
-    weights = {e: Fraction(w) for e, w in x.values.items() if w != 0}
-    W = WeightedDigraph(nodes, weights)
-    return Fraction(count_arborescences(W, root))
 
 
 def zls_cofactor_check(matrix) -> bool:

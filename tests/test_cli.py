@@ -333,65 +333,62 @@ def test_verify_evaluates_each_vertex_polynomial_once_per_root(tmp_path, monkeyp
 
     from flowfactory import cli, oracle
 
-    calls, flips, verdicts = [], Counter(), Counter()
+    calls, orientations = [], Counter()
     honest = oracle.eval_polynomial
-    flip_tree, is_arborescence = oracle.flip_tree, oracle.is_arborescence
+    orient_toward = oracle._orient_toward
 
     def counted(*args):
         calls.append(args[1:3])
         return honest(*args)
 
-    def counted_flip(G, f, tree):
-        image = flip_tree(G, f, tree)
-        flips[tree, image] += 1
-        return image
-
-    def counted_verdict(image, root):
-        verdicts[frozenset(image), root] += 1
-        return is_arborescence(image, root)
+    def counted_orientation(edges, root):
+        orientations[tuple(edges), root] += 1
+        return orient_toward(edges, root)
 
     oracle.polynomial_values.cache_clear()
-    oracle._flip_images.cache_clear()
+    oracle._orientations.cache_clear()
     monkeypatch.setattr(oracle, "eval_polynomial", counted)
-    monkeypatch.setattr(oracle, "flip_tree", counted_flip)
-    monkeypatch.setattr(oracle, "is_arborescence", counted_verdict)
+    monkeypatch.setattr(oracle, "_orient_toward", counted_orientation)
     assert main(["verify", *_write_triangle(tmp_path)]) == 0
     assert len(calls) == 30 and len(set(calls)) == 30  # 10 vertices x 3 roots
-    # One flip per (tree, image) and one verdict per (image, root).
-    assert flips and max(flips.values()) == 1
-    assert verdicts and max(verdicts.values()) == 1
+    # One orientation per (tree, node): 12 trees x 3 nodes.
+    assert len(orientations) == 36 and max(orientations.values()) == 1
     text = Path(cli.__file__).read_text()
-    for name in ("flip_tree", "is_arborescence", "eval_polynomial"):
+    for name in ("flip_tree", "is_arborescence", "eval_polynomial", "_orient_toward"):
         assert not re.search(rf"\b{name}\b", text), name
 
 
 def test_verify_bijection_fails_on_one_perturbed_flip_image(tmp_path, monkeypatch):
-    # Reverse one edge of the image of one (tree, bit pattern): the grouped
-    # families must then break the exchange map, and mend once it is gone.
+    # Flip the bit that one (tree, root) pattern asks of the tree's first
+    # edge, so that root's family is the vertices with the wrong flip image:
+    # the exchange map must then break, and mend once it is gone.
     from flowfactory import oracle
-    from flowfactory.graphs import reverse_edge
+    from flowfactory.graphs import enumerate_vertices
 
     P = triangle()
     tree = oracle.enumerate_directed_trees(P.graph)[0]
-    honest = oracle.flip_tree
+    root = P.graph.incident_nodes[0]
+    honest = oracle._Orientations.orientation
 
-    def perturbed(G, f, t):
-        image = honest(G, f, t)
-        if t == tree and tuple(f[i] for i in t) == (0, 1):
-            edge = G.edges[t[0]]
-            image = image - {edge} | {reverse_edge(edge)}
-        return image
+    def perturbed(self, t, r):
+        toward, members = honest(self, t, r)
+        if (t, r) == (tree, root):
+            want = [int(P.edges[i] not in toward) for i in t]
+            want[0] ^= 1
+            members = sum(1 << j for j, f in enumerate(enumerate_vertices(P))
+                          if [f[i] for i in t] == want)
+        return toward, members
 
     paths = _write_triangle(tmp_path)
     out = tmp_path / "report.json"
     argv = ["verify", *paths, "--checks", "bijection", "--out", str(out)]
-    oracle._flip_images.cache_clear()
-    monkeypatch.setattr(oracle, "flip_tree", perturbed)
+    oracle._orientations.cache_clear()
+    monkeypatch.setattr(oracle._Orientations, "orientation", perturbed)
     assert main(argv) == 8
     (check,) = json.loads(out.read_text())["checks"]
     assert not check["pass"] and check["detail"].startswith("IdentityViolated: "), check
     monkeypatch.undo()
-    oracle._flip_images.cache_clear()
+    oracle._orientations.cache_clear()
     assert main(argv) == 0
     assert json.loads(out.read_text())["checks"][0]["pass"] is True
 

@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the sampler's per-round layers and the oracle's tree table (pytest-benchmark).
+"""Micro-benchmarks of the sampler's per-round layers and the oracle's orientation table (pytest-benchmark).
 
 Fixed rounds keep them short; compare runs with `pytest tests/test_layer_bench.py
 --benchmark-only` or `--benchmark-autosave`.
@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 from flowfactory import SimulatedCoins, build_circulation_polytope, enumerate_vertices, oracle
+from flowfactory.cli import _run_check
 from flowfactory.coins import _BUFFER, VertexTest
 from flowfactory.spanning import ExitTables, qualifying_tree_count
 
@@ -125,16 +126,30 @@ def test_bench_exit_maps_circ5m(benchmark):
     assert len(trees) == 1000 and all(len(t) == 4 for t in trees)
 
 
-def test_bench_flip_images_and_qualifying_table_circ4(benchmark):
-    # The per-polytope image table, built from cold, and every vertex's
-    # qualifying trees at root 1 read from it.
+def test_bench_orientations_and_qualifying_table_circ4(benchmark):
+    # The per-polytope orientation table, built from cold, and every
+    # vertex's qualifying trees at root 1 read from it.
     P = build_circulation_polytope(4)
     vertices = enumerate_vertices(P)
     tables = []
 
     def build():
-        oracle._flip_images.cache_clear()
+        oracle._orientations.cache_clear()
         tables[:] = [oracle.qualifying_trees(P, f, 1) for f in vertices]
 
     benchmark.pedantic(build, rounds=5, iterations=1)
     assert [len(t) for t in tables] == [qualifying_tree_count(P, f, 1) for f in vertices]
+
+
+def test_bench_bijection_check_circ4(benchmark):
+    # verify's whole bijection check, every (tree, eta) pair, with the
+    # orientation table built from cold.
+    P = build_circulation_polytope(4)
+    details = []
+
+    def check():
+        oracle._orientations.cache_clear()
+        details[:] = [_run_check("bijection", P, [HALF] * len(P.edges))]
+
+    benchmark.pedantic(check, rounds=5, iterations=1)
+    assert details == [(True, "verified 1152 (tree, eta) pairs")]  # 128 trees x 9 edges off each

