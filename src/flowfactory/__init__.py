@@ -17,7 +17,6 @@ from .errors import (
     NoArborescence,
     NotCirculation,
     NotInPolytope,
-    NotZLS,
     TooLargeForOracle,
 )
 from .factory import FlowSampler, SampleTrace, sample_path
@@ -44,6 +43,7 @@ from .oracle import (
     check_parallel_to_circ,
     check_positivity,
     check_root_independence,
+    check_zls,
     eval_polynomial,
     eval_polynomial_factored,
     exact_output_distribution,
@@ -52,11 +52,9 @@ from .oracle import (
 )
 from .spanning import (
     WeightedDigraph,
-    build_laplacian,
     count_arborescences,
     enumerate_directed_trees,
     sample_flip_tree,
-    zls_cofactor_check,
 )
 
 __version__ = "0.1.0"

@@ -41,6 +41,7 @@ from .oracle import (
     check_parallel_to_circ,
     check_positivity,
     check_root_independence,
+    check_zls,
     eval_polynomial_factored,
     exact_output_distribution,
     polynomial_values,
@@ -188,14 +189,8 @@ _ALL_CHECKS = (
 
 
 def _run_check(name: str, P, x) -> tuple[bool, str]:
-    from .graphs import enumerate_vertices, m_map
-    from .spanning import (
-        WeightedDigraph,
-        build_laplacian,
-        enumerate_directed_trees,
-        qualifying_tree_count,
-        zls_cofactor_check,
-    )
+    from .graphs import enumerate_vertices
+    from .spanning import enumerate_directed_trees, qualifying_tree_count
 
     roots = P.graph.incident_nodes
     if name == "root-independence":
@@ -227,10 +222,7 @@ def _run_check(name: str, P, x) -> tuple[bool, str]:
         ok = check_parallel_to_circ(P)
         return ok, "vertex differences are balanced" if ok else "unbalanced difference"
     if name == "zls":
-        f0 = enumerate_vertices(P)[0]
-        vec = m_map(P, f0, x)
-        W = WeightedDigraph(P.graph.incident_nodes, dict(vec.values))
-        ok = zls_cofactor_check(build_laplacian(W))
+        ok = check_zls(P, x)
         return ok, "all principal cofactors equal" if ok else "cofactors differ"
     if name == "matrix-tree":
         for f in enumerate_vertices(P):

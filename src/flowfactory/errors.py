@@ -29,10 +29,6 @@ class NotCirculation(FlowFactoryError):
     """Vector does not satisfy the circulation balance equations."""
 
 
-class NotZLS(FlowFactoryError):
-    """Matrix rows and columns do not all sum to zero."""
-
-
 class NoArborescence(FlowFactoryError):
     """No arborescence (or no qualifying directed tree) exists for the request."""
 

@@ -167,14 +167,19 @@ def _net_flow(P: FlowPolytope, coords: Sequence) -> dict[int, object]:
     return net
 
 
-def is_vertex(P: FlowPolytope, bits: Sequence[int]) -> bool:
-    """True iff `bits` is a 0/1 assignment meeting every demand constraint."""
+def _require_bits(P: FlowPolytope, bits: Sequence[int]) -> None:
+    """Raise InvalidInstance unless `bits` holds one 0 or 1 per edge of P."""
     if len(bits) != len(P.edges):
         raise InvalidInstance(
             f"expected {len(P.edges)} edge bits, got {len(bits)}"
         )
     if any(b not in (0, 1) for b in bits):
         raise InvalidInstance("vertex coordinates must be 0 or 1")
+
+
+def is_vertex(P: FlowPolytope, bits: Sequence[int]) -> bool:
+    """True iff `bits` is a 0/1 assignment meeting every demand constraint."""
+    _require_bits(P, bits)
     net = _net_flow(P, bits)
     return all(net[v] == P.demand(v) for v in net)
 

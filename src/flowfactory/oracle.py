@@ -10,7 +10,10 @@ oriented toward r, that is iff f is 1 exactly on t's edges that point away
 from r.  So each (tree, root) picks out one bit pattern on the tree, and
 the vertices that qualify are the AND, over the tree's edges, of one
 |V|-bit set per (edge, bit).  The tree-sum evaluator, the Matrix-Tree check
-and the exchange bijection all read those sets.
+and the exchange bijection all read those sets; the bijection maps each
+vertex as one edge-bit int.  Every Laplacian cofactor, in the factored form
+and in the zero-line-sum check, is an integer root minor of M_f(x)'s arcs
+over x's common denominator.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import add
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -30,7 +32,6 @@ from .errors import (
     NotCirculation,
 )
 from .graphs import (
-    CirculationVector,
     Edge,
     FlowPolytope,
     FlowVertex,
@@ -40,7 +41,7 @@ from .graphs import (
     require_interior_point,
     reverse_edge,
 )
-from .spanning import _root_minor, enumerate_directed_trees
+from .spanning import _root_minor, _support_is_spanning_tree, enumerate_directed_trees
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,9 @@ class _Orientations:
         ones = [int("".join(map(str, column[::-1])), 2) for column in zip(*self.vertices)]
         #: Per edge id: (vertices 0 on it, vertices 1 on it).
         self.bits = [(self._all ^ one, one) for one in ones or [0] * len(P.edges)]
+        #: Per vertex: its edge bits as one int, bit i being f_i; and each such int's vertex position.
+        self.masks = [sum(b << i for i, b in enumerate(f)) for f in self.vertices]
+        self.index = {mask: j for j, mask in enumerate(self.masks)}
         self._oriented: dict = {}
         self._by_root: dict = {}
 
@@ -169,6 +173,20 @@ def eval_polynomial(P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fract
     return Fraction(prefix * total, den ** (len(num) + len(P.graph.incident_nodes) - 1))
 
 
+def _image_arcs(
+    P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]
+) -> tuple[int, list[tuple[int, int, int]], int]:
+    """(prefix numerator, the arcs (u, v, w) of M_f(x) with integer w over d, d) for x over d.
+
+    Raises NotCirculation when M_f(x) is not balanced.
+    """
+    prefix, num, den = _scaled(P, f, root, x)
+    image = m_map(P, f, num, one=den)
+    if not image.is_balanced():
+        raise NotCirculation("vector violates the balance equations")
+    return prefix, [(u, v, w) for (u, v), w in image.values.items()], den
+
+
 def eval_polynomial_factored(
     P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]
 ) -> Fraction:
@@ -179,13 +197,10 @@ def eval_polynomial_factored(
     weighted arborescence count toward root is the root minor of their
     out-Laplacian (Tutte's Matrix-Tree theorem) over d^(k-1).
     """
-    prefix, num, den = _scaled(P, f, root, x)
-    image = m_map(P, f, num, one=den)
-    if not image.is_balanced():
-        raise NotCirculation("vector violates the balance equations")
+    prefix, arcs, den = _image_arcs(P, f, root, x)
     nodes = P.graph.incident_nodes
-    count = _root_minor(nodes, [(u, v, w) for (u, v), w in image.values.items()], root)
-    return Fraction(prefix * count, den ** (len(num) + len(nodes) - 1))
+    count = _root_minor(nodes, arcs, root)
+    return Fraction(prefix * count, den ** (len(P.edges) + len(nodes) - 1))
 
 
 @lru_cache(maxsize=256)
@@ -200,19 +215,34 @@ def check_root_independence(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
 
 
 def check_marginal_identity(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
-    """Exact zero test of sum over vertices of (f - x) weighted by P_f(x)."""
-    root = P.graph.incident_nodes[0]
-    m = len(P.edges)
-    acc = [Fraction(0)] * m
-    for f, w in polynomial_values(P, tuple(x), root).items():
-        for i in range(m):
-            acc[i] += (f[i] - Fraction(x[i])) * w
-    return all(a == 0 for a in acc)
+    """Exact zero test of sum over vertices of (f - x) weighted by P_f(x).
+
+    Edge by edge: the weight of the vertices that use edge i equals x_i
+    times the total weight.
+    """
+    values = polynomial_values(P, tuple(x), P.graph.incident_nodes[0])
+    total = sum(values.values(), Fraction(0))
+    return all(
+        sum((w for f, w in values.items() if f[i]), Fraction(0)) == c * total
+        for i, c in enumerate(x)
+    )
 
 
 def check_positivity(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
     root = P.graph.incident_nodes[0]
     return sum(polynomial_values(P, tuple(x), root).values(), Fraction(0)) > 0
+
+
+def check_zls(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
+    """True iff the principal cofactors of M_f0(x)'s out-Laplacian agree, f0 the first vertex.
+
+    M_f0(x) is balanced, so that Laplacian has zero line sums.  Its arcs are
+    taken as integers over x's common denominator d, which scales every
+    cofactor by the same d^(k-1).
+    """
+    nodes = P.graph.incident_nodes
+    _, arcs, _ = _image_arcs(P, enumerate_vertices(P)[0], nodes[0], x)
+    return len({_root_minor(nodes, arcs, r) for r in nodes}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +293,7 @@ def check_parallel_to_circ(P: FlowPolytope) -> bool:
 
 @dataclass(frozen=True)
 class BijectionWitness:
-    g: dict[int, int]
-    eta: int
-    C_plus: frozenset[Edge]
-    C_minus: frozenset[Edge]
-    A_s: frozenset[Edge]
-    A_t: frozenset[Edge]
+    g: tuple[int, ...]
     F_s: tuple[FlowVertex, ...]
     F_t: tuple[FlowVertex, ...]
 
@@ -301,7 +326,8 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     flip turns T into the arborescence toward s are carried, by adding a
     signed cycle vector g, onto the vertices with f_eta = 1 whose flip turns
     T toward t.  Every claimed property is checked by enumeration; failure
-    raises IdentityViolated.
+    raises IdentityViolated.  On edge-bit ints, f + g is in {0,1} iff f is 0
+    where g is 1 and 1 where g is -1, and then f + g is f XOR g's support.
     """
     m = len(P.edges)
     if eta not in range(m):
@@ -309,72 +335,60 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     tree = tuple(sorted(T))
     if eta in tree:
         raise InvalidInstance("eta must lie outside the tree")
+    if not all(i in range(m) for i in tree) or not _support_is_spanning_tree(
+        [P.edges[i] for i in tree], P.graph.incident_nodes
+    ):
+        raise InvalidInstance(f"tree {tree} is no spanning tree of the incident nodes")
     s, t = P.edges[eta]
-    support = [frozenset(P.edges[i]) for i in tree]
-    if len(set(support)) != len(support):
-        raise InvalidInstance("tree edges repeat an undirected support edge")
     table = _orientations(P)
     A_s, toward_s = table.orientation(tree, s)
     A_t, toward_t = table.orientation(tree, t)
 
-    tree_edges = {i: P.edges[i] for i in tree}
-    C_plus = frozenset(e for e in tree_edges.values() if e in A_s and e not in A_t)
-    C_minus = frozenset(e for e in tree_edges.values() if e in A_t and e not in A_s)
-
     g = [0] * m
     g[eta] = 1
-    for i, e in tree_edges.items():
-        if e in C_plus:
-            g[i] = 1
-        elif e in C_minus:
-            g[i] = -1
+    for i in tree:
+        g[i] = (P.edges[i] in A_s) - (P.edges[i] in A_t)
+    plus = sum(1 << i for i, v in enumerate(g) if v == 1)
+    minus = sum(1 << i for i, v in enumerate(g) if v == -1)
 
     # g must be balanced and supported inside T + eta.
-    g_vec = CirculationVector(P.n, {P.edges[i]: v for i, v in enumerate(g) if v})
-    if not g_vec.is_balanced():
+    if any(_net_flow(P, g).values()):
         raise IdentityViolated("exchange vector is not balanced")
-    for i, v in enumerate(g):
-        if v and i != eta and i not in tree:
-            raise IdentityViolated("exchange vector leaves the tree support")
+    if (plus | minus) & ~sum(1 << i for i in (*tree, eta)):
+        raise IdentityViolated("exchange vector leaves the tree support")
 
-    # Cycle decomposition: g = (cycle through eta) - two-cycles of C_minus.
-    cycle = {P.edges[eta]} | set(C_plus) | {reverse_edge(e) for e in C_minus}
+    # Cycle decomposition: g = (cycle through eta) - two-cycles of its minus edges.
+    cycle = {P.edges[i] for i in _positions(plus)} | {
+        reverse_edge(P.edges[i]) for i in _positions(minus)
+    }
     if not _is_directed_cycle(cycle):
         raise IdentityViolated("eta with the exchange edges is not a directed cycle")
     recomposed = dict.fromkeys(cycle, 1)
-    for e in C_minus:
-        for a in (e, reverse_edge(e)):
+    for i in _positions(minus):
+        for a in (P.edges[i], reverse_edge(P.edges[i])):
             recomposed[a] = recomposed.get(a, 0) - 1
     recomposed = {e: v for e, v in recomposed.items() if v}
-    if recomposed != g_vec.values:
+    if recomposed != {P.edges[i]: v for i, v in enumerate(g) if v}:
         raise IdentityViolated("cycle decomposition does not recompose the vector")
 
-    # Both flow families, in vertex order, and the map between them.
+    # Both flow families as |V|-bit sets, and the map between them.
     zero_eta, one_eta = table.bits[eta]
-    F_s = [table.vertices[j] for j in _positions(toward_s & zero_eta)]
-    F_t = [table.vertices[j] for j in _positions(toward_t & one_eta)]
-    if F_s and any(v for i, v in enumerate(g) if i != eta and i not in tree):
-        raise IdentityViolated("exchange map moves a coordinate off the tree")
-    targets = set(F_t)
-    images = set()
-    for f in F_s:
-        fp = tuple(map(add, f, g))
-        if fp not in targets:
-            if any(b not in (0, 1) for b in fp):
-                raise IdentityViolated("image of the exchange map leaves {0,1}")
+    F_s, F_t = toward_s & zero_eta, toward_t & one_eta
+    sources, images = [*_positions(F_s)], 0
+    for j in sources:
+        f = table.masks[j]
+        if f & plus or f & minus != minus:
+            raise IdentityViolated("image of the exchange map leaves {0,1}")
+        image = table.index.get(f ^ (plus | minus))
+        if image is None or not F_t >> image & 1:
             raise IdentityViolated("exchange map leaves the target family")
-        images.add(fp)
-    if len(images) != len(F_s) or len(F_s) != len(F_t):
+        images |= 1 << image
+    if images != F_t or len(sources) != F_t.bit_count():
         raise IdentityViolated("exchange map is not a bijection")
     return BijectionWitness(
-        g=dict(enumerate(g)),
-        eta=eta,
-        C_plus=C_plus,
-        C_minus=C_minus,
-        A_s=A_s,
-        A_t=A_t,
-        F_s=tuple(F_s),
-        F_t=tuple(F_t),
+        g=tuple(g),
+        F_s=tuple(map(table.vertices.__getitem__, sources)),
+        F_t=tuple(map(table.vertices.__getitem__, _positions(F_t))),
     )
 
 

@@ -1,9 +1,11 @@
 """Arborescence counting, directed-tree enumeration, and exact tree sampling.
 
-All counting is exact: integer matrices go through fraction-free Bareiss
-elimination, rational matrices are cleared to integers first.  The Laplacian
-uses the out-weight diagonal, so the minor at r counts arborescences directed
-toward r (validated against enumeration in the test suite).  Trees whose flip
+All counting is exact: every Laplacian cofactor, the oracle's included, is
+one integer root minor (`_root_minor`) taken by fraction-free Bareiss
+elimination, and rational weights are cleared to integers first.  The
+Laplacian uses the out-weight diagonal, so the minor at r counts
+arborescences directed toward r (validated against enumeration in the test
+suite).  Trees whose flip
 is an arborescence are counted on the flip image of the edge set, and drawn
 as the acyclic maps among those that pick one exit per node of the image,
 each node's exits read from a table keyed by the flow's bits at its edges.
@@ -17,18 +19,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 
-from .errors import (
-    InvalidInstance,
-    NoArborescence,
-    NotZLS,
-    TooLargeForOracle,
-)
+from .errors import InvalidInstance, NoArborescence, TooLargeForOracle
 from .graphs import (
     ENUMERATION_CAP,
     Edge,
     FlowPolytope,
     FlowVertex,
     Graph,
+    _require_bits,
     flip_edge,
 )
 
@@ -81,35 +79,9 @@ def det_bareiss(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det_exact(matrix) -> Fraction:
-    """Exact determinant of a rational matrix via denominator clearing."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    for row in matrix:
-        for x in row:
-            scale = lcm(scale, Fraction(x).denominator)
-    ints = [[int(Fraction(x) * scale) for x in row] for row in matrix]
-    return Fraction(det_bareiss(ints), scale**n)
-
-
 # ---------------------------------------------------------------------------
 # Laplacians and counting
 # ---------------------------------------------------------------------------
-
-def build_laplacian(W: WeightedDigraph) -> list[list]:
-    """Out-weight Laplacian: diag(i) = sum_j w(i,j), entry (i,j) = -w(i,j)."""
-    idx = {v: i for i, v in enumerate(W.nodes)}
-    k = len(W.nodes)
-    zero = 0
-    L = [[zero] * k for _ in range(k)]
-    for (u, v), w in W.weights.items():
-        i, j = idx[u], idx[v]
-        L[i][j] -= w
-        L[i][i] += w
-    return L
-
 
 def _root_minor(nodes, arcs, root: int) -> int:
     """Determinant of the out-Laplacian of integer-weighted arcs (u, v, w)
@@ -144,23 +116,6 @@ def count_arborescences(W: WeightedDigraph, root: int):
     arcs = [(u, v, int(w * scale)) for (u, v), w in W.weights.items()]
     count = _root_minor(W.nodes, arcs, root)
     return count if scale == 1 else Fraction(count, scale ** (len(W.nodes) - 1))
-
-
-def zls_cofactor_check(matrix) -> bool:
-    """True iff all principal cofactors of a zero-line-sum matrix are equal."""
-    n = len(matrix)
-    for i in range(n):
-        if sum(matrix[i]) != 0 or sum(row[i] for row in matrix) != 0:
-            raise NotZLS(f"row or column {i} does not sum to zero")
-    dets = []
-    for r in range(n):
-        minor = [
-            [matrix[i][j] for j in range(n) if j != r]
-            for i in range(n)
-            if i != r
-        ]
-        dets.append(det_exact(minor))
-    return all(d == dets[0] for d in dets)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +210,7 @@ def qualifying_tree_count(P: FlowPolytope, f: FlowVertex, root: int) -> int:
     nodes = P.graph.incident_nodes
     if root not in nodes:
         raise InvalidInstance(f"root {root} not among nodes")
+    _require_bits(P, f)
     arcs = [(*flip_edge(P.graph, f, eid), 1) for eid in range(len(P.edges))]
     return _root_minor(nodes, arcs, root)
 
@@ -365,6 +321,7 @@ def sample_flip_tree(P: FlowPolytope, f: FlowVertex, root: int, rng) -> frozense
     draw, when there is none.
     """
     tables = ExitTables(P, root)
+    _require_bits(P, f)
     mask = sum(b << i for i, b in enumerate(f))
     bound = tables.maps(mask)
     while (tree := tables.tree(mask, rng.randrange(bound))) is None:

@@ -326,6 +326,36 @@ def test_verify_check_fails_on_a_perturbed_side(tmp_path, monkeypatch, check, mo
     }]
 
 
+def _root_minor_off_at_the_last_root(oracle, P):
+    honest = oracle._root_minor
+    last = P.graph.incident_nodes[-1]
+    return "_root_minor", lambda nodes, arcs, root: honest(nodes, arcs, root) + (root == last)
+
+
+def _one_polynomial_value_off(oracle, P):
+    honest = oracle.polynomial_values
+
+    def perturbed(P, x, root):
+        values = dict(honest(P, x, root))
+        values[next(iter(values))] += 1
+        return values
+
+    return "polynomial_values", perturbed
+
+
+@pytest.mark.parametrize("check, perturb, detail", [
+    ("zls", _root_minor_off_at_the_last_root, "cofactors differ"),
+    ("marginal", _one_polynomial_value_off, "marginal identity fails"),
+], ids=["zls", "marginal"])
+def test_verify_identity_check_fails_on_a_perturbed_input(tmp_path, monkeypatch, check, perturb, detail):
+    from flowfactory import oracle
+
+    monkeypatch.setattr(oracle, *perturb(oracle, triangle()))
+    out = tmp_path / "report.json"
+    assert main(["verify", *_write_triangle(tmp_path), "--checks", check, "--out", str(out)]) == 8
+    assert json.loads(out.read_text())["checks"] == [{"name": check, "pass": False, "detail": detail}]
+
+
 def test_verify_evaluates_each_vertex_polynomial_once_per_root(tmp_path, monkeypatch):
     import re
     from collections import Counter

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from flowfactory import (
     DegenerateDistribution,
     IdentityViolated,
     InvalidInstance,
+    NotCirculation,
     build_circulation_polytope,
     build_kflow_polytope,
     build_matching_polytope,
@@ -17,6 +19,7 @@ from flowfactory import (
     check_parallel_to_circ,
     check_positivity,
     check_root_independence,
+    check_zls,
     enumerate_directed_trees,
     enumerate_vertices,
     eval_polynomial,
@@ -168,6 +171,16 @@ def test_root_independence_negative_control():
     assert not check_root_independence(P, bad)
 
 
+def test_zls_and_factored_form_reject_an_unbalanced_point():
+    P = two_node()
+    assert check_zls(P, X2)
+    bad = (THIRD, Fraction(2, 5))
+    with pytest.raises(NotCirculation):
+        check_zls(P, bad)
+    with pytest.raises(NotCirculation):
+        eval_polynomial_factored(P, (0, 0), 1, bad)
+
+
 def test_marginal_identity():
     assert check_marginal_identity(two_node(), X2)
     assert check_marginal_identity(build_matching_polytope(2), (Fraction(1, 2),) * 4)
@@ -278,6 +291,15 @@ def test_bijection_rejects_an_eta_off_the_edge_ids(eta):
         check_bijection(P, tree, eta)
 
 
+@pytest.mark.parametrize("tree", [(0, 1), (0, 1, -10), (0, 1, 99), (1, 2, 6), (0, 0, 2)])
+def test_bijection_rejects_a_tree_that_spans_no_tree(tree):
+    # On circ4 with eta = (2,1): a tree that misses node 4, ids off the edge
+    # ids, the antiparallel pair (1,3), (3,1), and a repeated id.
+    P = build_circulation_polytope(4)
+    with pytest.raises(InvalidInstance, match="is no spanning tree of the incident nodes"):
+        check_bijection(P, tree, 3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(interior_instances(), st.data())
 def test_bijection_families_match_brute_force_on_random_instances(case, data):
@@ -297,6 +319,7 @@ def test_bijection_families_match_brute_force_on_random_instances(case, data):
     s, t = P.edges[eta]
     assert w.F_s == family(s, 0)
     assert w.F_t == family(t, 1)
+    assert sorted(tuple(map(add, f, w.g)) for f in w.F_s) == sorted(w.F_t)
 
 
 def test_statistical_test_self_consistency():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,18 +12,16 @@ from flowfactory import (
     NoArborescence,
     NotCirculation,
     WeightedDigraph,
-    build_laplacian,
+    build_circulation_polytope,
     count_arborescences,
     enumerate_directed_trees,
     sample_flip_tree,
-    zls_cofactor_check,
 )
-from flowfactory.errors import NotZLS
 from flowfactory.graphs import flip_tree, is_vertex, m_map
 from flowfactory.spanning import (
     ExitTables,
+    _root_minor,
     det_bareiss,
-    det_exact,
     directed_tree_count,
     is_arborescence,
     qualifying_tree_count,
@@ -60,30 +59,8 @@ def test_det_exact_vs_cofactor_random():
     rng = random.Random(321)
     for _ in range(25):
         n = rng.randrange(1, 6)
-        m = [
-            [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(n)]
-            for _ in range(n)
-        ]
-        assert det_exact(m) == det_cofactor(m)
-
-
-def test_build_laplacian():
-    W = WeightedDigraph((1, 2), {(1, 2): 3, (2, 1): 5})
-    assert build_laplacian(W) == [[3, -3], [-5, 5]]
-    assert build_laplacian(WeightedDigraph((1, 2, 3), {})) == [
-        [0, 0, 0],
-        [0, 0, 0],
-        [0, 0, 0],
-    ]
-
-
-def test_laplacian_of_circulation_is_zls():
-    x = CirculationVector(3, {e: Fraction(1) for e in [(1, 2), (2, 3), (3, 1)]})
-    W = WeightedDigraph((1, 2, 3), dict(x.values))
-    L = build_laplacian(W)
-    for i in range(3):
-        assert sum(L[i]) == 0
-        assert sum(row[i] for row in L) == 0
+        m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+        assert det_bareiss(m) == det_cofactor(m)
 
 
 def test_count_arborescences_two_node():
@@ -219,26 +196,25 @@ def test_sarb_root_independence_random():
         assert len(vals) == 1
 
 
-def test_zls_cofactor_check():
-    assert zls_cofactor_check([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-    ones = CirculationVector(3, {(u, v): Fraction(1) for u in (1, 2, 3) for v in (1, 2, 3) if u != v})
-    L = build_laplacian(WeightedDigraph((1, 2, 3), dict(ones.values)))
-    assert zls_cofactor_check(L)
-    with pytest.raises(NotZLS):
-        zls_cofactor_check([[1, 0], [0, 1]])
-
-
 def test_zls_cofactor_random():
+    # A zero-line-sum matrix is the out-Laplacian of the arcs (i, j, -m[i][j]),
+    # so its root minor at each node is that principal cofactor, and all agree.
     rng = random.Random(55)
     for _ in range(100):
         n = rng.randrange(2, 7)
-        m = [[Fraction(rng.randrange(-5, 6)) for _ in range(n)] for _ in range(n)]
+        m = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
         # correct last column then last row so all lines sum to zero
         for i in range(n):
             m[i][n - 1] = -sum(m[i][:-1])
         for j in range(n):
             m[n - 1][j] = -sum(m[i][j] for i in range(n - 1))
-        assert zls_cofactor_check(m)
+        arcs = [(i, j, -m[i][j]) for i in range(n) for j in range(n) if i != j]
+        minors = [_root_minor(range(n), arcs, r) for r in range(n)]
+        assert minors == [
+            det_cofactor([row[:r] + row[r + 1:] for k, row in enumerate(m) if k != r])
+            for r in range(n)
+        ]
+        assert len(set(minors)) == 1
 
 
 def test_enumerate_directed_trees():
@@ -356,3 +332,19 @@ def test_sample_flip_tree_always_qualifies():
     for _ in range(200):
         t = sample_flip_tree(P, f, 1, rng)
         assert is_arborescence(flip_tree(P.graph, f, tuple(t)), 1)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ((0, 1, 0, 1, 1), "expected 6 edge bits, got 5"),
+    ((0, 1, 0, 1, 1, 1, 0), "expected 6 edge bits, got 7"),
+    ((2,) * 6, "vertex coordinates must be 0 or 1"),
+    ((0, 1, 0, 1, 1, -1), "vertex coordinates must be 0 or 1"),
+])
+def test_flip_tree_count_and_draw_reject_an_f_that_is_no_edge_bit_vector(bad, match):
+    # circ3's (0,1,0,1,1,1) is a vertex; each bad f is it cut, padded or off {0,1}.
+    P = build_circulation_polytope(3)
+    assert is_vertex(P, (0, 1, 0, 1, 1, 1))
+    with pytest.raises(InvalidInstance, match=rf"^{re.escape(match)}$"):
+        qualifying_tree_count(P, bad, 1)
+    with pytest.raises(InvalidInstance, match=rf"^{re.escape(match)}$"):
+        sample_flip_tree(P, bad, 1, random.Random(0))
