@@ -5,8 +5,8 @@ sorted-key JSON/JSONL so that a fixed seed reproduces byte-identical files.
 
 Exit codes: 0 success; 2 parse error; 3 boundary coin; 4 invalid instance or
 point outside the polytope; 5 disconnected or empty edge list / no
-arborescence; 6 restart cap exceeded; 7 instance too large for the exact
-oracle; 8 verification failure.
+arborescence / every sampling polynomial vanishes; 6 restart cap exceeded;
+7 instance too large for the exact oracle; 8 verification failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from . import io
 from .coins import SimulatedCoins
 from .errors import (
     BoundaryCoin,
+    DegenerateDistribution,
     DisconnectedEdges,
     FlowFactoryError,
     InvalidInstance,
@@ -53,18 +54,19 @@ from .oracle import (
 _EXTERNAL_SALT = 0x9E3779B97F4A7C15
 
 
+# (error types, exit code), first match wins; any other FlowFactoryError exits 4.
+# At an interior point every polynomial vanishes only on a disconnected support.
+_EXIT_CODES = (
+    (BoundaryCoin, 3),
+    ((NotInPolytope, InvalidInstance), 4),
+    ((DisconnectedEdges, NoArborescence, DegenerateDistribution), 5),
+    (MaxRestartsExceeded, 6),
+    (TooLargeForOracle, 7),
+)
+
+
 def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, BoundaryCoin):
-        return 3
-    if isinstance(exc, (NotInPolytope, InvalidInstance)):
-        return 4
-    if isinstance(exc, (DisconnectedEdges, NoArborescence)):
-        return 5
-    if isinstance(exc, MaxRestartsExceeded):
-        return 6
-    if isinstance(exc, TooLargeForOracle):
-        return 7
-    return 4
+    return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), 4)
 
 
 def _load_instance(args):
@@ -72,7 +74,28 @@ def _load_instance(args):
     if not P.edges:
         raise DisconnectedEdges("the edge list is empty: no variable edge to sample or verify")
     biases = io.coins_from_dict(io.load_json(args.coins), len(P.edges))
+    require_interior_point(P, biases)
     return P, biases
+
+
+def _draw(args):
+    """Load the instance; return its edge count and a function making one
+    (flow, flips, restarts) draw, by sample_path for `sample-path`, else by FlowSampler."""
+    P, biases = _load_instance(args)
+    coins = SimulatedCoins(biases, seed=args.seed)
+    rng = _external_rng(args.seed)
+    if args.command == "sample-path":
+        def draw():
+            before = coins.total_flips
+            f = sample_path(P, coins, rng, max_retries=args.max_restarts)
+            return f, coins.total_flips - before, 0
+    else:
+        sampler = FlowSampler(P, root=args.root)
+
+        def draw():
+            trace = sampler.sample(coins, rng, max_restarts=args.max_restarts)
+            return trace.output, trace.total_flips, trace.restarts
+    return len(P.edges), draw
 
 
 def _external_rng(seed: int) -> random.Random:
@@ -88,6 +111,12 @@ def _write_lines(lines, path):
         sys.stdout.write(text)
 
 
+def _write_json(data, path):
+    text = io.dump_json(data, path)
+    if not path:
+        sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -99,50 +128,17 @@ def cmd_gen(args) -> int:
         P = build_matching_polytope(args.m)
     else:
         P = build_kflow_polytope(args.nodes, args.k)
-    text = io.dump_json(io.polytope_to_dict(P), args.out)
-    if not args.out:
-        sys.stdout.write(text)
+    _write_json(io.polytope_to_dict(P), args.out)
     return 0
 
 
 def cmd_sample(args) -> int:
-    P, biases = _load_instance(args)
-    require_interior_point(P, biases)
-    coins = SimulatedCoins(biases, seed=args.seed)
-    rng = _external_rng(args.seed)
-    sampler = FlowSampler(P, root=args.root)
-    m = len(P.edges)
+    m, draw = _draw(args)
     lines = []
     marg = [0] * m
     for _ in range(args.samples):
-        trace = sampler.sample(coins, rng, max_restarts=args.max_restarts)
-        lines.append(io.sample_line(trace.output, trace.total_flips, trace.restarts))
-        for i in range(m):
-            marg[i] += trace.output[i]
-    _write_lines(lines, args.out)
-    summary = {
-        "empirical_marginals": [io.empirical(c / args.samples) for c in marg],
-        "samples": args.samples,
-        "seed": args.seed,
-    }
-    sys.stdout.write(io.dump_json(summary))
-    return 0
-
-
-def cmd_sample_path(args) -> int:
-    P, biases = _load_instance(args)
-    require_interior_point(P, biases)
-    coins = SimulatedCoins(biases, seed=args.seed)
-    rng = _external_rng(args.seed)
-    m = len(P.edges)
-    lines = []
-    marg = [0] * m
-    prev_flips = 0
-    for _ in range(args.samples):
-        f = sample_path(P, coins, rng, max_retries=args.max_restarts)
-        flips = coins.total_flips - prev_flips
-        prev_flips = coins.total_flips
-        lines.append(io.sample_line(f, flips, 0))
+        f, flips, restarts = draw()
+        lines.append(io.sample_line(f, flips, restarts))
         for i in range(m):
             marg[i] += f[i]
     _write_lines(lines, args.out)
@@ -157,7 +153,6 @@ def cmd_sample_path(args) -> int:
 
 def cmd_dist(args) -> int:
     P, biases = _load_instance(args)
-    require_interior_point(P, biases)
     root = args.root if args.root is not None else P.graph.incident_nodes[0]
     dist = exact_output_distribution(P, biases, root)
     data = {
@@ -170,9 +165,7 @@ def cmd_dist(args) -> int:
         },
         "root": root,
     }
-    text = io.dump_json(data, args.out)
-    if not args.out:
-        sys.stdout.write(text)
+    _write_json(data, args.out)
     return 0
 
 
@@ -235,7 +228,6 @@ def _run_check(name: str, P, x) -> tuple[bool, str]:
 
 def cmd_verify(args) -> int:
     P, biases = _load_instance(args)
-    require_interior_point(P, biases)
     checks = []
     all_pass = True
     for name in args.checks:
@@ -260,8 +252,7 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "exact_marginals": marginals,
     }
-    text = io.dump_json(report, args.out)
-    sys.stdout.write(text if not args.out else "")
+    _write_json(report, args.out)
     if not all_pass:
         failed = ",".join(c["name"] for c in checks if not c["pass"])
         print(f"verification failed: {failed}", file=sys.stderr)
@@ -270,18 +261,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    P, biases = _load_instance(args)
-    require_interior_point(P, biases)
-    coins = SimulatedCoins(biases, seed=args.seed)
-    rng = _external_rng(args.seed)
-    sampler = FlowSampler(P, root=args.root)
+    _, draw = _draw(args)
     flips = 0
     restarts = 0
     start = time.perf_counter()
     for _ in range(args.samples):
-        trace = sampler.sample(coins, rng, max_restarts=args.max_restarts)
-        flips += trace.total_flips
-        restarts += trace.restarts
+        _, n, r = draw()
+        flips += n
+        restarts += r
     elapsed = time.perf_counter() - start
     stats = {
         "mean_flips": io.empirical(flips / args.samples),
@@ -296,9 +283,7 @@ def cmd_bench(args) -> int:
             "samples_per_sec": io.empirical(args.samples / elapsed if elapsed else 0.0),
         },
     }
-    text = io.dump_json(data, args.out)
-    if not args.out:
-        sys.stdout.write(text)
+    _write_json(data, args.out)
     return 0
 
 
@@ -359,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("polytope")
     sp.add_argument("coins")
     _add_run_flags(sp)
-    sp.set_defaults(func=cmd_sample_path)
+    sp.set_defaults(func=cmd_sample)
 
     d = sub.add_parser("dist", help="exact output distribution and marginals")
     d.add_argument("polytope")

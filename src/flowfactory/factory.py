@@ -8,6 +8,7 @@ from a separate seeded generator, never from the coins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .coins import CoinSource, VertexTest
 from .errors import (
@@ -35,6 +36,13 @@ class SampleTrace:
 # Path sampling on a unit-flow DAG
 # ---------------------------------------------------------------------------
 
+def _require_coin_per_edge(P: FlowPolytope, coins: CoinSource) -> None:
+    if coins.num_edges != len(P.edges):
+        raise InvalidInstance(
+            f"the coin source has {coins.num_edges} coins for {len(P.edges)} edges")
+
+
+@lru_cache(maxsize=256)
 def _unit_flow_dag_endpoints(P: FlowPolytope) -> tuple[int, int]:
     sources = [v for v in range(1, P.n + 1) if P.demand(v) == 1]
     sinks = [v for v in range(1, P.n + 1) if P.demand(v) == -1]
@@ -72,6 +80,7 @@ def sample_path(
     pick one uniformly with external randomness, flip its coin, keep it on
     heads, retry on tails.
     """
+    _require_coin_per_edge(P, coins)
     source, sink = _unit_flow_dag_endpoints(P)
     bits = [0] * len(P.edges)
     u = source
@@ -125,12 +134,11 @@ class FlowSampler:
         if self.root not in incident:
             raise InvalidInstance(f"root {self.root} touches no variable edge")
         self.total_trees = directed_tree_count(P.graph)
-        if self.total_trees == 0:
-            raise NoArborescence("edge set spans no directed tree")
         self.exits = ExitTables(P, self.root)
         self._vertices = VertexTest(P)
 
     def sample(self, coins: CoinSource, rng, max_restarts: int = DEFAULT_MAX_RESTARTS) -> SampleTrace:
+        _require_coin_per_edge(self.P, coins)
         # Only a CoinSource runs its own hits_in: a wrapper that forwards
         # unknown attributes would otherwise skip its flip_round.
         if isinstance(coins, CoinSource):

@@ -146,6 +146,35 @@ def test_sample_disconnected_exit(tmp_path, capsys):
     assert main(["sample", str(poly), str(coins), "--samples", "10"]) == 5
 
 
+@pytest.mark.parametrize("command", ["dist", "bench"])
+def test_disconnected_support_exits_5(tmp_path, capsys, command):
+    # dist finds every sampling polynomial zero there (DegenerateDistribution).
+    from instances import disconnected_pair
+
+    poly = tmp_path / "p.json"
+    coins = tmp_path / "c.json"
+    poly.write_text(json.dumps(polytope_to_dict(disconnected_pair())))
+    coins.write_text(json.dumps(coins_to_dict([Fraction(1, 3)] * 4)))
+    assert main([command, str(poly), str(coins)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_every_error_type_has_its_documented_exit_code():
+    import inspect
+
+    from flowfactory import cli, errors
+
+    documented = {
+        "FlowFactoryError": 4, "InvalidInstance": 4, "NotInPolytope": 4, "NotCirculation": 4,
+        "IdentityViolated": 4, "BoundaryCoin": 3, "DisconnectedEdges": 5, "NoArborescence": 5,
+        "DegenerateDistribution": 5, "MaxRestartsExceeded": 6, "TooLargeForOracle": 7,
+    }
+    types = {name: cls for name, cls in inspect.getmembers(errors, inspect.isclass)
+             if issubclass(cls, errors.FlowFactoryError)}
+    assert {name: cli._exit_code(cls("x")) for name, cls in types.items()} == documented
+
+
 def test_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -489,6 +518,24 @@ def test_bench_deterministic_stats(tmp_path, capsys):
     assert d1["stats"] == d2["stats"]
     assert main(["bench", poly, coins, "--samples", "1"]) == 0
     capsys.readouterr()
+
+
+def test_bench_means_match_the_sample_lines(tmp_path, capsys):
+    from flowfactory.io import empirical
+
+    P = build_circulation_polytope(4)
+    poly, coins = tmp_path / "p.json", tmp_path / "c.json"
+    poly.write_text(json.dumps(polytope_to_dict(P)))
+    coins.write_text(json.dumps(coins_to_dict([Fraction(1, 2)] * len(P.edges))))
+    argv = [str(poly), str(coins), "--samples", "100", "--seed", "5"]
+    out = tmp_path / "s.jsonl"
+    assert main(["sample", *argv, "--out", str(out)]) == 0
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    capsys.readouterr()
+    assert main(["bench", *argv]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["mean_flips"] == empirical(sum(r["flips"] for r in recs) / len(recs))
+    assert stats["mean_restarts"] == empirical(sum(r["restarts"] for r in recs) / len(recs))
 
 
 def test_cli_calls_do_not_import_scipy(tmp_path):

@@ -162,6 +162,36 @@ def test_sample_path_single_path():
         assert sample_path(chain, coins, rng) == (1, 1)
 
 
+def test_sample_path_checks_the_dag_once_per_polytope(monkeypatch):
+    from flowfactory import factory
+
+    P = dag6()
+    reads = []
+    honest = FlowPolytope.demand
+    monkeypatch.setattr(FlowPolytope, "demand", lambda self, v: reads.append(v) or honest(self, v))
+    factory._unit_flow_dag_endpoints.cache_clear()
+    coins, rng = SimulatedCoins(dag6_point(P), seed=0), random.Random(0)
+    sample_path(P, coins, rng)
+    first = len(reads)
+    for _ in range(99):
+        sample_path(P, coins, rng)
+    assert first > 0 and len(reads) == first
+
+
+@pytest.mark.parametrize("extra", [-1, 2], ids=["short", "long"])
+@pytest.mark.parametrize("P, draw", [
+    (triangle(), lambda P, coins, rng: FlowSampler(P).sample(coins, rng)),
+    (diamond_dag(), sample_path),
+], ids=["flow", "path"])
+def test_samplers_reject_a_coin_source_of_the_wrong_size(P, draw, extra):
+    m = len(P.edges)
+    coins, rng = SimulatedCoins([HALF] * (m + extra), seed=0), random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InvalidInstance, match=f"has {m + extra} coins for {m} edges"):
+        draw(P, coins, rng)
+    assert coins.total_flips == 0 and rng.getstate() == state
+
+
 def test_sample_path_rejects_non_dag():
     P = two_node()
     coins = SimulatedCoins([THIRD, THIRD], seed=0)

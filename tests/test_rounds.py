@@ -276,6 +276,7 @@ class PerRound:
     """Coins seen only through flip_round and flip, so stage 1 runs round by round."""
 
     def __init__(self, coins):
+        self.num_edges = coins.num_edges
         self.flip_round = coins.flip_round
         self.flip = coins.flip
 
