@@ -29,7 +29,7 @@ from .errors import (
     NotInPolytope,
     TooLargeForOracle,
 )
-from .factory import FlowSampler, sample_path
+from .factory import DEFAULT_MAX_RESTARTS, FlowSampler, sample_path
 from .graphs import (
     build_circulation_polytope,
     build_kflow_polytope,
@@ -102,18 +102,12 @@ def _external_rng(seed: int) -> random.Random:
     return random.Random(seed ^ _EXTERNAL_SALT)
 
 
-def _write_lines(lines, path):
-    text = "\n".join(lines) + ("\n" if lines else "")
+def _write(text: str, path) -> None:
+    """Write `text` to the file `path`; to stdout when `path` is None or empty."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
-
-
-def _write_json(data, path):
-    text = io.dump_json(data, path)
-    if not path:
         sys.stdout.write(text)
 
 
@@ -128,7 +122,7 @@ def cmd_gen(args) -> int:
         P = build_matching_polytope(args.m)
     else:
         P = build_kflow_polytope(args.nodes, args.k)
-    _write_json(io.polytope_to_dict(P), args.out)
+    _write(io.dump_json(io.polytope_to_dict(P)), args.out)
     return 0
 
 
@@ -141,7 +135,7 @@ def cmd_sample(args) -> int:
         lines.append(io.sample_line(f, flips, restarts))
         for i in range(m):
             marg[i] += f[i]
-    _write_lines(lines, args.out)
+    _write("".join(line + "\n" for line in lines), args.out)
     summary = {
         "empirical_marginals": [io.empirical(c / args.samples) for c in marg],
         "samples": args.samples,
@@ -165,7 +159,7 @@ def cmd_dist(args) -> int:
         },
         "root": root,
     }
-    _write_json(data, args.out)
+    _write(io.dump_json(data), args.out)
     return 0
 
 
@@ -252,7 +246,7 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "exact_marginals": marginals,
     }
-    _write_json(report, args.out)
+    _write(io.dump_json(report), args.out)
     if not all_pass:
         failed = ",".join(c["name"] for c in checks if not c["pass"])
         print(f"verification failed: {failed}", file=sys.stderr)
@@ -283,7 +277,7 @@ def cmd_bench(args) -> int:
             "samples_per_sec": io.empirical(args.samples / elapsed if elapsed else 0.0),
         },
     }
-    _write_json(data, args.out)
+    _write(io.dump_json(data), args.out)
     return 0
 
 
@@ -317,7 +311,7 @@ def check_names(text: str) -> list[str]:
 def _add_run_flags(p, samples_default=1000):
     p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--samples", type=positive_int, default=samples_default)
-    p.add_argument("--max-restarts", type=nonnegative_int, default=10_000_000)
+    p.add_argument("--max-restarts", type=nonnegative_int, default=DEFAULT_MAX_RESTARTS)
     p.add_argument("--out", default=None)
 
 

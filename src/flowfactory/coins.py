@@ -131,21 +131,21 @@ class SimulatedCoins(CoinSource):
     binary fraction, decided at the first digit where U and p differ.  The
     digits come from the raw 64-bit words of the generator, one bit a flip,
     so each word serves 64 flips at once (see _draw_bits).  Draws are
-    buffered through numpy for speed, single flips in a row of words per
-    edge as _draw_bits returns them; per-edge flip tallies are kept for
-    trace accounting.
+    buffered through numpy for speed.
 
-    Rounds come from buffers of _BUFFER rounds, kept as one row of flip
-    words per edge just as _draw_bits decides them (round j at bit j % 64
-    of word j // 64), in an array allocated once and reused by every
-    refill.  hits_in runs a VertexTest's scan over those rows once per
-    buffer and test, builds the masks of the hits alone as Python ints (both
-    are cached), and walks that hit list, refilling exactly where flip_round
-    would, so the rng is drawn in the same order and every bit is the same
-    as a flip_round loop would see.  It moves the round position past each
-    hit before yielding it, and carries the rounds left at the end of a
-    buffer into the next yield.  flip_round turns the whole buffer into
-    masks on its first read of it.
+    Two cursors count everything.  Single flips of edge e come from a row of
+    _BUFFER flips, read at position _flip_counts[e] % _BUFFER and redrawn at
+    0, so the per-edge tally of single flips is also the read position.
+    Rounds come from buffers of _BUFFER rounds, kept as one row of flip words
+    per edge just as _draw_bits decides them (round j at bit j % 64 of word
+    j // 64), in an array allocated once and reused by every refill;
+    _rounds counts the rounds flipped and _drawn those drawn, and the buffer
+    holds rounds _drawn - _BUFFER to _drawn.  _passing reads a buffer: for a
+    VertexTest it runs the test's scan over the rows, for None it takes
+    every round, and builds the masks of those rounds alone as Python ints,
+    cached per buffer and key.  flip_round and hits_in both read through it,
+    so the rng is drawn in the same order and every bit is the same whichever
+    of them flips a round.
     """
 
     def __init__(self, biases: Sequence[Fraction], seed: int = 0):
@@ -156,21 +156,13 @@ class SimulatedCoins(CoinSource):
                 raise BoundaryCoin(f"bias of edge {i} is {b}, not strictly inside (0,1)")
         self._rng = np.random.default_rng(np.random.SeedSequence(seed))
         # Per-edge tallies of single flips; every round adds one flip to each
-        # edge, and rounds are counted from the mask buffers on read.
+        # edge, counted from _rounds on read.
         self._flip_counts = [0] * self.num_edges
-        # Per edge: _BUFFER single flips and the next one's position (_BUFFER when used up).
         self._bits = np.empty((self.num_edges, _BUFFER // 64), dtype=np.uint64)
-        self._bit_pos = [_BUFFER] * self.num_edges
         self._rows = np.empty((self.num_edges, _BUFFER // 64), dtype=np.uint64)
-        self._masks: list[int] | None = None
-        self._hits: dict[VertexTest, tuple[list[int], list[int]]] = {}
-        self._mask_pos = 0
-        self._mask_end = 0
-        self._rounds_before = 0
-
-    @property
-    def _rounds(self) -> int:
-        return self._rounds_before + self._mask_pos
+        self._hits: dict[VertexTest | None, tuple[list[int], list[int]]] = {}
+        self._rounds = 0
+        self._drawn = 0
 
     @property
     def flip_counts(self) -> tuple[int, ...]:
@@ -226,70 +218,66 @@ class SimulatedCoins(CoinSource):
     def flip(self, edge: int) -> int:
         if not 0 <= edge < self.num_edges:
             raise InvalidInstance(f"unknown edge id {edge}")
-        pos = self._bit_pos[edge]
-        if pos == _BUFFER:
+        pos = self._flip_counts[edge] % _BUFFER
+        if not pos:
             self._bits[edge] = self._draw_bits(edge, _BUFFER)
-            pos = 0
-        self._bit_pos[edge] = pos + 1
         self._flip_counts[edge] += 1
         return int(self._bits[edge, pos >> 6]) >> (pos & 63) & 1
 
     def _refill(self) -> None:
         """Draw the next _BUFFER rounds, edge by edge, into the flip rows."""
-        self._rounds_before += self._mask_pos
-        self._mask_pos = 0
-        self._mask_end = _BUFFER
-        self._masks = None
+        self._drawn = self._rounds + _BUFFER
         self._hits.clear()
         for e, row in enumerate(self._rows):
             row[:] = self._draw_bits(e, _BUFFER)
 
-    def _mask_list(self, at: np.ndarray) -> list[int]:
-        """The masks of the current buffer's rounds at `at` (bit j % 8 of row byte j // 8) as ints."""
-        bits = (self._rows.view(np.uint8)[:, at >> 3] >> (at & 7).astype(np.uint8)) & 1
-        # Byte b of round j's mask holds edges 8b..8b+7; 8 bytes make a word.
-        words = max(1, (self.num_edges + 63) // 64)
-        packed = np.zeros((bits.shape[1], 8 * words), dtype=np.uint8)
-        packed[:, :(self.num_edges + 7) // 8] = np.packbits(bits, axis=0, bitorder="little").T
-        packed = packed.view(np.uint64)
-        masks = packed[:, 0].tolist()
-        for row in range(1, words):
-            masks = [a | (b << 64 * row) for a, b in zip(masks, packed[:, row].tolist())]
-        return masks
+    def _passing(self, test: VertexTest | None) -> tuple[list[int], list[int]]:
+        """Positions in the current buffer of the rounds passing `test`, and their masks.
+
+        The key None passes every round.  Refills first when every round
+        drawn has been flipped.
+        """
+        if self._rounds == self._drawn:
+            self._refill()
+        hits = self._hits.get(test)
+        if hits is None:
+            if test is None:
+                at = np.arange(_BUFFER)
+            else:
+                at = np.flatnonzero(_unpack(test.scan(self._rows), _BUFFER))
+            bits = (self._rows.view(np.uint8)[:, at >> 3] >> (at & 7).astype(np.uint8)) & 1
+            # Byte b of round j's mask holds edges 8b..8b+7; 8 bytes make a word.
+            words = max(1, (self.num_edges + 63) // 64)
+            packed = np.zeros((bits.shape[1], 8 * words), dtype=np.uint8)
+            packed[:, :(self.num_edges + 7) // 8] = np.packbits(bits, axis=0, bitorder="little").T
+            packed = packed.view(np.uint64)
+            masks = packed[:, 0].tolist()
+            for row in range(1, words):
+                masks = [a | (b << 64 * row) for a, b in zip(masks, packed[:, row].tolist())]
+            hits = self._hits[test] = (at.tolist(), masks)
+        return hits
 
     def flip_round(self) -> int:
-        pos = self._mask_pos
-        masks = self._masks
-        if masks is None or pos >= len(masks):
-            if pos >= self._mask_end:
-                self._refill()
-                pos = 0
-            masks = self._masks = self._mask_list(np.arange(_BUFFER))
-        self._mask_pos = pos + 1
+        masks = self._passing(None)[1]
+        pos = self._rounds - self._drawn + _BUFFER
+        self._rounds += 1
         return masks[pos]
 
     def hits_in(self, vertices: VertexTest, limit: int) -> Iterator[tuple[int, int]]:
-        n = 0  # rounds flipped since the last yield
-        while limit > 0:
-            if self._mask_pos >= self._mask_end:
-                self._refill()
-            pos = self._mask_pos
-            hits = self._hits.get(vertices)
-            if hits is None:
-                at = np.flatnonzero(_unpack(vertices.scan(self._rows), _BUFFER))
-                hits = self._hits[vertices] = (at.tolist(), self._mask_list(at))
-            at, masks = hits
-            start, stop = pos, min(pos + limit, self._mask_end)
-            for i in range(bisect_left(at, pos), len(at)):
-                end = at[i] + 1
+        seen = self._rounds  # rounds flipped at the last yield
+        last = seen + limit
+        while self._rounds < last:
+            at, masks = self._passing(vertices)
+            start = self._drawn - _BUFFER  # round number of the buffer's position 0
+            stop = min(last, self._drawn)
+            for i in range(bisect_left(at, self._rounds - start), len(at)):
+                end = start + at[i] + 1
                 if end > stop:
                     break
-                self._mask_pos = end
-                yield masks[i], n + end - pos
-                n, pos = 0, end
-            self._mask_pos = stop
-            n += stop - pos
-            limit -= stop - start
+                self._rounds = end
+                yield masks[i], end - seen
+                seen = end
+            self._rounds = stop
 
 
 class TapeCoins(CoinSource):

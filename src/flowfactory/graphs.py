@@ -275,52 +275,46 @@ def enumerate_vertices(P: FlowPolytope) -> list[FlowVertex]:
 
 @lru_cache(maxsize=256)
 def _vertices(P: FlowPolytope) -> tuple[FlowVertex, ...]:
-    """Branch-and-prune over edge ids: a partial assignment is cut as soon as a
-    node's balance can no longer reach its demand with the edges that remain.
+    """Branch-and-prune over edge ids, 0 before 1.
+
+    Each node keeps its demand still unmet and its out- and in-edges still
+    undecided, which can meet any unmet demand in [-undecided in, undecided
+    out].  Every node is checked up front and an edge's ends as it is decided;
+    a partial assignment is cut as soon as one is out of range.
     """
     m = len(P.edges)
     if m > ENUMERATION_CAP:
         raise TooLargeForOracle(f"|E| = {m} exceeds enumeration cap {ENUMERATION_CAP}")
-    incident = set(P.graph.incident_nodes)
-    for v in range(1, P.n + 1):
-        if v not in incident and P.demand(v) != 0:
-            return ()
-
-    # Remaining out/in edge counts per node after position i has been decided.
-    rem_out = [[0] * (m + 1) for _ in range(P.n + 1)]
-    rem_in = [[0] * (m + 1) for _ in range(P.n + 1)]
-    for i in range(m - 1, -1, -1):
-        u, v = P.edges[i]
-        for w in range(1, P.n + 1):
-            rem_out[w][i] = rem_out[w][i + 1]
-            rem_in[w][i] = rem_in[w][i + 1]
-        rem_out[u][i] += 1
-        rem_in[v][i] += 1
-
-    demands = P.demands
-    balance = [0] * (P.n + 1)
+    edges = P.edges
+    need = [0, *P.demands]
+    out_left = [0] * (P.n + 1)
+    in_left = [0] * (P.n + 1)
+    for u, v in edges:
+        out_left[u] += 1
+        in_left[v] += 1
+    if not all(-i <= d <= o for d, o, i in zip(need, out_left, in_left)):
+        return ()
     bits: list[int] = []
     out: list[FlowVertex] = []
-
-    def feasible(w: int, i: int) -> bool:
-        d = demands[w - 1]
-        return balance[w] + rem_out[w][i] >= d >= balance[w] - rem_in[w][i]
 
     def rec(i: int) -> None:
         if i == m:
             out.append(tuple(bits))
             return
-        u, v = P.edges[i]
-        for b in (0, 1):
-            balance[u] += b
-            balance[v] -= b
-            bits.append(b)
-            if feasible(u, i + 1) and feasible(v, i + 1):
+        u, v = edges[i]
+        out_left[u] -= 1
+        in_left[v] -= 1
+        for b in (0, 1):  # b = 1 sends one unit more than b = 0, undone after the loop
+            need[u] -= b
+            need[v] += b
+            if -in_left[u] <= need[u] <= out_left[u] and -in_left[v] <= need[v] <= out_left[v]:
+                bits.append(b)
                 rec(i + 1)
-            bits.pop()
-            balance[u] -= b
-            balance[v] += b
+                bits.pop()
+        need[u] += 1
+        need[v] -= 1
+        out_left[u] += 1
+        in_left[v] += 1
 
     rec(0)
     return tuple(out)
-

@@ -99,14 +99,12 @@ def load_json(path: str) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def dump_json(data, path: str | None = None) -> str:
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+def dump_json(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def rational(value: Fraction) -> dict:

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from flowfactory import build_circulation_polytope
+from flowfactory import build_circulation_polytope, build_kflow_polytope, random_interior_point
 from flowfactory.cli import main
 from flowfactory.io import (
     coins_from_dict,
@@ -181,6 +182,34 @@ def test_parse_error_exit(tmp_path, capsys):
     poly, coins = _write_two_node(tmp_path)
     assert main(["sample", str(bad), coins]) == 2
     assert main(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize("which", ["polytope", "coins"])
+def test_deeply_nested_json_is_parse_error(tmp_path, capsys, which):
+    poly, coins = _write_two_node(tmp_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [str(deep), coins] if which == "polytope" else [poly, str(deep)]
+    assert main(["dist", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("command", ["gen", "sample", "sample-path", "dist", "verify", "bench"])
+def test_empty_out_writes_to_stdout(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    P = build_kflow_polytope(4, 1)  # a DAG with unit demands, so sample-path runs on it too
+    (tmp_path / "poly.json").write_text(json.dumps(polytope_to_dict(P)))
+    x = random_interior_point(P, random.Random(3))
+    (tmp_path / "coins.json").write_text(json.dumps(coins_to_dict(x)))
+    argv = {"gen": ["kflow", "--nodes", "4"], "dist": ["poly.json", "coins.json"],
+            "verify": ["poly.json", "coins.json"]}.get(command, ["poly.json", "coins.json", "--samples", "20"])
+    outputs = []
+    for extra in ([], ["--out", ""]):
+        assert main([command, *argv, *extra]) == 0
+        out, err = capsys.readouterr()
+        outputs.append((json.loads(out)["stats"] if command == "bench" else out, err))
+    assert outputs[0] == outputs[1] and outputs[0][0]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowfactory import (
     BoundaryCoin,
@@ -169,6 +172,25 @@ def test_enumerate_vertices_matches_brute_force():
         for bits in itertools.product((0, 1), repeat=6)
         if is_vertex(P, bits)
     ]
+    assert enumerate_vertices(P) == brute
+
+
+@st.composite
+def small_polytopes(draw):
+    """Digraphs of at most 10 edges, often with edgeless nodes, under any demands summing to 0."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else ())
+    demands = draw(st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1))
+    return FlowPolytope(Graph(n, edges), (*demands, -sum(demands)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_polytopes())
+@example(FlowPolytope(Graph(3, ((1, 2), (2, 1))), (1, 0, -1)))  # an edgeless node with a demand
+@example(FlowPolytope(Graph(2, ((1, 2), (2, 1))), (2, -2)))  # demands beyond the degrees
+def test_enumerate_vertices_matches_brute_force_random(P):
+    brute = [bits for bits in product((0, 1), repeat=len(P.edges)) if is_vertex(P, bits)]
     assert enumerate_vertices(P) == brute
 
 

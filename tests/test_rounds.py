@@ -132,6 +132,27 @@ def test_flip_counts_exact_under_mixed_use():
     assert coins.total_flips == sum(expected)
 
 
+def test_single_flips_cross_refills_byte_for_byte():
+    # An edge's single flips are its own _draw_bits rows, one after another,
+    # with rounds flipped in between from a buffer drawn before them.
+    biases = [THIRD, Fraction(2, 5)]
+    coins, ref = SimulatedCoins(biases, seed=7), SimulatedCoins(biases, seed=7)
+    n = 2 * _BUFFER + 5
+    masks = [coins.flip_round()]
+    got = []
+    for i in range(n):
+        got.append(coins.flip(0))
+        if i % 1000 == 0:
+            masks.append(coins.flip_round())
+            assert coins.flip_counts == (i + 1 + len(masks), len(masks))
+    rounds = [_unpack(ref._draw_bits(e, _BUFFER), len(masks)).tolist() for e in range(2)]
+    flips = np.concatenate([ref._draw_bits(0, _BUFFER) for _ in range(3)])
+    assert got == [int(b) for b in _unpack(flips, n)]
+    assert masks == [rounds[0][j] | rounds[1][j] << 1 for j in range(len(masks))]
+    assert coins.flip_counts == (n + len(masks), len(masks))
+    assert coins.total_flips == n + 2 * len(masks)
+
+
 def test_flip_round_independent_bits_beyond_64_edges():
     biases = [HALF] * 64 + [THIRD] * 6
     coins = SimulatedCoins(biases, seed=11)
