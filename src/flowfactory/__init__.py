@@ -33,7 +33,6 @@ from .graphs import (
     is_vertex,
     m_map,
     undirected_connected,
-    validate_point,
 )
 from .oracle import (
     BijectionWitness,

@@ -129,12 +129,9 @@ class FlowSampler:
         if not undirected_connected(P.graph):
             raise DisconnectedEdges("variable edges are disconnected as an undirected graph")
         self.P = P
-        incident = P.graph.incident_nodes
-        self.root = root if root is not None else incident[0]
-        if self.root not in incident:
-            raise InvalidInstance(f"root {self.root} touches no variable edge")
+        self.exits = ExitTables(P, root if root is not None else P.graph.incident_nodes[0])
+        self.root = self.exits.root
         self.total_trees = directed_tree_count(P.graph)
-        self.exits = ExitTables(P, self.root)
         self._vertices = VertexTest(P)
 
     def sample(self, coins: CoinSource, rng, max_restarts: int = DEFAULT_MAX_RESTARTS) -> SampleTrace:

@@ -184,11 +184,12 @@ def is_vertex(P: FlowPolytope, bits: Sequence[int]) -> bool:
     return all(net[v] == P.demand(v) for v in net)
 
 
-def validate_point(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
-    """True iff x is strictly inside (0,1)^E and exactly balanced.
+def require_interior_point(P: FlowPolytope, x: Sequence[Fraction]) -> None:
+    """Raise unless x is strictly inside (0,1)^E and exactly balanced.
 
-    Raises BoundaryCoin for coordinates equal to 0 or 1 and InvalidInstance
-    for coordinates outside [0,1] or a length mismatch.
+    Raises InvalidInstance for a length mismatch or coordinates outside
+    [0,1], BoundaryCoin for coordinates equal to 0 or 1, and NotInPolytope
+    when a node's net flow differs from its demand.
     """
     if len(x) != len(P.edges):
         raise InvalidInstance(f"expected {len(P.edges)} coordinates, got {len(x)}")
@@ -198,11 +199,7 @@ def validate_point(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
         if c < 0 or c > 1:
             raise InvalidInstance(f"coordinate of edge {i} is outside [0,1]")
     net = _net_flow(P, x)
-    return all(net[v] == P.demand(v) for v in net)
-
-
-def require_interior_point(P: FlowPolytope, x: Sequence[Fraction]) -> None:
-    if not validate_point(P, x):
+    if any(net[v] != P.demand(v) for v in net):
         raise NotInPolytope("point violates the flow balance constraints")
 
 
@@ -247,21 +244,27 @@ def m_map(P: FlowPolytope, f: FlowVertex, x: Sequence, one: int = 1) -> Circulat
 
 def undirected_connected(G: Graph) -> bool:
     """True iff the undirected support of E connects all incident nodes."""
-    nodes = G.incident_nodes
-    if not nodes:
-        return False
-    adj: dict[int, set[int]] = {v: set() for v in nodes}
-    for u, v in G.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(nodes)
+    return _connects(G.incident_nodes, G.edges)
+
+
+def _connects(nodes: Sequence[int], edges: Sequence[Edge]) -> bool:
+    """True iff `nodes` is not empty and the undirected support of `edges`, whose
+    ends all lie in `nodes`, joins them into one component (union-find)."""
+    parent = {v: v for v in nodes}
+    parts = len(parent)
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            parts -= 1
+    return parts == 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ oriented toward r, that is iff f is 1 exactly on t's edges that point away
 from r.  So each (tree, root) picks out one bit pattern on the tree, and
 the vertices that qualify are the AND, over the tree's edges, of one
 |V|-bit set per (edge, bit).  The tree-sum evaluator, the Matrix-Tree check
-and the exchange bijection all read those sets; the bijection maps each
-vertex as one edge-bit int.  Every Laplacian cofactor, in the factored form
-and in the zero-line-sum check, is an integer root minor of M_f(x)'s arcs
-over x's common denominator.
+and the exchange bijection all read those sets; the bijection compares one
+family's images with the other family as two sets of edge-bit ints.  Every
+Laplacian cofactor, in the factored form and in the zero-line-sum check, is
+an integer root minor of M_f(x)'s arcs over x's common denominator.
 """
 
 from __future__ import annotations
@@ -35,25 +35,29 @@ from .graphs import (
     Edge,
     FlowPolytope,
     FlowVertex,
+    _connects,
     _net_flow,
+    _require_bits,
     enumerate_vertices,
     m_map,
     require_interior_point,
     reverse_edge,
 )
-from .spanning import _root_minor, _support_is_spanning_tree, enumerate_directed_trees
+from .spanning import _root_minor, enumerate_directed_trees
 
 
 # ---------------------------------------------------------------------------
 # The sampling polynomials
 # ---------------------------------------------------------------------------
 
-def _require_fit(P: FlowPolytope, root: int, *vectors: Sequence) -> None:
-    """Raise InvalidInstance unless every vector has one entry per edge of P and root touches one."""
+def _require_fit(P: FlowPolytope, root: int, f: FlowVertex, *others: Sequence) -> None:
+    """Raise InvalidInstance unless f and the other vectors have one entry per edge of P,
+    each of f's is 0 or 1, and root touches one."""
     m = len(P.edges)
-    if any(len(v) != m for v in vectors):
-        lengths = " and ".join(str(len(v)) for v in vectors)
+    if any(len(v) != m for v in (f, *others)):
+        lengths = " and ".join(str(len(v)) for v in (f, *others))
         raise InvalidInstance(f"expected {m} edge bits and coordinates, got {lengths}")
+    _require_bits(P, f)
     if root not in P.graph.incident_nodes:
         raise InvalidInstance(f"root {root} touches no variable edge")
 
@@ -108,9 +112,8 @@ class _Orientations:
         ones = [int("".join(map(str, column[::-1])), 2) for column in zip(*self.vertices)]
         #: Per edge id: (vertices 0 on it, vertices 1 on it).
         self.bits = [(self._all ^ one, one) for one in ones or [0] * len(P.edges)]
-        #: Per vertex: its edge bits as one int, bit i being f_i; and each such int's vertex position.
+        #: Per vertex: its edge bits as one int, bit i being f_i.
         self.masks = [sum(b << i for i, b in enumerate(f)) for f in self.vertices]
-        self.index = {mask: j for j, mask in enumerate(self.masks)}
         self._oriented: dict = {}
         self._by_root: dict = {}
 
@@ -335,8 +338,9 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     tree = tuple(sorted(T))
     if eta in tree:
         raise InvalidInstance("eta must lie outside the tree")
-    if not all(i in range(m) for i in tree) or not _support_is_spanning_tree(
-        [P.edges[i] for i in tree], P.graph.incident_nodes
+    nodes = P.graph.incident_nodes
+    if not all(i in range(m) for i in tree) or len(tree) != len(nodes) - 1 or not _connects(
+        nodes, [P.edges[i] for i in tree]
     ):
         raise InvalidInstance(f"tree {tree} is no spanning tree of the incident nodes")
     s, t = P.edges[eta]
@@ -350,11 +354,12 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
         g[i] = (P.edges[i] in A_s) - (P.edges[i] in A_t)
     plus = sum(1 << i for i, v in enumerate(g) if v == 1)
     minus = sum(1 << i for i, v in enumerate(g) if v == -1)
+    support = plus | minus
 
     # g must be balanced and supported inside T + eta.
     if any(_net_flow(P, g).values()):
         raise IdentityViolated("exchange vector is not balanced")
-    if (plus | minus) & ~sum(1 << i for i in (*tree, eta)):
+    if support & ~sum(1 << i for i in (*tree, eta)):
         raise IdentityViolated("exchange vector leaves the tree support")
 
     # Cycle decomposition: g = (cycle through eta) - two-cycles of its minus edges.
@@ -371,24 +376,19 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     if recomposed != {P.edges[i]: v for i, v in enumerate(g) if v}:
         raise IdentityViolated("cycle decomposition does not recompose the vector")
 
-    # Both flow families as |V|-bit sets, and the map between them.
+    # Both flow families, as vertex positions read from |V|-bit sets, and the map between them.
     zero_eta, one_eta = table.bits[eta]
-    F_s, F_t = toward_s & zero_eta, toward_t & one_eta
-    sources, images = [*_positions(F_s)], 0
-    for j in sources:
-        f = table.masks[j]
-        if f & plus or f & minus != minus:
-            raise IdentityViolated("image of the exchange map leaves {0,1}")
-        image = table.index.get(f ^ (plus | minus))
-        if image is None or not F_t >> image & 1:
-            raise IdentityViolated("exchange map leaves the target family")
-        images |= 1 << image
-    if images != F_t or len(sources) != F_t.bit_count():
-        raise IdentityViolated("exchange map is not a bijection")
+    sources, targets = [*_positions(toward_s & zero_eta)], [*_positions(toward_t & one_eta)]
+    masks = table.masks
+    if any(masks[j] & support != minus for j in sources):
+        raise IdentityViolated("image of the exchange map leaves {0,1}")
+    # XOR by one mask is one-to-one, so equal image and target sets make the map a bijection.
+    if {masks[j] ^ support for j in sources} != {masks[j] for j in targets}:
+        raise IdentityViolated("exchange map is not a bijection onto the target family")
     return BijectionWitness(
         g=tuple(g),
         F_s=tuple(map(table.vertices.__getitem__, sources)),
-        F_t=tuple(map(table.vertices.__getitem__, _positions(F_t))),
+        F_t=tuple(map(table.vertices.__getitem__, targets)),
     )
 
 

@@ -26,6 +26,7 @@ from .graphs import (
     FlowPolytope,
     FlowVertex,
     Graph,
+    _connects,
     _require_bits,
     flip_edge,
 )
@@ -122,25 +123,6 @@ def count_arborescences(W: WeightedDigraph, root: int):
 # Tree enumeration oracles
 # ---------------------------------------------------------------------------
 
-def _support_is_spanning_tree(edges: list[Edge], nodes: tuple[int, ...]) -> bool:
-    if len(edges) != len(nodes) - 1:
-        return False
-    parent = {v: v for v in nodes}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
 @lru_cache(maxsize=256)
 def enumerate_directed_trees(G: Graph) -> tuple[tuple[int, ...], ...]:
     """All directed trees spanning the incident nodes, as sorted edge-id tuples."""
@@ -151,12 +133,9 @@ def enumerate_directed_trees(G: Graph) -> tuple[tuple[int, ...], ...]:
     k = len(nodes)
     if k < 2 or m < k - 1:
         return ()
-    trees = []
-    for combo in itertools.combinations(range(m), k - 1):
-        support = [G.edges[i] for i in combo]
-        if _support_is_spanning_tree(support, nodes):
-            trees.append(combo)
-    return tuple(trees)
+    # k - 1 edges that join the k nodes are a spanning tree.
+    return tuple(combo for combo in itertools.combinations(range(m), k - 1)
+                 if _connects(nodes, [G.edges[i] for i in combo]))
 
 
 def directed_tree_count(G: Graph) -> int:
@@ -236,7 +215,7 @@ class ExitTables:
     def __init__(self, P: FlowPolytope, root: int):
         nodes = P.graph.incident_nodes
         if root not in nodes:
-            raise InvalidInstance(f"root {root} not among nodes")
+            raise InvalidInstance(f"root {root} touches no variable edge")
         self.root = root
         self._all = sum(1 << v for v in nodes)
         # Per node: (node, edges at it as a mask, its table, (edge id, other end, inward) per edge).

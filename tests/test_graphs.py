@@ -11,6 +11,7 @@ from flowfactory import (
     FlowPolytope,
     Graph,
     InvalidInstance,
+    NotInPolytope,
     build_circulation_polytope,
     build_kflow_polytope,
     build_matching_polytope,
@@ -20,9 +21,9 @@ from flowfactory import (
     is_vertex,
     m_map,
     undirected_connected,
-    validate_point,
 )
 from flowfactory.errors import TooLargeForOracle
+from flowfactory.graphs import require_interior_point
 
 from instances import THIRD, disconnected_pair, square, square_cycle_flow, triangle, two_node
 
@@ -88,12 +89,13 @@ def test_is_vertex_triangle():
 
 def test_validate_point():
     P = two_node()
-    assert validate_point(P, (THIRD, THIRD))
-    assert not validate_point(P, (THIRD, Fraction(1, 2)))
+    require_interior_point(P, (THIRD, THIRD))
+    with pytest.raises(NotInPolytope):
+        require_interior_point(P, (THIRD, Fraction(1, 2)))
     with pytest.raises(BoundaryCoin):
-        validate_point(P, (Fraction(1), THIRD))
+        require_interior_point(P, (Fraction(1), THIRD))
     with pytest.raises(InvalidInstance):
-        validate_point(P, (Fraction(3, 2), THIRD))
+        require_interior_point(P, (Fraction(3, 2), THIRD))
 
 
 def test_flip_edge_and_tree():

@@ -390,6 +390,19 @@ def test_qualifying_trees_reject_a_root_off_the_graph():
         qualifying_trees(P, enumerate_vertices(P)[0], 99)
 
 
+@pytest.mark.parametrize("read", [
+    lambda P, f: eval_polynomial(P, f, 1, (Fraction(1, 2),) * 6),
+    lambda P, f: eval_polynomial_factored(P, f, 1, (Fraction(1, 2),) * 6),
+    lambda P, f: qualifying_trees(P, f, 1),
+], ids=["eval_polynomial", "eval_polynomial_factored", "qualifying_trees"])
+def test_oracle_rejects_an_f_that_is_no_edge_bit_vector(read):
+    # Of the right length but no 0/1 vector: no value or tree list is read for it.
+    P = triangle()
+    for bad in [(2,) * 6, (1, 0, 0, 1, -1, 1)]:
+        with pytest.raises(InvalidInstance, match="vertex coordinates must be 0 or 1"):
+            read(P, bad)
+
+
 def test_qualifying_trees_reject_an_f_of_the_wrong_length():
     P = build_circulation_polytope(4)
     f = enumerate_vertices(P)[1]

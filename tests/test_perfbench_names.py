@@ -21,7 +21,19 @@ CALLED = (
     "oracle.eval_polynomial_factored",
     "oracle.statistical_test",
     "cli._external_rng",
+    "cli.main",
+    "graphs.require_interior_point",
+    "coins.SimulatedCoins",
+    "factory.FlowSampler",
+    "io.polytope_from_dict",
+    "io.coins_from_dict",
+    "io.load_json",
+    "io.sample_line",
+    "io.flow_key",
 )
+
+#: Names that perfbench/worker.py reads as data rather than calls.
+READ = ("cli._ALL_CHECKS",)
 
 
 def _wrapped():
@@ -35,3 +47,9 @@ def _wrapped():
 def test_perfbench_name_resolves(name):
     module, attr = name.split(".")
     assert callable(getattr(importlib.import_module(f"flowfactory.{module}"), attr, None)), name
+
+
+@pytest.mark.parametrize("name", READ)
+def test_perfbench_data_name_exists(name):
+    module, attr = name.split(".")
+    assert hasattr(importlib.import_module(f"flowfactory.{module}"), attr), name
