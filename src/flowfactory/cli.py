@@ -145,15 +145,17 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _exact_marginals(P, dist) -> list[dict]:
+    return [{"edge": i, **io.rational(dist.marginal(i))} for i in range(len(P.edges))]
+
+
 def cmd_dist(args) -> int:
     P, biases = _load_instance(args)
     root = args.root if args.root is not None else P.graph.incident_nodes[0]
     dist = exact_output_distribution(P, biases, root)
     data = {
         "instance": args.polytope,
-        "marginals": [
-            {"edge": i, **io.rational(dist.marginal(i))} for i in range(len(P.edges))
-        ],
+        "marginals": _exact_marginals(P, dist),
         "probabilities": {
             io.flow_key(f): io.rational(p) for f, p in sorted(dist.probabilities.items())
         },
@@ -234,10 +236,7 @@ def cmd_verify(args) -> int:
         checks.append({"name": name, "pass": ok, "detail": detail})
         all_pass = all_pass and ok
     try:
-        dist = exact_output_distribution(P, biases)
-        marginals = [
-            {"edge": i, **io.rational(dist.marginal(i))} for i in range(len(P.edges))
-        ]
+        marginals = _exact_marginals(P, exact_output_distribution(P, biases))
     except FlowFactoryError:
         # e.g. every polynomial vanishes; the failing check tells the story
         marginals = []

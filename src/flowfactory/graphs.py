@@ -177,6 +177,12 @@ def _require_bits(P: FlowPolytope, bits: Sequence[int]) -> None:
         raise InvalidInstance("vertex coordinates must be 0 or 1")
 
 
+def _require_root(P: FlowPolytope, root: int) -> None:
+    """Raise InvalidInstance unless root is an endpoint of some edge of P."""
+    if root not in P.graph.incident_nodes:
+        raise InvalidInstance(f"root {root} touches no variable edge")
+
+
 def is_vertex(P: FlowPolytope, bits: Sequence[int]) -> bool:
     """True iff `bits` is a 0/1 assignment meeting every demand constraint."""
     _require_bits(P, bits)

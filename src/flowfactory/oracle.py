@@ -8,12 +8,14 @@ statistical acceptance harness.  The tree enumeration works by orientation:
 the flip of a tree t under f is an arborescence toward r iff it is t
 oriented toward r, that is iff f is 1 exactly on t's edges that point away
 from r.  So each (tree, root) picks out one bit pattern on the tree, and
-the vertices that qualify are the AND, over the tree's edges, of one
-|V|-bit set per (edge, bit).  The tree-sum evaluator, the Matrix-Tree check
-and the exchange bijection all read those sets; the bijection compares one
-family's images with the other family as two sets of edge-bit ints.  Every
-Laplacian cofactor, in the factored form and in the zero-line-sum check, is
-an integer root minor of M_f(x)'s arcs over x's common denominator.
+the vertices that qualify are those whose edge-bit ints (bit i = f_i) AND
+the tree's edge bits equal it.  The tree-sum evaluator, the Matrix-Tree
+check and the exchange bijection all read those (pattern, vertices)
+entries; the bijection takes its exchange vector from two patterns and
+compares one family's images with the other family as two sets of
+edge-bit ints.  Every Laplacian cofactor, in the factored form and in the
+zero-line-sum check, is an integer root minor of M_f(x)'s arcs over x's
+common denominator.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DegenerateDistribution,
@@ -38,6 +42,7 @@ from .graphs import (
     _connects,
     _net_flow,
     _require_bits,
+    _require_root,
     enumerate_vertices,
     m_map,
     require_interior_point,
@@ -58,8 +63,7 @@ def _require_fit(P: FlowPolytope, root: int, f: FlowVertex, *others: Sequence) -
         lengths = " and ".join(str(len(v)) for v in (f, *others))
         raise InvalidInstance(f"expected {m} edge bits and coordinates, got {lengths}")
     _require_bits(P, f)
-    if root not in P.graph.incident_nodes:
-        raise InvalidInstance(f"root {root} touches no variable edge")
+    _require_root(P, root)
 
 
 def _scaled(
@@ -83,50 +87,44 @@ def _over_common_denominator(x: tuple) -> tuple[tuple[int, ...], int]:
     return tuple(c.numerator * (den // c.denominator) for c in xs), den
 
 
-def _positions(bits: int) -> Iterator[int]:
-    """The positions of the set bits of `bits`, lowest first."""
-    digits = bin(bits)[:1:-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
+def _edge_bits(ids) -> int:
+    """The edge-bit int with bit i set for each edge id i in ids."""
+    return sum(1 << i for i in ids)
 
 
 class _Orientations:
     """Every tree's orientation toward every root, and the vertices whose bits spell it.
 
-    Bit j of a vertex set stands for the j-th vertex in vertex order.  Each
-    edge keeps two sets, the vertices that are 0 on it and those that are 1,
-    so a (tree, root) entry, (the tree oriented toward root, the vertices
-    that are 1 exactly on its edges that this orientation reverses), costs
-    one _orient_toward call and k - 1 ANDs, made the first time it is read.
-    Each root's qualifying trees for every vertex are then listed from those
-    sets, tree by tree, the first time the root is read.
+    Each vertex is one edge-bit int, bit i being f_i, kept as a list for the
+    per-pair set work and as one uint64 array for the compares (the 24-edge
+    enumeration cap keeps masks inside uint64; past it numpy raises
+    OverflowError, it never wraps).  A (tree, root) entry, (pattern,
+    positions), is the edge-bit int of the tree edges that orienting toward
+    root reverses and the vertices, in vertex order, whose bits on the tree
+    equal it; it costs one _orient_toward call and one compare over the
+    mask array, made the first time it is read.  Each root's qualifying
+    trees for every vertex are then listed from those positions, tree by
+    tree, the first time the root is read.
     """
 
     def __init__(self, P: FlowPolytope):
         self._edges = P.edges
         self.vertices = enumerate_vertices(P)
         self.trees = enumerate_directed_trees(P.graph)
-        self._all = (1 << len(self.vertices)) - 1
-        ones = [int("".join(map(str, column[::-1])), 2) for column in zip(*self.vertices)]
-        #: Per edge id: (vertices 0 on it, vertices 1 on it).
-        self.bits = [(self._all ^ one, one) for one in ones or [0] * len(P.edges)]
         #: Per vertex: its edge bits as one int, bit i being f_i.
-        self.masks = [sum(b << i for i, b in enumerate(f)) for f in self.vertices]
+        self.masks = [_edge_bits(i for i, b in enumerate(f) if b) for f in self.vertices]
+        self._array = np.array(self.masks, dtype=np.uint64)
         self._oriented: dict = {}
         self._by_root: dict = {}
 
-    def orientation(self, tree: tuple[int, ...], root: int) -> tuple[frozenset[Edge], int]:
-        """(tree oriented toward root, the set of vertices whose flip of tree is that orientation)."""
+    def orientation(self, tree: tuple[int, ...], root: int) -> tuple[int, list[int]]:
+        """The (pattern, positions) entry of tree oriented toward root."""
         found = self._oriented.get((tree, root))
         if found is None:
-            edges = [self._edges[i] for i in tree]
-            toward = _orient_toward(edges, root)
-            members = self._all
-            for i, e in zip(tree, edges):
-                members &= self.bits[i][e not in toward]
-            found = self._oriented[tree, root] = (toward, members)
+            toward = _orient_toward([self._edges[i] for i in tree], root)
+            pattern = _edge_bits(i for i in tree if self._edges[i] not in toward)
+            positions = np.flatnonzero(self._array & _edge_bits(tree) == pattern).tolist()
+            found = self._oriented[tree, root] = (pattern, positions)
         return found
 
     def qualifying(self, f: FlowVertex, root: int) -> Sequence[tuple[int, ...]]:
@@ -135,16 +133,14 @@ class _Orientations:
         if by_vertex is None:
             lists: list[list] = [[] for _ in self.vertices]
             for tree in self.trees:
-                for j in _positions(self.orientation(tree, root)[1]):
+                for j in self.orientation(tree, root)[1]:
                     lists[j].append(tree)
             by_vertex = self._by_root[root] = dict(zip(self.vertices, map(tuple, lists)))
         found = by_vertex.get(tuple(f))
-        if found is None:  # f is no vertex: compare its bits with each orientation
-            found = []
-            for tree in self.trees:
-                toward = self.orientation(tree, root)[0]
-                if all(f[i] == (self._edges[i] not in toward) for i in tree):
-                    found.append(tree)
+        if found is None:  # f is no vertex: compare its bits on each tree with the pattern
+            mask = _edge_bits(i for i, b in enumerate(f) if b)
+            found = [tree for tree in self.trees
+                     if mask & _edge_bits(tree) == self.orientation(tree, root)[0]]
         return found
 
 
@@ -329,8 +325,11 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     flip turns T into the arborescence toward s are carried, by adding a
     signed cycle vector g, onto the vertices with f_eta = 1 whose flip turns
     T toward t.  Every claimed property is checked by enumeration; failure
-    raises IdentityViolated.  On edge-bit ints, f + g is in {0,1} iff f is 0
-    where g is 1 and 1 where g is -1, and then f + g is f XOR g's support.
+    raises IdentityViolated.  g is +1 on eta and on the tree edges that
+    only the orientation toward t reverses, and -1 on those that only the
+    orientation toward s reverses.  On edge-bit ints, f + g is in {0,1} iff
+    f is 0 where g is 1 and 1 where g is -1, and then f + g is f XOR g's
+    support.
     """
     m = len(P.edges)
     if eta not in range(m):
@@ -345,48 +344,42 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
         raise InvalidInstance(f"tree {tree} is no spanning tree of the incident nodes")
     s, t = P.edges[eta]
     table = _orientations(P)
-    A_s, toward_s = table.orientation(tree, s)
-    A_t, toward_t = table.orientation(tree, t)
-
-    g = [0] * m
-    g[eta] = 1
-    for i in tree:
-        g[i] = (P.edges[i] in A_s) - (P.edges[i] in A_t)
-    plus = sum(1 << i for i, v in enumerate(g) if v == 1)
-    minus = sum(1 << i for i, v in enumerate(g) if v == -1)
+    pattern_s, at_s = table.orientation(tree, s)
+    pattern_t, at_t = table.orientation(tree, t)
+    plus = 1 << eta | pattern_t & ~pattern_s
+    minus = pattern_s & ~pattern_t
     support = plus | minus
+    g = tuple((plus >> i & 1) - (minus >> i & 1) for i in range(m))
 
     # g must be balanced and supported inside T + eta.
     if any(_net_flow(P, g).values()):
         raise IdentityViolated("exchange vector is not balanced")
-    if support & ~sum(1 << i for i in (*tree, eta)):
+    if support & ~_edge_bits((*tree, eta)):
         raise IdentityViolated("exchange vector leaves the tree support")
 
     # Cycle decomposition: g = (cycle through eta) - two-cycles of its minus edges.
-    cycle = {P.edges[i] for i in _positions(plus)} | {
-        reverse_edge(P.edges[i]) for i in _positions(minus)
-    }
+    cycle = {P.edges[i] if v == 1 else reverse_edge(P.edges[i]) for i, v in enumerate(g) if v}
     if not _is_directed_cycle(cycle):
         raise IdentityViolated("eta with the exchange edges is not a directed cycle")
     recomposed = dict.fromkeys(cycle, 1)
-    for i in _positions(minus):
-        for a in (P.edges[i], reverse_edge(P.edges[i])):
+    for e in [P.edges[i] for i, v in enumerate(g) if v == -1]:
+        for a in (e, reverse_edge(e)):
             recomposed[a] = recomposed.get(a, 0) - 1
     recomposed = {e: v for e, v in recomposed.items() if v}
     if recomposed != {P.edges[i]: v for i, v in enumerate(g) if v}:
         raise IdentityViolated("cycle decomposition does not recompose the vector")
 
-    # Both flow families, as vertex positions read from |V|-bit sets, and the map between them.
-    zero_eta, one_eta = table.bits[eta]
-    sources, targets = [*_positions(toward_s & zero_eta)], [*_positions(toward_t & one_eta)]
+    # Both flow families, split on eta's bit, and the map between them.
     masks = table.masks
+    sources = [j for j in at_s if not masks[j] >> eta & 1]
+    targets = [j for j in at_t if masks[j] >> eta & 1]
     if any(masks[j] & support != minus for j in sources):
         raise IdentityViolated("image of the exchange map leaves {0,1}")
     # XOR by one mask is one-to-one, so equal image and target sets make the map a bijection.
     if {masks[j] ^ support for j in sources} != {masks[j] for j in targets}:
         raise IdentityViolated("exchange map is not a bijection onto the target family")
     return BijectionWitness(
-        g=tuple(g),
+        g=g,
         F_s=tuple(map(table.vertices.__getitem__, sources)),
         F_t=tuple(map(table.vertices.__getitem__, targets)),
     )

@@ -28,6 +28,7 @@ from .graphs import (
     Graph,
     _connects,
     _require_bits,
+    _require_root,
     flip_edge,
 )
 
@@ -186,12 +187,10 @@ def qualifying_tree_count(P: FlowPolytope, f: FlowVertex, root: int) -> int:
     chosen ids always span a tree.  The count is the determinant of the flip
     image's out-Laplacian with root's row and column removed.
     """
-    nodes = P.graph.incident_nodes
-    if root not in nodes:
-        raise InvalidInstance(f"root {root} not among nodes")
+    _require_root(P, root)
     _require_bits(P, f)
     arcs = [(*flip_edge(P.graph, f, eid), 1) for eid in range(len(P.edges))]
-    return _root_minor(nodes, arcs, root)
+    return _root_minor(P.graph.incident_nodes, arcs, root)
 
 
 class ExitTables:
@@ -213,9 +212,8 @@ class ExitTables:
     """
 
     def __init__(self, P: FlowPolytope, root: int):
+        _require_root(P, root)
         nodes = P.graph.incident_nodes
-        if root not in nodes:
-            raise InvalidInstance(f"root {root} touches no variable edge")
         self.root = root
         self._all = sum(1 << v for v in nodes)
         # Per node: (node, edges at it as a mask, its table, (edge id, other end, inward) per edge).

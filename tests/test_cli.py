@@ -6,7 +6,12 @@ import sys
 
 import pytest
 
-from flowfactory import build_circulation_polytope, build_kflow_polytope, random_interior_point
+from flowfactory import (
+    build_circulation_polytope,
+    build_kflow_polytope,
+    build_matching_polytope,
+    random_interior_point,
+)
 from flowfactory.cli import main
 from flowfactory.io import (
     coins_from_dict,
@@ -284,17 +289,34 @@ def test_dist_output(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("command", ["dist", "verify"])
-def test_oracle_bytes_golden_circ4(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize("instance, command", [
+    pytest.param("circ4", "dist", id="dist"),
+    pytest.param("circ4", "verify", id="verify"),
+    pytest.param("match3", "dist", id="match3-dist"),
+    pytest.param("match3", "verify", id="match3-verify"),
+    pytest.param("kflow5_2", "dist", id="kflow5_2-dist"),
+    pytest.param("kflow5_2", "verify", id="kflow5_2-verify"),
+])
+def test_oracle_bytes_golden_circ4(tmp_path, capsys, monkeypatch, instance, command):
+    # circ4 at 1/2; match3 and kflow5_2, with nonzero demands, at an uneven interior point.
     monkeypatch.chdir(tmp_path)
-    P = build_circulation_polytope(4)
+    if instance == "circ4":
+        P = build_circulation_polytope(4)
+        x = [Fraction(1, 2)] * len(P.edges)
+    else:
+        P = build_matching_polytope(3) if instance == "match3" else build_kflow_polytope(5, 2)
+        x = random_interior_point(P, random.Random(3))
     (tmp_path / "poly.json").write_text(json.dumps(polytope_to_dict(P)))
-    (tmp_path / "coins.json").write_text(json.dumps(coins_to_dict([Fraction(1, 2)] * len(P.edges))))
+    (tmp_path / "coins.json").write_text(json.dumps(coins_to_dict(x)))
     assert main([command, "poly.json", "coins.json", "--out", "out.json"]) == 0
     assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == {
-        "dist": "dfe415d656c9c5fd957fdc3ae805dd3a9f1dbf2ad2f7e08d33f0582be1cd5a3d",
-        "verify": "6049760440f3eee34549959997f12d747d601b57345b8859b5228c1222ee4065",
-    }[command]
+        ("circ4", "dist"): "dfe415d656c9c5fd957fdc3ae805dd3a9f1dbf2ad2f7e08d33f0582be1cd5a3d",
+        ("circ4", "verify"): "6049760440f3eee34549959997f12d747d601b57345b8859b5228c1222ee4065",
+        ("match3", "dist"): "9a3e2e513b02c494b0801a640730691714bdd91a8d81dacb77996795e7dee23d",
+        ("match3", "verify"): "1ff6f4dec2ed4bf0e927c2d8e4220f6f95d5ded988a389f5aa01a586140f362c",
+        ("kflow5_2", "dist"): "4fd47b6c81f1e17e3c937500262782e4695963d6990feb24fd6377713cc4d886",
+        ("kflow5_2", "verify"): "223289dbf459e7497618a5d9af51b7940b1813aa86cf8c8008eaa1169eb3a1a1",
+    }[instance, command]
 
 
 def test_dist_root_outside_graph(tmp_path, capsys):
@@ -459,13 +481,12 @@ def test_verify_bijection_fails_on_one_perturbed_flip_image(tmp_path, monkeypatc
     honest = oracle._Orientations.orientation
 
     def perturbed(self, t, r):
-        toward, members = honest(self, t, r)
+        pattern, positions = honest(self, t, r)
         if (t, r) == (tree, root):
-            want = [int(P.edges[i] not in toward) for i in t]
-            want[0] ^= 1
-            members = sum(1 << j for j, f in enumerate(enumerate_vertices(P))
-                          if [f[i] for i in t] == want)
-        return toward, members
+            pattern ^= 1 << t[0]
+            positions = [j for j, f in enumerate(enumerate_vertices(P))
+                         if all(f[i] == pattern >> i & 1 for i in t)]
+        return pattern, positions
 
     paths = _write_triangle(tmp_path)
     out = tmp_path / "report.json"
@@ -479,6 +500,35 @@ def test_verify_bijection_fails_on_one_perturbed_flip_image(tmp_path, monkeypatc
     oracle._orientations.cache_clear()
     assert main(argv) == 0
     assert json.loads(out.read_text())["checks"][0]["pass"] is True
+
+
+def test_verify_bijection_fails_on_a_family_off_its_pattern(tmp_path, monkeypatch):
+    # Keep one (tree, root) pattern, so the exchange vector stays sound, but
+    # list as its vertices those whose bits on the tree's first edge differ
+    # from it: the family check, not the vector checks, must then fail.
+    from flowfactory import oracle
+    from flowfactory.graphs import enumerate_vertices
+
+    P = triangle()
+    tree = oracle.enumerate_directed_trees(P.graph)[0]
+    root = P.graph.incident_nodes[0]
+    honest = oracle._Orientations.orientation
+
+    def perturbed(self, t, r):
+        pattern, positions = honest(self, t, r)
+        if (t, r) == (tree, root):
+            wrong = pattern ^ 1 << t[0]
+            positions = [j for j, f in enumerate(enumerate_vertices(P))
+                         if all(f[i] == wrong >> i & 1 for i in t)]
+        return pattern, positions
+
+    out = tmp_path / "report.json"
+    oracle._orientations.cache_clear()
+    monkeypatch.setattr(oracle._Orientations, "orientation", perturbed)
+    assert main(["verify", *_write_triangle(tmp_path), "--checks", "bijection", "--out", str(out)]) == 8
+    oracle._orientations.cache_clear()
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["detail"] == "IdentityViolated: exchange map is not a bijection onto the target family"
 
 
 @pytest.mark.parametrize("command", ["verify", "dist", "sample", "sample-path", "bench"])

@@ -141,6 +141,22 @@ def test_bench_orientations_and_qualifying_table_circ4(benchmark):
     assert [len(t) for t in tables] == [qualifying_tree_count(P, f, 1) for f in vertices]
 
 
+def test_bench_orientations_and_qualifying_table_circ5m(benchmark):
+    # The same at a larger |V| (2,440 vertices, 1,200 trees), where each
+    # (tree, root) entry's compare runs over every vertex's mask.
+    P = circ5m()
+    vertices = enumerate_vertices(P)
+    tables = []
+
+    def build():
+        oracle._orientations.cache_clear()
+        tables[:] = [oracle.qualifying_trees(P, f, 1) for f in vertices]
+
+    benchmark.pedantic(build, rounds=5, iterations=1)
+    assert len(tables) == 2440
+    assert [len(t) for t in tables] == [qualifying_tree_count(P, f, 1) for f in vertices]
+
+
 def test_bench_bijection_check_circ4(benchmark):
     # verify's whole bijection check, every (tree, eta) pair, with the
     # orientation table built from cold.

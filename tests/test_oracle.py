@@ -30,7 +30,7 @@ from flowfactory import (
 )
 from flowfactory.graphs import flip_tree, m_map, reverse_edge
 from flowfactory.oracle import polynomial_values, qualifying_trees
-from flowfactory.spanning import is_arborescence, qualifying_tree_count
+from flowfactory.spanning import ExitTables, is_arborescence, qualifying_tree_count
 
 from instances import (
     THIRD,
@@ -388,6 +388,20 @@ def test_qualifying_trees_reject_a_root_off_the_graph():
     P = build_circulation_polytope(4)
     with pytest.raises(InvalidInstance, match="root 99 touches no variable edge"):
         qualifying_trees(P, enumerate_vertices(P)[0], 99)
+
+
+@pytest.mark.parametrize("read", [
+    qualifying_tree_count,
+    qualifying_trees,
+    lambda P, f, root: eval_polynomial(P, f, root, (Fraction(1, 2),) * 12),
+    lambda P, f, root: eval_polynomial_factored(P, f, root, (Fraction(1, 2),) * 12),
+    lambda P, f, root: ExitTables(P, root),
+], ids=["qualifying_tree_count", "qualifying_trees", "eval_polynomial", "eval_polynomial_factored",
+        "ExitTables"])
+def test_one_message_for_a_root_off_the_graph(read):
+    P = build_circulation_polytope(4)
+    with pytest.raises(InvalidInstance, match="^root 99 touches no variable edge$"):
+        read(P, enumerate_vertices(P)[0], 99)
 
 
 @pytest.mark.parametrize("read", [
