@@ -9,13 +9,14 @@ the flip of a tree t under f is an arborescence toward r iff it is t
 oriented toward r, that is iff f is 1 exactly on t's edges that point away
 from r.  So each (tree, root) picks out one bit pattern on the tree, and
 the vertices that qualify are those whose edge-bit ints (bit i = f_i) AND
-the tree's edge bits equal it.  The tree-sum evaluator, the Matrix-Tree
-check and the exchange bijection all read those (pattern, vertices)
-entries; the bijection takes its exchange vector from two patterns and
-compares one family's images with the other family as two sets of
-edge-bit ints.  Every Laplacian cofactor, in the factored form and in the
-zero-line-sum check, is an integer root minor of M_f(x)'s arcs over x's
-common denominator.
+the tree's edge bits equal it.  The tree sum, the Matrix-Tree check and
+the exchange bijection all read those (pattern, vertices) entries: the
+tree sum takes each entry's term once for all of its vertices, the
+Matrix-Tree check counts each vertex's entries, and the bijection takes
+its exchange vector from two patterns and compares one family's images
+with the other family as two sets of edge-bit ints.  Every Laplacian
+cofactor, in the factored form and in the zero-line-sum check, is an
+integer root minor of M_f(x)'s arcs over x's common denominator.
 """
 
 from __future__ import annotations
@@ -55,28 +56,19 @@ from .spanning import _root_minor, enumerate_directed_trees
 # The sampling polynomials
 # ---------------------------------------------------------------------------
 
-def _require_fit(P: FlowPolytope, root: int, f: FlowVertex, *others: Sequence) -> None:
-    """Raise InvalidInstance unless f and the other vectors have one entry per edge of P,
+def _require_fit(P: FlowPolytope, root: int, f: FlowVertex, x: Sequence) -> None:
+    """Raise InvalidInstance unless f and x have one entry per edge of P,
     each of f's is 0 or 1, and root touches one."""
     m = len(P.edges)
-    if any(len(v) != m for v in (f, *others)):
-        lengths = " and ".join(str(len(v)) for v in (f, *others))
-        raise InvalidInstance(f"expected {m} edge bits and coordinates, got {lengths}")
+    if len(f) != m or len(x) != m:
+        raise InvalidInstance(f"expected {m} edge bits and coordinates, got {len(f)} and {len(x)}")
     _require_bits(P, f)
     _require_root(P, root)
 
 
-def _scaled(
-    P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]
-) -> tuple[int, tuple[int, ...], int]:
-    """x over one common denominator d, once f, x and root fit P.
-
-    Returns (prefix numerator, numerators of x, d); the prefix, prod over
-    edges of x^f (1-x)^(1-f), is that numerator over d^|E|.
-    """
-    _require_fit(P, root, f, x)
-    num, den = _over_common_denominator(tuple(x))
-    return prod(n if b else den - n for n, b in zip(num, f)), num, den
+def _prefix(num: Sequence[int], den: int, f: FlowVertex) -> int:
+    """prefix(f, x), the product over edges of x^f (1-x)^(1-f), times d^|E| for x = num / d."""
+    return prod(n if b else den - n for n, b in zip(num, f))
 
 
 @lru_cache(maxsize=256)
@@ -102,9 +94,7 @@ class _Orientations:
     positions), is the edge-bit int of the tree edges that orienting toward
     root reverses and the vertices, in vertex order, whose bits on the tree
     equal it; it costs one _orient_toward call and one compare over the
-    mask array, made the first time it is read.  Each root's qualifying
-    trees for every vertex are then listed from those positions, tree by
-    tree, the first time the root is read.
+    mask array, made the first time it is read.
     """
 
     def __init__(self, P: FlowPolytope):
@@ -115,7 +105,6 @@ class _Orientations:
         self.masks = [_edge_bits(i for i, b in enumerate(f) if b) for f in self.vertices]
         self._array = np.array(self.masks, dtype=np.uint64)
         self._oriented: dict = {}
-        self._by_root: dict = {}
 
     def orientation(self, tree: tuple[int, ...], root: int) -> tuple[int, list[int]]:
         """The (pattern, positions) entry of tree oriented toward root."""
@@ -127,49 +116,67 @@ class _Orientations:
             found = self._oriented[tree, root] = (pattern, positions)
         return found
 
-    def qualifying(self, f: FlowVertex, root: int) -> Sequence[tuple[int, ...]]:
-        """The trees whose flip under the 0/1 vector f is an arborescence toward root, in tree order."""
-        by_vertex = self._by_root.get(root)
-        if by_vertex is None:
-            lists: list[list] = [[] for _ in self.vertices]
-            for tree in self.trees:
-                for j in self.orientation(tree, root)[1]:
-                    lists[j].append(tree)
-            by_vertex = self._by_root[root] = dict(zip(self.vertices, map(tuple, lists)))
-        found = by_vertex.get(tuple(f))
-        if found is None:  # f is no vertex: compare its bits on each tree with the pattern
-            mask = _edge_bits(i for i, b in enumerate(f) if b)
-            found = [tree for tree in self.trees
-                     if mask & _edge_bits(tree) == self.orientation(tree, root)[0]]
-        return found
-
 
 @lru_cache(maxsize=32)
 def _orientations(P: FlowPolytope) -> _Orientations:
     return _Orientations(P)
 
 
-def qualifying_trees(P: FlowPolytope, f: FlowVertex, root: int) -> list[tuple[int, ...]]:
-    """The trees of T(E) whose flip under the 0/1 vector f is an arborescence toward root."""
-    _require_fit(P, root, f)
-    return list(_orientations(P).qualifying(f, root))
+def _tree_sums(P: FlowPolytope, root: int, term) -> list:
+    """Per vertex, in vertex order, the sum of term(tree, pattern) over the trees
+    whose flip under it is an arborescence toward root.
+
+    The vertices at a (tree, root) entry's positions all have the pattern's
+    bits on the tree, so each tree's term is taken once and added to each of
+    their sums.
+    """
+    table = _orientations(P)
+    sums = [0] * len(table.vertices)
+    for tree in table.trees:
+        pattern, positions = table.orientation(tree, root)
+        value = term(tree, pattern)
+        for j in positions:
+            sums[j] += value
+    return sums
+
+
+@lru_cache(maxsize=256)
+def polynomial_values(P: FlowPolytope, x: tuple, root: int) -> Mapping[FlowVertex, Fraction]:
+    """Every vertex's sampling polynomial at x and root by tree enumeration, in vertex order; read-only.
+
+    P_f(x) is prefix(f, x) times the sum, over the trees whose flip under f
+    is an arborescence toward root, of prod over tree edges of
+    x^(1-f)(1-x)^f, where f's bits on the tree are the tree's pattern.  With
+    x over one denominator d, every value is an integer over d^|E| d^(k-1)
+    for k incident nodes.
+    """
+    vertices = _orientations(P).vertices
+    _require_fit(P, root, (0,) * len(P.edges), x)  # x and root, as for any vertex
+    num, den = _over_common_denominator(x)
+    sums = _tree_sums(P, root, lambda tree, pattern: prod(
+        den - num[i] if pattern >> i & 1 else num[i] for i in tree))
+    scale = den ** (len(num) + len(P.graph.incident_nodes) - 1)
+    return MappingProxyType({
+        f: Fraction(_prefix(num, den, f) * total, scale) for f, total in zip(vertices, sums)
+    })
 
 
 def eval_polynomial(P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]) -> Fraction:
-    """Value of the sampling polynomial of vertex f at x, by tree enumeration.
+    """Value of the sampling polynomial of vertex f at x: f's entry in polynomial_values.
 
-    prefix(f, x) times the sum, over the qualifying trees of f at root, of
-    prod over tree edges of x^(1-f)(1-x)^f.  With x over one denominator d,
-    every term is an integer over d^|E| d^(k-1) for k incident nodes.
+    Raises InvalidInstance when f is a 0/1 vector but no vertex of P.
     """
-    prefix, num, den = _scaled(P, f, root, x)
-    total = 0
-    for tree in _orientations(P).qualifying(f, root):
-        term = 1
-        for i in tree:
-            term *= den - num[i] if f[i] else num[i]
-        total += term
-    return Fraction(prefix * total, den ** (len(num) + len(P.graph.incident_nodes) - 1))
+    _require_fit(P, root, f, x)
+    value = polynomial_values(P, tuple(x), root).get(tuple(f))
+    if value is None:
+        raise InvalidInstance(f"{tuple(f)} is no vertex of the polytope")
+    return value
+
+
+def qualifying_counts(P: FlowPolytope, root: int) -> list[int]:
+    """Per vertex, in vertex order, how many trees' flips under it are arborescences toward root."""
+    _require_root(P, root)
+    return _tree_sums(P, root, lambda tree, pattern: 1)
 
 
 def _image_arcs(
@@ -179,11 +186,12 @@ def _image_arcs(
 
     Raises NotCirculation when M_f(x) is not balanced.
     """
-    prefix, num, den = _scaled(P, f, root, x)
+    _require_fit(P, root, f, x)
+    num, den = _over_common_denominator(tuple(x))
     image = m_map(P, f, num, one=den)
     if not image.is_balanced():
         raise NotCirculation("vector violates the balance equations")
-    return prefix, [(u, v, w) for (u, v), w in image.values.items()], den
+    return _prefix(num, den, f), [(u, v, w) for (u, v), w in image.values.items()], den
 
 
 def eval_polynomial_factored(
@@ -200,12 +208,6 @@ def eval_polynomial_factored(
     nodes = P.graph.incident_nodes
     count = _root_minor(nodes, arcs, root)
     return Fraction(prefix * count, den ** (len(P.edges) + len(nodes) - 1))
-
-
-@lru_cache(maxsize=256)
-def polynomial_values(P: FlowPolytope, x: tuple, root: int) -> Mapping[FlowVertex, Fraction]:
-    """eval_polynomial of every vertex at x and root, in vertex order; read-only."""
-    return MappingProxyType({f: eval_polynomial(P, f, root, x) for f in enumerate_vertices(P)})
 
 
 def check_root_independence(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
@@ -385,23 +387,11 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     )
 
 
-def _is_directed_cycle(edges: set[Edge]) -> bool:
-    nxt = {}
-    for u, v in edges:
-        if u in nxt:
-            return False
-        nxt[u] = v
-    if len(nxt) != len(edges):
-        return False
-    start = next(iter(nxt))
-    v = nxt[start]
-    steps = 1
-    while v != start:
-        if v not in nxt or steps > len(edges):
-            return False
-        v = nxt[v]
-        steps += 1
-    return steps == len(edges)
+def _is_directed_cycle(arcs: set[Edge]) -> bool:
+    """True iff the arcs form one directed cycle: each of their nodes is the
+    tail of one arc and the head of one, and the arcs join those nodes."""
+    tails, heads = {u for u, _ in arcs}, {v for _, v in arcs}
+    return tails == heads and len(tails) == len(arcs) and _connects(tails, list(arcs))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from flowfactory.io import (
 
 from fractions import Fraction
 
-from instances import subprocess_env, triangle, two_node
+from instances import circ5m, subprocess_env, triangle, two_node
 
 
 def _write_two_node(tmp_path, num=1, den=3):
@@ -292,16 +292,18 @@ def test_dist_output(tmp_path, capsys):
 @pytest.mark.parametrize("instance, command", [
     pytest.param("circ4", "dist", id="dist"),
     pytest.param("circ4", "verify", id="verify"),
+    pytest.param("circ5m", "dist", id="circ5m-dist"),
     pytest.param("match3", "dist", id="match3-dist"),
     pytest.param("match3", "verify", id="match3-verify"),
     pytest.param("kflow5_2", "dist", id="kflow5_2-dist"),
     pytest.param("kflow5_2", "verify", id="kflow5_2-verify"),
 ])
 def test_oracle_bytes_golden_circ4(tmp_path, capsys, monkeypatch, instance, command):
-    # circ4 at 1/2; match3 and kflow5_2, with nonzero demands, at an uneven interior point.
+    # circ4 and circ5m (|V| = 2,440) at 1/2; match3 and kflow5_2, with nonzero
+    # demands, at an uneven interior point.
     monkeypatch.chdir(tmp_path)
-    if instance == "circ4":
-        P = build_circulation_polytope(4)
+    if instance in ("circ4", "circ5m"):
+        P = build_circulation_polytope(4) if instance == "circ4" else circ5m()
         x = [Fraction(1, 2)] * len(P.edges)
     else:
         P = build_matching_polytope(3) if instance == "match3" else build_kflow_polytope(5, 2)
@@ -312,6 +314,7 @@ def test_oracle_bytes_golden_circ4(tmp_path, capsys, monkeypatch, instance, comm
     assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == {
         ("circ4", "dist"): "dfe415d656c9c5fd957fdc3ae805dd3a9f1dbf2ad2f7e08d33f0582be1cd5a3d",
         ("circ4", "verify"): "6049760440f3eee34549959997f12d747d601b57345b8859b5228c1222ee4065",
+        ("circ5m", "dist"): "89155b32e095afd5b1d9d3d48de136fd992b4d23fcfb54a58138ee1e551514b8",
         ("match3", "dist"): "9a3e2e513b02c494b0801a640730691714bdd91a8d81dacb77996795e7dee23d",
         ("match3", "verify"): "1ff6f4dec2ed4bf0e927c2d8e4220f6f95d5ded988a389f5aa01a586140f362c",
         ("kflow5_2", "dist"): "4fd47b6c81f1e17e3c937500262782e4695963d6990feb24fd6377713cc4d886",
@@ -443,13 +446,8 @@ def test_verify_evaluates_each_vertex_polynomial_once_per_root(tmp_path, monkeyp
 
     from flowfactory import cli, oracle
 
-    calls, orientations = [], Counter()
-    honest = oracle.eval_polynomial
+    orientations = Counter()
     orient_toward = oracle._orient_toward
-
-    def counted(*args):
-        calls.append(args[1:3])
-        return honest(*args)
 
     def counted_orientation(edges, root):
         orientations[tuple(edges), root] += 1
@@ -457,10 +455,9 @@ def test_verify_evaluates_each_vertex_polynomial_once_per_root(tmp_path, monkeyp
 
     oracle.polynomial_values.cache_clear()
     oracle._orientations.cache_clear()
-    monkeypatch.setattr(oracle, "eval_polynomial", counted)
     monkeypatch.setattr(oracle, "_orient_toward", counted_orientation)
     assert main(["verify", *_write_triangle(tmp_path)]) == 0
-    assert len(calls) == 30 and len(set(calls)) == 30  # 10 vertices x 3 roots
+    assert oracle.polynomial_values.cache_info().misses == 3  # one table per root
     # One orientation per (tree, node): 12 trees x 3 nodes.
     assert len(orientations) == 36 and max(orientations.values()) == 1
     text = Path(cli.__file__).read_text()

@@ -126,35 +126,30 @@ def test_bench_exit_maps_circ5m(benchmark):
     assert len(trees) == 1000 and all(len(t) == 4 for t in trees)
 
 
-def test_bench_orientations_and_qualifying_table_circ4(benchmark):
-    # The per-polytope orientation table, built from cold, and every
-    # vertex's qualifying trees at root 1 read from it.
-    P = build_circulation_polytope(4)
-    vertices = enumerate_vertices(P)
-    tables = []
+def _bench_per_root_pass(benchmark, P):
+    """The orientation table from cold, then root 1's pass over the trees: every
+    vertex's polynomial value at 1/2 and its qualifying-tree count."""
+    x = (HALF,) * len(P.edges)
+    counts = []
 
     def build():
         oracle._orientations.cache_clear()
-        tables[:] = [oracle.qualifying_trees(P, f, 1) for f in vertices]
+        oracle.polynomial_values.cache_clear()
+        oracle.polynomial_values(P, x, 1)
+        counts[:] = oracle.qualifying_counts(P, 1)
 
     benchmark.pedantic(build, rounds=5, iterations=1)
-    assert [len(t) for t in tables] == [qualifying_tree_count(P, f, 1) for f in vertices]
+    assert counts == [qualifying_tree_count(P, f, 1) for f in enumerate_vertices(P)]
+
+
+def test_bench_orientations_and_qualifying_table_circ4(benchmark):
+    _bench_per_root_pass(benchmark, build_circulation_polytope(4))
 
 
 def test_bench_orientations_and_qualifying_table_circ5m(benchmark):
     # The same at a larger |V| (2,440 vertices, 1,200 trees), where each
     # (tree, root) entry's compare runs over every vertex's mask.
-    P = circ5m()
-    vertices = enumerate_vertices(P)
-    tables = []
-
-    def build():
-        oracle._orientations.cache_clear()
-        tables[:] = [oracle.qualifying_trees(P, f, 1) for f in vertices]
-
-    benchmark.pedantic(build, rounds=5, iterations=1)
-    assert len(tables) == 2440
-    assert [len(t) for t in tables] == [qualifying_tree_count(P, f, 1) for f in vertices]
+    _bench_per_root_pass(benchmark, circ5m())
 
 
 def test_bench_bijection_check_circ4(benchmark):

@@ -29,7 +29,7 @@ from flowfactory import (
     statistical_test,
 )
 from flowfactory.graphs import flip_tree, m_map, reverse_edge
-from flowfactory.oracle import polynomial_values, qualifying_trees
+from flowfactory.oracle import _is_directed_cycle, _orientations, polynomial_values, qualifying_counts
 from flowfactory.spanning import ExitTables, is_arborescence, qualifying_tree_count
 
 from instances import (
@@ -59,13 +59,6 @@ def test_eval_polynomial_disconnected_is_zero():
 
 
 @pytest.mark.parametrize("evaluate", [eval_polynomial, eval_polynomial_factored])
-def test_evaluators_reject_a_root_off_the_graph(evaluate):
-    P = two_node()
-    with pytest.raises(InvalidInstance, match="root 99 touches no variable edge"):
-        evaluate(P, (0, 0), 99, X2)
-
-
-@pytest.mark.parametrize("evaluate", [eval_polynomial, eval_polynomial_factored])
 def test_evaluators_reject_inputs_of_the_wrong_length(evaluate):
     P = triangle()
     f = enumerate_vertices(P)[1]
@@ -73,6 +66,15 @@ def test_evaluators_reject_inputs_of_the_wrong_length(evaluate):
     for bad_f, bad_x in [(f[:-1], x), (f + (1, 1), x), (f, x[:-1]), (f, x + (THIRD,))]:
         with pytest.raises(InvalidInstance, match="expected 6 edge bits and coordinates"):
             evaluate(P, bad_f, 1, bad_x)
+
+
+def test_eval_polynomial_rejects_a_01_vector_that_is_no_vertex():
+    # Flipping bit 0 of a vertex unbalances that edge's ends: no polynomial is defined there.
+    P = triangle()
+    f = enumerate_vertices(P)[1]
+    off = (1 - f[0],) + f[1:]
+    with pytest.raises(InvalidInstance, match=r"is no vertex of the polytope$"):
+        eval_polynomial(P, off, 1, (THIRD,) * 6)
 
 
 def test_polynomial_values_is_a_read_only_table_of_eval_polynomial():
@@ -363,7 +365,10 @@ def test_square_flow_qualifying_trees_frozen():
     assert len(trees) == 32
     qual = [t for t in trees if is_arborescence(flip_tree(P.graph, f, t), 1)]
     assert len(qual) == 8
-    assert qualifying_trees(P, f, 1) == qual
+    table = _orientations(P)
+    j = table.vertices.index(f)
+    assert [t for t in trees if j in table.orientation(t, 1)[1]] == qual
+    assert qualifying_counts(P, 1)[j] == 8
 
 
 @settings(max_examples=60, deadline=None)
@@ -384,19 +389,13 @@ def test_factored_form_equals_tree_sum_on_random_instances(case):
             assert eval_polynomial(P, f, root, x) == eval_polynomial_factored(P, f, root, x), (f, root)
 
 
-def test_qualifying_trees_reject_a_root_off_the_graph():
-    P = build_circulation_polytope(4)
-    with pytest.raises(InvalidInstance, match="root 99 touches no variable edge"):
-        qualifying_trees(P, enumerate_vertices(P)[0], 99)
-
-
 @pytest.mark.parametrize("read", [
     qualifying_tree_count,
-    qualifying_trees,
+    lambda P, f, root: qualifying_counts(P, root),
     lambda P, f, root: eval_polynomial(P, f, root, (Fraction(1, 2),) * 12),
     lambda P, f, root: eval_polynomial_factored(P, f, root, (Fraction(1, 2),) * 12),
     lambda P, f, root: ExitTables(P, root),
-], ids=["qualifying_tree_count", "qualifying_trees", "eval_polynomial", "eval_polynomial_factored",
+], ids=["qualifying_tree_count", "qualifying_counts", "eval_polynomial", "eval_polynomial_factored",
         "ExitTables"])
 def test_one_message_for_a_root_off_the_graph(read):
     P = build_circulation_polytope(4)
@@ -407,35 +406,41 @@ def test_one_message_for_a_root_off_the_graph(read):
 @pytest.mark.parametrize("read", [
     lambda P, f: eval_polynomial(P, f, 1, (Fraction(1, 2),) * 6),
     lambda P, f: eval_polynomial_factored(P, f, 1, (Fraction(1, 2),) * 6),
-    lambda P, f: qualifying_trees(P, f, 1),
-], ids=["eval_polynomial", "eval_polynomial_factored", "qualifying_trees"])
+], ids=["eval_polynomial", "eval_polynomial_factored"])
 def test_oracle_rejects_an_f_that_is_no_edge_bit_vector(read):
-    # Of the right length but no 0/1 vector: no value or tree list is read for it.
+    # Of the right length but no 0/1 vector: no value is read for it.
     P = triangle()
     for bad in [(2,) * 6, (1, 0, 0, 1, -1, 1)]:
         with pytest.raises(InvalidInstance, match="vertex coordinates must be 0 or 1"):
             read(P, bad)
 
 
-def test_qualifying_trees_reject_an_f_of_the_wrong_length():
-    P = build_circulation_polytope(4)
-    f = enumerate_vertices(P)[1]
-    for bad in (f[:-1], f + (1, 1)):
-        with pytest.raises(InvalidInstance, match=f"expected 12 edge bits and coordinates, got {len(bad)}$"):
-            qualifying_trees(P, bad, 1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(interior_instances())
 def test_qualifying_trees_match_brute_force_on_random_instances(case):
-    # Every vertex, and one 0/1 vector that is none (a vertex with bit 0
-    # flipped unbalances that edge's ends), against a fresh flip of every tree.
-    P, _ = case
-    trees = enumerate_directed_trees(P.graph)
-    vertices = enumerate_vertices(P)
-    off = (1 - vertices[0][0],) + vertices[0][1:]
-    for f in [*vertices, off]:
-        for root in P.graph.incident_nodes:
-            expected = [t for t in trees if is_arborescence(flip_tree(P.graph, f, t), root)]
-            assert qualifying_trees(P, f, root) == expected, (f, root)
-            assert len(expected) == qualifying_tree_count(P, f, root), (f, root)
+    # At every root, the trees whose entry lists a vertex against a fresh flip
+    # of every tree, and their count against the determinant.  A 0/1 vector
+    # that is no vertex (a vertex with bit 0 flipped unbalances that edge's
+    # ends) has no polynomial value.
+    P, x = case
+    table = _orientations(P)
+    off = (1 - table.vertices[0][0],) + table.vertices[0][1:]
+    for root in P.graph.incident_nodes:
+        counts = qualifying_counts(P, root)
+        for j, f in enumerate(table.vertices):
+            expected = [t for t in table.trees if is_arborescence(flip_tree(P.graph, f, t), root)]
+            assert [t for t in table.trees if j in table.orientation(t, root)[1]] == expected, (f, root)
+            assert counts[j] == len(expected) == qualifying_tree_count(P, f, root), (f, root)
+        with pytest.raises(InvalidInstance, match="is no vertex of the polytope"):
+            eval_polynomial(P, off, root, x)
+
+
+@pytest.mark.parametrize("arcs, expected", [
+    ({(1, 2), (2, 3), (3, 1)}, True),
+    ({(1, 2), (2, 1)}, True),
+    ({(1, 2), (2, 1), (3, 4), (4, 3)}, False),
+    ({(1, 2), (2, 3)}, False),
+    ({(1, 2), (1, 3), (2, 1), (3, 1)}, False),
+], ids=["cycle", "2-cycle", "two-disjoint-cycles", "path", "two-out-arcs"])
+def test_is_directed_cycle(arcs, expected):
+    assert _is_directed_cycle(arcs) is expected
