@@ -43,9 +43,8 @@ from .oracle import (
     check_positivity,
     check_root_independence,
     check_zls,
-    eval_polynomial_factored,
     exact_output_distribution,
-    polynomial_values,
+    factored_form_mismatch,
     qualifying_counts,
 )
 
@@ -192,10 +191,9 @@ def _run_check(name: str, P, x) -> tuple[bool, str]:
         ok = check_positivity(P, x)
         return ok, "sum_f P_f(x) > 0" if ok else "all polynomials vanish"
     if name == "factored-form":
-        for r in roots:
-            for f, value in polynomial_values(P, tuple(x), r).items():
-                if value != eval_polynomial_factored(P, f, r, x):
-                    return False, f"mismatch at f={io.flow_key(f)} root={r}"
+        bad = factored_form_mismatch(P, x)
+        if bad:
+            return False, f"mismatch at f={io.flow_key(bad[0])} root={bad[1]}"
         return True, "tree-sum equals prefix * arborescence-sum everywhere"
     if name == "bijection":
         trees = enumerate_directed_trees(P.graph)

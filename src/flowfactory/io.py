@@ -60,15 +60,6 @@ def polytope_from_dict(data: dict) -> FlowPolytope:
     return FlowPolytope(Graph(n, tuple(edges)), tuple(demands))
 
 
-def coins_to_dict(biases) -> dict:
-    return {
-        "coins": [
-            {"edge": i, "num": b.numerator, "den": b.denominator}
-            for i, b in enumerate(biases)
-        ]
-    }
-
-
 def coins_from_dict(data: dict, num_edges: int) -> tuple[Fraction, ...]:
     if not isinstance(data, dict) or "coins" not in data:
         raise ValueError('coin file must hold {"coins": [...]}')

@@ -94,13 +94,22 @@ class _Orientations:
     positions), is the edge-bit int of the tree edges that orienting toward
     root reverses and the vertices, in vertex order, whose bits on the tree
     equal it; it costs one _orient_toward call and one compare over the
-    mask array, made the first time it is read.
+    mask array, made the first time it is read.  The trees are keyed to
+    their edge-bit ints, so a sorted id tuple is a spanning tree iff it is
+    a key, and each incident node keeps the edge-bit ints of its out- and
+    in-edges, so a vector's net flow there is a difference of popcounts.
     """
 
     def __init__(self, P: FlowPolytope):
         self._edges = P.edges
         self.vertices = enumerate_vertices(P)
         self.trees = enumerate_directed_trees(P.graph)
+        #: Per tree, as sorted edge ids: its edge bits as one int.
+        self.tree_bits = {tree: _edge_bits(tree) for tree in self.trees}
+        #: Per incident node: the edge-bit ints of its out-edges and of its in-edges.
+        self.ends = [(_edge_bits(i for i, (u, _) in enumerate(P.edges) if u == v),
+                      _edge_bits(i for i, (_, w) in enumerate(P.edges) if w == v))
+                     for v in P.graph.incident_nodes]
         #: Per vertex: its edge bits as one int, bit i being f_i.
         self.masks = [_edge_bits(i for i, b in enumerate(f) if b) for f in self.vertices]
         self._array = np.array(self.masks, dtype=np.uint64)
@@ -112,7 +121,7 @@ class _Orientations:
         if found is None:
             toward = _orient_toward([self._edges[i] for i in tree], root)
             pattern = _edge_bits(i for i in tree if self._edges[i] not in toward)
-            positions = np.flatnonzero(self._array & _edge_bits(tree) == pattern).tolist()
+            positions = np.flatnonzero(self._array & self.tree_bits[tree] == pattern).tolist()
             found = self._oriented[tree, root] = (pattern, positions)
         return found
 
@@ -179,35 +188,63 @@ def qualifying_counts(P: FlowPolytope, root: int) -> list[int]:
     return _tree_sums(P, root, lambda tree, pattern: 1)
 
 
-def _image_arcs(
-    P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]
-) -> tuple[int, list[tuple[int, int, int]], int]:
-    """(prefix numerator, the arcs (u, v, w) of M_f(x) with integer w over d, d) for x over d.
+def _image_arcs(P: FlowPolytope, f: FlowVertex, num: Sequence[int], den: int) -> list[tuple[int, int, int]]:
+    """The arcs (u, v, w) of M_f(x), with integer w over d, for x = num / d.
 
     Raises NotCirculation when M_f(x) is not balanced.
     """
-    _require_fit(P, root, f, x)
-    num, den = _over_common_denominator(tuple(x))
     image = m_map(P, f, num, one=den)
     if not image.is_balanced():
         raise NotCirculation("vector violates the balance equations")
-    return _prefix(num, den, f), [(u, v, w) for (u, v), w in image.values.items()], den
+    return [(u, v, w) for (u, v), w in image.values.items()]
+
+
+def _factored_value(
+    P: FlowPolytope, f: FlowVertex, root: int, num: Sequence[int], den: int,
+    arcs: Sequence[tuple[int, int, int]],
+) -> Fraction:
+    """P_f(x) in factored form from x = num / d and M_f(x)'s integer arcs over d.
+
+    That is prefix(f, x) times the weighted arborescence count of M_f(x)
+    toward root: the root minor of the arcs' out-Laplacian (Tutte's
+    Matrix-Tree theorem) over d^(k-1) for k incident nodes.
+    """
+    nodes = P.graph.incident_nodes
+    count = _root_minor(nodes, arcs, root)
+    return Fraction(_prefix(num, den, f) * count, den ** (len(num) + len(nodes) - 1))
 
 
 def eval_polynomial_factored(
     P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]
 ) -> Fraction:
     """Same value through the factored form: prefix times the arborescence sum
-    of the balanced image M_f(x) of x under the flip-affine map.
+    of the balanced image M_f(x) of x under the flip-affine map."""
+    _require_fit(P, root, f, x)
+    num, den = _over_common_denominator(tuple(x))
+    return _factored_value(P, f, root, num, den, _image_arcs(P, f, num, den))
 
-    With x over one denominator d, M_f(x) is integer arcs over d, and the
-    weighted arborescence count toward root is the root minor of their
-    out-Laplacian (Tutte's Matrix-Tree theorem) over d^(k-1).
+
+def factored_form_mismatch(P: FlowPolytope, x: Sequence[Fraction]) -> tuple[FlowVertex, int] | None:
+    """The first (f, root), root by root and each in vertex order, where the
+    tree sum and the factored form differ; None when they agree everywhere.
+
+    x's common denominator is taken once and M_f(x)'s arcs once per vertex,
+    since neither depends on the root; each (vertex, root) takes one root
+    minor.  The vertices are walked in turn, so one vertex's arcs are held
+    at a time.
     """
-    prefix, arcs, den = _image_arcs(P, f, root, x)
-    nodes = P.graph.incident_nodes
-    count = _root_minor(nodes, arcs, root)
-    return Fraction(prefix * count, den ** (len(P.edges) + len(nodes) - 1))
+    roots = P.graph.incident_nodes
+    tables = [polynomial_values(P, tuple(x), r) for r in roots]
+    num, den = _over_common_denominator(tuple(x))
+    mismatches = []
+    for j, (f, *values) in enumerate(zip(tables[0], *(t.values() for t in tables))):
+        arcs = _image_arcs(P, f, num, den)
+        mismatches += [(k, j, f) for k, value in enumerate(values)
+                       if value != _factored_value(P, f, roots[k], num, den, arcs)]
+    if not mismatches:
+        return None
+    k, _, f = min(mismatches)
+    return f, roots[k]
 
 
 def check_root_independence(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
@@ -242,7 +279,9 @@ def check_zls(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
     cofactor by the same d^(k-1).
     """
     nodes = P.graph.incident_nodes
-    _, arcs, _ = _image_arcs(P, enumerate_vertices(P)[0], nodes[0], x)
+    f0 = enumerate_vertices(P)[0]
+    _require_fit(P, nodes[0], f0, x)
+    arcs = _image_arcs(P, f0, *_over_common_denominator(tuple(x)))
     return len({_root_minor(nodes, arcs, r) for r in nodes}) == 1
 
 
@@ -327,11 +366,13 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     flip turns T into the arborescence toward s are carried, by adding a
     signed cycle vector g, onto the vertices with f_eta = 1 whose flip turns
     T toward t.  Every claimed property is checked by enumeration; failure
-    raises IdentityViolated.  g is +1 on eta and on the tree edges that
-    only the orientation toward t reverses, and -1 on those that only the
-    orientation toward s reverses.  On edge-bit ints, f + g is in {0,1} iff
-    f is 0 where g is 1 and 1 where g is -1, and then f + g is f XOR g's
-    support.
+    raises IdentityViolated.  T is a tree iff its sorted ids are one of the
+    enumerated trees.  g is +1 on eta and on the tree edges that only the
+    orientation toward t reverses, and -1 on those that only the orientation
+    toward s reverses; it is held as the edge-bit ints `plus` and `minus`,
+    and is balanced iff at every node the popcounts of its out-edges and
+    in-edges in them cancel.  On edge-bit ints, f + g is in {0,1} iff f is
+    0 where g is 1 and 1 where g is -1, and then f + g is f XOR g's support.
     """
     m = len(P.edges)
     if eta not in range(m):
@@ -339,36 +380,39 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     tree = tuple(sorted(T))
     if eta in tree:
         raise InvalidInstance("eta must lie outside the tree")
-    nodes = P.graph.incident_nodes
-    if not all(i in range(m) for i in tree) or len(tree) != len(nodes) - 1 or not _connects(
-        nodes, [P.edges[i] for i in tree]
-    ):
+    table = _orientations(P)
+    tree_bits = table.tree_bits.get(tree)
+    if tree_bits is None:
         raise InvalidInstance(f"tree {tree} is no spanning tree of the incident nodes")
     s, t = P.edges[eta]
-    table = _orientations(P)
     pattern_s, at_s = table.orientation(tree, s)
     pattern_t, at_t = table.orientation(tree, t)
     plus = 1 << eta | pattern_t & ~pattern_s
     minus = pattern_s & ~pattern_t
     support = plus | minus
-    g = tuple((plus >> i & 1) - (minus >> i & 1) for i in range(m))
 
     # g must be balanced and supported inside T + eta.
-    if any(_net_flow(P, g).values()):
+    if any((plus & out).bit_count() - (minus & out).bit_count()
+           != (plus & into).bit_count() - (minus & into).bit_count() for out, into in table.ends):
         raise IdentityViolated("exchange vector is not balanced")
-    if support & ~_edge_bits((*tree, eta)):
+    if support & ~(tree_bits | 1 << eta):
         raise IdentityViolated("exchange vector leaves the tree support")
 
     # Cycle decomposition: g = (cycle through eta) - two-cycles of its minus edges.
-    cycle = {P.edges[i] if v == 1 else reverse_edge(P.edges[i]) for i, v in enumerate(g) if v}
+    ids = [i for i in range(m) if support >> i & 1]
+    g = [0] * m
+    for i in ids:
+        g[i] = 1 if plus >> i & 1 else -1
+    cycle = {P.edges[i] if g[i] > 0 else reverse_edge(P.edges[i]) for i in ids}
     if not _is_directed_cycle(cycle):
         raise IdentityViolated("eta with the exchange edges is not a directed cycle")
     recomposed = dict.fromkeys(cycle, 1)
-    for e in [P.edges[i] for i, v in enumerate(g) if v == -1]:
-        for a in (e, reverse_edge(e)):
-            recomposed[a] = recomposed.get(a, 0) - 1
+    for i in ids:
+        if g[i] < 0:
+            for a in (P.edges[i], reverse_edge(P.edges[i])):
+                recomposed[a] = recomposed.get(a, 0) - 1
     recomposed = {e: v for e, v in recomposed.items() if v}
-    if recomposed != {P.edges[i]: v for i, v in enumerate(g) if v}:
+    if recomposed != {P.edges[i]: g[i] for i in ids}:
         raise IdentityViolated("cycle decomposition does not recompose the vector")
 
     # Both flow families, split on eta's bit, and the map between them.
@@ -381,7 +425,7 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     if {masks[j] ^ support for j in sources} != {masks[j] for j in targets}:
         raise IdentityViolated("exchange map is not a bijection onto the target family")
     return BijectionWitness(
-        g=g,
+        g=tuple(g),
         F_s=tuple(map(table.vertices.__getitem__, sources)),
         F_t=tuple(map(table.vertices.__getitem__, targets)),
     )

@@ -26,6 +26,11 @@ def subprocess_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def coins_to_dict(biases) -> dict:
+    """The coin file holding each edge's bias as a fraction in lowest terms."""
+    return {"coins": [{"edge": i, "num": b.numerator, "den": b.denominator} for i, b in enumerate(biases)]}
+
+
 def two_node():
     return build_circulation_polytope(2)
 

@@ -15,14 +15,13 @@ from flowfactory import (
 from flowfactory.cli import main
 from flowfactory.io import (
     coins_from_dict,
-    coins_to_dict,
     polytope_from_dict,
     polytope_to_dict,
 )
 
 from fractions import Fraction
 
-from instances import circ5m, subprocess_env, triangle, two_node
+from instances import circ5m, coins_to_dict, subprocess_env, triangle, two_node
 
 
 def _write_two_node(tmp_path, num=1, den=3):
@@ -380,7 +379,7 @@ def _write_triangle(tmp_path):
 
 
 @pytest.mark.parametrize("check, module, name, detail", [
-    ("factored-form", "flowfactory.cli", "eval_polynomial_factored", "mismatch"),
+    ("factored-form", "flowfactory.oracle", "_factored_value", "mismatch"),
     ("matrix-tree", "flowfactory.spanning", "qualifying_tree_count", "count mismatch"),
 ])
 def test_verify_check_fails_on_a_perturbed_side(tmp_path, monkeypatch, check, module, name, detail):
@@ -489,12 +488,14 @@ def test_verify_bijection_fails_on_one_perturbed_flip_image(tmp_path, monkeypatc
     out = tmp_path / "report.json"
     argv = ["verify", *paths, "--checks", "bijection", "--out", str(out)]
     oracle._orientations.cache_clear()
+    oracle.polynomial_values.cache_clear()
     monkeypatch.setattr(oracle._Orientations, "orientation", perturbed)
     assert main(argv) == 8
     (check,) = json.loads(out.read_text())["checks"]
     assert not check["pass"] and check["detail"].startswith("IdentityViolated: "), check
     monkeypatch.undo()
     oracle._orientations.cache_clear()
+    oracle.polynomial_values.cache_clear()
     assert main(argv) == 0
     assert json.loads(out.read_text())["checks"][0]["pass"] is True
 
@@ -521,11 +522,35 @@ def test_verify_bijection_fails_on_a_family_off_its_pattern(tmp_path, monkeypatc
 
     out = tmp_path / "report.json"
     oracle._orientations.cache_clear()
+    oracle.polynomial_values.cache_clear()
     monkeypatch.setattr(oracle._Orientations, "orientation", perturbed)
     assert main(["verify", *_write_triangle(tmp_path), "--checks", "bijection", "--out", str(out)]) == 8
     oracle._orientations.cache_clear()
+    oracle.polynomial_values.cache_clear()
     (check,) = json.loads(out.read_text())["checks"]
     assert check["detail"] == "IdentityViolated: exchange map is not a bijection onto the target family"
+
+
+def test_verify_bijection_fails_on_one_flipped_vertex_bit(tmp_path):
+    # Flip edge 0's bit in the first vertex's edge-bit int once the table is
+    # built: the uint64 array that the entries' positions come from keeps
+    # the honest bit, so a family split on eta's bit goes wrong and the
+    # exchange map must break.
+    from flowfactory import oracle
+
+    out = tmp_path / "report.json"
+    argv = ["verify", *_write_triangle(tmp_path), "--checks", "bijection", "--out", str(out)]
+    oracle._orientations.cache_clear()
+    oracle.polynomial_values.cache_clear()
+    try:
+        oracle._orientations(triangle()).masks[0] ^= 1
+        assert main(argv) == 8
+    finally:
+        oracle._orientations.cache_clear()
+        oracle.polynomial_values.cache_clear()
+    (check,) = json.loads(out.read_text())["checks"]
+    assert not check["pass"] and check["detail"].startswith("IdentityViolated: "), check
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("command", ["verify", "dist", "sample", "sample-path", "bench"])

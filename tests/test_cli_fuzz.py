@@ -20,6 +20,8 @@ from flowfactory import (
 from flowfactory import io
 from flowfactory.cli import main
 
+from instances import coins_to_dict
+
 CASES = 120
 DRAW = ["--samples", "2", "--max-restarts", "2000", "--seed", "7"]
 RUNS = (["sample", *DRAW], ["sample-path", *DRAW], ["bench", *DRAW], ["dist"], ["verify"])
@@ -28,7 +30,7 @@ RUNS = (["sample", *DRAW], ["sample-path", *DRAW], ["bench", *DRAW], ["dist"], [
 def _files():
     for P in (build_circulation_polytope(3), build_kflow_polytope(4, 1), build_matching_polytope(2)):
         x = random_interior_point(P, Random(0))
-        yield io.polytope_to_dict(P), io.coins_to_dict(x)
+        yield io.polytope_to_dict(P), coins_to_dict(x)
 
 
 def _fields(data):

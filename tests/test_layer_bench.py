@@ -164,3 +164,20 @@ def test_bench_bijection_check_circ4(benchmark):
 
     benchmark.pedantic(check, rounds=5, iterations=1)
     assert details == [(True, "verified 1152 (tree, eta) pairs")]  # 128 trees x 9 edges off each
+
+
+def test_bench_factored_form_check_circ4(benchmark):
+    # verify's whole factored-form check, every (vertex, root) pair, with the
+    # tree-sum tables already cached as the root-independence check leaves
+    # them, so only the factored side is timed.
+    P = build_circulation_polytope(4)
+    x = [HALF] * len(P.edges)
+    for r in P.graph.incident_nodes:
+        oracle.polynomial_values(P, tuple(x), r)
+    details = []
+
+    def check():
+        details[:] = [_run_check("factored-form", P, x)]
+
+    benchmark.pedantic(check, rounds=5, iterations=1)
+    assert details == [(True, "tree-sum equals prefix * arborescence-sum everywhere")]

@@ -29,7 +29,13 @@ from flowfactory import (
     statistical_test,
 )
 from flowfactory.graphs import flip_tree, m_map, reverse_edge
-from flowfactory.oracle import _is_directed_cycle, _orientations, polynomial_values, qualifying_counts
+from flowfactory.oracle import (
+    _is_directed_cycle,
+    _Orientations,
+    _orientations,
+    polynomial_values,
+    qualifying_counts,
+)
 from flowfactory.spanning import ExitTables, is_arborescence, qualifying_tree_count
 
 from instances import (
@@ -302,6 +308,25 @@ def test_bijection_rejects_a_tree_that_spans_no_tree(tree):
         check_bijection(P, tree, 3)
 
 
+def test_bijection_sees_an_unbalanced_exchange_vector_at_either_end(monkeypatch):
+    # Flipping one tree edge's bit in the pattern toward s moves g by one on
+    # that edge, which unbalances both of its ends: the balance test must
+    # catch it for every pair and every tree edge.
+    P = triangle()
+    honest = _Orientations.orientation
+    for tree in enumerate_directed_trees(P.graph):
+        for eta in (i for i in range(len(P.edges)) if i not in tree):
+            s = P.edges[eta][0]
+            for i in tree:
+                def perturbed(self, t, r, i=i, s=s):
+                    pattern, positions = honest(self, t, r)
+                    return pattern ^ (1 << i if r == s else 0), positions
+
+                monkeypatch.setattr(_Orientations, "orientation", perturbed)
+                with pytest.raises(IdentityViolated, match="exchange vector is not balanced"):
+                    check_bijection(P, tree, eta)
+
+
 @settings(max_examples=60, deadline=None)
 @given(interior_instances(), st.data())
 def test_bijection_families_match_brute_force_on_random_instances(case, data):
@@ -322,6 +347,41 @@ def test_bijection_families_match_brute_force_on_random_instances(case, data):
     assert w.F_s == family(s, 0)
     assert w.F_t == family(t, 1)
     assert sorted(tuple(map(add, f, w.g)) for f in w.F_s) == sorted(w.F_t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_instances(), st.data())
+def test_exchange_vector_matches_brute_force_on_random_instances(case, data):
+    # g against a reference from tree distances: +1 on eta, and on each tree
+    # edge that only the orientation toward t reverses; -1 on each that only
+    # the orientation toward s reverses.
+    P, _ = case
+    tree = data.draw(st.sampled_from(enumerate_directed_trees(P.graph)))
+    outside = [i for i in range(len(P.edges)) if i not in tree]
+    assume(outside)
+    eta = data.draw(st.sampled_from(outside))
+
+    def reversed_toward(root):
+        # Tree edge (u, v) points toward root iff v is nearer root than u.
+        dist, frontier = {root: 0}, [root]
+        while frontier:
+            w = frontier.pop()
+            for i in tree:
+                for a, b in (P.edges[i], P.edges[i][::-1]):
+                    if a == w and b not in dist:
+                        dist[b] = dist[w] + 1
+                        frontier.append(b)
+        return {i for i in tree if dist[P.edges[i][1]] > dist[P.edges[i][0]]}
+
+    s, t = P.edges[eta]
+    toward_s, toward_t = reversed_toward(s), reversed_toward(t)
+    expected = [0] * len(P.edges)
+    expected[eta] = 1
+    for i in toward_t - toward_s:
+        expected[i] = 1
+    for i in toward_s - toward_t:
+        expected[i] = -1
+    assert check_bijection(P, tree, eta).g == tuple(expected)
 
 
 def test_statistical_test_self_consistency():

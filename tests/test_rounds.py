@@ -41,7 +41,7 @@ from flowfactory import (
 from flowfactory.cli import main
 from flowfactory.coins import _BUFFER, _SLICED, _WORD, CoinSource, VertexTest, _unpack
 from flowfactory.graphs import flip_tree, is_vertex
-from flowfactory.io import coins_to_dict, polytope_from_dict, polytope_to_dict
+from flowfactory.io import polytope_from_dict, polytope_to_dict
 from flowfactory.spanning import (
     ExitTables,
     directed_tree_count,
@@ -50,7 +50,7 @@ from flowfactory.spanning import (
     qualifying_tree_count,
 )
 
-from instances import HALF, THIRD, circ5m, six_node_exchange, square, subprocess_env
+from instances import HALF, THIRD, circ5m, coins_to_dict, six_node_exchange, square, subprocess_env
 
 
 def _write_instance(tmp_path, P, p=HALF):
@@ -59,8 +59,7 @@ def _write_instance(tmp_path, P, p=HALF):
     x = p if isinstance(p, (list, tuple)) else [p] * len(P.edges)
     poly, coins = tmp_path / "poly.json", tmp_path / "coins.json"
     poly.write_text(json.dumps(polytope_to_dict(P)))
-    coins.write_text(json.dumps(
-        {"coins": [{"edge": i, "num": b.numerator, "den": b.denominator} for i, b in enumerate(x)]}))
+    coins.write_text(json.dumps(coins_to_dict(x)))
     return str(poly), str(coins)
 
 
