@@ -37,7 +37,7 @@ from .graphs import (
     require_interior_point,
 )
 from .oracle import (
-    check_bijection,
+    check_exchanges,
     check_marginal_identity,
     check_parallel_to_circ,
     check_positivity,
@@ -176,6 +176,10 @@ _ALL_CHECKS = (
 )
 
 
+#: Trees per call of the bijection check: bounds the memory of its family arrays.
+_TREES_PER_BLOCK = 32
+
+
 def _run_check(name: str, P, x) -> tuple[bool, str]:
     from .graphs import enumerate_vertices
     from .spanning import enumerate_directed_trees, qualifying_tree_count
@@ -198,12 +202,10 @@ def _run_check(name: str, P, x) -> tuple[bool, str]:
     if name == "bijection":
         trees = enumerate_directed_trees(P.graph)
         pairs = 0
-        for tree in trees:
-            for eta in range(len(P.edges)):
-                if eta in tree:
-                    continue
-                check_bijection(P, tree, eta)  # raises IdentityViolated on failure
-                pairs += 1
+        for b in range(0, len(trees), _TREES_PER_BLOCK):
+            pairs += check_exchanges(P, [  # raises IdentityViolated on failure
+                (tree, eta) for tree in trees[b:b + _TREES_PER_BLOCK]
+                for eta in range(len(P.edges)) if eta not in tree])
         return True, f"verified {pairs} (tree, eta) pairs"
     if name == "parallel-to-circ":
         ok = check_parallel_to_circ(P)

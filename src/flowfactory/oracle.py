@@ -14,7 +14,8 @@ the exchange bijection all read those (pattern, vertices) entries: the
 tree sum takes each entry's term once for all of its vertices, the
 Matrix-Tree check counts each vertex's entries, and the bijection takes
 its exchange vector from two patterns and compares one family's images
-with the other family as two sets of edge-bit ints.  Every Laplacian
+with the other family as two sets of edge-bit ints, for a whole block of
+(tree, eta) pairs at once in numpy arrays.  Every Laplacian
 cofactor, in the factored form and in the zero-line-sum check, is an
 integer root minor of M_f(x)'s arcs over x's common denominator.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -40,14 +42,12 @@ from .graphs import (
     Edge,
     FlowPolytope,
     FlowVertex,
-    _connects,
     _net_flow,
     _require_bits,
     _require_root,
     enumerate_vertices,
     m_map,
     require_interior_point,
-    reverse_edge,
 )
 from .spanning import _root_minor, enumerate_directed_trees
 
@@ -87,17 +87,18 @@ def _edge_bits(ids) -> int:
 class _Orientations:
     """Every tree's orientation toward every root, and the vertices whose bits spell it.
 
-    Each vertex is one edge-bit int, bit i being f_i, kept as a list for the
-    per-pair set work and as one uint64 array for the compares (the 24-edge
-    enumeration cap keeps masks inside uint64; past it numpy raises
-    OverflowError, it never wraps).  A (tree, root) entry, (pattern,
-    positions), is the edge-bit int of the tree edges that orienting toward
-    root reverses and the vertices, in vertex order, whose bits on the tree
-    equal it; it costs one _orient_toward call and one compare over the
-    mask array, made the first time it is read.  The trees are keyed to
-    their edge-bit ints, so a sorted id tuple is a spanning tree iff it is
-    a key, and each incident node keeps the edge-bit ints of its out- and
-    in-edges, so a vector's net flow there is a difference of popcounts.
+    Each vertex is one edge-bit int, bit i being f_i, kept as a list, which
+    the exchange check and its witnesses read, and as one uint64 array for
+    the entries' compares (the 24-edge enumeration cap keeps masks inside
+    uint64; past it numpy raises OverflowError, it never wraps).  A (tree,
+    root) entry, (pattern, positions), is the edge-bit int of the tree
+    edges that orienting toward root reverses and the vertices, in vertex
+    order, whose bits on the tree equal it; it costs one _orient_toward
+    call and one compare over the mask array, made the first time it is
+    read.  The trees are keyed to their edge-bit ints, so a sorted id tuple
+    is a spanning tree iff it is a key, and each incident node keeps the
+    edge-bit ints of its out- and in-edges, so a vector's net flow there is
+    a difference of popcounts.
     """
 
     def __init__(self, P: FlowPolytope):
@@ -359,20 +360,155 @@ def _orient_toward(edges: Sequence[Edge], root: int) -> frozenset[Edge]:
     return frozenset(oriented)
 
 
+#: The exchange checks in the order each pair takes them, as the messages they raise.
+_EXCHANGE_CHECKS = (
+    "exchange vector is not balanced",
+    "exchange vector leaves the tree support",
+    "eta with the exchange edges is not a directed cycle",
+    "cycle decomposition does not recompose the vector",
+    "image of the exchange map leaves {0,1}",
+    "exchange map is not a bijection onto the target family",
+)
+
+
+def _exchange_vector(eta_bit, pattern_s, pattern_t):
+    """g as the edge-bit ints (plus, minus) of its +1 and its -1 edges; ints or uint64 arrays alike.
+
+    g is +1 on eta and on the tree edges that only the orientation toward t
+    reverses, and -1 on those that only the orientation toward s reverses.
+    """
+    return eta_bit | pattern_t & ~pattern_s, pattern_s & ~pattern_t
+
+
+def _one_directed_cycle(arcs: Sequence[Edge], chosen: np.ndarray) -> np.ndarray:
+    """Per uint64 of chosen, True iff the arcs at its set bits (at most 64
+    arcs) form one directed cycle: each node they touch is the tail of one
+    and the head of one, and following them from the first such node visits
+    all of them."""
+    nodes = sorted({v for arc in arcs for v in arc})
+    # Per node, the bits of its out- and in-arcs, and a last node with none.
+    tails, heads = (np.array([_edge_bits(k for k, arc in enumerate(arcs) if arc[end] == v) for v in nodes]
+                             + [0], dtype=np.uint64)[:, None] for end in (0, 1))
+    # Each arc's head by the arc's bit index; 64, the index of no bit, leads to that last node.
+    head = np.array([nodes.index(v) for _, v in arcs] + [len(nodes)] * (65 - len(arcs)))
+    out, into = np.bitwise_count(chosen & tails), np.bitwise_count(chosen & heads)
+    start = (out > 0).argmax(axis=0)
+    at, back = start, np.zeros(len(chosen), dtype=np.intp)
+    one = np.uint64(1)
+    for step in range(1, len(nodes) + 1):
+        leaving = chosen & tails[at, 0]
+        at = head[np.bitwise_count((leaving & ~leaving + one) - one)]  # its lowest bit's index
+        back[(back == 0) & (at == start)] = step
+    return (out == into).all(axis=0) & (out <= 1).all(axis=0) & (back == (out > 0).sum(axis=0))
+
+
+def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], int]]) -> np.ndarray:
+    """Which of the six exchange checks each (tree, eta) pair fails: a bool
+    array with one row per check, in _EXCHANGE_CHECKS order, and one column
+    per pair.
+
+    Each tree is an enumerated tree of P (sorted ids) and eta an edge off it.
+    Each (tree, root) entry is read once, and the checks run as array
+    operations over all pairs with plus, minus and the support as uint64s:
+    - balance: at every node, the popcounts of plus and minus on its out-
+      and in-edges cancel;
+    - support: g lies on T + eta;
+    - directed cycle: g's arcs (its +1 edges, and its -1 edges reversed)
+      form one directed cycle.  A reversed edge that is an edge of P takes
+      that edge's bit, so an arc named twice is one arc, as in a set;
+    - recomposition: that cycle minus the two-cycles of g's -1 edges is g
+      iff no +1 edge is the reverse of a -1 edge;
+    - image in {0,1}: every f in F_s is 0 where g is 1 and 1 where g is -1;
+    - bijection: then f + g is f XOR g's support, which is one-to-one, so
+      the map is a bijection iff the images and F_t are equal sets of
+      edge-bit ints.  Both are held as sorted (pair, mask) keys, and a key
+      in only one of them fails its pair.
+    F_s and F_t are the vertices at the pair's s and t entries whose bit at
+    eta (read from the `masks` list) is 0 and 1; they are gathered from the
+    entries' positions with one repeat/arange index.
+    """
+    table = _orientations(P)
+    edges, n = P.edges, len(pairs)
+    # Each tree's entries toward every node, tree after tree; a pair reads
+    # its tree's two at eta's ends.
+    nodes = P.graph.incident_nodes
+    trees = {tree: k for k, tree in enumerate(dict.fromkeys(tree for tree, _ in pairs))}
+    entries = [table.orientation(tree, root) for tree in trees for root in nodes]
+    tree_at = np.array([trees[tree] for tree, _ in pairs], dtype=np.intp)
+    eta = np.array([e for _, e in pairs], dtype=np.intp)
+    at_s, at_t = (tree_at[:, None] * len(nodes) + np.searchsorted(nodes, edges)[eta]).T
+    eta_bit = np.uint64(1) << eta.astype(np.uint64)
+    patterns = np.array([pattern for pattern, _ in entries], dtype=np.uint64)
+    plus, minus = _exchange_vector(eta_bit, patterns[at_s], patterns[at_t])
+    support = plus | minus
+    failed = np.zeros((len(_EXCHANGE_CHECKS), n), dtype=bool)
+
+    count = np.bitwise_count
+    out, into = np.array(table.ends, dtype=np.uint64).T[:, :, None]  # one row per node
+    failed[0] = (count(plus & out) + count(minus & into) != count(minus & out) + count(plus & into)).any(axis=0)
+    tree_bits = np.array([table.tree_bits[tree] for tree in trees], dtype=np.uint64)[tree_at]
+    failed[1] = support & ~(tree_bits | eta_bit) != 0
+    m, index = len(edges), P.graph.edge_index
+    arcs = [*edges, *((v, u) for u, v in edges)]
+    slot = np.array([index.get((v, u), m + i) for i, (u, v) in enumerate(edges)], dtype=np.uint64)
+    turned = np.bitwise_or.reduce(
+        ((minus & ~plus)[:, None] >> np.arange(m, dtype=np.uint64) & np.uint64(1)) << slot, axis=1)
+    failed[2] = ~_one_directed_cycle(arcs, plus | turned)
+    failed[3] = plus & turned != 0
+
+    sizes = np.array([len(positions) for _, positions in entries], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    # Each entry's vertices' edge-bit ints, entry after entry.
+    held = np.array(table.masks, dtype=np.uint64)[np.fromiter(
+        chain.from_iterable(positions for _, positions in entries), dtype=np.intp, count=sizes.sum())]
+    width = np.uint64(m)
+
+    def family(entry, bit):
+        """Per vertex at each pair's entry whose bit at eta is `bit`: its pair, and its edge-bit int."""
+        lengths = sizes[entry]
+        pair = np.repeat(np.arange(n), lengths)
+        f = held[np.arange(len(pair)) + np.repeat(starts[entry] - (np.cumsum(lengths) - lengths), lengths)]
+        keep = (f & eta_bit[pair] != 0) == bit
+        return pair[keep], f[keep]
+
+    pair, f = family(at_s, 0)
+    failed[4, pair[f & support[pair] != minus[pair]]] = True
+    images = _distinct(pair.astype(np.uint64) << width | f ^ support[pair])
+    pair, f = family(at_t, 1)
+    lone = np.setxor1d(images, _distinct(pair.astype(np.uint64) << width | f), assume_unique=True)
+    failed[5, (lone >> width).astype(np.intp)] = True
+    return failed
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """keys sorted, each once (np.unique hashes them, and that is far slower on these keys)."""
+    keys = np.sort(keys)
+    return np.concatenate([keys[:-1][keys[:-1] != keys[1:]], keys[-1:]])
+
+
+def check_exchanges(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], int]]) -> int:
+    """Check the exchange map of every (tree, eta) pair; return how many there are.
+
+    The first failing pair, in the given order, raises IdentityViolated with
+    its first failing check's message.
+    """
+    failed = _exchange_failures(P, pairs)
+    bad = failed.any(axis=0)
+    if bad.any():
+        raise IdentityViolated(_EXCHANGE_CHECKS[failed[:, bad.argmax()].argmax()])
+    return len(pairs)
+
+
 def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWitness:
     """Verify the exchange map between the flows rooting a tree at eta's ends.
 
     With eta = (s,t) outside the tree T, the vertices f with f_eta = 0 whose
     flip turns T into the arborescence toward s are carried, by adding a
     signed cycle vector g, onto the vertices with f_eta = 1 whose flip turns
-    T toward t.  Every claimed property is checked by enumeration; failure
-    raises IdentityViolated.  T is a tree iff its sorted ids are one of the
-    enumerated trees.  g is +1 on eta and on the tree edges that only the
-    orientation toward t reverses, and -1 on those that only the orientation
-    toward s reverses; it is held as the edge-bit ints `plus` and `minus`,
-    and is balanced iff at every node the popcounts of its out-edges and
-    in-edges in them cancel.  On edge-bit ints, f + g is in {0,1} iff f is
-    0 where g is 1 and 1 where g is -1, and then f + g is f XOR g's support.
+    T toward t.  T is a tree iff its sorted ids are one of the enumerated
+    trees.  The pair takes the checks of check_exchanges, which raise
+    IdentityViolated on failure, and only then is the witness built: g, and
+    the families F_s and F_t in vertex order.
     """
     m = len(P.edges)
     if eta not in range(m):
@@ -381,61 +517,17 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     if eta in tree:
         raise InvalidInstance("eta must lie outside the tree")
     table = _orientations(P)
-    tree_bits = table.tree_bits.get(tree)
-    if tree_bits is None:
+    if tree not in table.tree_bits:
         raise InvalidInstance(f"tree {tree} is no spanning tree of the incident nodes")
-    s, t = P.edges[eta]
-    pattern_s, at_s = table.orientation(tree, s)
-    pattern_t, at_t = table.orientation(tree, t)
-    plus = 1 << eta | pattern_t & ~pattern_s
-    minus = pattern_s & ~pattern_t
-    support = plus | minus
-
-    # g must be balanced and supported inside T + eta.
-    if any((plus & out).bit_count() - (minus & out).bit_count()
-           != (plus & into).bit_count() - (minus & into).bit_count() for out, into in table.ends):
-        raise IdentityViolated("exchange vector is not balanced")
-    if support & ~(tree_bits | 1 << eta):
-        raise IdentityViolated("exchange vector leaves the tree support")
-
-    # Cycle decomposition: g = (cycle through eta) - two-cycles of its minus edges.
-    ids = [i for i in range(m) if support >> i & 1]
-    g = [0] * m
-    for i in ids:
-        g[i] = 1 if plus >> i & 1 else -1
-    cycle = {P.edges[i] if g[i] > 0 else reverse_edge(P.edges[i]) for i in ids}
-    if not _is_directed_cycle(cycle):
-        raise IdentityViolated("eta with the exchange edges is not a directed cycle")
-    recomposed = dict.fromkeys(cycle, 1)
-    for i in ids:
-        if g[i] < 0:
-            for a in (P.edges[i], reverse_edge(P.edges[i])):
-                recomposed[a] = recomposed.get(a, 0) - 1
-    recomposed = {e: v for e, v in recomposed.items() if v}
-    if recomposed != {P.edges[i]: g[i] for i in ids}:
-        raise IdentityViolated("cycle decomposition does not recompose the vector")
-
-    # Both flow families, split on eta's bit, and the map between them.
+    check_exchanges(P, [(tree, eta)])
+    (pattern_s, at_s), (pattern_t, at_t) = (table.orientation(tree, r) for r in P.edges[eta])
+    plus, minus = _exchange_vector(1 << eta, pattern_s, pattern_t)
     masks = table.masks
-    sources = [j for j in at_s if not masks[j] >> eta & 1]
-    targets = [j for j in at_t if masks[j] >> eta & 1]
-    if any(masks[j] & support != minus for j in sources):
-        raise IdentityViolated("image of the exchange map leaves {0,1}")
-    # XOR by one mask is one-to-one, so equal image and target sets make the map a bijection.
-    if {masks[j] ^ support for j in sources} != {masks[j] for j in targets}:
-        raise IdentityViolated("exchange map is not a bijection onto the target family")
     return BijectionWitness(
-        g=tuple(g),
-        F_s=tuple(map(table.vertices.__getitem__, sources)),
-        F_t=tuple(map(table.vertices.__getitem__, targets)),
+        g=tuple(1 if plus >> i & 1 else -(minus >> i & 1) for i in range(m)),
+        F_s=tuple(table.vertices[j] for j in at_s if not masks[j] >> eta & 1),
+        F_t=tuple(table.vertices[j] for j in at_t if masks[j] >> eta & 1),
     )
-
-
-def _is_directed_cycle(arcs: set[Edge]) -> bool:
-    """True iff the arcs form one directed cycle: each of their nodes is the
-    tail of one arc and the head of one, and the arcs join those nodes."""
-    tails, heads = {u for u, _ in arcs}, {v for _, v in arcs}
-    return tails == heads and len(tails) == len(arcs) and _connects(tails, list(arcs))
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,7 @@ def test_dist_output(tmp_path, capsys):
     pytest.param("circ4", "dist", id="dist"),
     pytest.param("circ4", "verify", id="verify"),
     pytest.param("circ5m", "dist", id="circ5m-dist"),
+    pytest.param("circ5m", "verify", id="circ5m-verify"),
     pytest.param("match3", "dist", id="match3-dist"),
     pytest.param("match3", "verify", id="match3-verify"),
     pytest.param("kflow5_2", "dist", id="kflow5_2-dist"),
@@ -314,6 +315,7 @@ def test_oracle_bytes_golden_circ4(tmp_path, capsys, monkeypatch, instance, comm
         ("circ4", "dist"): "dfe415d656c9c5fd957fdc3ae805dd3a9f1dbf2ad2f7e08d33f0582be1cd5a3d",
         ("circ4", "verify"): "6049760440f3eee34549959997f12d747d601b57345b8859b5228c1222ee4065",
         ("circ5m", "dist"): "89155b32e095afd5b1d9d3d48de136fd992b4d23fcfb54a58138ee1e551514b8",
+        ("circ5m", "verify"): "17257a73377adcecb337a17983aeab578c3601178eae32a97a03f8a58952486d",
         ("match3", "dist"): "9a3e2e513b02c494b0801a640730691714bdd91a8d81dacb77996795e7dee23d",
         ("match3", "verify"): "1ff6f4dec2ed4bf0e927c2d8e4220f6f95d5ded988a389f5aa01a586140f362c",
         ("kflow5_2", "dist"): "4fd47b6c81f1e17e3c937500262782e4695963d6990feb24fd6377713cc4d886",

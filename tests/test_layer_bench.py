@@ -7,7 +7,13 @@ Fixed rounds keep them short; compare runs with `pytest tests/test_layer_bench.p
 import random
 from fractions import Fraction
 
-from flowfactory import SimulatedCoins, build_circulation_polytope, enumerate_vertices, oracle
+from flowfactory import (
+    SimulatedCoins,
+    build_circulation_polytope,
+    build_matching_polytope,
+    enumerate_vertices,
+    oracle,
+)
 from flowfactory.cli import _run_check
 from flowfactory.coins import _BUFFER, VertexTest
 from flowfactory.spanning import ExitTables, qualifying_tree_count
@@ -164,6 +170,20 @@ def test_bench_bijection_check_circ4(benchmark):
 
     benchmark.pedantic(check, rounds=5, iterations=1)
     assert details == [(True, "verified 1152 (tree, eta) pairs")]  # 128 trees x 9 edges off each
+
+
+def test_bench_bijection_check_match4(benchmark):
+    # The same on match4: 36,864 pairs over only 24 vertices, so the cost
+    # per pair, not the families, dominates.
+    P = build_matching_polytope(4)
+    details = []
+
+    def check():
+        oracle._orientations.cache_clear()
+        details[:] = [_run_check("bijection", P, [HALF] * len(P.edges))]
+
+    benchmark.pedantic(check, rounds=5, iterations=1)
+    assert details == [(True, "verified 36864 (tree, eta) pairs")]
 
 
 def test_bench_factored_form_check_circ4(benchmark):

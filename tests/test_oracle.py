@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from operator import add
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,7 @@ from flowfactory import (
 )
 from flowfactory.graphs import flip_tree, m_map, reverse_edge
 from flowfactory.oracle import (
-    _is_directed_cycle,
+    _one_directed_cycle,
     _Orientations,
     _orientations,
     polynomial_values,
@@ -503,4 +504,6 @@ def test_qualifying_trees_match_brute_force_on_random_instances(case):
     ({(1, 2), (1, 3), (2, 1), (3, 1)}, False),
 ], ids=["cycle", "2-cycle", "two-disjoint-cycles", "path", "two-out-arcs"])
 def test_is_directed_cycle(arcs, expected):
-    assert _is_directed_cycle(arcs) is expected
+    # The array cycle test, on one uint64 that chooses every arc.
+    chosen = np.array([(1 << len(arcs)) - 1], dtype=np.uint64)
+    assert bool(_one_directed_cycle(sorted(arcs), chosen)[0]) is expected
