@@ -5,7 +5,7 @@ from coin access alone, with an exact-rational oracle for every identity the
 sampler relies on.
 """
 
-from .coins import CoinSource, SimulatedCoins, TapeCoins
+from .coins import CoinSource, SimulatedCoins
 from .errors import (
     BoundaryCoin,
     DegenerateDistribution,

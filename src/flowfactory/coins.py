@@ -1,9 +1,8 @@
-"""Coin sources: the opaque flip interface and its test-harness implementations.
+"""Coin sources: the opaque flip interface and its test-harness implementation.
 
 A coin source exposes nothing but bits.  SimulatedCoins holds the hidden
 rational biases and produces exact Bernoulli(p) flips by comparing uniform
-random digits with the binary digits of p; TapeCoins replays a recorded flip
-sequence and knows no biases at all.
+random digits with the binary digits of p.
 """
 
 from __future__ import annotations
@@ -278,27 +277,3 @@ class SimulatedCoins(CoinSource):
                 yield masks[i], end - seen
                 seen = end
             self._rounds = stop
-
-
-class TapeCoins(CoinSource):
-    """Replays a recorded (edge, bit) sequence; holds no bias information.
-
-    Raises InvalidInstance when consumption diverges from the recording or
-    the tape runs out.
-    """
-
-    def __init__(self, tape: Sequence[tuple[int, int]], num_edges: int):
-        self.num_edges = num_edges
-        self._tape = list(tape)
-        self._pos = 0
-
-    def flip(self, edge: int) -> int:
-        if self._pos >= len(self._tape):
-            raise InvalidInstance("coin tape exhausted")
-        rec_edge, bit = self._tape[self._pos]
-        if rec_edge != edge:
-            raise InvalidInstance(
-                f"tape expected a flip of edge {rec_edge}, got edge {edge}"
-            )
-        self._pos += 1
-        return bit

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from graphlib import CycleError, TopologicalSorter
 
 from .coins import CoinSource, VertexTest
 from .errors import (
@@ -49,22 +50,13 @@ def _unit_flow_dag_endpoints(P: FlowPolytope) -> tuple[int, int]:
     others = [v for v in range(1, P.n + 1) if P.demand(v) not in (0, 1, -1)]
     if len(sources) != 1 or len(sinks) != 1 or others:
         raise InvalidInstance("path sampling needs unit demands: one source, one sink")
-    # Topological sortability (Kahn).
-    indeg = {v: 0 for v in range(1, P.n + 1)}
-    for _, v in P.edges:
-        indeg[v] += 1
-    queue = [v for v in indeg if indeg[v] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for eid in P.graph.out_edges[u]:
-            w = P.edges[eid][1]
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen != P.n:
-        raise InvalidInstance("graph contains a directed cycle; not a DAG")
+    order = TopologicalSorter()
+    for u, v in P.edges:
+        order.add(v, u)
+    try:
+        order.prepare()
+    except CycleError:
+        raise InvalidInstance("graph contains a directed cycle; not a DAG") from None
     return sources[0], sinks[0]
 
 

@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     BoundaryCoin,
     InvalidInstance,
@@ -22,7 +24,6 @@ from .errors import (
 
 Edge = tuple[int, int]
 FlowVertex = tuple[int, ...]
-Point = tuple[Fraction, ...]
 
 #: Default limit on |E| for operations that enumerate 0/1 vectors or trees.
 ENUMERATION_CAP = 24
@@ -284,46 +285,37 @@ def enumerate_vertices(P: FlowPolytope) -> list[FlowVertex]:
 
 @lru_cache(maxsize=256)
 def _vertices(P: FlowPolytope) -> tuple[FlowVertex, ...]:
-    """Branch-and-prune over edge ids, 0 before 1.
+    """One frontier of partial assignments over edge ids, 0 before 1.
 
-    Each node keeps its demand still unmet and its out- and in-edges still
-    undecided, which can meet any unmet demand in [-undecided in, undecided
-    out].  Every node is checked up front and an edge's ends as it is decided;
-    a partial assignment is cut as soon as one is out of range.
+    A row is the bits of edges 0..i-1 and the demand still unmet at each
+    incident node, which the undecided edges can meet iff it lies in
+    [-in-edges left, out-edges left].  Every node is checked up front, in
+    Python ints; then each edge splits every row into its 0 child and its 1
+    child, in that order, so the rows stay in lexicographic order, and a
+    child is cut as soon as one of the edge's ends is out of range.
     """
     m = len(P.edges)
     if m > ENUMERATION_CAP:
         raise TooLargeForOracle(f"|E| = {m} exceeds enumeration cap {ENUMERATION_CAP}")
-    edges = P.edges
-    need = [0, *P.demands]
-    out_left = [0] * (P.n + 1)
-    in_left = [0] * (P.n + 1)
-    for u, v in edges:
-        out_left[u] += 1
-        in_left[v] += 1
-    if not all(-i <= d <= o for d, o, i in zip(need, out_left, in_left)):
+    nodes = P.graph.incident_nodes
+    column = {v: c for c, v in enumerate(nodes)}
+    ends = np.array([(column[u], column[v]) for u, v in P.edges], dtype=np.intp).reshape(m, 2)
+    out_left = np.bincount(ends[:, 0], minlength=len(nodes))
+    in_left = np.bincount(ends[:, 1], minlength=len(nodes))
+    demands = [P.demand(v) for v in nodes]
+    if not (all(v in column for v, d in enumerate(P.demands, 1) if d)
+            and all(-i <= d <= o for d, o, i in zip(demands, out_left.tolist(), in_left.tolist()))):
         return ()
-    bits: list[int] = []
-    out: list[FlowVertex] = []
-
-    def rec(i: int) -> None:
-        if i == m:
-            out.append(tuple(bits))
-            return
-        u, v = edges[i]
+    need = np.array([demands], dtype=np.int8)  # |unmet demand| <= degree <= m, from here on
+    bits = np.zeros((1, m), dtype=np.uint8)
+    for i, (u, v) in enumerate(ends):
         out_left[u] -= 1
         in_left[v] -= 1
-        for b in (0, 1):  # b = 1 sends one unit more than b = 0, undone after the loop
-            need[u] -= b
-            need[v] += b
-            if -in_left[u] <= need[u] <= out_left[u] and -in_left[v] <= need[v] <= out_left[v]:
-                bits.append(b)
-                rec(i + 1)
-                bits.pop()
-        need[u] += 1
-        need[v] -= 1
-        out_left[u] += 1
-        in_left[v] += 1
-
-    rec(0)
-    return tuple(out)
+        need, bits = np.repeat(need, 2, axis=0), np.repeat(bits, 2, axis=0)
+        need[1::2, u] -= 1
+        need[1::2, v] += 1
+        bits[1::2, i] = 1
+        keep = ((-in_left[u] <= need[:, u]) & (need[:, u] <= out_left[u])
+                & (-in_left[v] <= need[:, v]) & (need[:, v] <= out_left[v]))
+        need, bits = need[keep], bits[keep]
+    return tuple(map(tuple, bits.tolist()))

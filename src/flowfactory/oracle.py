@@ -22,6 +22,7 @@ integer root minor of M_f(x)'s arcs over x's common denominator.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -92,11 +93,13 @@ class _Orientations:
     the entries' compares (the 24-edge enumeration cap keeps masks inside
     uint64; past it numpy raises OverflowError, it never wraps).  A (tree,
     root) entry, (pattern, positions), is the edge-bit int of the tree
-    edges that orienting toward root reverses and the vertices, in vertex
-    order, whose bits on the tree equal it; it costs one _orient_toward
-    call and one compare over the mask array, made the first time it is
-    read.  The trees are keyed to their edge-bit ints, so a sorted id tuple
-    is a spanning tree iff it is a key, and each incident node keeps the
+    edges that orienting toward root reverses and the positions, in vertex
+    order, of the vertices whose bits on the tree equal it, held as one C
+    int array: 4 bytes a position, where a list of ints takes 8 and, past
+    256, an int object more.  An entry costs one _orient_toward call and
+    one compare over the mask array, made the first time it is read.  The
+    trees are keyed to their edge-bit ints, so a sorted id tuple is a
+    spanning tree iff it is a key, and each incident node keeps the
     edge-bit ints of its out- and in-edges, so a vector's net flow there is
     a difference of popcounts.
     """
@@ -116,13 +119,14 @@ class _Orientations:
         self._array = np.array(self.masks, dtype=np.uint64)
         self._oriented: dict = {}
 
-    def orientation(self, tree: tuple[int, ...], root: int) -> tuple[int, list[int]]:
+    def orientation(self, tree: tuple[int, ...], root: int) -> tuple[int, Sequence[int]]:
         """The (pattern, positions) entry of tree oriented toward root."""
         found = self._oriented.get((tree, root))
         if found is None:
             toward = _orient_toward([self._edges[i] for i in tree], root)
             pattern = _edge_bits(i for i in tree if self._edges[i] not in toward)
-            positions = np.flatnonzero(self._array & self.tree_bits[tree] == pattern).tolist()
+            hits = np.flatnonzero(self._array & self.tree_bits[tree] == pattern)
+            positions = array("i", hits.astype(np.intc).tobytes())
             found = self._oriented[tree, root] = (pattern, positions)
         return found
 

@@ -80,6 +80,14 @@ def diamond_dag():
     return FlowPolytope(Graph(4, ((1, 2), (1, 3), (2, 4), (3, 4))), (1, 0, 0, -1))
 
 
+def crossed_diamond():
+    """The diamond 1->{2,3}->4 with both arcs between 2 and 3: unit demands,
+    a directed cycle 2->3->2, and an interior point of its polytope."""
+    edges = ((1, 2), (1, 3), (2, 3), (3, 2), (2, 4), (3, 4))
+    quarter = Fraction(1, 4)
+    return FlowPolytope(Graph(4, edges), (1, 0, 0, -1)), (HALF, HALF, quarter, quarter, HALF, HALF)
+
+
 def dag6():
     """Six-node DAG whose interior point below mixes four distinct paths."""
     edges = ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6))

@@ -612,6 +612,17 @@ def test_sample_path_rejects_cycle(tmp_path, capsys):
     assert main(["sample-path", poly, coins, "--samples", "5"]) == 4
 
 
+def test_sample_path_rejects_a_directed_cycle_under_unit_demands(tmp_path, capsys):
+    from instances import crossed_diamond
+
+    P, x = crossed_diamond()
+    poly, coins = tmp_path / "p.json", tmp_path / "c.json"
+    poly.write_text(json.dumps(polytope_to_dict(P)))
+    coins.write_text(json.dumps(coins_to_dict(x)))
+    assert main(["sample-path", str(poly), str(coins), "--samples", "5"]) == 4
+    assert "graph contains a directed cycle; not a DAG" in capsys.readouterr().err
+
+
 def test_bench_deterministic_stats(tmp_path, capsys):
     poly, coins = _write_two_node(tmp_path)
     assert main(["bench", poly, coins, "--samples", "100", "--seed", "4"]) == 0

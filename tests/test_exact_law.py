@@ -7,26 +7,32 @@ prefix of choices, branch 0 at every choice after it, and records each
 choice's width and the exact probability of the path taken.  A depth-first
 walk over all prefixes visits every leaf once, so summing the accepted
 leaves per output gives the one-round law in Fractions.  It must be
-P_f(x) / |T(E)| for every vertex f.
+P_f(x) / |T(E)| for every vertex f, and, with no oracle code, its mean
+vertex must be x: the sum of law(f) f is x times the sum of law(f).
 """
 
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 from flowfactory import (
     CoinSource,
     FlowSampler,
     MaxRestartsExceeded,
+    SampleTrace,
     build_circulation_polytope,
     build_kflow_polytope,
     build_matching_polytope,
     enumerate_vertices,
     eval_polynomial,
+    is_vertex,
     random_interior_point,
 )
 from flowfactory.spanning import ExitTables, directed_tree_count
+
+from instances import interior_instances
 
 
 class Replay(CoinSource):
@@ -81,6 +87,12 @@ def expected_law(P, x, root) -> dict:
     return {f: eval_polynomial(P, f, root, x) / trees for f in enumerate_vertices(P)}
 
 
+def mean_is_x(law, x) -> bool:
+    """True iff the law's mean vertex is x, exactly: sum of law(f) f = x sum of law(f)."""
+    total = sum(law.values(), Fraction(0))
+    return all(sum((p for f, p in law.items() if f[i]), Fraction(0)) == c * total for i, c in enumerate(x))
+
+
 def instance(name):
     P = {
         "circ3": lambda: build_circulation_polytope(3),
@@ -102,12 +114,47 @@ def test_one_round_law_is_exact(name, root):
     assert set(law) <= set(enumerate_vertices(P))
     expected = expected_law(P, x, sampler.root)
     assert {f: law.get(f, Fraction(0)) for f in expected} == expected
+    assert mean_is_x(law, x)
 
 
-def test_one_round_law_sees_a_dropped_reflip(monkeypatch):
-    # Negative control: a tree stage that skips re-flipping its last edge
-    # accepts too often, and the replay must see it.
-    P, x = instance("circ3")
+@settings(max_examples=25, deadline=None)
+@given(interior_instances())
+def test_one_round_law_is_exact_on_every_shape_and_root(case):
+    P, x = case
+    for root in P.graph.incident_nodes:
+        sampler = FlowSampler(P, root=root)
+        law, walked = one_round_law(sampler, x)
+        assert walked == 1
+        expected = expected_law(P, x, root)
+        assert set(law) <= set(expected)
+        assert {f: law.get(f, Fraction(0)) for f in expected} == expected
+        assert mean_is_x(law, x)
+
+
+class LastReflipOnTheFlippedBit:
+    """Negative control: FlowSampler's round, save that the re-flip of the
+    tree's last edge restarts when it shows the flipped bit 1 - f_e, not f_e."""
+
+    def __init__(self, P):
+        self.P = P
+        self.exits = ExitTables(P, P.graph.incident_nodes[0])
+        self.root = self.exits.root
+        self.total_trees = directed_tree_count(P.graph)
+
+    def sample(self, coins, rng, max_restarts=0):
+        m = len(self.P.edges)
+        mask = coins.flip_round()
+        f = tuple(mask >> i & 1 for i in range(m))
+        if is_vertex(self.P, f):
+            u = rng.randrange(self.total_trees)
+            tree = self.exits.tree(mask, u) if u < self.exits.bound else None
+            if tree is not None and all(coins.flip(e) != f[e] ^ (e == tree[-1]) for e in tree):
+                return SampleTrace(output=f, total_flips=0, restarts=0)
+        raise MaxRestartsExceeded("the one round restarts")
+
+
+def drop_the_last_reflip(monkeypatch):
+    """Negative control: patch the tree stage to skip re-flipping its tree's last edge."""
     honest = ExitTables.tree
 
     def short(self, mask, u):
@@ -115,7 +162,30 @@ def test_one_round_law_sees_a_dropped_reflip(monkeypatch):
         return None if tree is None else tree[:-1]
 
     monkeypatch.setattr(ExitTables, "tree", short)
+
+
+def test_one_round_law_sees_a_dropped_reflip(monkeypatch):
+    # A tree stage that skips re-flipping its last edge accepts too often,
+    # and the replay must see it.
+    P, x = instance("circ3")
+    drop_the_last_reflip(monkeypatch)
     sampler = FlowSampler(P)
     law, _ = one_round_law(sampler, x)
     expected = expected_law(P, x, sampler.root)
     assert {f: law.get(f, Fraction(0)) for f in expected} != expected
+
+
+@pytest.mark.parametrize("name", ["circ3", "kflow4_2", "match3", "kflow5_2"])
+@pytest.mark.parametrize("control", ["dropped reflip", "last reflip on the flipped bit"])
+def test_the_mean_alone_sees_both_controls(name, control, monkeypatch):
+    # The mean check reads no oracle code, so it stands as a judge on its
+    # own: it must refuse both broken samplers.
+    P, x = instance(name)
+    if control == "dropped reflip":
+        drop_the_last_reflip(monkeypatch)
+        sampler = FlowSampler(P)
+    else:
+        sampler = LastReflipOnTheFlippedBit(P)
+    law, walked = one_round_law(sampler, x)
+    assert walked == 1 and law
+    assert not mean_is_x(law, x)

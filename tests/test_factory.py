@@ -15,7 +15,6 @@ from flowfactory import (
     InvalidInstance,
     MaxRestartsExceeded,
     SimulatedCoins,
-    TapeCoins,
     build_circulation_polytope,
     is_vertex,
     sample_path,
@@ -24,6 +23,7 @@ from flowfactory import (
 from instances import (
     HALF,
     THIRD,
+    crossed_diamond,
     dag6,
     dag6_point,
     diamond_dag,
@@ -72,6 +72,28 @@ class RecordingCoins(CoinSource):
     def flip(self, edge):
         bit = self._flip(edge)
         self.tape.append((edge, bit))
+        return bit
+
+
+class TapeCoins(CoinSource):
+    """Replays a recorded (edge, bit) sequence; holds no bias information.
+
+    Raises InvalidInstance when consumption diverges from the recording or
+    the tape runs out.
+    """
+
+    def __init__(self, tape, num_edges):
+        self.num_edges = num_edges
+        self._tape = list(tape)
+        self._pos = 0
+
+    def flip(self, edge):
+        if self._pos >= len(self._tape):
+            raise InvalidInstance("coin tape exhausted")
+        rec_edge, bit = self._tape[self._pos]
+        if rec_edge != edge:
+            raise InvalidInstance(f"tape expected a flip of edge {rec_edge}, got edge {edge}")
+        self._pos += 1
         return bit
 
 
@@ -197,6 +219,13 @@ def test_sample_path_rejects_non_dag():
     coins = SimulatedCoins([THIRD, THIRD], seed=0)
     with pytest.raises(InvalidInstance):
         sample_path(P, coins, random.Random(0))
+
+
+def test_sample_path_rejects_a_directed_cycle_under_unit_demands():
+    # Unit demands hold here, so only the acyclicity check can refuse it.
+    P, x = crossed_diamond()
+    with pytest.raises(InvalidInstance, match=r"^graph contains a directed cycle; not a DAG$"):
+        sample_path(P, SimulatedCoins(x, seed=0), random.Random(0))
 
 
 def test_sample_path_marginals_dag6():

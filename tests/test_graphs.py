@@ -1,5 +1,7 @@
+import hashlib
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -191,9 +193,46 @@ def small_polytopes(draw):
 @given(small_polytopes())
 @example(FlowPolytope(Graph(3, ((1, 2), (2, 1))), (1, 0, -1)))  # an edgeless node with a demand
 @example(FlowPolytope(Graph(2, ((1, 2), (2, 1))), (2, -2)))  # demands beyond the degrees
+@example(FlowPolytope(Graph(2, ((1, 2), (2, 1))), (1 << 70, -(1 << 70))))  # past any machine int
 def test_enumerate_vertices_matches_brute_force_random(P):
     brute = [bits for bits in product((0, 1), repeat=len(P.edges)) if is_vertex(P, bits)]
     assert enumerate_vertices(P) == brute
+
+
+def _circ6_without_three_pairs():
+    """K6's circulation without the pairs {1,2}, {3,4} and {5,6}: 24 edges, the cap."""
+    edges = tuple((u, v) for u in range(1, 7) for v in range(1, 7)
+                  if u != v and {u, v} not in ({1, 2}, {3, 4}, {5, 6}))
+    return FlowPolytope(Graph(6, edges), (0,) * 6)
+
+
+@pytest.mark.parametrize("make, count, digest", [
+    (lambda: build_circulation_polytope(5), 7736,
+     "791479da6e8ed0a985dfb7888b8b8af4d88a7acf0cff42440212a949fd2ce9d7"),
+    (_circ6_without_three_pairs, 37446,
+     "a5ff3ab69581b55d49aa1435f9819489d7436f00456bb7b3bc9a4d70501fc6e9"),
+], ids=["circ5", "circ6_minus_3_pairs"])
+def test_enumerate_vertices_golden(make, count, digest):
+    # Every vertex's bits, vertex after vertex, in order: far past the sizes
+    # the brute-force checks reach.
+    vertices = enumerate_vertices(make())
+    assert len(vertices) == count
+    assert hashlib.sha256(bytes(chain.from_iterable(vertices))).hexdigest() == digest
+
+
+def test_enumerate_vertices_is_lean_on_nodes_no_edge_touches():
+    # circ4's edges among 100,000 nodes: the nodes without an edge must cost
+    # next to nothing, not a column each in every partial assignment.
+    circ4 = build_circulation_polytope(4)
+    P = FlowPolytope(Graph(100_000, circ4.edges), (0,) * 100_000)
+    tracemalloc.start()
+    try:
+        vertices = enumerate_vertices(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vertices == enumerate_vertices(circ4)
+    assert peak < 8_000_000
 
 
 def test_enumeration_cap():
