@@ -182,7 +182,7 @@ _TREES_PER_BLOCK = 32
 
 def _run_check(name: str, P, x) -> tuple[bool, str]:
     from .graphs import enumerate_vertices
-    from .spanning import enumerate_directed_trees, qualifying_tree_count
+    from .spanning import enumerate_directed_trees, flip_laplacians, root_minors
 
     roots = P.graph.incident_nodes
     if name == "root-independence":
@@ -214,10 +214,13 @@ def _run_check(name: str, P, x) -> tuple[bool, str]:
         ok = check_zls(P, x)
         return ok, "all principal cofactors equal" if ok else "cofactors differ"
     if name == "matrix-tree":
-        counts = {r: qualifying_counts(P, r) for r in roots}
-        for j, f in enumerate(enumerate_vertices(P)):
-            for r in roots:
-                if counts[r][j] != qualifying_tree_count(P, f, r):
+        vertices, ones = enumerate_vertices(P), (1,) * len(P.edges)
+        counts = [qualifying_counts(P, r) for r in roots]
+        laplacians = flip_laplacians(P, vertices, ones, ones)
+        minors = [root_minors(laplacians, k) for k in range(len(roots))]
+        for j, f in enumerate(vertices):
+            for k, r in enumerate(roots):
+                if counts[k][j] != minors[k][j]:
                     return False, f"count mismatch at f={io.flow_key(f)} root={r}"
         return True, "determinant counts match enumeration"
     raise InvalidInstance(f"unknown check {name}")

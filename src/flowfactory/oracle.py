@@ -15,9 +15,11 @@ tree sum takes each entry's term once for all of its vertices, the
 Matrix-Tree check counts each vertex's entries, and the bijection takes
 its exchange vector from two patterns and compares one family's images
 with the other family as two sets of edge-bit ints, for a whole block of
-(tree, eta) pairs at once in numpy arrays.  Every Laplacian
-cofactor, in the factored form and in the zero-line-sum check, is an
-integer root minor of M_f(x)'s arcs over x's common denominator.
+(tree, eta) pairs at once in numpy arrays.  Every Laplacian cofactor is
+an exact integer root minor over x's common denominator, taken by the one
+fraction-free elimination in `spanning`: `verify`'s factored-form check
+stacks every vertex's M_f(x) and takes all their minors at a root in one call,
+and a single evaluation or the zero-line-sum check takes a stack of one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -50,7 +51,7 @@ from .graphs import (
     m_map,
     require_interior_point,
 )
-from .spanning import _root_minor, enumerate_directed_trees
+from .spanning import _root_minor, enumerate_directed_trees, flip_laplacians, root_minors
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +89,12 @@ def _edge_bits(ids) -> int:
 class _Orientations:
     """Every tree's orientation toward every root, and the vertices whose bits spell it.
 
-    Each vertex is one edge-bit int, bit i being f_i, kept as a list, which
-    the exchange check and its witnesses read, and as one uint64 array for
-    the entries' compares (the 24-edge enumeration cap keeps masks inside
-    uint64; past it numpy raises OverflowError, it never wraps).  A (tree,
-    root) entry, (pattern, positions), is the edge-bit int of the tree
+    Each vertex is one edge-bit int, bit i being f_i, held in one uint64
+    array, `masks`, which the exchange check gathers from and its witnesses
+    read, and in a copy made with it, `_array`, which only the entries'
+    compares read (the 24-edge enumeration cap keeps masks inside uint64;
+    past it numpy raises OverflowError, it never wraps).  A (tree, root)
+    entry, (pattern, positions), is the edge-bit int of the tree
     edges that orienting toward root reverses and the positions, in vertex
     order, of the vertices whose bits on the tree equal it, held as one C
     int array: 4 bytes a position, where a list of ints takes 8 and, past
@@ -114,9 +116,10 @@ class _Orientations:
         self.ends = [(_edge_bits(i for i, (u, _) in enumerate(P.edges) if u == v),
                       _edge_bits(i for i, (_, w) in enumerate(P.edges) if w == v))
                      for v in P.graph.incident_nodes]
-        #: Per vertex: its edge bits as one int, bit i being f_i.
-        self.masks = [_edge_bits(i for i, b in enumerate(f) if b) for f in self.vertices]
-        self._array = np.array(self.masks, dtype=np.uint64)
+        #: Per vertex: its edge bits as one uint64, bit i being f_i.
+        self.masks = np.array([_edge_bits(i for i, b in enumerate(f) if b) for f in self.vertices],
+                              dtype=np.uint64)
+        self._array = self.masks.copy()
         self._oriented: dict = {}
 
     def orientation(self, tree: tuple[int, ...], root: int) -> tuple[int, Sequence[int]]:
@@ -204,52 +207,48 @@ def _image_arcs(P: FlowPolytope, f: FlowVertex, num: Sequence[int], den: int) ->
     return [(u, v, w) for (u, v), w in image.values.items()]
 
 
-def _factored_value(
-    P: FlowPolytope, f: FlowVertex, root: int, num: Sequence[int], den: int,
-    arcs: Sequence[tuple[int, int, int]],
-) -> Fraction:
-    """P_f(x) in factored form from x = num / d and M_f(x)'s integer arcs over d.
-
-    That is prefix(f, x) times the weighted arborescence count of M_f(x)
-    toward root: the root minor of the arcs' out-Laplacian (Tutte's
-    Matrix-Tree theorem) over d^(k-1) for k incident nodes.
-    """
-    nodes = P.graph.incident_nodes
-    count = _root_minor(nodes, arcs, root)
-    return Fraction(_prefix(num, den, f) * count, den ** (len(num) + len(nodes) - 1))
-
-
 def eval_polynomial_factored(
     P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]
 ) -> Fraction:
     """Same value through the factored form: prefix times the arborescence sum
-    of the balanced image M_f(x) of x under the flip-affine map."""
+    of the balanced image M_f(x) of x under the flip-affine map.
+
+    With x = num / d, that sum is the root minor of the out-Laplacian of
+    M_f(x)'s integer arcs over d (Tutte's Matrix-Tree theorem) over d^(k-1)
+    for k incident nodes.
+    """
     _require_fit(P, root, f, x)
     num, den = _over_common_denominator(tuple(x))
-    return _factored_value(P, f, root, num, den, _image_arcs(P, f, num, den))
+    nodes = P.graph.incident_nodes
+    count = _root_minor(nodes, _image_arcs(P, f, num, den), root)
+    return Fraction(_prefix(num, den, f) * count, den ** (len(num) + len(nodes) - 1))
 
 
 def factored_form_mismatch(P: FlowPolytope, x: Sequence[Fraction]) -> tuple[FlowVertex, int] | None:
     """The first (f, root), root by root and each in vertex order, where the
     tree sum and the factored form differ; None when they agree everywhere.
 
-    x's common denominator is taken once and M_f(x)'s arcs once per vertex,
-    since neither depends on the root; each (vertex, root) takes one root
-    minor.  The vertices are walked in turn, so one vertex's arcs are held
-    at a time.
+    x's common denominator is taken once.  Every vertex's M_f(x) is one
+    flip-image Laplacian with weights x and 1 - x over it, and all their
+    minors at a root come from one stacked elimination; NotCirculation is raised
+    when some M_f(x) is not balanced.  A tree-sum value a/b equals the
+    factored prefix * minor / scale iff a * scale == prefix * minor * b, so
+    the two are compared as integers.
     """
     roots = P.graph.incident_nodes
     tables = [polynomial_values(P, tuple(x), r) for r in roots]
+    vertices = _orientations(P).vertices
     num, den = _over_common_denominator(tuple(x))
-    mismatches = []
-    for j, (f, *values) in enumerate(zip(tables[0], *(t.values() for t in tables))):
-        arcs = _image_arcs(P, f, num, den)
-        mismatches += [(k, j, f) for k, value in enumerate(values)
-                       if value != _factored_value(P, f, roots[k], num, den, arcs)]
-    if not mismatches:
-        return None
-    k, _, f = min(mismatches)
-    return f, roots[k]
+    L = flip_laplacians(P, vertices, num, [den - n for n in num])
+    if (L.sum(axis=1) != 0).any():
+        raise NotCirculation("vector violates the balance equations")
+    scale = den ** (len(num) + len(roots) - 1)
+    prefixes = np.array([_prefix(num, den, f) for f in vertices], dtype=object)
+    for k, (root, table) in enumerate(zip(roots, tables)):
+        for (f, value), product in zip(table.items(), root_minors(L, k) * prefixes):
+            if value.numerator * scale != product * value.denominator:
+                return f, root
+    return None
 
 
 def check_root_independence(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
@@ -428,7 +427,7 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
       edge-bit ints.  Both are held as sorted (pair, mask) keys, and a key
       in only one of them fails its pair.
     F_s and F_t are the vertices at the pair's s and t entries whose bit at
-    eta (read from the `masks` list) is 0 and 1; they are gathered from the
+    eta (read from the `masks` array) is 0 and 1; they are gathered from the
     entries' positions with one repeat/arange index.
     """
     table = _orientations(P)
@@ -462,9 +461,10 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
 
     sizes = np.array([len(positions) for _, positions in entries], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
-    # Each entry's vertices' edge-bit ints, entry after entry.
-    held = np.array(table.masks, dtype=np.uint64)[np.fromiter(
-        chain.from_iterable(positions for _, positions in entries), dtype=np.intp, count=sizes.sum())]
+    # Each entry's vertices' edge-bit ints, entry after entry (np.asarray
+    # views an int array's buffer, and converts a list).
+    held = table.masks[np.concatenate(
+        [np.zeros(0, dtype=np.intc), *(np.asarray(positions, dtype=np.intc) for _, positions in entries)])]
     width = np.uint64(m)
 
     def family(entry, bit):

@@ -1,14 +1,17 @@
 """Arborescence counting, directed-tree enumeration, and exact tree sampling.
 
 All counting is exact: every Laplacian cofactor, the oracle's included, is
-one integer root minor (`_root_minor`) taken by fraction-free Bareiss
-elimination, and rational weights are cleared to integers first.  The
-Laplacian uses the out-weight diagonal, so the minor at r counts
-arborescences directed toward r (validated against enumeration in the test
-suite).  Trees whose flip
-is an arborescence are counted on the flip image of the edge set, and drawn
-as the acyclic maps among those that pick one exit per node of the image,
-each node's exits read from a table keyed by the flow's bits at its edges.
+an integer root minor taken by one fraction-free Bareiss elimination
+(`det_stack`) over a stack of object arrays of Python ints, and rational
+weights are cleared to integers first.  One minor is a stack of one
+(`_root_minor`); the oracle stacks the flip-image Laplacian of every vertex
+(`flip_laplacians`) and takes all their minors at a root in one call
+(`root_minors`).  The Laplacian uses the out-weight diagonal, so the minor
+at r counts arborescences directed toward r (validated against enumeration
+in the test suite).  Trees whose flip is an arborescence are counted on
+the flip image of the edge set, and drawn as the acyclic maps among those
+that pick one exit per node of the image, each node's exits read from a
+table keyed by the flow's bits at its edges.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from typing import Sequence
+
+import numpy as np
 
 from .errors import InvalidInstance, NoArborescence, TooLargeForOracle
 from .graphs import (
@@ -55,30 +61,43 @@ class WeightedDigraph:
 # Exact determinants
 # ---------------------------------------------------------------------------
 
-def det_bareiss(matrix: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(matrix)
+def det_stack(stack: np.ndarray) -> np.ndarray:
+    """Fraction-free (Bareiss) determinants of an (N, n, n) object array of
+    Python ints, as an (N,) object array: exact however large the entries.
+
+    Every matrix takes the same elimination steps at once.  Where a matrix's
+    pivot is 0 its row is swapped with the first row below that is nonzero
+    in the pivot's column; where there is none the matrix is singular, its
+    determinant is 0, and its pivot is set to 1 only so the division stays
+    defined for it (its entries are not read again).
+    """
+    m = stack.copy()
+    count, n, _ = m.shape
+    sign = np.ones(count, dtype=object)
     if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
+        return sign
+    prev = np.ones(count, dtype=object)
     for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
+        zero = np.flatnonzero(m[:, k, k] == 0)
+        if len(zero):
+            below = m[zero, k + 1:, k] != 0
+            found = below.any(axis=1)
+            at, other = zero[found], k + 1 + below[found].argmax(axis=1)
+            m[at, k], m[at, other] = m[at, other], m[at, k]
+            sign[at] *= -1
+            sign[zero[~found]] = 0
+            m[zero[~found], k, k] = 1
+        pivot = m[:, k, k]
+        m[:, k + 1:, k + 1:] = (m[:, k + 1:, k + 1:] * pivot[:, None, None]
+                                - m[:, k + 1:, k, None] * m[:, k, None, k + 1:]) // prev[:, None, None]
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * m[:, n - 1, n - 1]
+
+
+def det_bareiss(matrix: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix: a stack of one for det_stack."""
+    n = len(matrix)
+    return det_stack(np.array(matrix, dtype=object).reshape(1, n, n))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +122,39 @@ def _root_minor(nodes, arcs, root: int) -> int:
             if j is not None:
                 row[j] -= w
     return det_bareiss(L)
+
+
+def flip_laplacians(P: FlowPolytope, vertices: Sequence[FlowVertex],
+                    kept: Sequence[int], turned: Sequence[int]) -> np.ndarray:
+    """Per vertex f, the out-Laplacian of its flip image on P's incident
+    nodes, as an (N, k, k) object array of ints in node order.
+
+    Edge i = (u, v) is the arc u -> v of weight kept[i] where f_i = 0 and
+    the arc v -> u of weight turned[i] where f_i = 1: all 1 for the flip
+    image itself, and x_i and 1 - x_i over a common denominator for
+    M_f(x).  A column sums to its node's out-weight less its in-weight, so
+    every column sums to 0 iff the weighted image is balanced.
+    """
+    nodes = P.graph.incident_nodes
+    at = {v: i for i, v in enumerate(nodes)}
+    bits = np.array(vertices, dtype=np.intp).reshape(len(vertices), len(P.edges))
+    L = np.zeros((len(bits), len(nodes), len(nodes)), dtype=object)
+    rows = np.arange(len(bits))
+    for i, (u, v) in enumerate(P.edges):
+        f = bits[:, i]
+        tail, head = np.array([at[u], at[v]])[f], np.array([at[v], at[u]])[f]
+        w = np.array([kept[i], turned[i]], dtype=object)[f]
+        L[rows, tail, tail] += w
+        L[rows, tail, head] -= w
+    return L
+
+
+def root_minors(L: np.ndarray, at: int) -> np.ndarray:
+    """The (N,) object array of a stack of N Laplacians' minors at node index
+    `at`: each determinant without row and column `at`, all taken by one
+    det_stack call."""
+    rest = np.delete(np.arange(L.shape[1]), at)
+    return det_stack(L[:, rest[:, None], rest])
 
 
 def count_arborescences(W: WeightedDigraph, root: int):

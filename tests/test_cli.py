@@ -380,13 +380,14 @@ def _write_triangle(tmp_path):
     return str(poly), str(coins)
 
 
-@pytest.mark.parametrize("check, module, name, detail", [
-    ("factored-form", "flowfactory.oracle", "_factored_value", "mismatch"),
-    ("matrix-tree", "flowfactory.spanning", "qualifying_tree_count", "count mismatch"),
-])
-def test_verify_check_fails_on_a_perturbed_side(tmp_path, monkeypatch, check, module, name, detail):
-    # Perturb the side of the comparison that no table caches, at the last
-    # vertex and the last root, so the check has to reach it to fail.
+@pytest.mark.parametrize("check, module, detail", [
+    ("factored-form", "flowfactory.oracle", "mismatch"),
+    ("matrix-tree", "flowfactory.spanning", "count mismatch"),
+], ids=["factored-form", "matrix-tree"])
+def test_verify_check_fails_on_a_perturbed_side(tmp_path, monkeypatch, check, module, detail):
+    # Perturb the side of the comparison that no table caches, the stacked
+    # root minors, at the last vertex and the last root, so the check has to
+    # reach it to fail.
     import importlib
 
     from flowfactory.graphs import enumerate_vertices
@@ -395,12 +396,14 @@ def test_verify_check_fails_on_a_perturbed_side(tmp_path, monkeypatch, check, mo
     P = triangle()
     f_bad, r_bad = enumerate_vertices(P)[-1], P.graph.incident_nodes[-1]
     mod = importlib.import_module(module)
-    honest = getattr(mod, name)
+    honest = mod.root_minors
 
-    def perturbed(P, f, root, *rest):
-        return honest(P, f, root, *rest) + (f == f_bad and root == r_bad)
+    def perturbed(L, at):
+        minors = honest(L, at)  # one per vertex
+        minors[-1] += P.graph.incident_nodes[at] == r_bad
+        return minors
 
-    monkeypatch.setattr(mod, name, perturbed)
+    monkeypatch.setattr(mod, "root_minors", perturbed)
     out = tmp_path / "report.json"
     assert main(["verify", *_write_triangle(tmp_path), "--checks", check, "--out", str(out)]) == 8
     report = json.loads(out.read_text())
@@ -408,6 +411,32 @@ def test_verify_check_fails_on_a_perturbed_side(tmp_path, monkeypatch, check, mo
         "name": check, "pass": False,
         "detail": f"{detail} at f={flow_key(f_bad)} root={r_bad}",
     }]
+
+
+def test_verify_passes_where_the_minors_exceed_int64(tmp_path):
+    # circ3 at a point over a denominator near 2^70: every M_f(x) weight is
+    # near 2^70, so its 2x2 root minors exceed int64, and the stacked
+    # elimination must still take them exactly.
+    from flowfactory.graphs import enumerate_vertices
+    from flowfactory.oracle import _over_common_denominator
+    from flowfactory.spanning import flip_laplacians, root_minors
+
+    P = build_circulation_polytope(3)
+    vertices = enumerate_vertices(P)
+    weights = [2 ** 70 + 3 ** k for k in range(len(vertices))]
+    x = tuple(sum(Fraction(w) * f[i] for w, f in zip(weights, vertices)) / sum(weights)
+              for i in range(len(P.edges)))
+    num, den = _over_common_denominator(x)
+    laplacians = flip_laplacians(P, vertices, num, [den - n for n in num])
+    assert min(abs(v) for at in range(3) for v in root_minors(laplacians, at)) > 2 ** 63
+    poly, coins = tmp_path / "p.json", tmp_path / "c.json"
+    poly.write_text(json.dumps(polytope_to_dict(P)))
+    coins.write_text(json.dumps(coins_to_dict(x)))
+    out = tmp_path / "report.json"
+    argv = ["verify", str(poly), str(coins), "--checks", "factored-form,matrix-tree", "--out", str(out)]
+    assert main(argv) == 0
+    assert [(c["name"], c["pass"]) for c in json.loads(out.read_text())["checks"]] == [
+        ("factored-form", True), ("matrix-tree", True)]
 
 
 def _root_minor_off_at_the_last_root(oracle, P):

@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from flowfactory import (
@@ -22,6 +23,7 @@ from flowfactory.spanning import (
     ExitTables,
     _root_minor,
     det_bareiss,
+    det_stack,
     directed_tree_count,
     is_arborescence,
     qualifying_tree_count,
@@ -61,6 +63,23 @@ def test_det_exact_vs_cofactor_random():
         n = rng.randrange(1, 6)
         m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
         assert det_bareiss(m) == det_cofactor(m)
+    # Stacks in which each matrix takes its own row swaps: sparse entries make
+    # zero pivots, a repeated row makes a singular matrix, and entries reach
+    # past 2^63, so an int64 elimination would overflow.
+    for _ in range(40):
+        n = rng.randrange(0, 6)
+        stack = []
+        for _ in range(rng.randrange(1, 9)):
+            top = rng.choice([9, 2 ** 80])
+            m = [[rng.choice([0, 0, rng.randrange(-top, top + 1)]) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.25:
+                m[rng.randrange(1, n)] = list(m[0])
+            stack.append(m)
+        dets = det_stack(np.array(stack, dtype=object).reshape(len(stack), n, n))
+        assert list(dets) == [det_cofactor(m) for m in stack], stack
+        assert all(type(d) is int for d in dets)
+    assert det_stack(np.array([[[0, 0], [0, 5]], [[0, 2 ** 70], [3, 0]]], dtype=object)).tolist() == [
+        0, -3 * 2 ** 70]
 
 
 def test_count_arborescences_two_node():
