@@ -21,7 +21,6 @@ from .errors import (
 )
 from .factory import FlowSampler, SampleTrace, sample_path
 from .graphs import (
-    CirculationVector,
     FlowPolytope,
     Graph,
     build_circulation_polytope,
@@ -31,7 +30,6 @@ from .graphs import (
     flip_edge,
     flip_tree,
     is_vertex,
-    m_map,
     undirected_connected,
 )
 from .oracle import (

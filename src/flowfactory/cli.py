@@ -45,7 +45,7 @@ from .oracle import (
     check_zls,
     exact_output_distribution,
     factored_form_mismatch,
-    qualifying_counts,
+    matrix_tree_mismatch,
 )
 
 # Mixed into the sampling seed so coin flips and uniform choices never share
@@ -181,10 +181,8 @@ _TREES_PER_BLOCK = 32
 
 
 def _run_check(name: str, P, x) -> tuple[bool, str]:
-    from .graphs import enumerate_vertices
-    from .spanning import enumerate_directed_trees, flip_laplacians, root_minors
+    from .spanning import enumerate_directed_trees
 
-    roots = P.graph.incident_nodes
     if name == "root-independence":
         ok = check_root_independence(P, x)
         return ok, "polynomial values agree across roots" if ok else "root disagreement"
@@ -214,14 +212,9 @@ def _run_check(name: str, P, x) -> tuple[bool, str]:
         ok = check_zls(P, x)
         return ok, "all principal cofactors equal" if ok else "cofactors differ"
     if name == "matrix-tree":
-        vertices, ones = enumerate_vertices(P), (1,) * len(P.edges)
-        counts = [qualifying_counts(P, r) for r in roots]
-        laplacians = flip_laplacians(P, vertices, ones, ones)
-        minors = [root_minors(laplacians, k) for k in range(len(roots))]
-        for j, f in enumerate(vertices):
-            for k, r in enumerate(roots):
-                if counts[k][j] != minors[k][j]:
-                    return False, f"count mismatch at f={io.flow_key(f)} root={r}"
+        bad = matrix_tree_mismatch(P)
+        if bad:
+            return False, f"count mismatch at f={io.flow_key(bad[0])} root={bad[1]}"
         return True, "determinant counts match enumeration"
     raise InvalidInstance(f"unknown check {name}")
 

@@ -1,9 +1,12 @@
-"""Directed graphs, flow polytopes, and the maps the samplers are built on.
+"""Directed graphs, flow polytopes, and the flip map the samplers are built on.
 
 Nodes are labelled 1..n.  Edges are ordered pairs of distinct nodes and carry a
 stable integer id equal to their position in the edge sequence.  A *flow
 polytope* is the set of points in [0,1]^E whose net outflow at every node
-equals that node's integer demand; its vertices are 0/1 flows.
+equals that node's integer demand; its vertices are 0/1 flows.  The flip of
+a 0/1 flow f keeps the edges where f is 0 and reverses those where it is 1.
+M_f(x), the flip-affine image of a point x, weighs the flip image's arcs by
+x and 1 - x; it is built only as a Laplacian, by `spanning.flip_laplacians`.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,28 +102,6 @@ class FlowPolytope:
 
     def demand(self, v: int) -> int:
         return self.demands[v - 1]
-
-
-@dataclass(frozen=True)
-class CirculationVector:
-    """A rational vector on directed edges with zero net flow at every node.
-
-    Entries absent from `values` are zero.  The balance invariant is checked
-    on demand via :meth:`is_balanced`, not at construction.
-    """
-
-    n: int
-    values: Mapping[Edge, Fraction]
-
-    def value(self, e: Edge) -> Fraction:
-        return self.values.get(e, Fraction(0))
-
-    def is_balanced(self) -> bool:
-        net: dict[int, Fraction] = {}
-        for (u, v), w in self.values.items():
-            net[u] = net.get(u, 0) + w
-            net[v] = net.get(v, 0) - w
-        return all(x == 0 for x in net.values())
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +192,7 @@ def require_interior_point(P: FlowPolytope, x: Sequence[Fraction]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Flip and M_f maps
+# The flip map
 # ---------------------------------------------------------------------------
 
 def flip_edge(G: Graph, f: FlowVertex, eid: int) -> Edge:
@@ -223,26 +204,6 @@ def flip_edge(G: Graph, f: FlowVertex, eid: int) -> Edge:
 def flip_tree(G: Graph, f: FlowVertex, tree: Sequence[int]) -> frozenset[Edge]:
     """Apply flip_edge to every edge id in `tree`; returns directed edges."""
     return frozenset(flip_edge(G, f, eid) for eid in tree)
-
-
-def m_map(P: FlowPolytope, f: FlowVertex, x: Sequence, one: int = 1) -> CirculationVector:
-    """Affine map sending a polytope point to the circulation hyperplane.
-
-    Component at directed edge e is x_e(1-f_e) + (1-x_rev)f_rev, with edges
-    absent from E contributing zero.  x holds exact numbers; given integer
-    numerators over a common denominator `one` instead, the components are
-    the integer numerators of M_f(x) over it.
-    """
-    values: dict[Edge, Fraction] = {}
-    for i, e in enumerate(P.edges):
-        # Edge i adds x_i at itself when f is 0 on it, and 1 - x_i at its reversal when f is 1.
-        if f[i]:
-            e, val = reverse_edge(e), one - x[i]
-        else:
-            val = x[i]
-        values[e] = values.get(e, 0) + val
-    values = {e: val for e, val in values.items() if val}
-    return CirculationVector(P.n, values)
 
 
 # ---------------------------------------------------------------------------

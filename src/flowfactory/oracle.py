@@ -16,10 +16,13 @@ Matrix-Tree check counts each vertex's entries, and the bijection takes
 its exchange vector from two patterns and compares one family's images
 with the other family as two sets of edge-bit ints, for a whole block of
 (tree, eta) pairs at once in numpy arrays.  Every Laplacian cofactor is
-an exact integer root minor over x's common denominator, taken by the one
-fraction-free elimination in `spanning`: `verify`'s factored-form check
-stacks every vertex's M_f(x) and takes all their minors at a root in one call,
-and a single evaluation or the zero-line-sum check takes a stack of one.
+an exact integer root minor over x's common denominator, of a stack that
+`spanning.flip_laplacians` builds and the one fraction-free elimination in
+`spanning` takes: `verify`'s factored-form and Matrix-Tree checks stack
+every vertex and take all their minors at a root in one call, and a single
+evaluation or the zero-line-sum check takes a stack of one.  M_f(x)'s
+balance is checked in one place, `_image_laplacians`, on its stack's
+column sums.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ from .graphs import (
     _require_bits,
     _require_root,
     enumerate_vertices,
-    m_map,
+    is_vertex,
     require_interior_point,
 )
-from .spanning import _root_minor, enumerate_directed_trees, flip_laplacians, root_minors
+from .spanning import enumerate_directed_trees, flip_laplacians, root_minors
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +69,12 @@ def _require_fit(P: FlowPolytope, root: int, f: FlowVertex, x: Sequence) -> None
         raise InvalidInstance(f"expected {m} edge bits and coordinates, got {len(f)} and {len(x)}")
     _require_bits(P, f)
     _require_root(P, root)
+
+
+def _require_vertex(P: FlowPolytope, f: FlowVertex) -> None:
+    """Raise InvalidInstance unless the 0/1 vector f is a vertex of P."""
+    if not is_vertex(P, f):
+        raise InvalidInstance(f"{tuple(f)} is no vertex of the polytope")
 
 
 def _prefix(num: Sequence[int], den: int, f: FlowVertex) -> int:
@@ -184,10 +193,8 @@ def eval_polynomial(P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fract
     Raises InvalidInstance when f is a 0/1 vector but no vertex of P.
     """
     _require_fit(P, root, f, x)
-    value = polynomial_values(P, tuple(x), root).get(tuple(f))
-    if value is None:
-        raise InvalidInstance(f"{tuple(f)} is no vertex of the polytope")
-    return value
+    _require_vertex(P, f)
+    return polynomial_values(P, tuple(x), root)[tuple(f)]
 
 
 def qualifying_counts(P: FlowPolytope, root: int) -> list[int]:
@@ -196,15 +203,18 @@ def qualifying_counts(P: FlowPolytope, root: int) -> list[int]:
     return _tree_sums(P, root, lambda tree, pattern: 1)
 
 
-def _image_arcs(P: FlowPolytope, f: FlowVertex, num: Sequence[int], den: int) -> list[tuple[int, int, int]]:
-    """The arcs (u, v, w) of M_f(x), with integer w over d, for x = num / d.
+def _image_laplacians(P: FlowPolytope, vertices: Sequence[FlowVertex],
+                      num: Sequence[int], den: int) -> np.ndarray:
+    """Per vertex f, the out-Laplacian of M_f(x) for x = num / d, its weights
+    x and 1 - x as integers over d: the flip_laplacians stack.
 
-    Raises NotCirculation when M_f(x) is not balanced.
+    Raises NotCirculation when some M_f(x) is not balanced, that is when
+    some column of the stack does not sum to 0.
     """
-    image = m_map(P, f, num, one=den)
-    if not image.is_balanced():
+    L = flip_laplacians(P, vertices, num, [den - n for n in num])
+    if (L.sum(axis=1) != 0).any():
         raise NotCirculation("vector violates the balance equations")
-    return [(u, v, w) for (u, v), w in image.values.items()]
+    return L
 
 
 def eval_polynomial_factored(
@@ -213,14 +223,16 @@ def eval_polynomial_factored(
     """Same value through the factored form: prefix times the arborescence sum
     of the balanced image M_f(x) of x under the flip-affine map.
 
-    With x = num / d, that sum is the root minor of the out-Laplacian of
-    M_f(x)'s integer arcs over d (Tutte's Matrix-Tree theorem) over d^(k-1)
-    for k incident nodes.
+    With x = num / d, that sum is the root minor of M_f(x)'s out-Laplacian,
+    a stack of one, with integer weights over d (Tutte's Matrix-Tree
+    theorem), over d^(k-1) for k incident nodes.  Raises InvalidInstance
+    when f is a 0/1 vector but no vertex of P.
     """
     _require_fit(P, root, f, x)
+    _require_vertex(P, f)
     num, den = _over_common_denominator(tuple(x))
     nodes = P.graph.incident_nodes
-    count = _root_minor(nodes, _image_arcs(P, f, num, den), root)
+    count = root_minors(_image_laplacians(P, [f], num, den), nodes.index(root))[0]
     return Fraction(_prefix(num, den, f) * count, den ** (len(num) + len(nodes) - 1))
 
 
@@ -239,14 +251,31 @@ def factored_form_mismatch(P: FlowPolytope, x: Sequence[Fraction]) -> tuple[Flow
     tables = [polynomial_values(P, tuple(x), r) for r in roots]
     vertices = _orientations(P).vertices
     num, den = _over_common_denominator(tuple(x))
-    L = flip_laplacians(P, vertices, num, [den - n for n in num])
-    if (L.sum(axis=1) != 0).any():
-        raise NotCirculation("vector violates the balance equations")
+    L = _image_laplacians(P, vertices, num, den)
     scale = den ** (len(num) + len(roots) - 1)
     prefixes = np.array([_prefix(num, den, f) for f in vertices], dtype=object)
     for k, (root, table) in enumerate(zip(roots, tables)):
         for (f, value), product in zip(table.items(), root_minors(L, k) * prefixes):
             if value.numerator * scale != product * value.denominator:
+                return f, root
+    return None
+
+
+def matrix_tree_mismatch(P: FlowPolytope) -> tuple[FlowVertex, int] | None:
+    """The first (f, root), vertex by vertex and each at every root in node
+    order, where the number of trees whose flip under f is an arborescence
+    toward root differs from the root minor of f's flip-image Laplacian
+    (all weights 1); None when they agree everywhere.
+    """
+    roots = P.graph.incident_nodes
+    counts = [qualifying_counts(P, r) for r in roots]
+    vertices = _orientations(P).vertices
+    ones = (1,) * len(P.edges)
+    L = flip_laplacians(P, vertices, ones, ones)
+    minors = [root_minors(L, k) for k in range(len(roots))]
+    for j, f in enumerate(vertices):
+        for root, count, minor in zip(roots, counts, minors):
+            if count[j] != minor[j]:
                 return f, root
     return None
 
@@ -278,15 +307,15 @@ def check_positivity(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
 def check_zls(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
     """True iff the principal cofactors of M_f0(x)'s out-Laplacian agree, f0 the first vertex.
 
-    M_f0(x) is balanced, so that Laplacian has zero line sums.  Its arcs are
-    taken as integers over x's common denominator d, which scales every
+    M_f0(x) is balanced, so that Laplacian has zero line sums.  Its weights
+    are taken as integers over x's common denominator d, which scales every
     cofactor by the same d^(k-1).
     """
     nodes = P.graph.incident_nodes
     f0 = enumerate_vertices(P)[0]
     _require_fit(P, nodes[0], f0, x)
-    arcs = _image_arcs(P, f0, *_over_common_denominator(tuple(x)))
-    return len({_root_minor(nodes, arcs, r) for r in nodes}) == 1
+    L = _image_laplacians(P, [f0], *_over_common_denominator(tuple(x)))
+    return len({root_minors(L, k)[0] for k in range(len(nodes))}) == 1
 
 
 # ---------------------------------------------------------------------------

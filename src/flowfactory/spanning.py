@@ -3,15 +3,15 @@
 All counting is exact: every Laplacian cofactor, the oracle's included, is
 an integer root minor taken by one fraction-free Bareiss elimination
 (`det_stack`) over a stack of object arrays of Python ints, and rational
-weights are cleared to integers first.  One minor is a stack of one
-(`_root_minor`); the oracle stacks the flip-image Laplacian of every vertex
-(`flip_laplacians`) and takes all their minors at a root in one call
-(`root_minors`).  The Laplacian uses the out-weight diagonal, so the minor
-at r counts arborescences directed toward r (validated against enumeration
-in the test suite).  Trees whose flip is an arborescence are counted on
-the flip image of the edge set, and drawn as the acyclic maps among those
-that pick one exit per node of the image, each node's exits read from a
-table keyed by the flow's bits at its edges.
+weights are cleared to integers first.  Every flip-image Laplacian, of one
+vertex or of all, comes from one builder (`flip_laplacians`), whose stack's
+minors at a root are taken in one call (`root_minors`); a whole graph's arc
+list is a stack of one (`_root_minor`).  The Laplacian uses the out-weight
+diagonal, so the minor at r counts arborescences directed toward r
+(validated against enumeration in the test suite).  Trees whose flip is an
+arborescence are counted on the flip image of the edge set, and drawn as
+the acyclic maps among those that pick one exit per node of the image,
+each node's exits read from a table keyed by the flow's bits at its edges.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .graphs import (
     _connects,
     _require_bits,
     _require_root,
-    flip_edge,
 )
 
 
@@ -69,17 +68,17 @@ def det_stack(stack: np.ndarray) -> np.ndarray:
     pivot is 0 its row is swapped with the first row below that is nonzero
     in the pivot's column; where there is none the matrix is singular, its
     determinant is 0, and its pivot is set to 1 only so the division stays
-    defined for it (its entries are not read again).
+    defined for it (its entries are not read again).  Step k divides by the
+    pivot of step k - 1, so step 0 divides by nothing.
     """
     m = stack.copy()
     count, n, _ = m.shape
     sign = np.ones(count, dtype=object)
     if n == 0:
         return sign
-    prev = np.ones(count, dtype=object)
     for k in range(n - 1):
-        zero = np.flatnonzero(m[:, k, k] == 0)
-        if len(zero):
+        if not m[:, k, k].all():
+            zero = np.flatnonzero(m[:, k, k] == 0)
             below = m[zero, k + 1:, k] != 0
             found = below.any(axis=1)
             at, other = zero[found], k + 1 + below[found].argmax(axis=1)
@@ -87,10 +86,8 @@ def det_stack(stack: np.ndarray) -> np.ndarray:
             sign[at] *= -1
             sign[zero[~found]] = 0
             m[zero[~found], k, k] = 1
-        pivot = m[:, k, k]
-        m[:, k + 1:, k + 1:] = (m[:, k + 1:, k + 1:] * pivot[:, None, None]
-                                - m[:, k + 1:, k, None] * m[:, k, None, k + 1:]) // prev[:, None, None]
-        prev = pivot
+        block = m[:, k + 1:, k + 1:] * m[:, k, k, None, None] - m[:, k + 1:, k, None] * m[:, k, None, k + 1:]
+        m[:, k + 1:, k + 1:] = block // m[:, k - 1, k - 1, None, None] if k else block
     return sign * m[:, n - 1, n - 1]
 
 
@@ -124,6 +121,12 @@ def _root_minor(nodes, arcs, root: int) -> int:
     return det_bareiss(L)
 
 
+@lru_cache(maxsize=256)
+def _edge_ends(G: Graph) -> np.ndarray:
+    """The (2, m) array of every edge's tail and head, as indices among G's incident nodes."""
+    return np.searchsorted(G.incident_nodes, np.array(G.edges, dtype=np.intp).reshape(len(G.edges), 2).T)
+
+
 def flip_laplacians(P: FlowPolytope, vertices: Sequence[FlowVertex],
                     kept: Sequence[int], turned: Sequence[int]) -> np.ndarray:
     """Per vertex f, the out-Laplacian of its flip image on P's incident
@@ -133,19 +136,19 @@ def flip_laplacians(P: FlowPolytope, vertices: Sequence[FlowVertex],
     the arc v -> u of weight turned[i] where f_i = 1: all 1 for the flip
     image itself, and x_i and 1 - x_i over a common denominator for
     M_f(x).  A column sums to its node's out-weight less its in-weight, so
-    every column sums to 0 iff the weighted image is balanced.
+    every column sums to 0 iff the weighted image is balanced.  The arcs of
+    every vertex are added in two scatters, one on the diagonal and one off
+    it, and each sums the arcs that share a cell.
     """
-    nodes = P.graph.incident_nodes
-    at = {v: i for i, v in enumerate(nodes)}
-    bits = np.array(vertices, dtype=np.intp).reshape(len(vertices), len(P.edges))
-    L = np.zeros((len(bits), len(nodes), len(nodes)), dtype=object)
-    rows = np.arange(len(bits))
-    for i, (u, v) in enumerate(P.edges):
-        f = bits[:, i]
-        tail, head = np.array([at[u], at[v]])[f], np.array([at[v], at[u]])[f]
-        w = np.array([kept[i], turned[i]], dtype=object)[f]
-        L[rows, tail, tail] += w
-        L[rows, tail, head] -= w
+    k = len(P.graph.incident_nodes)
+    u, v = _edge_ends(P.graph)
+    bits = np.array(vertices, dtype=bool).reshape(len(vertices), len(u))
+    tail, head = np.where(bits, v, u), np.where(bits, u, v)
+    w = np.where(bits, np.array(turned, dtype=object), np.array(kept, dtype=object))
+    L = np.zeros((len(bits), k, k), dtype=object)
+    rows = np.arange(len(bits))[:, None]
+    np.add.at(L, (rows, tail, tail), w)
+    np.subtract.at(L, (rows, tail, head), w)
     return L
 
 
@@ -153,8 +156,8 @@ def root_minors(L: np.ndarray, at: int) -> np.ndarray:
     """The (N,) object array of a stack of N Laplacians' minors at node index
     `at`: each determinant without row and column `at`, all taken by one
     det_stack call."""
-    rest = np.delete(np.arange(L.shape[1]), at)
-    return det_stack(L[:, rest[:, None], rest])
+    rest = np.arange(L.shape[1]) != at
+    return det_stack(L[:, rest][:, :, rest])
 
 
 def count_arborescences(W: WeightedDigraph, root: int):
@@ -241,8 +244,8 @@ def qualifying_tree_count(P: FlowPolytope, f: FlowVertex, root: int) -> int:
     """
     _require_root(P, root)
     _require_bits(P, f)
-    arcs = [(*flip_edge(P.graph, f, eid), 1) for eid in range(len(P.edges))]
-    return _root_minor(P.graph.incident_nodes, arcs, root)
+    ones = (1,) * len(P.edges)
+    return root_minors(flip_laplacians(P, [f], ones, ones), P.graph.incident_nodes.index(root))[0]
 
 
 class ExitTables:

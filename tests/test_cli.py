@@ -382,7 +382,7 @@ def _write_triangle(tmp_path):
 
 @pytest.mark.parametrize("check, module, detail", [
     ("factored-form", "flowfactory.oracle", "mismatch"),
-    ("matrix-tree", "flowfactory.spanning", "count mismatch"),
+    ("matrix-tree", "flowfactory.oracle", "count mismatch"),
 ], ids=["factored-form", "matrix-tree"])
 def test_verify_check_fails_on_a_perturbed_side(tmp_path, monkeypatch, check, module, detail):
     # Perturb the side of the comparison that no table caches, the stacked
@@ -413,6 +413,36 @@ def test_verify_check_fails_on_a_perturbed_side(tmp_path, monkeypatch, check, mo
     }]
 
 
+def test_verify_checks_name_their_first_mismatch_in_their_own_order(tmp_path, monkeypatch):
+    # The stacked root minors are off at two cells, (first vertex, last root)
+    # and (last vertex, first root).  factored-form goes root by root, so it
+    # names the second; matrix-tree goes vertex by vertex, so it names the first.
+    from flowfactory import oracle
+    from flowfactory.graphs import enumerate_vertices
+    from flowfactory.io import flow_key
+
+    P = triangle()
+    vertices, roots = enumerate_vertices(P), P.graph.incident_nodes
+    honest = oracle.root_minors
+
+    def perturbed(L, at):
+        minors = honest(L, at)  # one per vertex
+        minors[0] += at == len(roots) - 1
+        minors[-1] += at == 0
+        return minors
+
+    monkeypatch.setattr(oracle, "root_minors", perturbed)
+    out = tmp_path / "report.json"
+    argv = ["verify", *_write_triangle(tmp_path), "--checks", "factored-form,matrix-tree", "--out", str(out)]
+    assert main(argv) == 8
+    assert json.loads(out.read_text())["checks"] == [
+        {"name": "factored-form", "pass": False,
+         "detail": f"mismatch at f={flow_key(vertices[-1])} root={roots[0]}"},
+        {"name": "matrix-tree", "pass": False,
+         "detail": f"count mismatch at f={flow_key(vertices[0])} root={roots[-1]}"},
+    ]
+
+
 def test_verify_passes_where_the_minors_exceed_int64(tmp_path):
     # circ3 at a point over a denominator near 2^70: every M_f(x) weight is
     # near 2^70, so its 2x2 root minors exceed int64, and the stacked
@@ -439,10 +469,10 @@ def test_verify_passes_where_the_minors_exceed_int64(tmp_path):
         ("factored-form", True), ("matrix-tree", True)]
 
 
-def _root_minor_off_at_the_last_root(oracle, P):
-    honest = oracle._root_minor
-    last = P.graph.incident_nodes[-1]
-    return "_root_minor", lambda nodes, arcs, root: honest(nodes, arcs, root) + (root == last)
+def _root_minors_off_at_the_last_root(oracle, P):
+    honest = oracle.root_minors
+    last = len(P.graph.incident_nodes) - 1
+    return "root_minors", lambda L, at: honest(L, at) + (at == last)
 
 
 def _one_polynomial_value_off(oracle, P):
@@ -457,7 +487,7 @@ def _one_polynomial_value_off(oracle, P):
 
 
 @pytest.mark.parametrize("check, perturb, detail", [
-    ("zls", _root_minor_off_at_the_last_root, "cofactors differ"),
+    ("zls", _root_minors_off_at_the_last_root, "cofactors differ"),
     ("marginal", _one_polynomial_value_off, "marginal identity fails"),
 ], ids=["zls", "marginal"])
 def test_verify_identity_check_fails_on_a_perturbed_input(tmp_path, monkeypatch, check, perturb, detail):

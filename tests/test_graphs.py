@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from flowfactory import (
     BoundaryCoin,
-    CirculationVector,
     FlowPolytope,
     Graph,
     InvalidInstance,
@@ -21,11 +20,12 @@ from flowfactory import (
     flip_edge,
     flip_tree,
     is_vertex,
-    m_map,
     undirected_connected,
 )
 from flowfactory.errors import TooLargeForOracle
-from flowfactory.graphs import require_interior_point
+from flowfactory.graphs import _net_flow, require_interior_point
+from flowfactory.oracle import _over_common_denominator
+from flowfactory.spanning import flip_laplacians
 
 from instances import THIRD, disconnected_pair, square, square_cycle_flow, triangle, two_node
 
@@ -123,20 +123,29 @@ def test_flip_square_cycle_case():
     assert flip_tree(P.graph, f, tree) == frozenset({(3, 4), (2, 1), (4, 2)})
 
 
+def m_map_laplacian(P, f, x):
+    """M_f(x)'s out-Laplacian, weights x and 1 - x over x's common
+    denominator, and a reader of its arc weights: (u, v) -> -L[u, v] over it."""
+    num, den = _over_common_denominator(tuple(x))
+    (L,) = flip_laplacians(P, [f], num, [den - n for n in num])
+    at = {v: i for i, v in enumerate(P.graph.incident_nodes)}
+    return L, lambda u, v: Fraction(-L[at[u], at[v]], den)
+
+
 def test_m_map_zero_flow_is_identity():
     P = triangle()
     x = (THIRD,) * 6
-    vec = m_map(P, (0,) * 6, x)
+    L, value = m_map_laplacian(P, (0,) * 6, x)
     for i, e in enumerate(P.edges):
-        assert vec.value(e) == x[i]
-    assert vec.is_balanced()
+        assert value(*e) == x[i]
+    assert not L.sum(axis=0).any()
 
 
 def test_m_map_two_node_all_ones():
     P = two_node()
-    vec = m_map(P, (1, 1), (THIRD, THIRD))
-    assert vec.value((1, 2)) == Fraction(2, 3)
-    assert vec.value((2, 1)) == Fraction(2, 3)
+    _, value = m_map_laplacian(P, (1, 1), (THIRD, THIRD))
+    assert value(1, 2) == Fraction(2, 3)
+    assert value(2, 1) == Fraction(2, 3)
 
 
 def test_m_map_balanced_on_random_instances():
@@ -150,7 +159,7 @@ def test_m_map_balanced_on_random_instances():
         for _ in range(5):
             f = verts[rng.randrange(len(verts))]
             x = random_interior_point(P, rng)
-            assert m_map(P, f, x).is_balanced()
+            assert not m_map_laplacian(P, f, x)[0].sum(axis=0).any()
 
 
 def test_connectivity():
@@ -261,8 +270,5 @@ def test_vertex_differences_are_balanced():
     verts = enumerate_vertices(P)
     for a in verts:
         for b in verts:
-            diff = CirculationVector(
-                P.n,
-                {e: Fraction(a[i] - b[i]) for i, e in enumerate(P.edges) if a[i] != b[i]},
-            )
-            assert diff.is_balanced()
+            diff = [ai - bi for ai, bi in zip(a, b)]
+            assert not any(_net_flow(P, diff).values())

@@ -29,9 +29,11 @@ from flowfactory import (
     random_interior_point,
     statistical_test,
 )
-from flowfactory.graphs import flip_tree, m_map, reverse_edge
+from flowfactory.graphs import flip_tree, reverse_edge
 from flowfactory.oracle import (
+    _image_laplacians,
     _one_directed_cycle,
+    _over_common_denominator,
     _Orientations,
     _orientations,
     polynomial_values,
@@ -75,13 +77,15 @@ def test_evaluators_reject_inputs_of_the_wrong_length(evaluate):
             evaluate(P, bad_f, 1, bad_x)
 
 
-def test_eval_polynomial_rejects_a_01_vector_that_is_no_vertex():
+@pytest.mark.parametrize("evaluate", [eval_polynomial, eval_polynomial_factored],
+                         ids=["eval_polynomial", "eval_polynomial_factored"])
+def test_eval_polynomial_rejects_a_01_vector_that_is_no_vertex(evaluate):
     # Flipping bit 0 of a vertex unbalances that edge's ends: no polynomial is defined there.
     P = triangle()
     f = enumerate_vertices(P)[1]
     off = (1 - f[0],) + f[1:]
     with pytest.raises(InvalidInstance, match=r"is no vertex of the polytope$"):
-        eval_polynomial(P, off, 1, (THIRD,) * 6)
+        evaluate(P, off, 1, (THIRD,) * 6)
 
 
 def test_polynomial_values_is_a_read_only_table_of_eval_polynomial():
@@ -147,20 +151,23 @@ def test_flip_preimage_weight_identity():
     x = random_interior_point(P, rng)
     seen_cases = set()
     idx = P.graph.edge_index
+    num, den = _over_common_denominator(x)
+    at = {v: i for i, v in enumerate(P.graph.incident_nodes)}
     for f in enumerate_vertices(P):
-        vec = m_map(P, f, x)
+        (L,) = _image_laplacians(P, [f], num, den)  # M_f(x)'s weight on (u, v) is -L[u, v] / den
         for e in P.edges:
             ids = flip_preimage(P, f, e)
             total = Fraction(0)
             for i in ids:
                 xi = Fraction(x[i])
                 total += (1 - xi) if f[i] else xi
-            assert total == vec.value(e)
+            value = Fraction(-L[at[e[0]], at[e[1]]], den)
+            assert total == value
             case = (f[idx[e]], f[idx[(e[1], e[0])]])
             seen_cases.add(case)
             if case == (1, 0):
                 # the flip maps nothing onto such an edge
-                assert ids == () and vec.value(e) == 0
+                assert ids == () and value == 0
     # all four (f_e, f_rev) preimage cases appear on the full triangle
     assert seen_cases == {(0, 0), (0, 1), (1, 0), (1, 1)}
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from flowfactory import (
-    CirculationVector,
     FlowPolytope,
     Graph,
     InvalidInstance,
@@ -16,20 +17,22 @@ from flowfactory import (
     build_circulation_polytope,
     count_arborescences,
     enumerate_directed_trees,
+    enumerate_vertices,
     sample_flip_tree,
 )
-from flowfactory.graphs import flip_tree, is_vertex, m_map
+from flowfactory.graphs import flip_tree, is_vertex
 from flowfactory.spanning import (
     ExitTables,
     _root_minor,
     det_bareiss,
     det_stack,
     directed_tree_count,
+    flip_laplacians,
     is_arborescence,
     qualifying_tree_count,
 )
 
-from instances import THIRD, square, square_cycle_flow, triangle, two_node
+from instances import THIRD, interior_instances, square, square_cycle_flow, triangle, two_node
 
 
 def test_det_bareiss_small():
@@ -159,36 +162,44 @@ def test_matrix_tree_random_rational_weights():
             assert count_arborescences(W, r) == brute, (weights, r)
 
 
-def sarb(x: CirculationVector, root: int, nodes: tuple[int, ...] | None = None) -> Fraction:
-    """Sum over arborescences toward `root` of the product of x's edge values.
+def _balanced(weights: dict) -> bool:
+    """True iff arc weights {(u, v): w} have zero net flow at every node."""
+    net: dict[int, Fraction] = {}
+    for (u, v), w in weights.items():
+        net[u] = net.get(u, 0) + w
+        net[v] = net.get(v, 0) - w
+    return all(x == 0 for x in net.values())
 
-    Root-independent for balanced vectors (ZLS Laplacian); raises
+
+def sarb(weights: dict, root: int, nodes: tuple[int, ...]) -> Fraction:
+    """Sum over arborescences toward `root` of the product of the arc weights {(u, v): w}.
+
+    Root-independent for balanced weights (ZLS Laplacian); raises
     NotCirculation otherwise.
     """
-    if not x.is_balanced():
+    if not _balanced(weights):
         raise NotCirculation("vector violates the balance equations")
-    if nodes is None:
-        nodes = tuple(range(1, x.n + 1))
-    weights = {e: Fraction(w) for e, w in x.values.items() if w != 0}
+    weights = {e: Fraction(w) for e, w in weights.items() if w != 0}
     return Fraction(count_arborescences(WeightedDigraph(nodes, weights), root))
 
 
 def test_sarb_examples():
-    ones = CirculationVector(3, {(u, v): Fraction(1) for u in (1, 2, 3) for v in (1, 2, 3) if u != v})
+    ones = {(u, v): Fraction(1) for u in (1, 2, 3) for v in (1, 2, 3) if u != v}
     for r in (1, 2, 3):
-        assert sarb(ones, r) == 3
-    two_cycle = CirculationVector(3, {(1, 2): Fraction(1), (2, 1): Fraction(1)})
+        assert sarb(ones, r, (1, 2, 3)) == 3
+    two_cycle = {(1, 2): Fraction(1), (2, 1): Fraction(1)}
     for r in (1, 2, 3):
-        assert sarb(two_cycle, r) == 0
-    vec = m_map(two_node(), (1, 1), (THIRD, THIRD))
+        assert sarb(two_cycle, r, (1, 2, 3)) == 0
+    # M_f(x) on two_node at f = (1, 1) and x = 1/3: both edges turned, each of weight 1 - 1/3.
+    vec = {(2, 1): 1 - THIRD, (1, 2): 1 - THIRD}
     assert sarb(vec, 1, nodes=(1, 2)) == Fraction(2, 3)
     assert sarb(vec, 2, nodes=(1, 2)) == Fraction(2, 3)
 
 
 def test_sarb_rejects_unbalanced():
-    bad = CirculationVector(3, {(1, 2): Fraction(1)})
+    bad = {(1, 2): Fraction(1)}
     with pytest.raises(NotCirculation):
-        sarb(bad, 1)
+        sarb(bad, 1, (1, 2, 3))
 
 
 def _random_circulation(rng, n):
@@ -202,7 +213,7 @@ def _random_circulation(rng, n):
         for i in range(k):
             e = (cyc[i], cyc[(i + 1) % k])
             values[e] = values.get(e, Fraction(0)) + coef
-    return CirculationVector(n, {e: v for e, v in values.items() if v})
+    return {e: v for e, v in values.items() if v}
 
 
 def test_sarb_root_independence_random():
@@ -210,7 +221,7 @@ def test_sarb_root_independence_random():
     for _ in range(100):
         n = rng.randrange(3, 6)
         x = _random_circulation(rng, n)
-        assert x.is_balanced()
+        assert _balanced(x)
         vals = {sarb(x, r, nodes=tuple(range(1, n + 1))) for r in range(1, n + 1)}
         assert len(vals) == 1
 
@@ -234,6 +245,49 @@ def test_zls_cofactor_random():
             for r in range(n)
         ]
         assert len(set(minors)) == 1
+
+
+def _laplacian_by_arcs(P, f, kept, turned):
+    """flip_laplacians of one vertex built one arc at a time: a k x k list of ints."""
+    at = {v: i for i, v in enumerate(P.graph.incident_nodes)}
+    L = [[0] * len(at) for _ in at]
+    for i, (u, v) in enumerate(P.edges):
+        tail, head, w = (v, u, turned[i]) if f[i] else (u, v, kept[i])
+        L[at[tail]][at[tail]] += w
+        L[at[tail]][at[head]] -= w
+    return L
+
+
+# interior_instances rejects most of its draws, which can trip the filtering health check.
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(interior_instances(), st.integers(0, 1 << 16))
+@example((triangle(), (THIRD,) * 6), 0)
+def test_flip_laplacians_match_a_per_arc_build(case, seed):
+    # Random weights past int64, on the whole vertex stack and on stacks of
+    # one.  In the triangle every node is the tail of two arcs at the zero
+    # flow, and an edge turned against its kept reversal puts two arcs on
+    # one off-diagonal cell: cells that take several arcs at once.
+    P, _ = case
+    rng = random.Random(seed)
+    kept, turned = ([rng.randrange(1 << 70) for _ in P.edges] for _ in range(2))
+    vertices = enumerate_vertices(P)
+    expected = [_laplacian_by_arcs(P, f, kept, turned) for f in vertices]
+    assert flip_laplacians(P, vertices, kept, turned).tolist() == expected
+    for f, L in zip(vertices, expected):
+        assert flip_laplacians(P, [f], kept, turned).tolist() == [L]
+
+
+def test_flip_laplacians_sum_the_arcs_that_share_a_cell():
+    # Triangle, edge (1, 2) turned and (2, 1) kept: both are arcs 2 -> 1, and
+    # node 2 is also the tail of the kept arc 2 -> 3.
+    P = triangle()
+    idx = P.graph.edge_index
+    f = tuple(int(e == (1, 2)) for e in P.edges)
+    kept, turned = [10 ** i for i in range(6)], [7 * 10 ** i for i in range(6)]
+    (L,) = flip_laplacians(P, [f], kept, turned)
+    assert L[1, 0] == -(turned[idx[(1, 2)]] + kept[idx[(2, 1)]])
+    assert L[1, 1] == turned[idx[(1, 2)]] + kept[idx[(2, 1)]] + kept[idx[(2, 3)]]
+    assert L.tolist() == _laplacian_by_arcs(P, f, kept, turned)
 
 
 def test_enumerate_directed_trees():
