@@ -1,9 +1,12 @@
 """Directed graphs, flow polytopes, and the flip map the samplers are built on.
 
 Nodes are labelled 1..n.  Edges are ordered pairs of distinct nodes and carry a
-stable integer id equal to their position in the edge sequence.  A *flow
-polytope* is the set of points in [0,1]^E whose net outflow at every node
-equals that node's integer demand; its vertices are 0/1 flows.  The flip of
+stable integer id equal to their position in the edge sequence.  A Graph
+builds, once, the two edge facts that every layer reads: `ends`, each edge's
+tail and head as positions in `incident_nodes`, and `node_bits`, each
+incident node's out- and in-edges as edge-bit ints.  A *flow polytope* is
+the set of points in [0,1]^E whose net outflow at every node equals that
+node's integer demand; its vertices are 0/1 flows.  The flip of
 a 0/1 flow f keeps the edges where f is 0 and reverses those where it is 1.
 M_f(x), the flip-affine image of a point x, weighs the flip image's arcs by
 x and 1 - x; it is built only as a Laplacian, by `spanning.flip_laplacians`.
@@ -67,6 +70,23 @@ class Graph:
             nodes.add(u)
             nodes.add(v)
         return tuple(sorted(nodes))
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """The read-only (2, m) array of every edge's tail and head, as positions in incident_nodes."""
+        ends = np.searchsorted(self.incident_nodes,
+                               np.array(self.edges, dtype=np.intp).reshape(len(self.edges), 2).T)
+        ends.flags.writeable = False
+        return ends
+
+    @cached_property
+    def node_bits(self) -> tuple[tuple[int, int], ...]:
+        """Per incident node, the edge-bit ints (bit i for edge i) of its out-edges and of its in-edges."""
+        bits = [[0, 0] for _ in self.incident_nodes]
+        for i, (u, v) in enumerate(self.ends.T.tolist()):
+            bits[u][0] |= 1 << i
+            bits[v][1] |= 1 << i
+        return tuple(map(tuple, bits))
 
     @cached_property
     def out_edges(self) -> dict[int, tuple[int, ...]]:
@@ -259,17 +279,14 @@ def _vertices(P: FlowPolytope) -> tuple[FlowVertex, ...]:
     if m > ENUMERATION_CAP:
         raise TooLargeForOracle(f"|E| = {m} exceeds enumeration cap {ENUMERATION_CAP}")
     nodes = P.graph.incident_nodes
-    column = {v: c for c, v in enumerate(nodes)}
-    ends = np.array([(column[u], column[v]) for u, v in P.edges], dtype=np.intp).reshape(m, 2)
-    out_left = np.bincount(ends[:, 0], minlength=len(nodes))
-    in_left = np.bincount(ends[:, 1], minlength=len(nodes))
+    out_left, in_left = (np.bincount(end, minlength=len(nodes)) for end in P.graph.ends)
     demands = [P.demand(v) for v in nodes]
-    if not (all(v in column for v, d in enumerate(P.demands, 1) if d)
+    if not (all(v in nodes for v, d in enumerate(P.demands, 1) if d)
             and all(-i <= d <= o for d, o, i in zip(demands, out_left.tolist(), in_left.tolist()))):
         return ()
     need = np.array([demands], dtype=np.int8)  # |unmet demand| <= degree <= m, from here on
     bits = np.zeros((1, m), dtype=np.uint8)
-    for i, (u, v) in enumerate(ends):
+    for i, (u, v) in enumerate(P.graph.ends.T):
         out_left[u] -= 1
         in_left[v] -= 1
         need, bits = np.repeat(need, 2, axis=0), np.repeat(bits, 2, axis=0)

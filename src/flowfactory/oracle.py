@@ -110,9 +110,9 @@ class _Orientations:
     256, an int object more.  An entry costs one _orient_toward call and
     one compare over the mask array, made the first time it is read.  The
     trees are keyed to their edge-bit ints, so a sorted id tuple is a
-    spanning tree iff it is a key, and each incident node keeps the
-    edge-bit ints of its out- and in-edges, so a vector's net flow there is
-    a difference of popcounts.
+    spanning tree iff it is a key, and `ends` holds each incident node's
+    edge-bit ints of its out- and in-edges (the graph's `node_bits`), so a
+    vector's net flow there is a difference of popcounts.
     """
 
     def __init__(self, P: FlowPolytope):
@@ -121,10 +121,7 @@ class _Orientations:
         self.trees = enumerate_directed_trees(P.graph)
         #: Per tree, as sorted edge ids: its edge bits as one int.
         self.tree_bits = {tree: _edge_bits(tree) for tree in self.trees}
-        #: Per incident node: the edge-bit ints of its out-edges and of its in-edges.
-        self.ends = [(_edge_bits(i for i, (u, _) in enumerate(P.edges) if u == v),
-                      _edge_bits(i for i, (_, w) in enumerate(P.edges) if w == v))
-                     for v in P.graph.incident_nodes]
+        self.ends = P.graph.node_bits
         #: Per vertex: its edge bits as one uint64, bit i being f_i.
         self.masks = np.array([_edge_bits(i for i, b in enumerate(f) if b) for f in self.vertices],
                               dtype=np.uint64)
@@ -468,7 +465,7 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
     entries = [table.orientation(tree, root) for tree in trees for root in nodes]
     tree_at = np.array([trees[tree] for tree, _ in pairs], dtype=np.intp)
     eta = np.array([e for _, e in pairs], dtype=np.intp)
-    at_s, at_t = (tree_at[:, None] * len(nodes) + np.searchsorted(nodes, edges)[eta]).T
+    at_s, at_t = tree_at * len(nodes) + P.graph.ends[:, eta]
     eta_bit = np.uint64(1) << eta.astype(np.uint64)
     patterns = np.array([pattern for pattern, _ in entries], dtype=np.uint64)
     plus, minus = _exchange_vector(eta_bit, patterns[at_s], patterns[at_t])

@@ -3,15 +3,16 @@
 All counting is exact: every Laplacian cofactor, the oracle's included, is
 an integer root minor taken by one fraction-free Bareiss elimination
 (`det_stack`) over a stack of object arrays of Python ints, and rational
-weights are cleared to integers first.  Every flip-image Laplacian, of one
-vertex or of all, comes from one builder (`flip_laplacians`), whose stack's
-minors at a root are taken in one call (`root_minors`); a whole graph's arc
-list is a stack of one (`_root_minor`).  The Laplacian uses the out-weight
-diagonal, so the minor at r counts arborescences directed toward r
-(validated against enumeration in the test suite).  Trees whose flip is an
-arborescence are counted on the flip image of the edge set, and drawn as
-the acyclic maps among those that pick one exit per node of the image,
-each node's exits read from a table keyed by the flow's bits at its edges.
+weights are cleared to integers first.  Every out-Laplacian comes from one
+scatter (`_laplacians`), and a stack's minors at a root are taken in one
+call (`root_minors`): `flip_laplacians` picks each vertex's flip-image arcs
+from `Graph.ends`, and a whole graph's count is a stack of one.  The
+Laplacian uses the out-weight diagonal, so the minor at r counts
+arborescences directed toward r (validated against enumeration in the test
+suite).  Trees whose flip is an arborescence are counted on the flip image
+of the edge set, and drawn as the acyclic maps among those that pick one
+exit per node of the image, each node's exits read from a table keyed by
+the flow's bits at its edges.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ class WeightedDigraph:
 
     def __post_init__(self):
         nodeset = set(self.nodes)
+        if len(nodeset) != len(self.nodes):
+            raise InvalidInstance(f"node list {self.nodes} repeats a node")
         for (u, v), w in self.weights.items():
             if u == v:
                 raise InvalidInstance(f"self-loop weight on node {u}")
@@ -91,40 +94,23 @@ def det_stack(stack: np.ndarray) -> np.ndarray:
     return sign * m[:, n - 1, n - 1]
 
 
-def det_bareiss(matrix: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix: a stack of one for det_stack."""
-    n = len(matrix)
-    return det_stack(np.array(matrix, dtype=object).reshape(1, n, n))[0]
-
-
 # ---------------------------------------------------------------------------
 # Laplacians and counting
 # ---------------------------------------------------------------------------
 
-def _root_minor(nodes, arcs, root: int) -> int:
-    """Determinant of the out-Laplacian of integer-weighted arcs (u, v, w)
-    on `nodes`, with root's row and column removed.
+def _laplacians(k: int, tail: np.ndarray, head: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The (N, k, k) object array of N out-Laplacians on k nodes, in which
+    list n's arc j runs from node index tail[n, j] to head[n, j] with
+    weight w[n, j].
 
-    By Tutte's directed Matrix-Tree theorem this is the weighted count of
-    arborescences toward root.
+    Every list's arcs are added in two scatters, one on the diagonal and one
+    off it, and each sums the arcs that share a cell.
     """
-    idx = {v: i for i, v in enumerate(v for v in nodes if v != root)}
-    L = [[0] * len(idx) for _ in idx]
-    for u, v, w in arcs:
-        i = idx.get(u)
-        if i is not None:
-            row = L[i]
-            row[i] += w
-            j = idx.get(v)
-            if j is not None:
-                row[j] -= w
-    return det_bareiss(L)
-
-
-@lru_cache(maxsize=256)
-def _edge_ends(G: Graph) -> np.ndarray:
-    """The (2, m) array of every edge's tail and head, as indices among G's incident nodes."""
-    return np.searchsorted(G.incident_nodes, np.array(G.edges, dtype=np.intp).reshape(len(G.edges), 2).T)
+    L = np.zeros((len(w), k, k), dtype=object)
+    rows = np.arange(len(w))[:, None]
+    np.add.at(L, (rows, tail, tail), w)
+    np.subtract.at(L, (rows, tail, head), w)
+    return L
 
 
 def flip_laplacians(P: FlowPolytope, vertices: Sequence[FlowVertex],
@@ -136,20 +122,12 @@ def flip_laplacians(P: FlowPolytope, vertices: Sequence[FlowVertex],
     the arc v -> u of weight turned[i] where f_i = 1: all 1 for the flip
     image itself, and x_i and 1 - x_i over a common denominator for
     M_f(x).  A column sums to its node's out-weight less its in-weight, so
-    every column sums to 0 iff the weighted image is balanced.  The arcs of
-    every vertex are added in two scatters, one on the diagonal and one off
-    it, and each sums the arcs that share a cell.
+    every column sums to 0 iff the weighted image is balanced.
     """
-    k = len(P.graph.incident_nodes)
-    u, v = _edge_ends(P.graph)
+    u, v = P.graph.ends
     bits = np.array(vertices, dtype=bool).reshape(len(vertices), len(u))
-    tail, head = np.where(bits, v, u), np.where(bits, u, v)
     w = np.where(bits, np.array(turned, dtype=object), np.array(kept, dtype=object))
-    L = np.zeros((len(bits), k, k), dtype=object)
-    rows = np.arange(len(bits))[:, None]
-    np.add.at(L, (rows, tail, tail), w)
-    np.subtract.at(L, (rows, tail, head), w)
-    return L
+    return _laplacians(len(P.graph.incident_nodes), np.where(bits, v, u), np.where(bits, u, v), w)
 
 
 def root_minors(L: np.ndarray, at: int) -> np.ndarray:
@@ -170,8 +148,10 @@ def count_arborescences(W: WeightedDigraph, root: int):
     if root not in W.nodes:
         raise InvalidInstance(f"root {root} not among nodes")
     scale = lcm(*(Fraction(w).denominator for w in W.weights.values()))
-    arcs = [(u, v, int(w * scale)) for (u, v), w in W.weights.items()]
-    count = _root_minor(W.nodes, arcs, root)
+    at = {v: i for i, v in enumerate(W.nodes)}
+    tail, head = np.array([(at[u], at[v]) for u, v in W.weights], dtype=np.intp).reshape(-1, 2).T[:, None]
+    w = np.array([[int(c * scale) for c in W.weights.values()]], dtype=object)
+    count = root_minors(_laplacians(len(W.nodes), tail, head, w), at[root])[0]
     return count if scale == 1 else Fraction(count, scale ** (len(W.nodes) - 1))
 
 
@@ -196,11 +176,11 @@ def enumerate_directed_trees(G: Graph) -> tuple[tuple[int, ...], ...]:
 
 def directed_tree_count(G: Graph) -> int:
     """|T(E)| via the Matrix-Tree theorem on the support, one arc each way per edge."""
-    nodes = G.incident_nodes
-    if len(nodes) < 2:
+    k = len(G.incident_nodes)
+    if k < 2:
         return 0
-    arcs = [a for u, v in G.edges for a in ((u, v, 1), (v, u, 1))]
-    return _root_minor(nodes, arcs, nodes[-1])
+    tail, head = np.hstack([G.ends, G.ends[::-1]])[:, None]
+    return root_minors(_laplacians(k, tail, head, np.ones(tail.shape, dtype=object)), k - 1)[0]
 
 
 def is_arborescence(edges, root: int) -> bool:

@@ -4,16 +4,13 @@ import os
 import random
 from fractions import Fraction
 
-from hypothesis import assume
 from hypothesis import strategies as st
 
 from flowfactory import (
     FlowPolytope,
     Graph,
     build_circulation_polytope,
-    enumerate_vertices,
     random_interior_point,
-    undirected_connected,
 )
 
 THIRD = Fraction(1, 3)
@@ -118,18 +115,38 @@ def disconnected_pair():
 
 @st.composite
 def interior_instances(draw):
-    """A digraph on 2-5 nodes whose demands are those of a random 0/1 flow on it,
-    and a random interior point; instances without one are rejected."""
+    """A connected digraph on 2-5 nodes and at most 9 edges whose demands are
+    those of a random 0/1 flow f on it, and a random interior point.
+
+    An interior point exists iff every edge takes both values at some
+    vertex, that is iff every arc of f's flip image lies on a directed
+    cycle; with the graph connected, iff the image is strongly connected.
+    So a closed walk through every node (a permutation with nodes inserted)
+    is drawn first, and after the edges and f are drawn each step a -> b of
+    the walk is put into the image where it is missing: as a new idle edge
+    (a, b), else as a new edge (b, a) carrying flow, else, with both edges
+    there and the image holding b -> a through both, by idling (a, b).  No
+    step takes away an arc that another needs, so no draw is rejected.
+    """
     n = draw(st.integers(2, 5))
+    walk = list(draw(st.permutations(range(1, n + 1))))
+    for v in draw(st.lists(st.integers(1, n), max_size=n - 1)):
+        walk.insert(draw(st.integers(0, len(walk))), v)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
-    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, min_size=2, max_size=9)))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9 - len(walk)))
+    flow = dict(zip(edges, draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))))
+    for a, b in zip(walk, walk[1:] + walk[:1]):
+        if a == b or flow.get((a, b)) is False or flow.get((b, a)) is True:
+            continue
+        if (a, b) not in flow:
+            flow[a, b] = False
+        elif (b, a) not in flow:
+            flow[b, a] = True
+        else:
+            flow[a, b] = False
     demands = [0] * n
-    for (u, v), on in zip(edges, draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))):
+    for (u, v), on in flow.items():
         demands[u - 1] += on
         demands[v - 1] -= on
-    P = FlowPolytope(Graph(n, edges), tuple(demands))
-    assume(undirected_connected(P.graph))
-    # An interior point exists iff no edge takes the same value at every vertex.
-    vertices = enumerate_vertices(P)
-    assume(all(len({f[i] for f in vertices}) == 2 for i in range(len(edges))))
+    P = FlowPolytope(Graph(n, tuple(flow)), tuple(demands))
     return P, random_interior_point(P, random.Random(draw(st.integers(0, 1 << 16))))

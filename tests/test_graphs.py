@@ -208,6 +208,19 @@ def test_enumerate_vertices_matches_brute_force_random(P):
     assert enumerate_vertices(P) == brute
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_polytopes())
+@example(FlowPolytope(Graph(5, ((3, 1), (1, 3), (4, 1))), (0,) * 5))  # nodes 2 and 5 touch no edge
+def test_edge_ends_and_node_bits_match_each_edge(P):
+    G = P.graph
+    nodes = G.incident_nodes
+    assert G.ends.shape == (2, len(G.edges)) and not G.ends.flags.writeable
+    assert [(nodes[u], nodes[v]) for u, v in G.ends.T.tolist()] == list(G.edges)
+    assert G.node_bits == tuple((sum(1 << i for i, (u, _) in enumerate(G.edges) if u == v),
+                                 sum(1 << i for i, (_, w) in enumerate(G.edges) if w == v))
+                                for v in nodes)
+
+
 def _circ6_without_three_pairs():
     """K6's circulation without the pairs {1,2}, {3,4} and {5,6}: 24 edges, the cap."""
     edges = tuple((u, v) for u in range(1, 7) for v in range(1, 7)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowfactory import (
@@ -438,6 +438,14 @@ def _assert_vertex_test_matches_is_vertex(P, masks):
     assert _scan(vertices, masks[:1], m) == expected[:1]  # a buffer of one word
 
 
+def _triangle_and_isolated_nodes(demands):
+    """The triangle's six edges on nodes 1-3 with `demands` on more nodes, and every mask:
+    the test leaves out node 3's count, and a demand on a node no edge touches
+    (even one another such node's balances) must make it hit nothing."""
+    edges = ((1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1))
+    return FlowPolytope(Graph(len(demands), edges), demands), list(range(1 << len(edges)))
+
+
 @st.composite
 def polytopes_and_masks(draw):
     n = draw(st.integers(1, 6))
@@ -455,6 +463,9 @@ def polytopes_and_masks(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(polytopes_and_masks())
+@example(_triangle_and_isolated_nodes((1, -1, 0, 0)))
+@example(_triangle_and_isolated_nodes((1, 0, 0, -1)))
+@example(_triangle_and_isolated_nodes((0, 0, 0, 1, -1)))
 def test_vertex_test_matches_is_vertex_random(case):
     _assert_vertex_test_matches_is_vertex(*case)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowfactory import (
@@ -23,24 +23,29 @@ from flowfactory import (
 from flowfactory.graphs import flip_tree, is_vertex
 from flowfactory.spanning import (
     ExitTables,
-    _root_minor,
-    det_bareiss,
     det_stack,
     directed_tree_count,
     flip_laplacians,
     is_arborescence,
     qualifying_tree_count,
+    root_minors,
 )
 
 from instances import THIRD, interior_instances, square, square_cycle_flow, triangle, two_node
 
 
+def _det(matrix: list[list[int]]) -> int:
+    """det_stack of one matrix."""
+    n = len(matrix)
+    return det_stack(np.array(matrix, dtype=object).reshape(1, n, n))[0]
+
+
 def test_det_bareiss_small():
-    assert det_bareiss([]) == 1
-    assert det_bareiss([[5]]) == 5
-    assert det_bareiss([[1, 2], [3, 4]]) == -2
-    assert det_bareiss([[0, 1], [1, 0]]) == -1
-    assert det_bareiss([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+    assert _det([]) == 1
+    assert _det([[5]]) == 5
+    assert _det([[1, 2], [3, 4]]) == -2
+    assert _det([[0, 1], [1, 0]]) == -1
+    assert _det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
 
 
 def det_cofactor(matrix) -> Fraction:
@@ -65,7 +70,7 @@ def test_det_exact_vs_cofactor_random():
     for _ in range(25):
         n = rng.randrange(1, 6)
         m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        assert det_bareiss(m) == det_cofactor(m)
+        assert _det(m) == det_cofactor(m)
     # Stacks in which each matrix takes its own row swaps: sparse entries make
     # zero pivots, a repeated row makes a singular matrix, and entries reach
     # past 2^63, so an int64 elimination would overflow.
@@ -95,6 +100,12 @@ def test_count_arborescences_complete_3():
     W = WeightedDigraph((1, 2, 3), {(u, v): 1 for u in (1, 2, 3) for v in (1, 2, 3) if u != v})
     for r in (1, 2, 3):
         assert count_arborescences(W, r) == 3
+
+
+@pytest.mark.parametrize("nodes", [(1, 1, 2), (1, 2, 2)])
+def test_weighted_digraph_rejects_a_repeated_node(nodes):
+    with pytest.raises(InvalidInstance, match="repeats a node"):
+        WeightedDigraph(nodes, {(1, 2): 1, (2, 1): 1})
 
 
 def test_count_arborescences_path():
@@ -135,6 +146,13 @@ def test_matrix_tree_random_digraphs():
         W = WeightedDigraph(nodes, weights)
         for r in nodes:
             assert count_arborescences(W, r) == _brute_count(W, r)
+    # Nodes out of order, where every count is positive, and a node (4) with no arc, where none is.
+    weights = {(1, 2): 2, (2, 1): 1, (3, 1): 1, (3, 2): 2, (2, 3): 1}
+    for nodes, positive in (((3, 1, 2), True), ((1, 2, 3, 4), False)):
+        W = WeightedDigraph(nodes, weights)
+        counts = [count_arborescences(W, r) for r in nodes]
+        assert counts == [_brute_count(W, r) for r in nodes]
+        assert all(counts) if positive else not any(counts)
 
 
 def test_matrix_tree_random_rational_weights():
@@ -227,8 +245,9 @@ def test_sarb_root_independence_random():
 
 
 def test_zls_cofactor_random():
-    # A zero-line-sum matrix is the out-Laplacian of the arcs (i, j, -m[i][j]),
-    # so its root minor at each node is that principal cofactor, and all agree.
+    # A zero-line-sum matrix is the out-Laplacian of the arcs i -> j of
+    # weight -m[i][j], so its root minor at each node is that principal
+    # cofactor, and all agree.
     rng = random.Random(55)
     for _ in range(100):
         n = rng.randrange(2, 7)
@@ -238,8 +257,7 @@ def test_zls_cofactor_random():
             m[i][n - 1] = -sum(m[i][:-1])
         for j in range(n):
             m[n - 1][j] = -sum(m[i][j] for i in range(n - 1))
-        arcs = [(i, j, -m[i][j]) for i in range(n) for j in range(n) if i != j]
-        minors = [_root_minor(range(n), arcs, r) for r in range(n)]
+        minors = [root_minors(np.array([m], dtype=object), r)[0] for r in range(n)]
         assert minors == [
             det_cofactor([row[:r] + row[r + 1:] for k, row in enumerate(m) if k != r])
             for r in range(n)
@@ -258,8 +276,7 @@ def _laplacian_by_arcs(P, f, kept, turned):
     return L
 
 
-# interior_instances rejects most of its draws, which can trip the filtering health check.
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=60, deadline=None)
 @given(interior_instances(), st.integers(0, 1 << 16))
 @example((triangle(), (THIRD,) * 6), 0)
 def test_flip_laplacians_match_a_per_arc_build(case, seed):
