@@ -71,23 +71,19 @@ class VertexTest:
     indeg(v) is popcount(mask & out_v) + popcount(~mask & in_v), that is
     popcount((mask & (out_v | in_v)) ^ in_v): one count per node.  Both
     checks read each incident node v from `nodes` as (out_v | in_v, in_v,
-    d_v + indeg(v)), from P's `node_bits`.  A node whose count could never
-    reach its target (d_v outside [-indeg(v), outdeg(v)], so d_v != 0 where
-    no edge touches v) makes the test hit nothing.  Otherwise the incident
-    nodes' demands sum to zero, as their net flows do, so the last one's
-    test follows from the others' and is left out.
+    d_v + indeg(v)), from P's `node_bits`.  Unless P is `demands_feasible`
+    (some count could never reach its target) the test hits nothing.
+    Otherwise the incident nodes' demands sum to zero, as their net flows
+    do, so the last one's test follows from the others' and is left out.
 
     `mask in test` checks one Python int; `scan` checks a whole buffer of
     rounds held as one row of flip words per edge, 64 rounds a word.
     """
 
     def __init__(self, P: FlowPolytope):
-        incident = P.graph.incident_nodes
-        nodes = [(out | into, into, P.demand(v) + into.bit_count())
-                 for v, (out, into) in zip(incident, P.graph.node_bits)]
-        self.feasible = (all(0 <= t <= s.bit_count() for s, _, t in nodes)
-                         and not any(d and v not in incident for v, d in enumerate(P.demands, 1)))
-        self.nodes = tuple(nodes[:-1])
+        self.feasible = P.demands_feasible
+        self.nodes = tuple((out | into, into, P.demand(v) + into.bit_count())
+                           for v, (out, into) in zip(P.graph.incident_nodes, P.graph.node_bits))[:-1]
 
     def __contains__(self, mask: int) -> bool:
         return self.feasible and all(((mask & s) ^ i).bit_count() == t for s, i, t in self.nodes)

@@ -90,11 +90,11 @@ class Graph:
 
     @cached_property
     def out_edges(self) -> dict[int, tuple[int, ...]]:
-        """Node -> ids of edges leaving it."""
-        out: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for i, (u, _) in enumerate(self.edges):
-            out[u].append(i)
-        return {v: tuple(ids) for v, ids in out.items()}
+        """Node -> ascending ids of edges leaving it, read from node_bits; () where no edge touches it."""
+        out = dict.fromkeys(range(1, self.n + 1), ())
+        for v, (bits, _) in zip(self.incident_nodes, self.node_bits):
+            out[v] = tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+        return out
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,14 @@ class FlowPolytope:
 
     def demand(self, v: int) -> int:
         return self.demands[v - 1]
+
+    @cached_property
+    def demands_feasible(self) -> bool:
+        """Whether every node's demand lies in [-indeg(v), outdeg(v)], so is 0
+        where no edge touches v; no 0/1 flow meets P's demands otherwise."""
+        bits = dict(zip(self.graph.incident_nodes, self.graph.node_bits))
+        return all(-into.bit_count() <= d <= out.bit_count()
+                   for v, d in enumerate(self.demands, 1) for out, into in [bits.get(v, (0, 0))])
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +278,8 @@ def _vertices(P: FlowPolytope) -> tuple[FlowVertex, ...]:
 
     A row is the bits of edges 0..i-1 and the demand still unmet at each
     incident node, which the undecided edges can meet iff it lies in
-    [-in-edges left, out-edges left].  Every node is checked up front, in
-    Python ints; then each edge splits every row into its 0 child and its 1
+    [-in-edges left, out-edges left].  P's `demands_feasible` checks every
+    node up front; then each edge splits every row into its 0 child and its 1
     child, in that order, so the rows stay in lexicographic order, and a
     child is cut as soon as one of the edge's ends is out of range.
     """
@@ -280,11 +288,9 @@ def _vertices(P: FlowPolytope) -> tuple[FlowVertex, ...]:
         raise TooLargeForOracle(f"|E| = {m} exceeds enumeration cap {ENUMERATION_CAP}")
     nodes = P.graph.incident_nodes
     out_left, in_left = (np.bincount(end, minlength=len(nodes)) for end in P.graph.ends)
-    demands = [P.demand(v) for v in nodes]
-    if not (all(v in nodes for v, d in enumerate(P.demands, 1) if d)
-            and all(-i <= d <= o for d, o, i in zip(demands, out_left.tolist(), in_left.tolist()))):
+    if not P.demands_feasible:
         return ()
-    need = np.array([demands], dtype=np.int8)  # |unmet demand| <= degree <= m, from here on
+    need = np.array([[P.demand(v) for v in nodes]], dtype=np.int8)  # |unmet demand| <= degree <= m, from here on
     bits = np.zeros((1, m), dtype=np.uint8)
     for i, (u, v) in enumerate(P.graph.ends.T):
         out_left[u] -= 1

@@ -115,24 +115,28 @@ def disconnected_pair():
 
 @st.composite
 def interior_instances(draw):
-    """A connected digraph on 2-5 nodes and at most 9 edges whose demands are
-    those of a random 0/1 flow f on it, and a random interior point.
+    """A digraph on 2-5 nodes and at most 9 edges, connected on the 2 or more
+    nodes its edges touch (the others isolated, so the touched labels need
+    not be contiguous), whose demands are those of a random 0/1 flow f on
+    it, and a random interior point.
 
     An interior point exists iff every edge takes both values at some
     vertex, that is iff every arc of f's flip image lies on a directed
     cycle; with the graph connected, iff the image is strongly connected.
-    So a closed walk through every node (a permutation with nodes inserted)
-    is drawn first, and after the edges and f are drawn each step a -> b of
-    the walk is put into the image where it is missing: as a new idle edge
-    (a, b), else as a new edge (b, a) carrying flow, else, with both edges
-    there and the image holding b -> a through both, by idling (a, b).  No
-    step takes away an arc that another needs, so no draw is rejected.
+    So a closed walk through the touched nodes (a random order of them with
+    some inserted again) is drawn first, and after the edges among them and
+    f are drawn each step a -> b of the walk is put into the image where it
+    is missing: as a new idle edge (a, b), else as a new edge (b, a)
+    carrying flow, else, with both edges there and the image holding b -> a
+    through both, by idling (a, b).  No step takes away an arc that another
+    needs, so no draw is rejected.
     """
     n = draw(st.integers(2, 5))
-    walk = list(draw(st.permutations(range(1, n + 1))))
-    for v in draw(st.lists(st.integers(1, n), max_size=n - 1)):
+    nodes = draw(st.lists(st.integers(1, n), unique=True, min_size=2))
+    walk = list(nodes)
+    for v in draw(st.lists(st.sampled_from(nodes), max_size=len(nodes) - 1)):
         walk.insert(draw(st.integers(0, len(walk))), v)
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    pairs = [(u, v) for u in nodes for v in nodes if u != v]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9 - len(walk)))
     flow = dict(zip(edges, draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))))
     for a, b in zip(walk, walk[1:] + walk[:1]):

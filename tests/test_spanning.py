@@ -23,6 +23,7 @@ from flowfactory import (
 from flowfactory.graphs import flip_tree, is_vertex
 from flowfactory.spanning import (
     ExitTables,
+    _laplacians,
     det_stack,
     directed_tree_count,
     flip_laplacians,
@@ -257,7 +258,11 @@ def test_zls_cofactor_random():
             m[i][n - 1] = -sum(m[i][:-1])
         for j in range(n):
             m[n - 1][j] = -sum(m[i][j] for i in range(n - 1))
-        minors = [root_minors(np.array([m], dtype=object), r)[0] for r in range(n)]
+        arcs = [(i, j, -m[i][j]) for i in range(n) for j in range(n) if i != j]
+        tail, head, w = zip(*arcs)
+        L = _laplacians(n, np.array([tail]), np.array([head]), np.array([w], dtype=object))
+        assert L.tolist() == [m]
+        minors = [root_minors(L, r)[0] for r in range(n)]
         assert minors == [
             det_cofactor([row[:r] + row[r + 1:] for k, row in enumerate(m) if k != r])
             for r in range(n)
