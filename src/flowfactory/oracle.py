@@ -1,37 +1,33 @@
-"""Exact-rational verification of the identities behind the sampler.
+"""Exact verification of the identities behind the sampler, in integers.
 
 Everything here is exact arithmetic; "equal" means equal in lowest terms.
 The per-vertex sampling polynomial of a flow polytope is evaluated two
 independent ways (tree enumeration, and the factored arborescence-sum form)
 so each can vouch for the other, and the exact output distribution feeds the
 statistical acceptance harness.  The tree enumeration works by orientation:
-the flip of a tree t under f is an arborescence toward r iff it is t
-oriented toward r, that is iff f is 1 exactly on t's edges that point away
-from r.  So each (tree, root) picks out one bit pattern on the tree, and
-the vertices that qualify are those whose edge-bit ints (bit i = f_i) AND
-the tree's edge bits equal it.  The tree sum, the Matrix-Tree check and
-the exchange bijection all read those (pattern, vertices) entries: the
-tree sum takes each entry's term once for all of its vertices, the
-Matrix-Tree check counts each vertex's entries, and the bijection takes
-its exchange vector from two patterns and compares one family's images
-with the other family as two sets of edge-bit ints, for a whole block of
-(tree, eta) pairs at once in numpy arrays.  Every Laplacian cofactor is
-an exact integer root minor over x's common denominator, of a stack that
-`spanning.flip_laplacians` builds and the one fraction-free elimination in
-`spanning` takes: `verify`'s factored-form and Matrix-Tree checks stack
-every vertex and take all their minors at a root in one call, and a single
-evaluation or the zero-line-sum check takes a stack of one.  M_f(x)'s
-balance is checked in one place, `_image_laplacians`, on its stack's
-column sums.
+the flip of a tree t under f is an arborescence toward r iff f is 1 exactly
+on t's edges that orienting toward r reverses.  So each (tree, root) picks
+out one bit pattern on the tree, and the vertices that qualify are those
+whose edge-bit ints (bit i = f_i) AND the tree's edge bits equal it.  Each
+root's (pattern, vertices) entries come from one numpy pass; the tree sum
+and the Matrix-Tree counts are one `np.add.at` over them, and the exchange
+bijection compares one family's images with the other family as sets of
+edge-bit ints, a block of (tree, eta) pairs at once.  With x = num / d, the
+value checks compare integers: w_f = P_f(x) d^(|E|+k-1) for k incident
+nodes, and every Laplacian cofactor is an integer root minor over d, of a
+`spanning.flip_laplacians` stack that the one fraction-free elimination in
+`spanning` takes, every vertex's at a root in one call.  Fractions are built
+only for a caller that reads values.  M_f(x)'s balance is checked in one
+place, `_image_laplacians`, on its stack's column sums.
 """
 
 from __future__ import annotations
 
-from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm, prod
+from functools import cached_property, lru_cache
+from math import lcm, log, sqrt
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -77,9 +73,10 @@ def _require_vertex(P: FlowPolytope, f: FlowVertex) -> None:
         raise InvalidInstance(f"{tuple(f)} is no vertex of the polytope")
 
 
-def _prefix(num: Sequence[int], den: int, f: FlowVertex) -> int:
-    """prefix(f, x), the product over edges of x^f (1-x)^(1-f), times d^|E| for x = num / d."""
-    return prod(n if b else den - n for n, b in zip(num, f))
+def _prefixes(bits: np.ndarray, num: np.ndarray, den: int) -> np.ndarray:
+    """Per row f of the bool bit matrix, prefix(f, x) = prod over edges of
+    x^f (1-x)^(1-f), times d^|E| for x = num / d, in num's dtype."""
+    return np.where(bits, num, den - num).prod(axis=1)
 
 
 @lru_cache(maxsize=256)
@@ -95,49 +92,92 @@ def _edge_bits(ids) -> int:
     return sum(1 << i for i in ids)
 
 
+def _head_sides(tree: Sequence[int], tails: Sequence[int], heads: Sequence[int]) -> list[int]:
+    """Per edge of a spanning tree (edge ids; each edge's tail and head as
+    node positions), the node-bit int of the nodes that cutting the edge
+    leaves on its head's side: one traversal from position 0."""
+    links: dict[int, list[int]] = {}
+    for i in tree:
+        links.setdefault(tails[i], []).append(i)
+        links.setdefault(heads[i], []).append(i)
+    up, order = {0: None}, [0]  # each node's edge toward position 0, nearest first
+    for v in order:
+        for i in links[v]:
+            w = tails[i] + heads[i] - v
+            if w not in up:
+                up[w] = i
+                order.append(w)
+    below = {v: 1 << v for v in order}  # each node and the nodes beyond it
+    for v in reversed(order[1:]):
+        below[tails[up[v]] + heads[up[v]] - v] |= below[v]
+    return [below[heads[i]] if up[heads[i]] == i else below[0] ^ below[tails[i]] for i in tree]
+
+
+#: Cells (trees x vertices) per chunk of an entries compare: bounds its temporaries to a few MB.
+_CELLS = 1 << 18
+
+
 class _Orientations:
     """Every tree's orientation toward every root, and the vertices whose bits spell it.
 
-    Each vertex is one edge-bit int, bit i being f_i, held in one uint64
-    array, `masks`, which the exchange check gathers from and its witnesses
-    read, and in a copy made with it, `_array`, which only the entries'
-    compares read (the 24-edge enumeration cap keeps masks inside uint64;
-    past it numpy raises OverflowError, it never wraps).  A (tree, root)
-    entry, (pattern, positions), is the edge-bit int of the tree
-    edges that orienting toward root reverses and the positions, in vertex
-    order, of the vertices whose bits on the tree equal it, held as one C
-    int array: 4 bytes a position, where a list of ints takes 8 and, past
-    256, an int object more.  An entry costs one _orient_toward call and
-    one compare over the mask array, made the first time it is read.  The
-    trees are keyed to their edge-bit ints, so a sorted id tuple is a
-    spanning tree iff it is a key, and `ends` holds each incident node's
-    edge-bit ints of its out- and in-edges (the graph's `node_bits`), so a
-    vector's net flow there is a difference of popcounts.
+    Each vertex is one edge-bit int (bit i is f_i) in the uint64 array
+    `masks`, which the exchange check gathers from, and in a copy, `_array`,
+    which only the entries' compares read (the 24-edge enumeration cap keeps
+    masks inside uint64); `bits` is the same as a (vertex, edge) bool matrix.
+    `sides` holds each tree edge's head side as a node-bit int, from one
+    traversal per tree: orienting toward a root reverses exactly the tree
+    edges whose head side misses it.  A root's `entries`, built by one
+    chunked compare the first time it is read, are every tree's pattern
+    (the edge-bit int of the edges it reverses) and, tree after tree and in
+    vertex order, the positions of the vertices whose bits on the tree equal
+    it: one int32 array with per-tree offsets, of which `orientation` returns
+    one tree's slice.  A sorted id tuple is a spanning tree iff it is a key
+    of `tree_bits`, and `ends` is the graph's `node_bits`.
     """
 
     def __init__(self, P: FlowPolytope):
-        self._edges = P.edges
+        self._nodes = P.graph.incident_nodes
         self.vertices = enumerate_vertices(P)
         self.trees = enumerate_directed_trees(P.graph)
-        #: Per tree, as sorted edge ids: its edge bits as one int.
-        self.tree_bits = {tree: _edge_bits(tree) for tree in self.trees}
         self.ends = P.graph.node_bits
-        #: Per vertex: its edge bits as one uint64, bit i being f_i.
-        self.masks = np.array([_edge_bits(i for i, b in enumerate(f) if b) for f in self.vertices],
-                              dtype=np.uint64)
+        m, shape = len(P.edges), (len(self.trees), max(len(self._nodes) - 1, 0))
+        self.bits = np.array(self.vertices, dtype=bool).reshape(len(self.vertices), m)
+        self.masks = self.bits @ (np.uint64(1) << np.arange(m, dtype=np.uint64))
         self._array = self.masks.copy()
-        self._oriented: dict = {}
+        self._index = {tree: k for k, tree in enumerate(self.trees)}
+        self.tree_edges = np.array(self.trees, dtype=np.intp).reshape(shape)
+        self._edge_bit = np.uint64(1) << self.tree_edges.astype(np.uint64)
+        self._tree_array = self._edge_bit.sum(axis=1, dtype=np.uint64)
+        self.tree_bits = dict(zip(self.trees, self._tree_array.tolist()))
+        tails, heads = P.graph.ends.tolist()
+        self.sides = np.array([_head_sides(tree, tails, heads) for tree in self.trees],
+                              dtype=np.uint64).reshape(shape)
+        self._by_root: dict = {}
 
-    def orientation(self, tree: tuple[int, ...], root: int) -> tuple[int, Sequence[int]]:
+    def reversed_edges(self, root: int) -> np.ndarray:
+        """Per tree and tree edge (as in tree_edges), True iff orienting toward root reverses it."""
+        return self.sides >> np.uint64(self._nodes.index(root)) & np.uint64(1) == 0
+
+    def entries(self, root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Root's (patterns, positions, offsets): tree k's entry is patterns[k]
+        and positions[offsets[k]:offsets[k + 1]]."""
+        if root not in self._by_root:
+            patterns = (self._edge_bit * self.reversed_edges(root)).sum(axis=1, dtype=np.uint64)
+            bits, n = self._tree_array, len(self._array)
+            counts, positions = [np.zeros(1, dtype=np.intp)], [np.zeros(0, dtype=np.int32)]
+            step = max(1, _CELLS // max(n, 1))
+            for b in range(0, len(bits), step):
+                hits = np.flatnonzero(self._array & bits[b:b + step, None] == patterns[b:b + step, None])
+                counts.append(np.bincount(hits // n, minlength=len(bits[b:b + step])))
+                positions.append((hits % n).astype(np.int32))
+            self._by_root[root] = patterns, np.concatenate(positions), np.cumsum(np.concatenate(counts))
+        return self._by_root[root]
+
+    def orientation(self, tree: tuple[int, ...], root: int) -> tuple[int, np.ndarray]:
         """The (pattern, positions) entry of tree oriented toward root."""
-        found = self._oriented.get((tree, root))
-        if found is None:
-            toward = _orient_toward([self._edges[i] for i in tree], root)
-            pattern = _edge_bits(i for i in tree if self._edges[i] not in toward)
-            hits = np.flatnonzero(self._array & self.tree_bits[tree] == pattern)
-            positions = array("i", hits.astype(np.intc).tobytes())
-            found = self._oriented[tree, root] = (pattern, positions)
-        return found
+        patterns, positions, offsets = self.entries(root)
+        k = self._index[tree]
+        return int(patterns[k]), positions[offsets[k]:offsets[k + 1]]
 
 
 @lru_cache(maxsize=32)
@@ -145,43 +185,50 @@ def _orientations(P: FlowPolytope) -> _Orientations:
     return _Orientations(P)
 
 
-def _tree_sums(P: FlowPolytope, root: int, term) -> list:
-    """Per vertex, in vertex order, the sum of term(tree, pattern) over the trees
-    whose flip under it is an arborescence toward root.
+def _tree_sums(P: FlowPolytope, root: int, terms: np.ndarray) -> np.ndarray:
+    """Per vertex, in vertex order, the sum of terms[k] over the trees k whose
+    flip under it is an arborescence toward root, in terms' dtype: each
+    tree's term is added at all of its root entry's positions at once."""
+    table = _orientations(P)
+    _, positions, offsets = table.entries(root)
+    sums = np.zeros(len(table.vertices), dtype=terms.dtype)
+    np.add.at(sums, positions, np.repeat(terms, np.diff(offsets)))
+    return sums
 
-    The vertices at a (tree, root) entry's positions all have the pattern's
-    bits on the tree, so each tree's term is taken once and added to each of
-    their sums.
+
+@lru_cache(maxsize=256)
+def _weights(P: FlowPolytope, x: tuple, root: int) -> np.ndarray:
+    """Per vertex, in vertex order, w_f = prefix_f * treesum_f: P_f(x) times
+    d^(|E|+k-1), for x = num / d and k incident nodes; read-only.
+
+    treesum_f sums, over the trees whose flip under f is an arborescence
+    toward root, the product over tree edges of x^(1-f)(1-x)^f times d,
+    where f's bits on the tree are the tree's pattern.  Each w_f is at most
+    |T| d^(|E|+k-1), so every sum of them times d, as the checks form, is
+    below |V| |T| d^(|E|+k): the table is int64 when that is below 2^63 and
+    an object array of Python ints otherwise.
     """
     table = _orientations(P)
-    sums = [0] * len(table.vertices)
-    for tree in table.trees:
-        pattern, positions = table.orientation(tree, root)
-        value = term(tree, pattern)
-        for j in positions:
-            sums[j] += value
-    return sums
+    _require_fit(P, root, (0,) * len(P.edges), x)  # x and root, as for any vertex
+    num, den = _over_common_denominator(x)
+    bound = max(len(table.vertices), 1) * max(len(table.trees), 1) * den ** (len(num) + len(P.graph.incident_nodes))
+    num = np.array(num, dtype=np.int64 if bound < 2 ** 63 else object)
+    factors = num[table.tree_edges]
+    terms = np.where(table.reversed_edges(root), den - factors, factors).prod(axis=1)
+    w = _prefixes(table.bits, num, den) * _tree_sums(P, root, terms)
+    w.flags.writeable = False
+    return w
 
 
 @lru_cache(maxsize=256)
 def polynomial_values(P: FlowPolytope, x: tuple, root: int) -> Mapping[FlowVertex, Fraction]:
     """Every vertex's sampling polynomial at x and root by tree enumeration, in vertex order; read-only.
 
-    P_f(x) is prefix(f, x) times the sum, over the trees whose flip under f
-    is an arborescence toward root, of prod over tree edges of
-    x^(1-f)(1-x)^f, where f's bits on the tree are the tree's pattern.  With
-    x over one denominator d, every value is an integer over d^|E| d^(k-1)
-    for k incident nodes.
+    P_f(x) is w_f / d^(|E|+k-1), w being `_weights`' integer table.
     """
-    vertices = _orientations(P).vertices
-    _require_fit(P, root, (0,) * len(P.edges), x)  # x and root, as for any vertex
-    num, den = _over_common_denominator(x)
-    sums = _tree_sums(P, root, lambda tree, pattern: prod(
-        den - num[i] if pattern >> i & 1 else num[i] for i in tree))
-    scale = den ** (len(num) + len(P.graph.incident_nodes) - 1)
-    return MappingProxyType({
-        f: Fraction(_prefix(num, den, f) * total, scale) for f, total in zip(vertices, sums)
-    })
+    scale = _over_common_denominator(x)[1] ** (len(P.edges) + len(P.graph.incident_nodes) - 1)
+    w = _weights(P, x, root)
+    return MappingProxyType({f: Fraction(v, scale) for f, v in zip(_orientations(P).vertices, w.tolist())})
 
 
 def eval_polynomial(P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]) -> Fraction:
@@ -194,10 +241,10 @@ def eval_polynomial(P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fract
     return polynomial_values(P, tuple(x), root)[tuple(f)]
 
 
-def qualifying_counts(P: FlowPolytope, root: int) -> list[int]:
+def qualifying_counts(P: FlowPolytope, root: int) -> np.ndarray:
     """Per vertex, in vertex order, how many trees' flips under it are arborescences toward root."""
     _require_root(P, root)
-    return _tree_sums(P, root, lambda tree, pattern: 1)
+    return _tree_sums(P, root, np.ones(len(_orientations(P).trees), dtype=np.int64))
 
 
 def _image_laplacians(P: FlowPolytope, vertices: Sequence[FlowVertex],
@@ -230,7 +277,8 @@ def eval_polynomial_factored(
     num, den = _over_common_denominator(tuple(x))
     nodes = P.graph.incident_nodes
     count = root_minors(_image_laplacians(P, [f], num, den), nodes.index(root))[0]
-    return Fraction(_prefix(num, den, f) * count, den ** (len(num) + len(nodes) - 1))
+    prefix = _prefixes(np.array([f], dtype=bool), np.array(num, dtype=object), den)[0]
+    return Fraction(prefix * count, den ** (len(num) + len(nodes) - 1))
 
 
 def factored_form_mismatch(P: FlowPolytope, x: Sequence[Fraction]) -> tuple[FlowVertex, int] | None:
@@ -239,22 +287,20 @@ def factored_form_mismatch(P: FlowPolytope, x: Sequence[Fraction]) -> tuple[Flow
 
     x's common denominator is taken once.  Every vertex's M_f(x) is one
     flip-image Laplacian with weights x and 1 - x over it, and all their
-    minors at a root come from one stacked elimination; NotCirculation is raised
-    when some M_f(x) is not balanced.  A tree-sum value a/b equals the
-    factored prefix * minor / scale iff a * scale == prefix * minor * b, so
-    the two are compared as integers.
+    minors at a root come from one stacked elimination; NotCirculation is
+    raised when some M_f(x) is not balanced.  Both sides are integers over
+    d^(|E|+k-1): w_f against prefix_f * minor_f.
     """
     roots = P.graph.incident_nodes
-    tables = [polynomial_values(P, tuple(x), r) for r in roots]
-    vertices = _orientations(P).vertices
+    tables = [_weights(P, tuple(x), r) for r in roots]
+    table = _orientations(P)
     num, den = _over_common_denominator(tuple(x))
-    L = _image_laplacians(P, vertices, num, den)
-    scale = den ** (len(num) + len(roots) - 1)
-    prefixes = np.array([_prefix(num, den, f) for f in vertices], dtype=object)
-    for k, (root, table) in enumerate(zip(roots, tables)):
-        for (f, value), product in zip(table.items(), root_minors(L, k) * prefixes):
-            if value.numerator * scale != product * value.denominator:
-                return f, root
+    L = _image_laplacians(P, table.vertices, num, den)
+    prefixes = _prefixes(table.bits, np.array(num, dtype=object), den)
+    for k, (root, w) in enumerate(zip(roots, tables)):
+        bad = np.flatnonzero(w != root_minors(L, k) * prefixes)
+        if bad.size:
+            return table.vertices[bad[0]], root
     return None
 
 
@@ -269,36 +315,32 @@ def matrix_tree_mismatch(P: FlowPolytope) -> tuple[FlowVertex, int] | None:
     vertices = _orientations(P).vertices
     ones = (1,) * len(P.edges)
     L = flip_laplacians(P, vertices, ones, ones)
-    minors = [root_minors(L, k) for k in range(len(roots))]
-    for j, f in enumerate(vertices):
-        for root, count, minor in zip(roots, counts, minors):
-            if count[j] != minor[j]:
-                return f, root
-    return None
+    bad = np.array([count != root_minors(L, k) for k, count in enumerate(counts)]).T  # vertex by root
+    if not bad.any():
+        return None
+    j, k = divmod(int(bad.argmax()), len(roots))
+    return vertices[j], roots[k]
 
 
 def check_root_independence(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
-    tables = [polynomial_values(P, tuple(x), r) for r in P.graph.incident_nodes]
-    return all(t == tables[0] for t in tables)
+    first, *rest = (_weights(P, tuple(x), r) for r in P.graph.incident_nodes)
+    return all(np.array_equal(first, w) for w in rest)
 
 
 def check_marginal_identity(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
     """Exact zero test of sum over vertices of (f - x) weighted by P_f(x).
 
-    Edge by edge: the weight of the vertices that use edge i equals x_i
-    times the total weight.
+    Edge by edge, with x_i = num_i / d: the weight of the vertices that use
+    edge i, times d, equals num_i times the total weight.
     """
-    values = polynomial_values(P, tuple(x), P.graph.incident_nodes[0])
-    total = sum(values.values(), Fraction(0))
-    return all(
-        sum((w for f, w in values.items() if f[i]), Fraction(0)) == c * total
-        for i, c in enumerate(x)
-    )
+    w = _weights(P, tuple(x), P.graph.incident_nodes[0])
+    (num, den), total = _over_common_denominator(tuple(x)), int(w.sum())
+    used = (w[:, None] * _orientations(P).bits).sum(axis=0)
+    return all(s * den == n * total for s, n in zip(used.tolist(), num))
 
 
 def check_positivity(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
-    root = P.graph.incident_nodes[0]
-    return sum(polynomial_values(P, tuple(x), root).values(), Fraction(0)) > 0
+    return bool(_weights(P, tuple(x), P.graph.incident_nodes[0]).sum() > 0)
 
 
 def check_zls(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
@@ -319,14 +361,20 @@ def check_zls(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
 # Exact output distribution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ExactDistribution:
-    probabilities: dict
+    """The sampler's exact output law: vertex f has probability w_f / sum(w),
+    w being the integer weight table; each Fraction is built when read."""
+
+    def __init__(self, vertices: Sequence[FlowVertex], weights: np.ndarray, bits: np.ndarray):
+        self._vertices, self._weights, self._bits = vertices, weights, bits
+        self._total = int(weights.sum())
+
+    @cached_property
+    def probabilities(self) -> dict:
+        return {f: Fraction(w, self._total) for f, w in zip(self._vertices, self._weights.tolist())}
 
     def marginal(self, edge: int) -> Fraction:
-        return sum(
-            (p for f, p in self.probabilities.items() if f[edge]), Fraction(0)
-        )
+        return Fraction(int(self._weights[self._bits[:, edge]].sum()), self._total)
 
 
 def exact_output_distribution(
@@ -335,11 +383,11 @@ def exact_output_distribution(
     """Normalized polynomial values: the sampler's exact output law at x."""
     if root is None:
         root = P.graph.incident_nodes[0]
-    values = polynomial_values(P, tuple(x), root)
-    total = sum(values.values(), Fraction(0))
-    if total == 0:
+    w = _weights(P, tuple(x), root)
+    if not w.sum():
         raise DegenerateDistribution("every sampling polynomial vanishes at x")
-    return ExactDistribution({f: v / total for f, v in values.items()})
+    table = _orientations(P)
+    return ExactDistribution(table.vertices, w, table.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -366,27 +414,6 @@ class BijectionWitness:
     g: tuple[int, ...]
     F_s: tuple[FlowVertex, ...]
     F_t: tuple[FlowVertex, ...]
-
-
-def _orient_toward(edges: Sequence[Edge], root: int) -> frozenset[Edge]:
-    """Unique orientation of a tree's undirected support with every edge toward root."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    oriented = set()
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, []):
-            if w not in seen:
-                seen.add(w)
-                oriented.add((w, v))
-                stack.append(w)
-    if len(oriented) != len(edges):
-        raise InvalidInstance("support is not a tree containing the root")
-    return frozenset(oriented)
 
 
 #: The exchange checks in the order each pair takes them, as the messages they raise.
@@ -591,53 +618,28 @@ def statistical_test(
         raise InvalidInstance("statistical test needs at least one sample")
     n = len(samples)
     dist = exact_output_distribution(P, x, root)
-    counts: dict[FlowVertex, int] = {}
-    for f in samples:
-        counts[f] = counts.get(f, 0) + 1
+    counts = Counter(samples)
     for f in counts:
         if f not in dist.probabilities:
             raise InvalidInstance(f"sampled {f} has zero exact probability")
-
-    cells = []
-    pool_obs = 0
-    pool_exp = 0.0
+    cells, pool_obs, pool_exp = [], 0, 0.0
     for f, p in sorted(dist.probabilities.items()):
-        exp = float(p) * n
-        obs = counts.get(f, 0)
+        exp, obs = float(p) * n, counts[f]
         if exp < 5.0:
-            pool_obs += obs
-            pool_exp += exp
+            pool_obs, pool_exp = pool_obs + obs, pool_exp + exp
         else:
             cells.append((obs, exp))
     if pool_exp > 0:
         cells.append((pool_obs, pool_exp))
     stat = sum((obs - exp) ** 2 / exp for obs, exp in cells)
-    dof = max(len(cells) - 1, 1)
     from scipy.stats import chi2  # only this harness needs scipy; the CLI never loads it
 
-    pvalue = float(chi2.sf(stat, dof))
+    pvalue = float(chi2.sf(stat, max(len(cells) - 1, 1)))
+    band = sqrt(log(2 * len(P.edges) / significance) / (2 * n))
+    means = [(sum(f[i] for f in samples) / n, float(Fraction(c))) for i, c in enumerate(x)]
+    marg = [(i, emp, target, abs(emp - target) <= band) for i, (emp, target) in enumerate(means)]
     chi_pass = pvalue > significance
-
-    m = len(P.edges)
-    from math import log, sqrt
-
-    band = sqrt(log(2 * m / significance) / (2 * n))
-    marg = []
-    all_marg = True
-    for i in range(m):
-        emp = sum(f[i] for f in samples) / n
-        target = float(Fraction(x[i]))
-        ok = abs(emp - target) <= band
-        all_marg = all_marg and ok
-        marg.append((i, emp, target, ok))
-    return StatReport(
-        chi_square=stat,
-        chi_pvalue=pvalue,
-        chi_pass=chi_pass,
-        marginal_band=band,
-        marginals=marg,
-        passed=chi_pass and all_marg,
-    )
+    return StatReport(stat, pvalue, chi_pass, band, marg, chi_pass and all(ok for *_, ok in marg))
 
 
 def random_interior_point(P: FlowPolytope, rng) -> tuple[Fraction, ...]:
@@ -654,10 +656,7 @@ def random_interior_point(P: FlowPolytope, rng) -> tuple[Fraction, ...]:
     for _ in range(1000):
         weights = [rng.randrange(1, 50) for _ in verts]
         total = sum(weights)
-        point = tuple(
-            sum(Fraction(w) * v[i] for w, v in zip(weights, verts)) / total
-            for i in range(m)
-        )
+        point = tuple(sum(Fraction(w) * v[i] for w, v in zip(weights, verts)) / total for i in range(m))
         if all(0 < c < 1 for c in point):
             require_interior_point(P, point)
             return point

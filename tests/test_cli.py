@@ -371,6 +371,29 @@ def test_verify_positivity_failure_exit(tmp_path, capsys):
     assert report["checks"][0]["pass"] is False
 
 
+def test_verify_report_on_a_disconnected_support(tmp_path):
+    # No spanning tree, so every root's entries are empty and every weight is
+    # 0: each check's row is pinned as written before the integer table.
+    from instances import disconnected_pair
+
+    poly, coins, out = tmp_path / "p.json", tmp_path / "c.json", tmp_path / "report.json"
+    poly.write_text(json.dumps(polytope_to_dict(disconnected_pair())))
+    coins.write_text(json.dumps({"coins": [{"edge": i, "num": 1, "den": 3} for i in range(4)]}))
+    assert main(["verify", str(poly), str(coins), "--out", str(out)]) == 8
+    report = json.loads(out.read_text())
+    assert [(c["name"], c["pass"], c["detail"]) for c in report["checks"]] == [
+        ("root-independence", True, "polynomial values agree across roots"),
+        ("marginal", True, "sum_f (f-x) P_f(x) == 0"),
+        ("positivity", False, "all polynomials vanish"),
+        ("factored-form", True, "tree-sum equals prefix * arborescence-sum everywhere"),
+        ("bijection", True, "verified 0 (tree, eta) pairs"),
+        ("parallel-to-circ", True, "vertex differences are balanced"),
+        ("zls", True, "all principal cofactors equal"),
+        ("matrix-tree", True, "determinant counts match enumeration"),
+    ]
+    assert report["exact_marginals"] == []
+
+
 def _write_triangle(tmp_path):
     poly = tmp_path / "p.json"
     coins = tmp_path / "c.json"
@@ -475,21 +498,39 @@ def _root_minors_off_at_the_last_root(oracle, P):
     return "root_minors", lambda L, at: honest(L, at) + (at == last)
 
 
-def _one_polynomial_value_off(oracle, P):
-    honest = oracle.polynomial_values
+def _weights_edited(edit):
+    """A perturbation of the integer weight table that the value checks read:
+    edit(w, P, root) changes a copy of each root's table."""
+    def perturb(oracle, P):
+        honest = oracle._weights
 
-    def perturbed(P, x, root):
-        values = dict(honest(P, x, root))
-        values[next(iter(values))] += 1
-        return values
+        def perturbed(P, x, root):
+            w = honest(P, x, root).copy()
+            edit(w, P, root)
+            return w
 
-    return "polynomial_values", perturbed
+        return "_weights", perturbed
+    return perturb
+
+
+def _first_weight_up(w, P, root):
+    w[0] += 1
+
+
+def _last_weight_up_at_the_last_root(w, P, root):
+    w[-1] += root == P.graph.incident_nodes[-1]
+
+
+def _every_weight_zero(w, P, root):
+    w[:] = 0
 
 
 @pytest.mark.parametrize("check, perturb, detail", [
     ("zls", _root_minors_off_at_the_last_root, "cofactors differ"),
-    ("marginal", _one_polynomial_value_off, "marginal identity fails"),
-], ids=["zls", "marginal"])
+    ("marginal", _weights_edited(_first_weight_up), "marginal identity fails"),
+    ("root-independence", _weights_edited(_last_weight_up_at_the_last_root), "root disagreement"),
+    ("positivity", _weights_edited(_every_weight_zero), "all polynomials vanish"),
+], ids=["zls", "marginal", "root-independence", "positivity"])
 def test_verify_identity_check_fails_on_a_perturbed_input(tmp_path, monkeypatch, check, perturb, detail):
     from flowfactory import oracle
 
@@ -506,20 +547,20 @@ def test_verify_evaluates_each_vertex_polynomial_once_per_root(tmp_path, monkeyp
 
     from flowfactory import cli, oracle
 
-    orientations = Counter()
-    orient_toward = oracle._orient_toward
+    traversals = Counter()
+    head_sides = oracle._head_sides
 
-    def counted_orientation(edges, root):
-        orientations[tuple(edges), root] += 1
-        return orient_toward(edges, root)
+    def counted_traversal(tree, tails, heads):
+        traversals[tree] += 1
+        return head_sides(tree, tails, heads)
 
-    oracle.polynomial_values.cache_clear()
+    oracle._weights.cache_clear()
     oracle._orientations.cache_clear()
-    monkeypatch.setattr(oracle, "_orient_toward", counted_orientation)
+    monkeypatch.setattr(oracle, "_head_sides", counted_traversal)
     assert main(["verify", *_write_triangle(tmp_path)]) == 0
-    assert oracle.polynomial_values.cache_info().misses == 3  # one table per root
-    # One orientation per (tree, node): 12 trees x 3 nodes.
-    assert len(orientations) == 36 and max(orientations.values()) == 1
+    assert oracle._weights.cache_info().misses == 3  # one integer table per root
+    # One traversal per tree, for every root: 12 trees.
+    assert len(traversals) == 12 and max(traversals.values()) == 1
     text = Path(cli.__file__).read_text()
     for name in ("flip_tree", "is_arborescence", "eval_polynomial", "_orient_toward"):
         assert not re.search(rf"\b{name}\b", text), name

@@ -143,6 +143,7 @@ def _bench_per_root_pass(benchmark, P):
 
     def build():
         oracle._orientations.cache_clear()
+        oracle._weights.cache_clear()
         oracle.polynomial_values.cache_clear()
         oracle.polynomial_values(P, x, 1)
         counts[:] = oracle.qualifying_counts(P, 1)
