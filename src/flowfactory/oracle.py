@@ -23,11 +23,10 @@ place, `_image_laplacians`, on its stack's column sums.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm, log, sqrt
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -131,8 +130,9 @@ class _Orientations:
     (the edge-bit int of the edges it reverses) and, tree after tree and in
     vertex order, the positions of the vertices whose bits on the tree equal
     it: one int32 array with per-tree offsets, of which `orientation` returns
-    one tree's slice.  A sorted id tuple is a spanning tree iff it is a key
-    of `tree_bits`, and `ends` is the graph's `node_bits`.
+    one tree's slice.  `tree_masks` holds each tree's edge bits, its row
+    being the tree's value in `index`: a sorted id tuple is a spanning tree
+    iff it is a key there.  `ends` is the graph's `node_bits`.
     """
 
     def __init__(self, P: FlowPolytope):
@@ -144,11 +144,10 @@ class _Orientations:
         self.bits = np.array(self.vertices, dtype=bool).reshape(len(self.vertices), m)
         self.masks = self.bits @ (np.uint64(1) << np.arange(m, dtype=np.uint64))
         self._array = self.masks.copy()
-        self._index = {tree: k for k, tree in enumerate(self.trees)}
+        self.index = {tree: k for k, tree in enumerate(self.trees)}
         self.tree_edges = np.array(self.trees, dtype=np.intp).reshape(shape)
         self._edge_bit = np.uint64(1) << self.tree_edges.astype(np.uint64)
-        self._tree_array = self._edge_bit.sum(axis=1, dtype=np.uint64)
-        self.tree_bits = dict(zip(self.trees, self._tree_array.tolist()))
+        self.tree_masks = self._edge_bit.sum(axis=1, dtype=np.uint64)
         tails, heads = P.graph.ends.tolist()
         self.sides = np.array([_head_sides(tree, tails, heads) for tree in self.trees],
                               dtype=np.uint64).reshape(shape)
@@ -163,7 +162,7 @@ class _Orientations:
         and positions[offsets[k]:offsets[k + 1]]."""
         if root not in self._by_root:
             patterns = (self._edge_bit * self.reversed_edges(root)).sum(axis=1, dtype=np.uint64)
-            bits, n = self._tree_array, len(self._array)
+            bits, n = self.tree_masks, len(self._array)
             counts, positions = [np.zeros(1, dtype=np.intp)], [np.zeros(0, dtype=np.int32)]
             step = max(1, _CELLS // max(n, 1))
             for b in range(0, len(bits), step):
@@ -176,7 +175,7 @@ class _Orientations:
     def orientation(self, tree: tuple[int, ...], root: int) -> tuple[int, np.ndarray]:
         """The (pattern, positions) entry of tree oriented toward root."""
         patterns, positions, offsets = self.entries(root)
-        k = self._index[tree]
+        k = self.index[tree]
         return int(patterns[k]), positions[offsets[k]:offsets[k + 1]]
 
 
@@ -203,15 +202,18 @@ def _weights(P: FlowPolytope, x: tuple, root: int) -> np.ndarray:
 
     treesum_f sums, over the trees whose flip under f is an arborescence
     toward root, the product over tree edges of x^(1-f)(1-x)^f times d,
-    where f's bits on the tree are the tree's pattern.  Each w_f is at most
-    |T| d^(|E|+k-1), so every sum of them times d, as the checks form, is
-    below |V| |T| d^(|E|+k): the table is int64 when that is below 2^63 and
-    an object array of Python ints otherwise.
+    where f's bits on the tree are the tree's pattern.  With every factor
+    num_i and d - num_i at most M in size (M >= d), each |w_f| is at most
+    |T| M^(|E|+k-1), so every partial product and every sum of them times
+    d or num_i, as the checks form, is below |V| |T| M^(|E|+k): the table
+    is int64 when that is below 2^63 and an object array of Python ints
+    otherwise.
     """
     table = _orientations(P)
     _require_fit(P, root, (0,) * len(P.edges), x)  # x and root, as for any vertex
     num, den = _over_common_denominator(x)
-    bound = max(len(table.vertices), 1) * max(len(table.trees), 1) * den ** (len(num) + len(P.graph.incident_nodes))
+    size = max([den, *map(abs, num), *(abs(den - n) for n in num)])
+    bound = max(len(table.vertices), 1) * max(len(table.trees), 1) * size ** (len(num) + len(P.graph.incident_nodes))
     num = np.array(num, dtype=np.int64 if bound < 2 ** 63 else object)
     factors = num[table.tree_edges]
     terms = np.where(table.reversed_edges(root), den - factors, factors).prod(axis=1)
@@ -502,8 +504,8 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
     count = np.bitwise_count
     out, into = np.array(table.ends, dtype=np.uint64).T[:, :, None]  # one row per node
     failed[0] = (count(plus & out) + count(minus & into) != count(minus & out) + count(plus & into)).any(axis=0)
-    tree_bits = np.array([table.tree_bits[tree] for tree in trees], dtype=np.uint64)[tree_at]
-    failed[1] = support & ~(tree_bits | eta_bit) != 0
+    tree_masks = table.tree_masks[[table.index[tree] for tree in trees]][tree_at]
+    failed[1] = support & ~(tree_masks | eta_bit) != 0
     m, index = len(edges), P.graph.edge_index
     arcs = [*edges, *((v, u) for u, v in edges)]
     slot = np.array([index.get((v, u), m + i) for i, (u, v) in enumerate(edges)], dtype=np.uint64)
@@ -574,7 +576,7 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     if eta in tree:
         raise InvalidInstance("eta must lie outside the tree")
     table = _orientations(P)
-    if tree not in table.tree_bits:
+    if tree not in table.index:
         raise InvalidInstance(f"tree {tree} is no spanning tree of the incident nodes")
     check_exchanges(P, [(tree, eta)])
     (pattern_s, at_s), (pattern_t, at_t) = (table.orientation(tree, r) for r in P.edges[eta])
@@ -618,28 +620,53 @@ def statistical_test(
         raise InvalidInstance("statistical test needs at least one sample")
     n = len(samples)
     dist = exact_output_distribution(P, x, root)
-    counts = Counter(samples)
+    counts: dict[FlowVertex, int] = {}
+    for f in samples:
+        counts[f] = counts.get(f, 0) + 1
     for f in counts:
         if f not in dist.probabilities:
             raise InvalidInstance(f"sampled {f} has zero exact probability")
-    cells, pool_obs, pool_exp = [], 0, 0.0
+
+    cells = []
+    pool_obs = 0
+    pool_exp = 0.0
     for f, p in sorted(dist.probabilities.items()):
-        exp, obs = float(p) * n, counts[f]
+        exp = float(p) * n
+        obs = counts.get(f, 0)
         if exp < 5.0:
-            pool_obs, pool_exp = pool_obs + obs, pool_exp + exp
+            pool_obs += obs
+            pool_exp += exp
         else:
             cells.append((obs, exp))
     if pool_exp > 0:
         cells.append((pool_obs, pool_exp))
     stat = sum((obs - exp) ** 2 / exp for obs, exp in cells)
+    dof = max(len(cells) - 1, 1)
     from scipy.stats import chi2  # only this harness needs scipy; the CLI never loads it
 
-    pvalue = float(chi2.sf(stat, max(len(cells) - 1, 1)))
-    band = sqrt(log(2 * len(P.edges) / significance) / (2 * n))
-    means = [(sum(f[i] for f in samples) / n, float(Fraction(c))) for i, c in enumerate(x)]
-    marg = [(i, emp, target, abs(emp - target) <= band) for i, (emp, target) in enumerate(means)]
+    pvalue = float(chi2.sf(stat, dof))
     chi_pass = pvalue > significance
-    return StatReport(stat, pvalue, chi_pass, band, marg, chi_pass and all(ok for *_, ok in marg))
+
+    m = len(P.edges)
+    from math import log, sqrt
+
+    band = sqrt(log(2 * m / significance) / (2 * n))
+    marg = []
+    all_marg = True
+    for i in range(m):
+        emp = sum(f[i] for f in samples) / n
+        target = float(Fraction(x[i]))
+        ok = abs(emp - target) <= band
+        all_marg = all_marg and ok
+        marg.append((i, emp, target, ok))
+    return StatReport(
+        chi_square=stat,
+        chi_pvalue=pvalue,
+        chi_pass=chi_pass,
+        marginal_band=band,
+        marginals=marg,
+        passed=chi_pass and all_marg,
+    )
 
 
 def random_interior_point(P: FlowPolytope, rng) -> tuple[Fraction, ...]:
@@ -656,7 +683,10 @@ def random_interior_point(P: FlowPolytope, rng) -> tuple[Fraction, ...]:
     for _ in range(1000):
         weights = [rng.randrange(1, 50) for _ in verts]
         total = sum(weights)
-        point = tuple(sum(Fraction(w) * v[i] for w, v in zip(weights, verts)) / total for i in range(m))
+        point = tuple(
+            sum(Fraction(w) * v[i] for w, v in zip(weights, verts)) / total
+            for i in range(m)
+        )
         if all(0 < c < 1 for c in point):
             require_interior_point(P, point)
             return point

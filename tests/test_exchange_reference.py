@@ -41,7 +41,7 @@ def reference_check_bijection(P, tree, eta) -> None:
     """One pair's six checks in order; raises IdentityViolated at the first that fails."""
     m = len(P.edges)
     table = _orientations(P)
-    tree_bits = table.tree_bits[tree]
+    tree_bits = sum(1 << i for i in tree)
     s, t = P.edges[eta]
     pattern_s, at_s = table.orientation(tree, s)
     pattern_t, at_t = table.orientation(tree, t)
@@ -129,7 +129,7 @@ def _perturb(kind, P, rng, monkeypatch):
         def perturbed(self, t, r):
             pattern, positions = honest(self, t, r)
             if (t, r) == (tree, root):
-                positions = [j for j, f in enumerate(self.masks) if f & self.tree_bits[t] == pattern ^ bit]
+                positions = [j for j, f in enumerate(self.masks) if f & sum(1 << i for i in t) == pattern ^ bit]
             return pattern, positions
     monkeypatch.setattr(_Orientations, "orientation", perturbed)
     return monkeypatch.undo

@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given, settings
 
 from flowfactory import InvalidInstance, build_circulation_polytope
-from flowfactory.oracle import _orientations, _over_common_denominator, _weights, qualifying_counts
+from flowfactory.oracle import (
+    _orientations,
+    _over_common_denominator,
+    _weights,
+    eval_polynomial,
+    eval_polynomial_factored,
+    qualifying_counts,
+)
 
 from instances import interior_instances
 
@@ -91,13 +98,20 @@ def test_bulk_table_matches_the_reference_on_random_instances(case):
 @pytest.mark.parametrize("x, dtype", [
     (Fraction(1, 2), np.int64),
     (Fraction(2 ** 61 + 1, 2 ** 62), object),
-], ids=["int64", "object"])
+    (Fraction(-3), np.int64),
+    (Fraction(10 ** 4), object),
+    (Fraction(-10 ** 4), object),
+], ids=["int64", "object", "negative-int64", "large", "large-negative"])
 def test_both_weight_dtypes_match_the_reference_on_circ4(x, dtype):
     # A constant point is balanced on K4, where every node has equal in- and
     # out-degree.  Over d = 2^62 a single tree term already exceeds 2^63, so
-    # the table must hold Python ints.
+    # the table must hold Python ints; at +-10^4 d is 1 but the factors x and
+    # 1 - x are large, and a prefix alone is about 10^48.
     P = build_circulation_polytope(4)
     point = (x,) * len(P.edges)
     assert _weights(P, point, 1).dtype == dtype
-    assert (max(_weights(P, point, 1)) >= 2 ** 63) == (dtype is object)
+    assert (max(map(abs, _weights(P, point, 1))) >= 2 ** 63) == (dtype is object)
     _assert_table_matches_reference(P, point)
+    table = _orientations(P)
+    assert [eval_polynomial(P, f, 1, point) for f in table.vertices] == [
+        eval_polynomial_factored(P, f, 1, point) for f in table.vertices]
