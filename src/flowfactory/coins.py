@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BoundaryCoin, InvalidInstance
 
 if TYPE_CHECKING:
-    from .graphs import FlowPolytope
+    from .spanning import ExitTables
 
 _BUFFER = 1 << 15
 _WORD = (1 << 64) - 1
@@ -45,77 +45,22 @@ class CoinSource:
             mask |= self.flip(e) << e
         return mask
 
-    def hits_in(self, vertices: VertexTest, limit: int) -> Iterator[tuple[int, int]]:
-        """Flip up to `limit` rounds, yielding (mask, rounds) for each whose mask is in `vertices`.
+    def hits_in(self, test: ExitTables, limit: int) -> Iterator[tuple[int, int]]:
+        """Flip up to `limit` rounds, yielding (mask, rounds) for each whose mask is in `test`.
 
-        `rounds` counts the rounds flipped since the last yield (or the
-        start), the hit included.  While the walk is suspended its caller
-        may flip single coins but must draw no rounds by other means.
+        `test` is any round test with `__contains__` and `scan`, as
+        ExitTables.  `rounds` counts the rounds flipped since the last yield
+        (or the start), the hit included.  While the walk is suspended its
+        caller may flip single coins but must draw no rounds by other means.
         """
         flip_round = self.flip_round
         n = 0
         for _ in range(limit):
             n += 1
             mask = flip_round()
-            if mask in vertices:
+            if mask in test:
                 yield mask, n
                 n = 0
-
-
-class VertexTest:
-    """Stage-1 test of a round mask: is it a 0/1 flow meeting every node's demand?
-
-    Bit i of a mask is edge i of P.  The mask is a vertex iff at every node
-    v the net flow popcount(mask & out_v) - popcount(mask & in_v) equals the
-    demand d_v.  An edge enters or leaves v, never both, so net flow plus
-    indeg(v) is popcount(mask & out_v) + popcount(~mask & in_v), that is
-    popcount((mask & (out_v | in_v)) ^ in_v): one count per node.  Both
-    checks read each incident node v from `nodes` as (out_v | in_v, in_v,
-    d_v + indeg(v)), from P's `node_bits`.  Unless P is `demands_feasible`
-    (some count could never reach its target) the test hits nothing.
-    Otherwise the incident nodes' demands sum to zero, as their net flows
-    do, so the last one's test follows from the others' and is left out.
-
-    `mask in test` checks one Python int; `scan` checks a whole buffer of
-    rounds held as one row of flip words per edge, 64 rounds a word.
-    """
-
-    def __init__(self, P: FlowPolytope):
-        self.feasible = P.demands_feasible
-        self.nodes = tuple((out | into, into, P.demand(v) + into.bit_count())
-                           for v, (out, into) in zip(P.graph.incident_nodes, P.graph.node_bits))[:-1]
-
-    def __contains__(self, mask: int) -> bool:
-        return self.feasible and all(((mask & s) ^ i).bit_count() == t for s, i, t in self.nodes)
-
-    def scan(self, rows: np.ndarray) -> np.ndarray:
-        """Words whose bit j is set iff round j of `rows` passes.
-
-        Row e of `rows` holds edge e's flips, round j at bit j % 64 of word
-        j // 64.  Each node's count is summed bit-sliced, 64 rounds a word
-        op: plane k holds bit k of every round's count, and the row of each
-        edge at the node, in edge-id order (inverted for an edge into the
-        node), is added with a ripple of carries.  A round passes the node
-        where every plane equals the target's bit.
-        """
-        found = np.full(rows.shape[1], _WORD if self.feasible else 0, dtype=np.uint64)
-        if not self.feasible:
-            return found
-        for at, into, t in self.nodes:
-            planes: list[np.ndarray] = []
-            edges = (e for e in range(at.bit_length()) if at >> e & 1)
-            for added, e in enumerate(edges, 1):
-                carry = ~rows[e] if into >> e & 1 else rows[e]
-                for k, plane in enumerate(planes):
-                    planes[k] = plane ^ carry
-                    carry = plane & carry
-                # The count is at most `added`, so the carry out is zero
-                # unless `added` needs one more bit.
-                if added.bit_length() > len(planes):
-                    planes.append(carry)
-            for k, plane in enumerate(planes):
-                found &= plane if t >> k & 1 else ~plane
-        return found
 
 
 class SimulatedCoins(CoinSource):
@@ -135,7 +80,7 @@ class SimulatedCoins(CoinSource):
     j // 64), in an array allocated once and reused by every refill;
     _rounds counts the rounds flipped and _drawn those drawn, and the buffer
     holds rounds _drawn - _BUFFER to _drawn.  _passing reads a buffer: for a
-    VertexTest it runs the test's scan over the rows, for None it takes
+    round test it runs the test's scan over the rows, for None it takes
     every round, and builds the masks of those rounds alone as Python ints,
     cached per buffer and key.  flip_round and hits_in both read through it,
     so the rng is drawn in the same order and every bit is the same whichever
@@ -154,7 +99,7 @@ class SimulatedCoins(CoinSource):
         self._flip_counts = [0] * self.num_edges
         self._bits = np.empty((self.num_edges, _BUFFER // 64), dtype=np.uint64)
         self._rows = np.empty((self.num_edges, _BUFFER // 64), dtype=np.uint64)
-        self._hits: dict[VertexTest | None, tuple[list[int], list[int]]] = {}
+        self._hits: dict[ExitTables | None, tuple[list[int], list[int]]] = {}
         self._rounds = 0
         self._drawn = 0
 
@@ -225,7 +170,7 @@ class SimulatedCoins(CoinSource):
         for e, row in enumerate(self._rows):
             row[:] = self._draw_bits(e, _BUFFER)
 
-    def _passing(self, test: VertexTest | None) -> tuple[list[int], list[int]]:
+    def _passing(self, test: ExitTables | None) -> tuple[list[int], list[int]]:
         """Positions in the current buffer of the rounds passing `test`, and their masks.
 
         The key None passes every round.  Refills first when every round
@@ -257,11 +202,11 @@ class SimulatedCoins(CoinSource):
         self._rounds += 1
         return masks[pos]
 
-    def hits_in(self, vertices: VertexTest, limit: int) -> Iterator[tuple[int, int]]:
+    def hits_in(self, test: ExitTables, limit: int) -> Iterator[tuple[int, int]]:
         seen = self._rounds  # rounds flipped at the last yield
         last = seen + limit
         while self._rounds < last:
-            at, masks = self._passing(vertices)
+            at, masks = self._passing(test)
             start = self._drawn - _BUFFER  # round number of the buffer's position 0
             stop = min(last, self._drawn)
             for i in range(bisect_left(at, self._rounds - start), len(at)):

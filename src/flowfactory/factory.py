@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
 
-from .coins import CoinSource, VertexTest
+from .coins import CoinSource
 from .errors import (
     DisconnectedEdges,
     InvalidInstance,
@@ -98,7 +98,7 @@ def sample_path(
 # ---------------------------------------------------------------------------
 
 class FlowSampler:
-    """Reusable sampler for one polytope; tables each node's flip-image exits by its local edge bits.
+    """Reusable sampler for one polytope; one per-node exit table serves both stages of a round.
 
     One round: flip every coin into a candidate flow f; restart unless f is a
     vertex.  Draw a directed tree uniformly from all of T(E) and restart if
@@ -106,15 +106,17 @@ class FlowSampler:
     coin of every tree edge and restart at the first outcome that reproduces
     f on its edge; otherwise output f.
 
-    Stage 1 is one CoinSource.hits_in walk per sample with a VertexTest;
-    every round it walks before the accepted one is a restart.  The tree
-    stage is one draw u = randrange(|T(E)|) per stage-1 pass: u < B =
-    ExitTables.bound names one of the B maps that pick an exit per non-root
-    node of f's flip image, and K_f of them are the trees whose flip is an
-    arborescence (see ExitTables).  So the round goes on with probability
-    K_f/|T(E)| and a uniform such tree, re-flipped in node order.  The
-    sampler keeps no state per vertex: each node's exits are read from its
-    table, at most 2^deg(v) entries, by f's bits at its edges.
+    Both stages read one ExitTables: f is a vertex iff every non-root node
+    of its flip image has outdeg(v) - d(v) exits.  Stage 1 is one
+    CoinSource.hits_in walk per sample with that test; every round it walks
+    before the accepted one is a restart.  The tree stage is one draw
+    u = randrange(|T(E)|) per stage-1 pass: u < B = ExitTables.bound names
+    one of the B maps that pick an exit per non-root node of f's flip image,
+    and K_f of them are the trees whose flip is an arborescence.  So the
+    round goes on with probability K_f/|T(E)| and a uniform such tree,
+    re-flipped in node order.  The sampler keeps no state per vertex: each
+    node's exits are read from its table, at most 2^deg(v) entries, by f's
+    bits at its edges.
     """
 
     def __init__(self, P: FlowPolytope, root: int | None = None):
@@ -124,16 +126,15 @@ class FlowSampler:
         self.exits = ExitTables(P, root if root is not None else P.graph.incident_nodes[0])
         self.root = self.exits.root
         self.total_trees = directed_tree_count(P.graph)
-        self._vertices = VertexTest(P)
 
     def sample(self, coins: CoinSource, rng, max_restarts: int = DEFAULT_MAX_RESTARTS) -> SampleTrace:
         _require_coin_per_edge(self.P, coins)
         # Only a CoinSource runs its own hits_in: a wrapper that forwards
         # unknown attributes would otherwise skip its flip_round.
         if isinstance(coins, CoinSource):
-            hits = coins.hits_in(self._vertices, max_restarts + 1)
+            hits = coins.hits_in(self.exits, max_restarts + 1)
         else:
-            hits = CoinSource.hits_in(coins, self._vertices, max_restarts + 1)
+            hits = CoinSource.hits_in(coins, self.exits, max_restarts + 1)
         flip = coins.flip
         randrange = rng.randrange
         total_trees, bound, tree_of = self.total_trees, self.exits.bound, self.exits.tree

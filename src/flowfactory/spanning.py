@@ -12,7 +12,8 @@ arborescences directed toward r (validated against enumeration in the test
 suite).  Trees whose flip is an arborescence are counted on the flip image
 of the edge set, and drawn as the acyclic maps among those that pick one
 exit per node of the image, each node's exits read from a table keyed by
-the flow's bits at its edges.
+the flow's bits at its edges; a node's exit count is also the sampler's
+stage-1 test of its demand (`ExitTables`).
 """
 
 from __future__ import annotations
@@ -229,46 +230,79 @@ def qualifying_tree_count(P: FlowPolytope, f: FlowVertex, root: int) -> int:
 
 
 class ExitTables:
-    """Each non-root node's exits in the flip image of a vertex, tabled by its local edge bits.
+    """Each non-root node's exits in the flip image of a round mask: the stage-1 test and the tree stage.
 
-    In the flip image of a 0/1 flow f, node v's exits are its out-edges idle
-    under f and its in-edges that carry flow: outdeg(v) - d(v) of them when
-    f is a vertex.  So `bound`, the product of those counts over the nodes,
-    is the number B of maps that pick one exit per node for every vertex,
-    and K_f <= B.  A negative count means no 0/1 flow meets v's demand, so
-    there is no vertex to bound; it counts as 0, like a node with no exit.
-    Which exits v has depends only on f's bits at v's edges.  So each
-    incident node v != root keeps one table keyed by mask & (edges at v),
-    bit i of a mask being f on edge i; an entry holds v's exits as (edge
-    id, other end) pairs in edge-id order and the bitmask of those other
-    ends, and is filled the first time its pattern is read.  An edge id is
-    an exit of one end only, so the maps that are arborescences toward root
-    are the trees qualifying_tree_count counts, each once.
+    Bit i of a mask is f on edge i.  In the flip image of a 0/1 flow f, node
+    v's exits are its idle out-edges and its used in-edges, the set bits of
+    (mask & at_v) ^ out_v for v's edges at_v and out-edges out_v (from
+    `Graph.node_bits`), and f meets v's demand d(v) iff there are exactly
+    k_v = outdeg(v) - d(v) of them.  So a mask is `in` the tables iff P is
+    `demands_feasible` and every non-root node has k_v exits: the incident
+    nodes' demands sum to zero, as their net flows do, so the root's count
+    follows.  `scan` runs that test over a whole buffer of rounds.  `bound`,
+    the product of the k_v (0 unless P is `demands_feasible`), is the
+    number B of maps that pick one exit per non-root node of a vertex's
+    flip image, and K_f <= B.  v's exits depend only on mask & at_v, so
+    each non-root node keeps one table keyed by it; an entry, filled the
+    first time its pattern is read, holds v's exits as (edge id, other end)
+    pairs in edge-id order and the bitmask of those other ends, nodes being
+    positions in `incident_nodes`.  An edge id is an exit of one end only,
+    so the maps that are arborescences toward root are the trees
+    qualifying_tree_count counts, each once.
     """
 
     def __init__(self, P: FlowPolytope, root: int):
         _require_root(P, root)
-        nodes = P.graph.incident_nodes
+        G = P.graph
         self.root = root
-        self._all = sum(1 << v for v in nodes)
-        # Per node: (node, edges at it as a mask, its table, (edge id, other end, inward) per edge).
-        tables = []
-        for v in nodes:
-            if v != root:
-                edges = tuple((eid, b if a == v else a, b == v)
-                              for eid, (a, b) in enumerate(P.edges) if v in (a, b))
-                tables.append((v, sum(1 << eid for eid, _, _ in edges), {}, edges))
-        self._nodes = tuple(tables)
-        self.bound = prod(max(sum(not inward for _, _, inward in edges) - P.demand(v), 0)
-                          for v, _, _, edges in tables)
-        self._step = [0] * (P.n + 1)  # each node's exit target in the map last read
+        self.feasible = P.demands_feasible
+        self._root_bit = 1 << G.incident_nodes.index(root)
+        self._all = (1 << len(G.incident_nodes)) - 1
+        self._other = (G.ends[0] ^ G.ends[1]).tolist()  # per edge, tail ^ head: xor with one end gives the other
+        # Per non-root node: (its position, edges at it, its out-edges, its exit count, its table).
+        self._nodes = tuple((v, out | into, out, out.bit_count() - P.demand(label), {})
+                            for v, (label, (out, into)) in enumerate(zip(G.incident_nodes, G.node_bits))
+                            if label != root)
+        self.bound = prod(k for _, _, _, k, _ in self._nodes) if self.feasible else 0
+        self._step = [0] * len(G.incident_nodes)  # each node's exit target in the map last read
 
-    @staticmethod
-    def _fill(node, mask: int) -> tuple[tuple[tuple[int, int], ...], int]:
-        _, at, table, edges = node
-        exits = tuple((eid, w) for eid, w, inward in edges if (mask >> eid) & 1 == inward)
-        entry = table[mask & at] = (exits, sum({1 << w for _, w in exits}))
-        return entry
+    def __contains__(self, mask: int) -> bool:
+        return self.feasible and all(((mask & at) ^ out).bit_count() == k for _, at, out, k, _ in self._nodes)
+
+    def scan(self, rows: np.ndarray) -> np.ndarray:
+        """Words whose bit j is set iff round j of `rows` is in the tables.
+
+        Row e of `rows` holds edge e's flips, round j at bit j % 64 of word
+        j // 64.  Each node's exit count is summed bit-sliced, 64 rounds a
+        word op: plane k holds bit k of every round's count, and the row of
+        each edge at the node, in edge-id order (inverted for an edge out of
+        the node), is added with a ripple of carries.  A round passes the
+        node where every plane equals k_v's bit.
+        """
+        found = np.zeros(rows.shape[1], dtype=np.uint64)
+        if not self.feasible:
+            return found
+        found = ~found
+        for _, at, out, target, _ in self._nodes:
+            planes: list[np.ndarray] = []
+            edges = (e for e in range(at.bit_length()) if at >> e & 1)
+            for added, e in enumerate(edges, 1):
+                carry = ~rows[e] if out >> e & 1 else rows[e]
+                for k, plane in enumerate(planes):
+                    planes[k] = plane ^ carry
+                    carry = plane & carry
+                # The count is at most `added`, so the carry out is zero
+                # unless `added` needs one more bit.
+                if added.bit_length() > len(planes):
+                    planes.append(carry)
+            for k, plane in enumerate(planes):
+                found &= plane if target >> k & 1 else ~plane
+        return found
+
+    def _fill(self, v: int, at: int, out: int, table: dict, mask: int) -> tuple[tuple[tuple[int, int], ...], int]:
+        bits = (mask & at) ^ out
+        exits = tuple((e, self._other[e] ^ v) for e in range(bits.bit_length()) if bits >> e & 1)
+        return table.setdefault(mask & at, (exits, sum({1 << w for _, w in exits})))
 
     def _require_reach(self, mask: int, reach: int) -> None:
         """Raise NoArborescence unless every node reaches root in mask's flip image.
@@ -278,7 +312,7 @@ class ExitTables:
         """
         while reach != self._all:
             before = reach
-            for v, at, table, _ in self._nodes:
+            for v, at, _, _, table in self._nodes:
                 if table[mask & at][1] & reach:
                     reach |= 1 << v
             if reach == before:
@@ -290,9 +324,9 @@ class ExitTables:
         Raises NoArborescence when some node cannot reach root in the flip
         image: then none of the maps is an arborescence.
         """
-        count = prod(len((node[2].get(mask & node[1]) or self._fill(node, mask))[0])
-                     for node in self._nodes)
-        self._require_reach(mask, 1 << self.root)
+        count = prod(len((table.get(mask & at) or self._fill(v, at, out, table, mask))[0])
+                     for v, at, out, _, table in self._nodes)
+        self._require_reach(mask, self._root_bit)
         return count
 
     def tree(self, mask: int, u: int) -> list[int] | None:
@@ -306,13 +340,13 @@ class ExitTables:
         """
         step = self._step
         eids = []
-        for node in self._nodes:
-            exits = (node[2].get(mask & node[1]) or self._fill(node, mask))[0]
+        for v, at, out, _, table in self._nodes:
+            exits = (table.get(mask & at) or self._fill(v, at, out, table, mask))[0]
             u, d = divmod(u, len(exits))
-            eid, step[node[0]] = exits[d]
+            eid, step[v] = exits[d]
             eids.append(eid)
-        reach = 1 << self.root  # nodes whose path along the map reaches root
-        for v, _, _, _ in self._nodes:
+        reach = self._root_bit  # nodes whose path along the map reaches root
+        for v, _, _, _, _ in self._nodes:
             path = 0
             while not reach >> v & 1:
                 if path >> v & 1:

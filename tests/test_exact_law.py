@@ -27,7 +27,6 @@ from flowfactory import (
     build_matching_polytope,
     enumerate_vertices,
     eval_polynomial,
-    is_vertex,
     random_interior_point,
 )
 from flowfactory.spanning import ExitTables, directed_tree_count
@@ -145,7 +144,7 @@ class LastReflipOnTheFlippedBit:
         m = len(self.P.edges)
         mask = coins.flip_round()
         f = tuple(mask >> i & 1 for i in range(m))
-        if is_vertex(self.P, f):
+        if mask in self.exits:
             u = rng.randrange(self.total_trees)
             tree = self.exits.tree(mask, u) if u < self.exits.bound else None
             if tree is not None and all(coins.flip(e) != f[e] ^ (e == tree[-1]) for e in tree):

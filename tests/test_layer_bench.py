@@ -15,7 +15,7 @@ from flowfactory import (
     oracle,
 )
 from flowfactory.cli import _run_check
-from flowfactory.coins import _BUFFER, VertexTest
+from flowfactory.coins import _BUFFER
 from flowfactory.spanning import ExitTables, flip_laplacians, qualifying_tree_count, root_minors
 
 from instances import HALF, THIRD, circ5m
@@ -53,7 +53,7 @@ def test_bench_refill_circ4_huge_den(benchmark):
 
 def test_bench_stage1_scan_circ4(benchmark):
     P = build_circulation_polytope(4)
-    vertices = VertexTest(P)
+    vertices = ExitTables(P, 1)
     coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
     rounds = []
 
@@ -69,7 +69,7 @@ def test_bench_stage1_scan_circ4(benchmark):
 
 def test_bench_refill_and_scan_circ5m(benchmark):
     P = circ5m()
-    vertices = VertexTest(P)
+    vertices = ExitTables(P, 1)
     coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
 
     def refill_and_scan():
@@ -84,7 +84,7 @@ def test_bench_refill_and_scan_circ5m(benchmark):
 
 def test_bench_refill_and_scan_circ6(benchmark):
     P = build_circulation_polytope(6)
-    vertices = VertexTest(P)
+    vertices = ExitTables(P, 1)
     coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
 
     def refill_and_scan():

@@ -4,10 +4,10 @@ Seed-to-bytes goldens pin the sampler's output for fixed seeds, circ6 (30
 edges) among them, and the path sampler's single-flip stream; each coin
 draw is checked flip by flip against [U < p] rebuilt from the raw words it
 took, and biases with denominators above 2^63 by their frequencies and
-end to end; the stage-1 vertex test is
-checked against is_vertex, both on single masks and over whole buffers of
-per-edge flip rows, and the bulk scan of SimulatedCoins against a
-flip_round loop; the tree count K_f, its bound B and the exit maps below B
+end to end; the stage-1 vertex test of ExitTables
+is checked against is_vertex at every root, both on single masks and over
+whole buffers of per-edge flip rows, and the bulk scan of SimulatedCoins
+against a flip_round loop; the tree count K_f, its bound B and the exit maps below B
 are checked against the flip_tree + is_arborescence reference.
 """
 
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowfactory import (
@@ -39,7 +39,7 @@ from flowfactory import (
     sample_flip_tree,
 )
 from flowfactory.cli import main
-from flowfactory.coins import _BUFFER, _SLICED, _WORD, CoinSource, VertexTest, _unpack
+from flowfactory.coins import _BUFFER, _SLICED, _WORD, CoinSource, _unpack
 from flowfactory.graphs import flip_tree, is_vertex
 from flowfactory.io import polytope_from_dict, polytope_to_dict
 from flowfactory.spanning import (
@@ -63,11 +63,12 @@ def _write_instance(tmp_path, P, p=HALF):
     return str(poly), str(coins)
 
 
-def _sample_digest(tmp_path, P, samples, p=HALF):
-    """sha256 of `flowfactory sample` at x = p, seed 0; every output must be a vertex."""
+def _sample_digest(tmp_path, P, samples, p=HALF, root=None):
+    """sha256 of `flowfactory sample` at x = p, seed 0, at `root` if one is given;
+    every output must be a vertex."""
     out = tmp_path / "out.jsonl"
     argv = ["sample", *_write_instance(tmp_path, P, p), "--samples", str(samples),
-            "--seed", "0", "--out", str(out)]
+            "--seed", "0", "--out", str(out)] + (["--root", str(root)] if root else [])
     assert main(argv) == 0
     for line in out.read_text().splitlines():
         flow = set(json.loads(line)["flow"])
@@ -78,6 +79,13 @@ def _sample_digest(tmp_path, P, samples, p=HALF):
 def test_sample_bytes_golden_circ4(tmp_path, capsys):
     assert _sample_digest(tmp_path, build_circulation_polytope(4), 200) == (
         "b332f27f16d76158c6e7da92f8b77b8eda653ef8dfa92d63538c1a47cc028e71")
+
+
+def test_sample_bytes_golden_circ4_last_root(tmp_path, capsys):
+    # The stage-1 test leaves out the root's count, so at root 4 it counts node 1's.
+    P = build_circulation_polytope(4)
+    assert _sample_digest(tmp_path, P, 200, root=P.graph.incident_nodes[-1]) == (
+        "288ae42ef885c9fcac5edea3d67f8a9a7ffa20651289005b163a02c256a65ade")
 
 
 def test_sample_bytes_golden_circ5m(tmp_path, capsys):
@@ -98,6 +106,15 @@ def test_sample_bytes_golden_kflow5_2(tmp_path, capsys):
     x = [Fraction(sum(f[i] for f in vertices), len(vertices)) for i in range(len(P.edges))]
     assert _sample_digest(tmp_path, P, 20, x) == (
         "31f695d9d7d46f76d1f4c86ee8f5c43d6cfb7de48305171eeffa14ef1636d991")
+
+
+def test_sample_bytes_golden_kflow5_2_last_root(tmp_path, capsys):
+    # At root 5, the sink, the bound B takes the source's radix outdeg(1) - 2 in place of the sink's.
+    P = build_kflow_polytope(5, 2)
+    vertices = enumerate_vertices(P)
+    x = [Fraction(sum(f[i] for f in vertices), len(vertices)) for i in range(len(P.edges))]
+    assert _sample_digest(tmp_path, P, 20, x, root=P.graph.incident_nodes[-1]) == (
+        "239cfbccad23bf447652e8331d7736e0bd594d393cc6f1166b0426da74847573")
 
 
 def test_sample_path_bytes_golden_kflow5(tmp_path, capsys, monkeypatch):
@@ -309,12 +326,11 @@ def _two_cycle_chain(pairs, end_demand=0):
 
 
 def _ten_edge_tests():
-    """Vertex tests over ten edges on four nodes: feasible demands, infeasible ones, and
-    a test on a single edgeless node, which every mask passes."""
+    """Vertex tests over ten edges on four nodes, feasible demands and infeasible ones,
+    each at a root of its own."""
     edges = ((1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (4, 1), (1, 4), (1, 3), (2, 4))
     demands = [(0, 0, 0, 0), (1, 0, 0, -1), (2, -1, 1, -2), (3, 3, -3, -3), (5, -5, 0, 0)]
-    return ([VertexTest(FlowPolytope(Graph(4, edges), d)) for d in demands]
-            + [VertexTest(FlowPolytope(Graph(1, ()), (0,)))])
+    return [ExitTables(FlowPolytope(Graph(4, edges), d), 1 + i % 4) for i, d in enumerate(demands)]
 
 
 class CountingRounds(SimulatedCoins):
@@ -363,11 +379,11 @@ def test_first_hit_matches_flip_round_loop():
     circ6 = build_circulation_polytope(6).graph
     _assert_first_hit_matches_loop(
         [HALF] * 30,
-        [VertexTest(FlowPolytope(circ6, d)) for d in [(0,) * 6, (5, 5, 5, -5, -5, -5)]], 60)
+        [ExitTables(FlowPolytope(circ6, d), 6) for d in [(0,) * 6, (5, 5, 5, -5, -5, -5)]], 60)
     # Sparse coins below edge 64 and dense ones above: hits carry bits of both words.
     _assert_first_hit_matches_loop(
         [Fraction(1, 16)] * 64 + [Fraction(15, 16)] * 6,
-        [VertexTest(P) for P in [_two_cycle_chain(35), _two_cycle_chain(35, 1)]], 60)
+        [ExitTables(P, 1) for P in [_two_cycle_chain(35), _two_cycle_chain(35, 1)]], 60)
 
 
 @pytest.mark.parametrize("P,start,limit", [
@@ -381,7 +397,7 @@ def test_first_hit_matches_flip_round_loop():
 ])
 def test_hit_walk_matches_flip_round_walk(P, start, limit):
     m = len(P.edges)
-    vertices = VertexTest(P)
+    vertices = ExitTables(P, 1)
     bulk, loop = SimulatedCoins([HALF] * m, seed=6), CountingRounds([HALF] * m, seed=6)
     for coins in (bulk, loop):
         for _ in range(start):
@@ -410,7 +426,7 @@ def test_vertex_test_never_hits_through_a_wrapped_count(demand):
     # demand (or demand plus in-degree) wrapped to 8 or 16 bits is a value
     # the node's count reaches.
     P = FlowPolytope(Graph(3, ((1, 2), (2, 1), (2, 3), (3, 2))), (demand, 0, -demand))
-    vertices = VertexTest(P)
+    vertices = ExitTables(P, 1)
     bulk, loop = SimulatedCoins([HALF] * 4, seed=1), SimulatedCoins([HALF] * 4, seed=1)
     limit = 2 * _BUFFER + 5
     assert _first_hit(bulk.hits_in(vertices, limit), limit) == (None, limit)
@@ -431,16 +447,17 @@ def _scan(vertices, masks, m):
 
 def _assert_vertex_test_matches_is_vertex(P, masks):
     m = len(P.edges)
-    vertices = VertexTest(P)
     expected = [is_vertex(P, [(w >> i) & 1 for i in range(m)]) for w in masks]
-    assert [w in vertices for w in masks] == expected
-    assert _scan(vertices, masks, m) == expected
-    assert _scan(vertices, masks[:1], m) == expected[:1]  # a buffer of one word
+    for root in P.graph.incident_nodes:
+        vertices = ExitTables(P, root)
+        assert [w in vertices for w in masks] == expected, root
+        assert _scan(vertices, masks, m) == expected, root
+        assert _scan(vertices, masks[:1], m) == expected[:1], root  # a buffer of one word
 
 
 def _triangle_and_isolated_nodes(demands):
     """The triangle's six edges on nodes 1-3 with `demands` on more nodes, and every mask:
-    the test leaves out node 3's count, and a demand on a node no edge touches
+    the test leaves out the root's count, and a demand on a node no edge touches
     (even one another such node's balances) must make it hit nothing."""
     edges = ((1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1))
     return FlowPolytope(Graph(len(demands), edges), demands), list(range(1 << len(edges)))
@@ -452,6 +469,7 @@ def polytopes_and_masks(draw):
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
     edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
                   if pairs else ())
+    assume(edges)  # an edgeless graph has no root, and FlowSampler rejects it
     demands = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
     P = FlowPolytope(Graph(n, edges), (*demands, -sum(demands)))
     m = len(edges)
@@ -495,10 +513,11 @@ def test_round_buffer_refills_fault_in_no_new_memory():
         "import resource\n"
         "from fractions import Fraction\n"
         "from flowfactory import FlowPolytope, build_circulation_polytope\n"
-        "from flowfactory.coins import _BUFFER, SimulatedCoins, VertexTest\n"
+        "from flowfactory.coins import _BUFFER, SimulatedCoins\n"
+        "from flowfactory.spanning import ExitTables\n"
         "# circ4's edges with demands no mask meets, though each is within its node's degree\n"
         "graph = build_circulation_polytope(4).graph\n"
-        "none = VertexTest(FlowPolytope(graph, (3, 3, -3, -3)))\n"
+        "none = ExitTables(FlowPolytope(graph, (3, 3, -3, -3)), 1)\n"
         "coins = SimulatedCoins([Fraction(1, 2)] * 12, seed=0)\n"
         "next(coins.hits_in(none, _BUFFER), None)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
@@ -575,7 +594,7 @@ def test_unreachable_root_raises_before_any_walk():
             sampler.sample(coins, rng)
         # It raises at the first stage-1 pass whose draw falls below B, before any further draw.
         draws, rounds = random.Random(seed), 0
-        for _, n in SimulatedCoins([HALF] * 3, seed=seed).hits_in(VertexTest(P), 1000):
+        for _, n in SimulatedCoins([HALF] * 3, seed=seed).hits_in(sampler.exits, 1000):
             rounds += n
             if draws.randrange(sampler.total_trees) < sampler.exits.bound:
                 break
@@ -601,18 +620,24 @@ def test_node_without_exit_raises_at_the_first_stage1_pass():
     state = rng.getstate()
     with pytest.raises(NoArborescence):
         sampler.sample(coins, rng)
-    _, rounds = _first_hit(SimulatedCoins([HALF], seed=0).hits_in(VertexTest(P), 1000), 1000)
+    _, rounds = _first_hit(SimulatedCoins([HALF], seed=0).hits_in(sampler.exits, 1000), 1000)
     assert coins.total_flips == rounds and rng.getstate() == state
 
 
 def test_negative_degree_factors_are_no_bound():
-    # Nodes 1 and 2 each need two units out of one out-edge: no vertex exists,
-    # and the product of their factors, (-1)(-1), bounds nothing.
-    P = FlowPolytope(Graph(3, ((1, 2), (2, 3), (3, 1))), (2, 2, -4))
-    assert ExitTables(P, 3).bound == 0
-    with pytest.raises(MaxRestartsExceeded):
-        FlowSampler(P, root=3).sample(SimulatedCoins([HALF] * 3, seed=0), random.Random(0),
-                                      max_restarts=1000)
+    for P, root in [
+        # Nodes 1 and 2 each need two units out of one out-edge: no vertex
+        # exists, and the product of their factors, (-1)(-1), bounds nothing.
+        (FlowPolytope(Graph(3, ((1, 2), (2, 3), (3, 1))), (2, 2, -4)), 3),
+        # Node 1 sends two units over one out-edge, so no vertex exists; yet
+        # node 3, taking two units in over one in-edge, has factor 3 above its
+        # degree, and with node 2's 2 the product would be 6.
+        (FlowPolytope(Graph(3, ((1, 2), (2, 1), (2, 3), (3, 2))), (2, 0, -2)), 1),
+    ]:
+        assert ExitTables(P, root).bound == 0, P
+        with pytest.raises(MaxRestartsExceeded):
+            FlowSampler(P, root=root).sample(SimulatedCoins([HALF] * len(P.edges), seed=0),
+                                             random.Random(0), max_restarts=1000)
 
 
 class ReflipCountingCoins(SimulatedCoins):
