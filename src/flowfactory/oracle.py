@@ -9,16 +9,16 @@ the flip of a tree t under f is an arborescence toward r iff f is 1 exactly
 on t's edges that orienting toward r reverses.  So each (tree, root) picks
 out one bit pattern on the tree, and the vertices that qualify are those
 whose edge-bit ints (bit i = f_i) AND the tree's edge bits equal it.  Each
-root's (pattern, vertices) entries come from one numpy pass; the tree sum
-and the Matrix-Tree counts are one `np.add.at` over them, and the exchange
-bijection compares one family's images with the other family as sets of
-edge-bit ints, a block of (tree, eta) pairs at once.  With x = num / d, the
-value checks compare integers: w_f = P_f(x) d^(|E|+k-1) for k incident
-nodes, and every Laplacian cofactor is an integer root minor over d, of a
-`spanning.flip_laplacians` stack that the one fraction-free elimination in
-`spanning` takes, every vertex's at a root in one call.  Fractions are built
-only for a caller that reads values.  M_f(x)'s balance is checked in one
-place, `_image_laplacians`, on its stack's column sums.
+root's (pattern, vertices) entries come from one numpy pass; the tree sum is
+one `np.add.at` over them, the Matrix-Tree counts one bincount of their
+positions, and the exchange bijection compares one family's images with the
+other as sets of edge-bit ints, a block of (tree, eta) pairs at once.  With
+x = num / d, the value checks compare integers: w_f = P_f(x) d^(|E|+k-1) for
+k incident nodes, and every Laplacian cofactor is an integer root minor over
+d, of a `spanning.flip_laplacians` stack that the one fraction-free
+elimination in `spanning` takes, every vertex's at a root in one call.
+Fractions are built from w only for a caller that reads values.  M_f(x)'s
+balance is checked in one place, `_image_laplacians`, on its column sums.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -120,30 +119,29 @@ class _Orientations:
     """Every tree's orientation toward every root, and the vertices whose bits spell it.
 
     Each vertex is one edge-bit int (bit i is f_i) in the uint64 array
-    `masks`, which the exchange check gathers from, and in a copy, `_array`,
-    which only the entries' compares read (the 24-edge enumeration cap keeps
-    masks inside uint64); `bits` is the same as a (vertex, edge) bool matrix.
-    `sides` holds each tree edge's head side as a node-bit int, from one
-    traversal per tree: orienting toward a root reverses exactly the tree
-    edges whose head side misses it.  A root's `entries`, built by one
-    chunked compare the first time it is read, are every tree's pattern
+    `masks`, which the entries' compares read and the exchange check gathers
+    from (the 24-edge enumeration cap keeps masks inside uint64); `bits` is
+    the same as a (vertex, edge) bool matrix, and `row` maps each vertex to
+    its row.  `sides` holds each tree edge's head side as a node-bit int,
+    from one traversal per tree: orienting toward a root reverses exactly
+    the tree edges whose head side misses it.  A root's `entries`, built by
+    one chunked compare the first time it is read, are every tree's pattern
     (the edge-bit int of the edges it reverses) and, tree after tree and in
     vertex order, the positions of the vertices whose bits on the tree equal
-    it: one int32 array with per-tree offsets, of which `orientation` returns
-    one tree's slice.  `tree_masks` holds each tree's edge bits, its row
-    being the tree's value in `index`: a sorted id tuple is a spanning tree
-    iff it is a key there.  `ends` is the graph's `node_bits`.
+    it: one int32 array with per-tree offsets, of which `orientation`
+    returns one tree's slice.  `tree_masks` holds each tree's edge bits, its
+    row being the tree's value in `index`: a sorted id tuple is a spanning
+    tree iff it is a key there.
     """
 
     def __init__(self, P: FlowPolytope):
         self._nodes = P.graph.incident_nodes
         self.vertices = enumerate_vertices(P)
         self.trees = enumerate_directed_trees(P.graph)
-        self.ends = P.graph.node_bits
         m, shape = len(P.edges), (len(self.trees), max(len(self._nodes) - 1, 0))
         self.bits = np.array(self.vertices, dtype=bool).reshape(len(self.vertices), m)
         self.masks = self.bits @ (np.uint64(1) << np.arange(m, dtype=np.uint64))
-        self._array = self.masks.copy()
+        self.row = {f: j for j, f in enumerate(self.vertices)}
         self.index = {tree: k for k, tree in enumerate(self.trees)}
         self.tree_edges = np.array(self.trees, dtype=np.intp).reshape(shape)
         self._edge_bit = np.uint64(1) << self.tree_edges.astype(np.uint64)
@@ -162,11 +160,11 @@ class _Orientations:
         and positions[offsets[k]:offsets[k + 1]]."""
         if root not in self._by_root:
             patterns = (self._edge_bit * self.reversed_edges(root)).sum(axis=1, dtype=np.uint64)
-            bits, n = self.tree_masks, len(self._array)
+            bits, n = self.tree_masks, len(self.masks)
             counts, positions = [np.zeros(1, dtype=np.intp)], [np.zeros(0, dtype=np.int32)]
             step = max(1, _CELLS // max(n, 1))
             for b in range(0, len(bits), step):
-                hits = np.flatnonzero(self._array & bits[b:b + step, None] == patterns[b:b + step, None])
+                hits = np.flatnonzero(self.masks & bits[b:b + step, None] == patterns[b:b + step, None])
                 counts.append(np.bincount(hits // n, minlength=len(bits[b:b + step])))
                 positions.append((hits % n).astype(np.int32))
             self._by_root[root] = patterns, np.concatenate(positions), np.cumsum(np.concatenate(counts))
@@ -184,17 +182,6 @@ def _orientations(P: FlowPolytope) -> _Orientations:
     return _Orientations(P)
 
 
-def _tree_sums(P: FlowPolytope, root: int, terms: np.ndarray) -> np.ndarray:
-    """Per vertex, in vertex order, the sum of terms[k] over the trees k whose
-    flip under it is an arborescence toward root, in terms' dtype: each
-    tree's term is added at all of its root entry's positions at once."""
-    table = _orientations(P)
-    _, positions, offsets = table.entries(root)
-    sums = np.zeros(len(table.vertices), dtype=terms.dtype)
-    np.add.at(sums, positions, np.repeat(terms, np.diff(offsets)))
-    return sums
-
-
 @lru_cache(maxsize=256)
 def _weights(P: FlowPolytope, x: tuple, root: int) -> np.ndarray:
     """Per vertex, in vertex order, w_f = prefix_f * treesum_f: P_f(x) times
@@ -202,7 +189,8 @@ def _weights(P: FlowPolytope, x: tuple, root: int) -> np.ndarray:
 
     treesum_f sums, over the trees whose flip under f is an arborescence
     toward root, the product over tree edges of x^(1-f)(1-x)^f times d,
-    where f's bits on the tree are the tree's pattern.  With every factor
+    where f's bits on the tree are the tree's pattern: each tree's term is
+    added at all of its root entry's positions at once.  With every factor
     num_i and d - num_i at most M in size (M >= d), each |w_f| is at most
     |T| M^(|E|+k-1), so every partial product and every sum of them times
     d or num_i, as the checks form, is below |V| |T| M^(|E|+k): the table
@@ -217,36 +205,31 @@ def _weights(P: FlowPolytope, x: tuple, root: int) -> np.ndarray:
     num = np.array(num, dtype=np.int64 if bound < 2 ** 63 else object)
     factors = num[table.tree_edges]
     terms = np.where(table.reversed_edges(root), den - factors, factors).prod(axis=1)
-    w = _prefixes(table.bits, num, den) * _tree_sums(P, root, terms)
+    _, positions, offsets = table.entries(root)
+    sums = np.zeros(len(table.vertices), dtype=terms.dtype)
+    np.add.at(sums, positions, np.repeat(terms, np.diff(offsets)))
+    w = _prefixes(table.bits, num, den) * sums
     w.flags.writeable = False
     return w
 
 
-@lru_cache(maxsize=256)
-def polynomial_values(P: FlowPolytope, x: tuple, root: int) -> Mapping[FlowVertex, Fraction]:
-    """Every vertex's sampling polynomial at x and root by tree enumeration, in vertex order; read-only.
-
-    P_f(x) is w_f / d^(|E|+k-1), w being `_weights`' integer table.
-    """
-    scale = _over_common_denominator(x)[1] ** (len(P.edges) + len(P.graph.incident_nodes) - 1)
-    w = _weights(P, x, root)
-    return MappingProxyType({f: Fraction(v, scale) for f, v in zip(_orientations(P).vertices, w.tolist())})
-
-
 def eval_polynomial(P: FlowPolytope, f: FlowVertex, root: int, x: Sequence[Fraction]) -> Fraction:
-    """Value of the sampling polynomial of vertex f at x: f's entry in polynomial_values.
+    """Value of the sampling polynomial of vertex f at x by tree enumeration:
+    w_f / d^(|E|+k-1), w_f being f's row of `_weights`' integer table.
 
     Raises InvalidInstance when f is a 0/1 vector but no vertex of P.
     """
     _require_fit(P, root, f, x)
     _require_vertex(P, f)
-    return polynomial_values(P, tuple(x), root)[tuple(f)]
+    scale = _over_common_denominator(tuple(x))[1] ** (len(P.edges) + len(P.graph.incident_nodes) - 1)
+    return Fraction(int(_weights(P, tuple(x), root)[_orientations(P).row[tuple(f)]]), scale)
 
 
 def qualifying_counts(P: FlowPolytope, root: int) -> np.ndarray:
     """Per vertex, in vertex order, how many trees' flips under it are arborescences toward root."""
     _require_root(P, root)
-    return _tree_sums(P, root, np.ones(len(_orientations(P).trees), dtype=np.int64))
+    table = _orientations(P)
+    return np.bincount(table.entries(root)[1], minlength=len(table.vertices))
 
 
 def _image_laplacians(P: FlowPolytope, vertices: Sequence[FlowVertex],
@@ -350,12 +333,13 @@ def check_zls(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
 
     M_f0(x) is balanced, so that Laplacian has zero line sums.  Its weights
     are taken as integers over x's common denominator d, which scales every
-    cofactor by the same d^(k-1).
+    cofactor by the same d^(k-1).  Raises InvalidInstance when P has no vertex.
     """
-    nodes = P.graph.incident_nodes
-    f0 = enumerate_vertices(P)[0]
-    _require_fit(P, nodes[0], f0, x)
-    L = _image_laplacians(P, [f0], *_over_common_denominator(tuple(x)))
+    nodes, vertices = P.graph.incident_nodes, enumerate_vertices(P)
+    if not vertices:
+        raise InvalidInstance("polytope has no vertex")
+    _require_fit(P, nodes[0], vertices[0], x)
+    L = _image_laplacians(P, vertices[:1], *_over_common_denominator(tuple(x)))
     return len({root_minors(L, k)[0] for k in range(len(nodes))}) == 1
 
 
@@ -502,7 +486,7 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
     failed = np.zeros((len(_EXCHANGE_CHECKS), n), dtype=bool)
 
     count = np.bitwise_count
-    out, into = np.array(table.ends, dtype=np.uint64).T[:, :, None]  # one row per node
+    out, into = np.array(P.graph.node_bits, dtype=np.uint64).T[:, :, None]  # one row per node
     failed[0] = (count(plus & out) + count(minus & into) != count(minus & out) + count(plus & into)).any(axis=0)
     tree_masks = table.tree_masks[[table.index[tree] for tree in trees]][tree_at]
     failed[1] = support & ~(tree_masks | eta_bit) != 0

@@ -590,14 +590,12 @@ def test_verify_bijection_fails_on_one_perturbed_flip_image(tmp_path, monkeypatc
     out = tmp_path / "report.json"
     argv = ["verify", *paths, "--checks", "bijection", "--out", str(out)]
     oracle._orientations.cache_clear()
-    oracle.polynomial_values.cache_clear()
     monkeypatch.setattr(oracle._Orientations, "orientation", perturbed)
     assert main(argv) == 8
     (check,) = json.loads(out.read_text())["checks"]
     assert not check["pass"] and check["detail"].startswith("IdentityViolated: "), check
     monkeypatch.undo()
     oracle._orientations.cache_clear()
-    oracle.polynomial_values.cache_clear()
     assert main(argv) == 0
     assert json.loads(out.read_text())["checks"][0]["pass"] is True
 
@@ -624,32 +622,30 @@ def test_verify_bijection_fails_on_a_family_off_its_pattern(tmp_path, monkeypatc
 
     out = tmp_path / "report.json"
     oracle._orientations.cache_clear()
-    oracle.polynomial_values.cache_clear()
     monkeypatch.setattr(oracle._Orientations, "orientation", perturbed)
     assert main(["verify", *_write_triangle(tmp_path), "--checks", "bijection", "--out", str(out)]) == 8
     oracle._orientations.cache_clear()
-    oracle.polynomial_values.cache_clear()
     (check,) = json.loads(out.read_text())["checks"]
     assert check["detail"] == "IdentityViolated: exchange map is not a bijection onto the target family"
 
 
 def test_verify_bijection_fails_on_one_flipped_vertex_bit(tmp_path):
-    # Flip edge 0's bit in the first vertex's edge-bit int once the table is
-    # built: the uint64 array that the entries' positions come from keeps
-    # the honest bit, so a family split on eta's bit goes wrong and the
-    # exchange map must break.
+    # Flip edge 0's bit in the first vertex's edge-bit int once every root's
+    # entries are built: their positions keep the honest bit, so a family
+    # split on eta's bit goes wrong and the exchange map must break.
     from flowfactory import oracle
 
     out = tmp_path / "report.json"
     argv = ["verify", *_write_triangle(tmp_path), "--checks", "bijection", "--out", str(out)]
     oracle._orientations.cache_clear()
-    oracle.polynomial_values.cache_clear()
     try:
-        oracle._orientations(triangle()).masks[0] ^= 1
+        table = oracle._orientations(triangle())
+        for root in triangle().graph.incident_nodes:
+            table.entries(root)
+        table.masks[0] ^= 1
         assert main(argv) == 8
     finally:
         oracle._orientations.cache_clear()
-        oracle.polynomial_values.cache_clear()
     (check,) = json.loads(out.read_text())["checks"]
     assert not check["pass"] and check["detail"].startswith("IdentityViolated: "), check
     assert main(argv) == 0

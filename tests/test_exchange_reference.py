@@ -51,7 +51,7 @@ def reference_check_bijection(P, tree, eta) -> None:
 
     # g must be balanced and supported inside T + eta.
     if any((plus & out).bit_count() - (minus & out).bit_count()
-           != (plus & into).bit_count() - (minus & into).bit_count() for out, into in table.ends):
+           != (plus & into).bit_count() - (minus & into).bit_count() for out, into in P.graph.node_bits):
         raise IdentityViolated("exchange vector is not balanced")
     if support & ~(tree_bits | 1 << eta):
         raise IdentityViolated("exchange vector leaves the tree support")
@@ -112,6 +112,9 @@ def _perturb(kind, P, rng, monkeypatch):
     root = rng.choice(P.graph.incident_nodes)
     honest = _Orientations.orientation
     if kind == "mask":
+        # Every root's entries are built first, from the honest bits.
+        for r in P.graph.incident_nodes:
+            table.entries(r)
         j, bit = rng.randrange(len(table.masks)), 1 << rng.randrange(len(P.edges))
         table.masks[j] ^= bit
         return lambda: table.masks.__setitem__(j, table.masks[j] ^ bit)

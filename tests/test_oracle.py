@@ -36,7 +36,7 @@ from flowfactory.oracle import (
     _over_common_denominator,
     _Orientations,
     _orientations,
-    polynomial_values,
+    _weights,
     qualifying_counts,
 )
 from flowfactory.spanning import ExitTables, is_arborescence, qualifying_tree_count
@@ -88,15 +88,17 @@ def test_eval_polynomial_rejects_a_01_vector_that_is_no_vertex(evaluate):
         evaluate(P, off, 1, (THIRD,) * 6)
 
 
-def test_polynomial_values_is_a_read_only_table_of_eval_polynomial():
+def test_eval_polynomial_reads_the_read_only_integer_table():
+    # P_f(x) is w_f over d^(|E|+k-1): here d = 3, |E| = 6 and k = 3 incident nodes.
     P = triangle()
     x = (THIRD,) * 6
+    row = _orientations(P).row
+    assert list(row) == enumerate_vertices(P) and list(row.values()) == list(range(len(row)))
     for root in P.graph.incident_nodes:
-        table = polynomial_values(P, x, root)
-        assert list(table) == enumerate_vertices(P)
-        assert all(v == eval_polynomial(P, f, root, x) for f, v in table.items())
-        with pytest.raises(TypeError):
-            table[next(iter(table))] = Fraction(0)
+        w = _weights(P, x, root)
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0
+        assert all(eval_polynomial(P, f, root, x) == Fraction(int(w[row[f]]), 3 ** 8) for f in row)
 
 
 def test_triangle_polynomial_table():
@@ -185,6 +187,16 @@ def test_root_independence_negative_control():
     P = two_node()
     bad = (THIRD, Fraction(2, 5))
     assert not check_root_independence(P, bad)
+
+
+def test_zls_rejects_a_polytope_with_no_vertex():
+    # One edge cannot carry the demand 2: no vertex, so no first vertex to take cofactors of.
+    from flowfactory import FlowPolytope, Graph
+
+    P = FlowPolytope(Graph(2, ((1, 2),)), (2, -2))
+    assert enumerate_vertices(P) == []
+    with pytest.raises(InvalidInstance, match="polytope has no vertex"):
+        check_zls(P, (Fraction(1, 2),))
 
 
 def test_zls_and_factored_form_reject_an_unbalanced_point():
