@@ -78,8 +78,8 @@ def _load_instance(args):
 
 
 def _draw(args):
-    """Load the instance; return its edge count and a function making one
-    (flow, flips, restarts) draw, by sample_path for `sample-path`, else by FlowSampler."""
+    """Load the instance; return a function making one (flow, flips,
+    restarts) draw, by sample_path for `sample-path`, else by FlowSampler."""
     P, biases = _load_instance(args)
     coins = SimulatedCoins(biases, seed=args.seed)
     rng = _external_rng(args.seed)
@@ -94,7 +94,7 @@ def _draw(args):
         def draw():
             trace = sampler.sample(coins, rng, max_restarts=args.max_restarts)
             return trace.output, trace.total_flips, trace.restarts
-    return len(P.edges), draw
+    return draw
 
 
 def _external_rng(seed: int) -> random.Random:
@@ -126,17 +126,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    m, draw = _draw(args)
-    lines = []
-    marg = [0] * m
+    draw = _draw(args)
+    lines, flows = [], []
     for _ in range(args.samples):
         f, flips, restarts = draw()
         lines.append(io.sample_line(f, flips, restarts))
-        for i in range(m):
-            marg[i] += f[i]
+        flows.append(f)
     _write("".join(line + "\n" for line in lines), args.out)
     summary = {
-        "empirical_marginals": [io.empirical(c / args.samples) for c in marg],
+        "empirical_marginals": [io.empirical(c / args.samples) for c in map(sum, zip(*flows))],
         "samples": args.samples,
         "seed": args.seed,
     }
@@ -164,74 +162,61 @@ def cmd_dist(args) -> int:
     return 0
 
 
-_ALL_CHECKS = (
-    "root-independence",
-    "marginal",
-    "positivity",
-    "factored-form",
-    "bijection",
-    "parallel-to-circ",
-    "zls",
-    "matrix-tree",
-)
-
-
 #: Trees per call of the bijection check: bounds the memory of its family arrays.
 _TREES_PER_BLOCK = 32
 
 
-def _run_check(name: str, P, x) -> tuple[bool, str]:
+def _check_bijection(P, x) -> tuple[bool, str]:
     from .spanning import enumerate_directed_trees
 
-    if name == "root-independence":
-        ok = check_root_independence(P, x)
-        return ok, "polynomial values agree across roots" if ok else "root disagreement"
-    if name == "marginal":
-        ok = check_marginal_identity(P, x)
-        return ok, "sum_f (f-x) P_f(x) == 0" if ok else "marginal identity fails"
-    if name == "positivity":
-        ok = check_positivity(P, x)
-        return ok, "sum_f P_f(x) > 0" if ok else "all polynomials vanish"
-    if name == "factored-form":
-        bad = factored_form_mismatch(P, x)
-        if bad:
-            return False, f"mismatch at f={io.flow_key(bad[0])} root={bad[1]}"
-        return True, "tree-sum equals prefix * arborescence-sum everywhere"
-    if name == "bijection":
-        trees = enumerate_directed_trees(P.graph)
-        pairs = 0
-        for b in range(0, len(trees), _TREES_PER_BLOCK):
-            pairs += check_exchanges(P, [  # raises IdentityViolated on failure
-                (tree, eta) for tree in trees[b:b + _TREES_PER_BLOCK]
-                for eta in range(len(P.edges)) if eta not in tree])
-        return True, f"verified {pairs} (tree, eta) pairs"
-    if name == "parallel-to-circ":
-        ok = check_parallel_to_circ(P)
-        return ok, "vertex differences are balanced" if ok else "unbalanced difference"
-    if name == "zls":
-        ok = check_zls(P, x)
-        return ok, "all principal cofactors equal" if ok else "cofactors differ"
-    if name == "matrix-tree":
-        bad = matrix_tree_mismatch(P)
-        if bad:
-            return False, f"count mismatch at f={io.flow_key(bad[0])} root={bad[1]}"
-        return True, "determinant counts match enumeration"
-    raise InvalidInstance(f"unknown check {name}")
+    trees = enumerate_directed_trees(P.graph)
+    pairs = 0
+    for b in range(0, len(trees), _TREES_PER_BLOCK):
+        pairs += check_exchanges(P, [  # raises IdentityViolated on failure
+            (tree, eta) for tree in trees[b:b + _TREES_PER_BLOCK]
+            for eta in range(len(P.edges)) if eta not in tree])
+    return True, f"verified {pairs} (tree, eta) pairs"
+
+
+def _holds(ok: bool, good: str, bad: str) -> tuple[bool, str]:
+    return ok, good if ok else bad
+
+
+def _no_mismatch(bad, what: str, good: str) -> tuple[bool, str]:
+    """A found (f, root) fails with `what` at it; None passes with `good`."""
+    return (False, f"{what} at f={io.flow_key(bad[0])} root={bad[1]}") if bad else (True, good)
+
+
+#: Every check of `verify`, in report order: (P, x) -> (pass, detail).
+_CHECKS = {
+    "root-independence": lambda P, x: _holds(
+        check_root_independence(P, x), "polynomial values agree across roots", "root disagreement"),
+    "marginal": lambda P, x: _holds(
+        check_marginal_identity(P, x), "sum_f (f-x) P_f(x) == 0", "marginal identity fails"),
+    "positivity": lambda P, x: _holds(check_positivity(P, x), "sum_f P_f(x) > 0", "all polynomials vanish"),
+    "factored-form": lambda P, x: _no_mismatch(
+        factored_form_mismatch(P, x), "mismatch", "tree-sum equals prefix * arborescence-sum everywhere"),
+    "bijection": _check_bijection,
+    "parallel-to-circ": lambda P, x: _holds(
+        check_parallel_to_circ(P), "vertex differences are balanced", "unbalanced difference"),
+    "zls": lambda P, x: _holds(check_zls(P, x), "all principal cofactors equal", "cofactors differ"),
+    "matrix-tree": lambda P, x: _no_mismatch(
+        matrix_tree_mismatch(P), "count mismatch", "determinant counts match enumeration"),
+}
+_ALL_CHECKS = tuple(_CHECKS)
 
 
 def cmd_verify(args) -> int:
     P, biases = _load_instance(args)
     checks = []
-    all_pass = True
     for name in args.checks:
         try:
-            ok, detail = _run_check(name, P, biases)
+            ok, detail = _CHECKS[name](P, biases)
         except TooLargeForOracle:
             raise
         except FlowFactoryError as exc:
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         checks.append({"name": name, "pass": ok, "detail": detail})
-        all_pass = all_pass and ok
     try:
         marginals = _exact_marginals(P, exact_output_distribution(P, biases))
     except FlowFactoryError:
@@ -243,15 +228,15 @@ def cmd_verify(args) -> int:
         "exact_marginals": marginals,
     }
     _write(io.dump_json(report), args.out)
-    if not all_pass:
-        failed = ",".join(c["name"] for c in checks if not c["pass"])
+    failed = ",".join(c["name"] for c in checks if not c["pass"])
+    if failed:
         print(f"verification failed: {failed}", file=sys.stderr)
         return 8
     return 0
 
 
 def cmd_bench(args) -> int:
-    _, draw = _draw(args)
+    draw = _draw(args)
     flips = 0
     restarts = 0
     start = time.perf_counter()

@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from itertools import repeat
+from math import lcm, log, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +42,6 @@ from .graphs import (
     Edge,
     FlowPolytope,
     FlowVertex,
-    _net_flow,
     _require_bits,
     _require_root,
     enumerate_vertices,
@@ -384,11 +384,13 @@ def check_parallel_to_circ(P: FlowPolytope) -> bool:
     """True iff the difference of every two vertices is a circulation.
 
     a - b is balanced exactly when a and b have the same net flow at every
-    node, so each vertex's net flow is compared with the first vertex's.
+    node, so each vertex's net flow, its bits times the edge-node incidence,
+    is compared with the first vertex's.
     """
     verts = enumerate_vertices(P)
-    first = _net_flow(P, verts[0]) if verts else None
-    return all(_net_flow(P, f) == first for f in verts)
+    tail, head = P.graph.ends[..., None] == np.arange(len(P.graph.incident_nodes))
+    net = np.array(verts, dtype=np.int64).reshape(len(verts), len(P.edges)) @ (tail.astype(np.int64) - head)
+    return bool((net == net[:1]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -597,81 +599,65 @@ def statistical_test(
     """Chi-square of the empirical vertex law against the exact one, plus a
     per-edge two-sided Hoeffding band on the marginals.
 
-    Cells with expected count below 5 are merged into one pooled cell before
-    the chi-square statistic is formed.
+    Vertex f expects w_f / sum(w) * n of the n samples, w the exact law's
+    integer weights, and cells expecting fewer than 5 are pooled, in vertex
+    order, into one cell.  The empirical marginals are the observed counts
+    times the vertex bits, over n.  Raises InvalidInstance for a sampled
+    non-vertex, and unless 0 < significance < 1.
     """
     if not samples:
         raise InvalidInstance("statistical test needs at least one sample")
-    n = len(samples)
-    dist = exact_output_distribution(P, x, root)
-    counts: dict[FlowVertex, int] = {}
-    for f in samples:
-        counts[f] = counts.get(f, 0) + 1
-    for f in counts:
-        if f not in dist.probabilities:
-            raise InvalidInstance(f"sampled {f} has zero exact probability")
-
-    cells = []
-    pool_obs = 0
-    pool_exp = 0.0
-    for f, p in sorted(dist.probabilities.items()):
-        exp = float(p) * n
-        obs = counts.get(f, 0)
-        if exp < 5.0:
-            pool_obs += obs
-            pool_exp += exp
-        else:
-            cells.append((obs, exp))
+    if not 0 < significance < 1:
+        raise InvalidInstance(f"significance must lie strictly between 0 and 1, got {significance}")
+    n, m = len(samples), len(P.edges)
+    dist, table = exact_output_distribution(P, x, root), _orientations(P)
+    rows = np.fromiter(map(table.row.get, samples, repeat(-1)), dtype=np.intp, count=n)
+    if (rows < 0).any():
+        raise InvalidInstance(f"sampled {samples[rows.argmin()]} has zero exact probability")
+    observed = np.bincount(rows, minlength=len(table.vertices))
+    expected = (dist._weights.astype(object) / dist._total * n).astype(float)  # each int quotient rounded once
+    pooled = expected < 5.0
+    pool_exp = np.cumsum(np.append(0.0, expected[pooled]))[-1]  # in vertex order, one addition at a time
+    obs, exp = observed[~pooled], expected[~pooled]
     if pool_exp > 0:
-        cells.append((pool_obs, pool_exp))
-    stat = sum((obs - exp) ** 2 / exp for obs, exp in cells)
-    dof = max(len(cells) - 1, 1)
+        obs, exp = np.append(obs, observed[pooled].sum()), np.append(exp, pool_exp)
+    # Python floats: ** 2 is C's pow, which numpy's x * x differs from in the last bit now and then.
+    stat = sum(((obs - exp).astype(object) ** 2 / exp.astype(object)).tolist())
     from scipy.stats import chi2  # only this harness needs scipy; the CLI never loads it
 
-    pvalue = float(chi2.sf(stat, dof))
+    pvalue = float(chi2.sf(stat, max(len(obs) - 1, 1)))
     chi_pass = pvalue > significance
-
-    m = len(P.edges)
-    from math import log, sqrt
-
     band = sqrt(log(2 * m / significance) / (2 * n))
-    marg = []
-    all_marg = True
-    for i in range(m):
-        emp = sum(f[i] for f in samples) / n
-        target = float(Fraction(x[i]))
-        ok = abs(emp - target) <= band
-        all_marg = all_marg and ok
-        marg.append((i, emp, target, ok))
+    num, den = _over_common_denominator(tuple(x))
+    emp, target = observed @ table.bits / n, (np.array(num, dtype=object) / den).astype(float)
+    ok = abs(emp - target) <= band
     return StatReport(
         chi_square=stat,
         chi_pvalue=pvalue,
         chi_pass=chi_pass,
         marginal_band=band,
-        marginals=marg,
-        passed=chi_pass and all_marg,
+        marginals=list(zip(range(m), emp.tolist(), target.tolist(), ok.tolist())),
+        passed=chi_pass and bool(ok.all()),
     )
 
 
 def random_interior_point(P: FlowPolytope, rng) -> tuple[Fraction, ...]:
     """Random rational point of P with every coordinate strictly inside (0,1).
 
-    Convex combination of the enumerated vertices with random integer
-    weights; membership holds by construction, and combinations touching the
-    boundary are redrawn.
+    Convex combination of the enumerated vertices with integer weights
+    randrange(1, 50): edge i's coordinate is the weight of the vertices using
+    it over the total.  Membership holds by construction, and a combination
+    touching the boundary is redrawn, up to 1,000 times.
     """
     verts = enumerate_vertices(P)
     if len(verts) < 2:
         raise InvalidInstance("polytope has no interior point to draw")
-    m = len(P.edges)
+    bits = np.array(verts, dtype=np.int64)
     for _ in range(1000):
         weights = [rng.randrange(1, 50) for _ in verts]
-        total = sum(weights)
-        point = tuple(
-            sum(Fraction(w) * v[i] for w, v in zip(weights, verts)) / total
-            for i in range(m)
-        )
-        if all(0 < c < 1 for c in point):
+        total, used = sum(weights), np.array(weights, dtype=np.int64) @ bits
+        if 0 < used.min() and used.max() < total:
+            point = tuple(Fraction(u, total) for u in used.tolist())
             require_interior_point(P, point)
             return point
     raise InvalidInstance("could not find an interior combination; fixed coordinate?")

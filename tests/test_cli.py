@@ -540,6 +540,22 @@ def test_verify_identity_check_fails_on_a_perturbed_input(tmp_path, monkeypatch,
     assert json.loads(out.read_text())["checks"] == [{"name": check, "pass": False, "detail": detail}]
 
 
+def test_verify_parallel_to_circ_fails_on_an_off_balance_vertex(tmp_path, monkeypatch):
+    # One 0/1 vector that meets no demand, among the vertices the check reads,
+    # fails it.  The tables are built first, so the exact marginals of the
+    # report read the honest vertices, and no later test sees the extra one.
+    from flowfactory import oracle
+
+    P = triangle()
+    oracle.exact_output_distribution(P, [Fraction(1, 3)] * 6)
+    honest = oracle.enumerate_vertices
+    monkeypatch.setattr(oracle, "enumerate_vertices", lambda P: honest(P) + [(1, 0, 0, 0, 0, 0)])
+    out = tmp_path / "report.json"
+    assert main(["verify", *_write_triangle(tmp_path), "--checks", "parallel-to-circ", "--out", str(out)]) == 8
+    assert json.loads(out.read_text())["checks"] == [
+        {"name": "parallel-to-circ", "pass": False, "detail": "unbalanced difference"}]
+
+
 def test_verify_evaluates_each_vertex_polynomial_once_per_root(tmp_path, monkeypatch):
     import re
     from collections import Counter

@@ -18,7 +18,7 @@ from flowfactory import (
     build_kflow_polytope,
     build_matching_polytope,
 )
-from flowfactory.cli import _run_check
+from flowfactory.cli import _CHECKS
 from flowfactory.graphs import _connects, reverse_edge
 from flowfactory.oracle import _EXCHANGE_CHECKS, _exchange_failures, _Orientations, _orientations
 
@@ -155,11 +155,11 @@ def test_array_exchange_check_agrees_with_the_reference(name, kind, monkeypatch)
             assert _array_outcomes(P, pairs) == expected
             first = next((message for message in expected if message), None)
             if first is None:
-                assert _run_check("bijection", P, x) == (True, f"verified {len(pairs)} (tree, eta) pairs")
+                assert _CHECKS["bijection"](P, x) == (True, f"verified {len(pairs)} (tree, eta) pairs")
             else:
                 failures += 1
                 with pytest.raises(IdentityViolated) as raised:
-                    _run_check("bijection", P, x)
+                    _CHECKS["bijection"](P, x)
                 assert str(raised.value) == first
         finally:
             undo()

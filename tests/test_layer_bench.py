@@ -14,7 +14,7 @@ from flowfactory import (
     enumerate_vertices,
     oracle,
 )
-from flowfactory.cli import _run_check
+from flowfactory.cli import _CHECKS
 from flowfactory.coins import _BUFFER
 from flowfactory.spanning import ExitTables, flip_laplacians, qualifying_tree_count, root_minors
 
@@ -169,7 +169,7 @@ def test_bench_bijection_check_circ4(benchmark):
 
     def check():
         oracle._orientations.cache_clear()
-        details[:] = [_run_check("bijection", P, [HALF] * len(P.edges))]
+        details[:] = [_CHECKS["bijection"](P, [HALF] * len(P.edges))]
 
     benchmark.pedantic(check, rounds=5, iterations=1)
     assert details == [(True, "verified 1152 (tree, eta) pairs")]  # 128 trees x 9 edges off each
@@ -183,7 +183,7 @@ def test_bench_bijection_check_match4(benchmark):
 
     def check():
         oracle._orientations.cache_clear()
-        details[:] = [_run_check("bijection", P, [HALF] * len(P.edges))]
+        details[:] = [_CHECKS["bijection"](P, [HALF] * len(P.edges))]
 
     benchmark.pedantic(check, rounds=5, iterations=1)
     assert details == [(True, "verified 36864 (tree, eta) pairs")]
@@ -200,7 +200,7 @@ def test_bench_factored_form_check_circ4(benchmark):
     details = []
 
     def check():
-        details[:] = [_run_check("factored-form", P, x)]
+        details[:] = [_CHECKS["factored-form"](P, x)]
 
     benchmark.pedantic(check, rounds=5, iterations=1)
     assert details == [(True, "tree-sum equals prefix * arborescence-sum everywhere")]

@@ -273,6 +273,20 @@ def test_check_parallel_to_circ():
     assert check_parallel_to_circ(build_kflow_polytope(4, 2))
 
 
+@pytest.mark.parametrize("build", [triangle, square, lambda: build_kflow_polytope(4, 2)],
+                         ids=["triangle", "square", "kflow4_2"])
+def test_check_parallel_to_circ_fails_on_an_off_balance_vertex(build, monkeypatch):
+    # One 0/1 vector that meets no demand, among the vertices, makes its
+    # difference with the first vertex unbalanced.
+    from flowfactory import oracle
+
+    P = build()
+    honest = oracle.enumerate_vertices
+    off = (1,) + (0,) * (len(P.edges) - 1)  # one edge alone is unbalanced at its ends
+    monkeypatch.setattr(oracle, "enumerate_vertices", lambda P: honest(P) + [off])
+    assert not check_parallel_to_circ(P)
+
+
 def test_bijection_triangle_all_pairs():
     P = triangle()
     for tree in enumerate_directed_trees(P.graph):
@@ -429,12 +443,44 @@ def test_statistical_test_requires_samples():
         statistical_test(two_node(), X2, 1, [])
 
 
+@pytest.mark.parametrize("sample", [(1, 0), (0, 1), (0, 0, 0), (2, 2)])
+def test_statistical_test_rejects_a_sampled_non_vertex(sample):
+    import re
+
+    samples = [(0, 0), (1, 1), sample, (0, 0)]
+    with pytest.raises(InvalidInstance, match=rf"sampled {re.escape(str(sample))} has zero exact probability"):
+        statistical_test(two_node(), X2, 1, samples)
+
+
+@pytest.mark.parametrize("significance", [0, 0.0, 1.0, 2.0, 13.0, -0.5, float("nan")])
+def test_statistical_test_rejects_a_significance_outside_0_1(significance):
+    # 0 divided by zero, 13.0 and -0.5 took a square root of a negative
+    # number, and 1.0, 2.0 or NaN gave a report that could never pass.
+    with pytest.raises(InvalidInstance, match="significance must lie strictly between 0 and 1"):
+        statistical_test(triangle(), (THIRD,) * 6, 1, [(0,) * 6] * 10, significance)
+
+
 def test_random_interior_point_validity():
     rng = random.Random(1007)
     for P in [two_node(), triangle(), build_matching_polytope(2), build_kflow_polytope(4, 2)]:
         for _ in range(5):
             x = random_interior_point(P, rng)
             assert all(0 < c < 1 for c in x)
+
+
+@pytest.mark.parametrize("edges, demands", [
+    (((1, 2), (2, 1), (2, 3)), (0, 0, 0)),  # no vertex uses (2, 3): nothing flows back from 3
+    (((1, 2), (2, 3), (3, 4), (2, 4)), (1, 0, 0, -1)),  # every vertex uses (1, 2), node 1's one edge
+], ids=["edge-never-used", "edge-always-used"])
+def test_random_interior_point_rejects_a_fixed_coordinate(edges, demands):
+    # Two vertices or more, but an edge is 0 (or 1) at all of them: every
+    # combination touches the boundary, so the draw gives up.
+    from flowfactory import FlowPolytope, Graph
+
+    P = FlowPolytope(Graph(len(demands), edges), demands)
+    assert len(enumerate_vertices(P)) == 2
+    with pytest.raises(InvalidInstance, match="could not find an interior combination"):
+        random_interior_point(P, random.Random(0))
 
 
 def test_square_flow_qualifying_trees_frozen():
