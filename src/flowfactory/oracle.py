@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
 from math import lcm, log, sqrt
 from typing import Sequence
 
@@ -39,7 +38,6 @@ from .errors import (
     NotCirculation,
 )
 from .graphs import (
-    Edge,
     FlowPolytope,
     FlowVertex,
     _require_bits,
@@ -83,11 +81,6 @@ def _over_common_denominator(x: tuple) -> tuple[tuple[int, ...], int]:
     xs = [Fraction(c) for c in x]
     den = lcm(*(c.denominator for c in xs))
     return tuple(c.numerator * (den // c.denominator) for c in xs), den
-
-
-def _edge_bits(ids) -> int:
-    """The edge-bit int with bit i set for each edge id i in ids."""
-    return sum(1 << i for i in ids)
 
 
 def _head_sides(tree: Sequence[int], tails: Sequence[int], heads: Sequence[int]) -> list[int]:
@@ -424,28 +417,6 @@ def _exchange_vector(eta_bit, pattern_s, pattern_t):
     return eta_bit | pattern_t & ~pattern_s, pattern_s & ~pattern_t
 
 
-def _one_directed_cycle(arcs: Sequence[Edge], chosen: np.ndarray) -> np.ndarray:
-    """Per uint64 of chosen, True iff the arcs at its set bits (at most 64
-    arcs) form one directed cycle: each node they touch is the tail of one
-    and the head of one, and following them from the first such node visits
-    all of them."""
-    nodes = sorted({v for arc in arcs for v in arc})
-    # Per node, the bits of its out- and in-arcs, and a last node with none.
-    tails, heads = (np.array([_edge_bits(k for k, arc in enumerate(arcs) if arc[end] == v) for v in nodes]
-                             + [0], dtype=np.uint64)[:, None] for end in (0, 1))
-    # Each arc's head by the arc's bit index; 64, the index of no bit, leads to that last node.
-    head = np.array([nodes.index(v) for _, v in arcs] + [len(nodes)] * (65 - len(arcs)))
-    out, into = np.bitwise_count(chosen & tails), np.bitwise_count(chosen & heads)
-    start = (out > 0).argmax(axis=0)
-    at, back = start, np.zeros(len(chosen), dtype=np.intp)
-    one = np.uint64(1)
-    for step in range(1, len(nodes) + 1):
-        leaving = chosen & tails[at, 0]
-        at = head[np.bitwise_count((leaving & ~leaving + one) - one)]  # its lowest bit's index
-        back[(back == 0) & (at == start)] = step
-    return (out == into).all(axis=0) & (out <= 1).all(axis=0) & (back == (out > 0).sum(axis=0))
-
-
 def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], int]]) -> np.ndarray:
     """Which of the six exchange checks each (tree, eta) pair fails: a bool
     array with one row per check, in _EXCHANGE_CHECKS order, and one column
@@ -458,8 +429,14 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
       and in-edges cancel;
     - support: g lies on T + eta;
     - directed cycle: g's arcs (its +1 edges, and its -1 edges reversed)
-      form one directed cycle.  A reversed edge that is an edge of P takes
-      that edge's bit, so an arc named twice is one arc, as in a set;
+      form one directed cycle.  Arc slot i is edge i, and slot m + i is
+      edge i reversed unless that is an edge of P, whose slot it then takes
+      (an arc named twice is one arc, as in a set).  A node's tail slots
+      are its out-edges and its in-edges shifted by m, its head slots the
+      other way round.  T + eta is connected with as many edges as nodes,
+      so its cycle space has dimension one: once checks 0 and 1 pass, the
+      arcs are one directed cycle iff every node is the tail of as many
+      arcs as it is the head of, and of at most one;
     - recomposition: that cycle minus the two-cycles of g's -1 edges is g
       iff no +1 edge is the reverse of a -1 edge;
     - image in {0,1}: every f in F_s is 0 where g is 1 and 1 where g is -1;
@@ -493,11 +470,13 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
     tree_masks = table.tree_masks[[table.index[tree] for tree in trees]][tree_at]
     failed[1] = support & ~(tree_masks | eta_bit) != 0
     m, index = len(edges), P.graph.edge_index
-    arcs = [*edges, *((v, u) for u, v in edges)]
+    width = np.uint64(m)
     slot = np.array([index.get((v, u), m + i) for i, (u, v) in enumerate(edges)], dtype=np.uint64)
     turned = np.bitwise_or.reduce(
         ((minus & ~plus)[:, None] >> np.arange(m, dtype=np.uint64) & np.uint64(1)) << slot, axis=1)
-    failed[2] = ~_one_directed_cycle(arcs, plus | turned)
+    arcs = plus | turned
+    leaving, entering = count(arcs & (out | into << width)), count(arcs & (into | out << width))
+    failed[2] = ((leaving != entering) | (leaving > 1)).any(axis=0)
     failed[3] = plus & turned != 0
 
     sizes = np.array([len(positions) for _, positions in entries], dtype=np.intp)
@@ -506,7 +485,6 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
     # views an int array's buffer, and converts a list).
     held = table.masks[np.concatenate(
         [np.zeros(0, dtype=np.intc), *(np.asarray(positions, dtype=np.intc) for _, positions in entries)])]
-    width = np.uint64(m)
 
     def family(entry, bit):
         """Per vertex at each pair's entry whose bit at eta is `bit`: its pair, and its edge-bit int."""
@@ -531,17 +509,34 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return np.concatenate([keys[:-1][keys[:-1] != keys[1:]], keys[-1:]])
 
 
-def check_exchanges(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], int]]) -> int:
-    """Check the exchange map of every (tree, eta) pair; return how many there are.
-
-    The first failing pair, in the given order, raises IdentityViolated with
-    its first failing check's message.
-    """
-    failed = _exchange_failures(P, pairs)
+def _raise_first_failure(failed: np.ndarray) -> None:
+    """Raise IdentityViolated with the first failing pair's first failing
+    check's message, for _exchange_failures' array; return if none fails."""
     bad = failed.any(axis=0)
     if bad.any():
         raise IdentityViolated(_EXCHANGE_CHECKS[failed[:, bad.argmax()].argmax()])
-    return len(pairs)
+
+
+#: Trees per block of the exchange check: bounds the memory of its family arrays.
+_TREES_PER_BLOCK = 32
+
+
+def check_exchanges(P: FlowPolytope) -> int:
+    """Check the exchange map of every (tree, eta) pair, eta an edge off the
+    enumerated tree; return how many pairs there are.
+
+    The trees are taken _TREES_PER_BLOCK at a time, each block's pairs in one
+    _exchange_failures call.  The first failing pair, tree by tree and eta
+    in edge order, raises IdentityViolated with its first failing check's
+    message.
+    """
+    trees, pairs = _orientations(P).trees, 0
+    for b in range(0, len(trees), _TREES_PER_BLOCK):
+        block = [(tree, eta) for tree in trees[b:b + _TREES_PER_BLOCK]
+                 for eta in range(len(P.edges)) if eta not in tree]
+        _raise_first_failure(_exchange_failures(P, block))
+        pairs += len(block)
+    return pairs
 
 
 def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWitness:
@@ -551,9 +546,9 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     flip turns T into the arborescence toward s are carried, by adding a
     signed cycle vector g, onto the vertices with f_eta = 1 whose flip turns
     T toward t.  T is a tree iff its sorted ids are one of the enumerated
-    trees.  The pair takes the checks of check_exchanges, which raise
-    IdentityViolated on failure, and only then is the witness built: g, and
-    the families F_s and F_t in vertex order.
+    trees.  The pair takes the checks of check_exchanges, the first that
+    fails raising IdentityViolated with its message, and only then is the
+    witness built: g, and the families F_s and F_t in vertex order.
     """
     m = len(P.edges)
     if eta not in range(m):
@@ -564,7 +559,7 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     table = _orientations(P)
     if tree not in table.index:
         raise InvalidInstance(f"tree {tree} is no spanning tree of the incident nodes")
-    check_exchanges(P, [(tree, eta)])
+    _raise_first_failure(_exchange_failures(P, [(tree, eta)]))
     (pattern_s, at_s), (pattern_t, at_t) = (table.orientation(tree, r) for r in P.edges[eta])
     plus, minus = _exchange_vector(1 << eta, pattern_s, pattern_t)
     masks = table.masks
@@ -611,7 +606,7 @@ def statistical_test(
         raise InvalidInstance(f"significance must lie strictly between 0 and 1, got {significance}")
     n, m = len(samples), len(P.edges)
     dist, table = exact_output_distribution(P, x, root), _orientations(P)
-    rows = np.fromiter(map(table.row.get, samples, repeat(-1)), dtype=np.intp, count=n)
+    rows = np.fromiter((table.row.get(tuple(f), -1) for f in samples), dtype=np.intp, count=n)
     if (rows < 0).any():
         raise InvalidInstance(f"sampled {samples[rows.argmin()]} has zero exact probability")
     observed = np.bincount(rows, minlength=len(table.vertices))

@@ -125,6 +125,14 @@ def _perturb(kind, P, rng, monkeypatch):
         def perturbed(self, t, r):
             pattern, positions = honest(self, t, r)
             return (pattern ^ bit if (t, r) == (tree, root) else pattern), positions
+    elif kind == "eta":
+        # The tail entry's pattern is the head entry's with eta's bit set: g's only arc is eta.
+        eta = rng.choice([e for e in range(len(P.edges)) if e not in tree])
+        tail, head = P.edges[eta]
+
+        def perturbed(self, t, r):
+            pattern, positions = honest(self, t, r)
+            return (honest(self, tree, head)[0] | 1 << eta if (t, r) == (tree, tail) else pattern), positions
     else:
         # The pattern stays, but the family is the vertices one tree bit off it.
         bit = 1 << rng.choice(tree)
@@ -139,7 +147,7 @@ def _perturb(kind, P, rng, monkeypatch):
 
 
 @pytest.mark.parametrize("name", INSTANCES)
-@pytest.mark.parametrize("kind", ["honest", "pattern", "family", "mask"])
+@pytest.mark.parametrize("kind", ["honest", "pattern", "family", "mask", "eta"])
 def test_array_exchange_check_agrees_with_the_reference(name, kind, monkeypatch):
     # Each pair's first failing check, and verify's result over every pair in
     # blocks, agree with the reference, honest and under seeded perturbations.

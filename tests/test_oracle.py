@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 from operator import add
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -32,7 +31,6 @@ from flowfactory import (
 from flowfactory.graphs import flip_tree, reverse_edge
 from flowfactory.oracle import (
     _image_laplacians,
-    _one_directed_cycle,
     _over_common_denominator,
     _Orientations,
     _orientations,
@@ -452,6 +450,15 @@ def test_statistical_test_rejects_a_sampled_non_vertex(sample):
         statistical_test(two_node(), X2, 1, samples)
 
 
+def test_statistical_test_reads_list_samples_as_tuples():
+    # A list sample once raised a bare TypeError (unhashable type: 'list').
+    samples = [(0, 0), (1, 1), (1, 1), (0, 0)] * 25
+    assert statistical_test(two_node(), X2, 1, [list(f) for f in samples]) == statistical_test(
+        two_node(), X2, 1, samples)
+    with pytest.raises(InvalidInstance, match=r"sampled \[1, 0\] has zero exact probability"):
+        statistical_test(two_node(), X2, 1, [[1, 0]])
+
+
 @pytest.mark.parametrize("significance", [0, 0.0, 1.0, 2.0, 13.0, -0.5, float("nan")])
 def test_statistical_test_rejects_a_significance_outside_0_1(significance):
     # 0 divided by zero, 13.0 and -0.5 took a square root of a negative
@@ -559,16 +566,3 @@ def test_qualifying_trees_match_brute_force_on_random_instances(case):
             assert counts[j] == len(expected) == qualifying_tree_count(P, f, root), (f, root)
         with pytest.raises(InvalidInstance, match="is no vertex of the polytope"):
             eval_polynomial(P, off, root, x)
-
-
-@pytest.mark.parametrize("arcs, expected", [
-    ({(1, 2), (2, 3), (3, 1)}, True),
-    ({(1, 2), (2, 1)}, True),
-    ({(1, 2), (2, 1), (3, 4), (4, 3)}, False),
-    ({(1, 2), (2, 3)}, False),
-    ({(1, 2), (1, 3), (2, 1), (3, 1)}, False),
-], ids=["cycle", "2-cycle", "two-disjoint-cycles", "path", "two-out-arcs"])
-def test_is_directed_cycle(arcs, expected):
-    # The array cycle test, on one uint64 that chooses every arc.
-    chosen = np.array([(1 << len(arcs)) - 1], dtype=np.uint64)
-    assert bool(_one_directed_cycle(sorted(arcs), chosen)[0]) is expected
