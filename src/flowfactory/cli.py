@@ -101,13 +101,13 @@ def _external_rng(seed: int) -> random.Random:
     return random.Random(seed ^ _EXTERNAL_SALT)
 
 
-def _write(text: str, path) -> None:
-    """Write `text` to the file `path`; to stdout when `path` is None or empty."""
+def _write(texts: list[str], path) -> None:
+    """Write `texts` one after another to the file `path`; to stdout when `path` is None or empty."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +121,20 @@ def cmd_gen(args) -> int:
         P = build_matching_polytope(args.m)
     else:
         P = build_kflow_polytope(args.nodes, args.k)
-    _write(io.dump_json(io.polytope_to_dict(P)), args.out)
+    _write([io.dump_json(io.polytope_to_dict(P))], args.out)
     return 0
 
 
 def cmd_sample(args) -> int:
     draw = _draw(args)
-    lines, flows = [], []
+    lines, ones = [], []  # ones: per edge, the samples that take it
     for _ in range(args.samples):
         f, flips, restarts = draw()
-        lines.append(io.sample_line(f, flips, restarts))
-        flows.append(f)
-    _write("".join(line + "\n" for line in lines), args.out)
+        lines.append(io.sample_line(f, flips, restarts) + "\n")
+        ones = [a + b for a, b in zip(ones, f)] if ones else list(f)
+    _write(lines, args.out)
     summary = {
-        "empirical_marginals": [io.empirical(c / args.samples) for c in map(sum, zip(*flows))],
+        "empirical_marginals": [io.empirical(c / args.samples) for c in ones],
         "samples": args.samples,
         "seed": args.seed,
     }
@@ -158,7 +158,7 @@ def cmd_dist(args) -> int:
         },
         "root": root,
     }
-    _write(io.dump_json(data), args.out)
+    _write([io.dump_json(data)], args.out)
     return 0
 
 
@@ -211,7 +211,7 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "exact_marginals": marginals,
     }
-    _write(io.dump_json(report), args.out)
+    _write([io.dump_json(report)], args.out)
     failed = ",".join(c["name"] for c in checks if not c["pass"])
     if failed:
         print(f"verification failed: {failed}", file=sys.stderr)
@@ -242,7 +242,7 @@ def cmd_bench(args) -> int:
             "samples_per_sec": io.empirical(args.samples / elapsed if elapsed else 0.0),
         },
     }
-    _write(io.dump_json(data), args.out)
+    _write([io.dump_json(data)], args.out)
     return 0
 
 

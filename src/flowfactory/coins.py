@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Generator, Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ if TYPE_CHECKING:
     from .spanning import ExitTables
 
 _BUFFER = 1 << 15
-_WORD = (1 << 64) - 1
 # Digits of a bias compared for a whole row of flips, one raw word per 64
 # flips, before each flip still undecided takes a raw word of its own.
 _SLICED = 6
@@ -45,22 +44,24 @@ class CoinSource:
             mask |= self.flip(e) << e
         return mask
 
-    def hits_in(self, test: ExitTables, limit: int) -> Iterator[tuple[int, int]]:
-        """Flip up to `limit` rounds, yielding (mask, rounds) for each whose mask is in `test`.
+    def hits_in(self, test: ExitTables, limit: int) -> Generator[tuple[list[int], range], int | None, None]:
+        """Flip up to `limit` rounds, handing over the masks of those in `test` a list at a time.
 
         `test` is any round test with `__contains__` and `scan`, as
-        ExitTables.  `rounds` counts the rounds flipped since the last yield
-        (or the start), the hit included.  While the walk is suspended its
-        caller may flip single coins but must draw no rounds by other means.
+        ExitTables.  Each yield is (masks, span): the next hits, in round
+        order, are masks[i] for i in span.  This walk flips round by round
+        and yields one hit at a time.  A caller done with every hit of a
+        span resumes the walk.  One that stops at hit masks[i] sends i: the
+        walk then leaves the cursor just past that hit, answers with the
+        rounds it flipped up to and including it, and ends.  While the walk
+        is suspended its caller may flip single coins but must draw no rounds
+        by other means.
         """
         flip_round = self.flip_round
-        n = 0
-        for _ in range(limit):
-            n += 1
-            mask = flip_round()
-            if mask in test:
-                yield mask, n
-                n = 0
+        for n in range(1, limit + 1):
+            if (mask := flip_round()) in test and (yield [mask], range(1)) is not None:
+                yield n
+                return
 
 
 class SimulatedCoins(CoinSource):
@@ -84,7 +85,8 @@ class SimulatedCoins(CoinSource):
     every round, and builds the masks of those rounds alone as Python ints,
     cached per buffer and key.  flip_round and hits_in both read through it,
     so the rng is drawn in the same order and every bit is the same whichever
-    of them flips a round.
+    of them flips a round.  hits_in hands over a buffer's cached masks with
+    the span its walk reaches, and moves _rounds when resumed or stopped.
     """
 
     def __init__(self, biases: Sequence[Fraction], seed: int = 0):
@@ -112,54 +114,61 @@ class SimulatedCoins(CoinSource):
     def total_flips(self) -> int:
         return sum(self._flip_counts) + self._rounds * self.num_edges
 
-    def _draw_bits(self, edge: int, n: int) -> np.ndarray:
-        """n flips of `edge` as words: flip j is bit j % 64 of word j // 64.
+    def _draw_bits(self, edge: int, n: int, out: np.ndarray) -> None:
+        """Decide n flips of `edge` into the words `out`: flip j is bit j % 64 of word j // 64.
 
         Flip j is [U_j < p] for a uniform binary fraction U_j, decided at the
         first digit where U_j and p differ.  p's first _SLICED digits (long
         division of num by den) are compared for every flip at once, one row
         of raw words a digit: that digit of U_j is bit j % 64 of word j // 64.
-        A dyadic p stops at its last digit, since a flip still equal to p
-        there has U_j >= p.  The flips still open after _SLICED digits, about
-        one in 64, then take one raw word each, compared as an integer with
-        p's next 64 digits, until they differ.  Bits from n on in the last
-        word are not flips.
+        The first digit assigns the first (n + 63) // 64 words of `out`, and
+        later digits update them in place.  A dyadic p stops at its last
+        digit, since a flip still equal to p there has U_j >= p.  The flips
+        still open after _SLICED digits, about one in 64, then take one raw
+        word each, compared as an integer with p's next 64 digits, until
+        they differ.  Bits from n on in the last word are not flips.
         """
         num, den = self._biases[edge].numerator, self._biases[edge].denominator
         raw = self._rng.bit_generator.random_raw
         words = (n + 63) // 64
-        ones = np.zeros(words, dtype=np.uint64)  # flips decided heads
-        open_ = np.full(words, _WORD, dtype=np.uint64)  # flips equal to p so far
-        r = num
-        for _ in range(_SLICED):
-            u = raw(words)
-            r <<= 1
-            if r >= den:  # p's digit is 1: U's digit 0 decides heads
-                r -= den
-                ones |= open_ & ~u
-                open_ &= u
-            else:  # p's digit is 0: U's digit 1 decides tails
-                open_ &= ~u
+        ones = out[:words]  # flips decided heads
+        open_ = raw(words)  # flips equal to p so far
+        r = num << 1
+        if r >= den:  # p's digit is 1: U's digit 0 decides heads
+            r -= den
+            np.invert(open_, out=ones)
+        else:  # p's digit is 0: U's digit 1 decides tails
+            ones.fill(0)
+            np.invert(open_, out=open_)
+        for _ in range(_SLICED - 1):
             if not r:
                 break
+            u = raw(words)
+            r <<= 1
+            if r >= den:
+                r -= den
+                np.invert(u, out=u)
+                u &= open_
+                ones |= u
+            else:
+                u &= open_
+            open_ ^= u  # drop the flips this digit decided
         if r:
             lanes = np.flatnonzero(_unpack(open_, n))
-            heads = np.zeros(64 * words, dtype=bool)
             while r and len(lanes):
                 d, r = divmod(r << 64, den)
                 u = raw(len(lanes))
-                heads[lanes[u < np.uint64(d)]] = True
+                heads = lanes[u < np.uint64(d)]
+                np.bitwise_or.at(ones, heads >> 6, np.uint64(1) << (heads & 63).astype(np.uint64))
                 # Lanes still equal take p's next 64 digits; where p ends, they are tails.
                 lanes = lanes[u == np.uint64(d)]
-            ones |= np.packbits(heads, bitorder="little").view(np.uint64)
-        return ones
 
     def flip(self, edge: int) -> int:
         if not 0 <= edge < self.num_edges:
             raise InvalidInstance(f"unknown edge id {edge}")
         pos = self._flip_counts[edge] % _BUFFER
         if not pos:
-            self._bits[edge] = self._draw_bits(edge, _BUFFER)
+            self._draw_bits(edge, _BUFFER, self._bits[edge])
         self._flip_counts[edge] += 1
         return int(self._bits[edge, pos >> 6]) >> (pos & 63) & 1
 
@@ -168,7 +177,7 @@ class SimulatedCoins(CoinSource):
         self._drawn = self._rounds + _BUFFER
         self._hits.clear()
         for e, row in enumerate(self._rows):
-            row[:] = self._draw_bits(e, _BUFFER)
+            self._draw_bits(e, _BUFFER, row)
 
     def _passing(self, test: ExitTables | None) -> tuple[list[int], list[int]]:
         """Positions in the current buffer of the rounds passing `test`, and their masks.
@@ -202,18 +211,16 @@ class SimulatedCoins(CoinSource):
         self._rounds += 1
         return masks[pos]
 
-    def hits_in(self, test: ExitTables, limit: int) -> Iterator[tuple[int, int]]:
-        seen = self._rounds  # rounds flipped at the last yield
-        last = seen + limit
+    def hits_in(self, test: ExitTables, limit: int) -> Generator[tuple[list[int], range], int | None, None]:
+        first = self._rounds  # rounds flipped when the walk began
+        last = first + limit
         while self._rounds < last:
             at, masks = self._passing(test)
             start = self._drawn - _BUFFER  # round number of the buffer's position 0
             stop = min(last, self._drawn)
-            for i in range(bisect_left(at, self._rounds - start), len(at)):
-                end = start + at[i] + 1
-                if end > stop:
-                    break
-                self._rounds = end
-                yield masks[i], end - seen
-                seen = end
+            lo, hi = bisect_left(at, self._rounds - start), bisect_left(at, stop - start)
+            if lo < hi and (i := (yield masks, range(lo, hi))) is not None:
+                self._rounds = start + at[i] + 1
+                yield self._rounds - first
+                return
             self._rounds = stop

@@ -8,7 +8,7 @@ from a separate seeded generator, never from the coins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from graphlib import CycleError, TopologicalSorter
 
 from .coins import CoinSource
@@ -109,7 +109,10 @@ class FlowSampler:
     Both stages read one ExitTables: f is a vertex iff every non-root node
     of its flip image has outdeg(v) - d(v) exits.  Stage 1 is one
     CoinSource.hits_in walk per sample with that test; every round it walks
-    before the accepted one is a restart.  The tree stage is one draw
+    before the accepted one is a restart.  The walk hands over its hits a
+    list at a time (a buffer's worth from SimulatedCoins), one loop runs the
+    tree stage over them in round order, and the accept, or a raise, sends
+    the walk the hit it stopped at.  The tree stage is one draw
     u = randrange(|T(E)|) per stage-1 pass: u < B = ExitTables.bound names
     one of the B maps that pick an exit per non-root node of f's flip image,
     and K_f of them are the trees whose flip is an arborescence.  So the
@@ -131,27 +134,29 @@ class FlowSampler:
         _require_coin_per_edge(self.P, coins)
         # Only a CoinSource runs its own hits_in: a wrapper that forwards
         # unknown attributes would otherwise skip its flip_round.
-        if isinstance(coins, CoinSource):
-            hits = coins.hits_in(self.exits, max_restarts + 1)
-        else:
-            hits = CoinSource.hits_in(coins, self.exits, max_restarts + 1)
+        walk = coins.hits_in if isinstance(coins, CoinSource) else partial(CoinSource.hits_in, coins)
+        hits = walk(self.exits, max_restarts + 1)
         flip = coins.flip
         randrange = rng.randrange
         total_trees, bound, tree_of = self.total_trees, self.exits.bound, self.exits.tree
-        rounds = 0
         reflips = 0
-        for mask, n in hits:
-            rounds += n
-            if bound == 0:
-                raise NoArborescence("a node has no exit in any flip image; no tree qualifies")
-            u = randrange(total_trees)
-            if u < bound and (tree := tree_of(mask, u)) is not None:
-                for eid in tree:
-                    reflips += 1
-                    if flip(eid) == (mask >> eid) & 1:
-                        break
-                else:
-                    m = len(self.P.edges)
-                    f = tuple((mask >> i) & 1 for i in range(m))
-                    return SampleTrace(output=f, total_flips=m * rounds + reflips, restarts=rounds - 1)
+        for masks, span in hits:
+            i = span[0]  # a raise, like an accept, stops the walk at hit masks[i]
+            try:
+                if bound == 0:
+                    raise NoArborescence("a node has no exit in any flip image; no tree qualifies")
+                for i in span:
+                    if (u := randrange(total_trees)) < bound and (tree := tree_of(mask := masks[i], u)) is not None:
+                        for eid in tree:
+                            reflips += 1
+                            if flip(eid) == (mask >> eid) & 1:
+                                break
+                        else:
+                            rounds = hits.send(i)
+                            m = len(self.P.edges)
+                            f = tuple((mask >> e) & 1 for e in range(m))
+                            return SampleTrace(output=f, total_flips=m * rounds + reflips, restarts=rounds - 1)
+            except NoArborescence:
+                hits.send(i)
+                raise
         raise MaxRestartsExceeded(f"no sample accepted within {max_restarts} restarts")

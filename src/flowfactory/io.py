@@ -113,9 +113,6 @@ def flow_key(f) -> str:
 
 
 def sample_line(f, flips: int, restarts: int) -> str:
-    rec = {
-        "flips": flips,
-        "flow": [i for i, b in enumerate(f) if b],
-        "restarts": restarts,
-    }
-    return json.dumps(rec, sort_keys=True)
+    """One JSONL record, the bytes of json.dumps({"flips", "flow", "restarts"}, sort_keys=True)."""
+    flow = ", ".join([str(i) for i, b in enumerate(f) if b])
+    return f'{{"flips": {flips}, "flow": [{flow}], "restarts": {restarts}}}'

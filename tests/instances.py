@@ -15,6 +15,7 @@ from flowfactory import (
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
+WORD = (1 << 64) - 1  # every bit of a raw 64-bit word
 
 
 def subprocess_env():

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowfactory import (
     build_circulation_polytope,
@@ -15,8 +17,10 @@ from flowfactory import (
 from flowfactory.cli import main
 from flowfactory.io import (
     coins_from_dict,
+    empirical,
     polytope_from_dict,
     polytope_to_dict,
+    sample_line,
 )
 
 from fractions import Fraction
@@ -747,8 +751,6 @@ def test_bench_deterministic_stats(tmp_path, capsys):
 
 
 def test_bench_means_match_the_sample_lines(tmp_path, capsys):
-    from flowfactory.io import empirical
-
     P = build_circulation_polytope(4)
     poly, coins = tmp_path / "p.json", tmp_path / "c.json"
     poly.write_text(json.dumps(polytope_to_dict(P)))
@@ -762,6 +764,41 @@ def test_bench_means_match_the_sample_lines(tmp_path, capsys):
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert stats["mean_flips"] == empirical(sum(r["flips"] for r in recs) / len(recs))
     assert stats["mean_restarts"] == empirical(sum(r["restarts"] for r in recs) / len(recs))
+
+
+def _write_circ4(tmp_path):
+    P = build_circulation_polytope(4)
+    poly, coins = tmp_path / "p.json", tmp_path / "c.json"
+    poly.write_text(json.dumps(polytope_to_dict(P)))
+    coins.write_text(json.dumps(coins_to_dict([Fraction(1, 2)] * len(P.edges))))
+    return str(poly), str(coins)
+
+
+def test_sample_summary_marginals_match_the_lines(tmp_path, capsys):
+    out = tmp_path / "s.jsonl"
+    assert main(["sample", *_write_circ4(tmp_path), "--samples", "300", "--seed", "2", "--out", str(out)]) == 0
+    flows = [json.loads(line)["flow"] for line in out.read_text().splitlines()]
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["empirical_marginals"] == [empirical(sum(e in f for f in flows) / 300) for e in range(12)]
+
+
+def test_sample_restart_cap_writes_no_out_file(tmp_path, capsys):
+    # About two in three circ4 samples at 1/2 end within 1,500 restarts, so
+    # lines are made before the sample that exits 6; none of them is written.
+    out = tmp_path / "s.jsonl"
+    argv = ["sample", *_write_circ4(tmp_path), "--samples", "40", "--seed", "0", "--max-restarts", "1500"]
+    assert main([*argv, "--out", str(out)]) == 6
+    assert not out.exists() and capsys.readouterr().out == ""
+    assert main([*argv[:5], "--samples", "1", "--out", str(out)]) == 0  # the first sample ends within the cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=150), st.integers(0, 10**18), st.integers(0, 10**18))
+@example([], 0, 0)
+@example([1] * 70, 10**18, 10**18)
+def test_sample_line_is_sorted_key_json(f, flips, restarts):
+    assert sample_line(tuple(f), flips, restarts) == json.dumps(
+        {"flips": flips, "flow": [i for i, b in enumerate(f) if b], "restarts": restarts}, sort_keys=True)
 
 
 def test_cli_calls_do_not_import_scipy(tmp_path):

@@ -1,9 +1,10 @@
-"""Micro-benchmarks of the sampler's per-round layers and the oracle's orientation table (pytest-benchmark).
+"""Micro-benchmarks of the sampler's per-round layers, its output lines and the oracle's orientation table (pytest-benchmark).
 
 Fixed rounds keep them short; compare runs with `pytest tests/test_layer_bench.py
 --benchmark-only` or `--benchmark-autosave`.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from flowfactory import (
 )
 from flowfactory.cli import _CHECKS
 from flowfactory.coins import _BUFFER
+from flowfactory.io import sample_line
 from flowfactory.spanning import ExitTables, flip_laplacians, qualifying_tree_count, root_minors
 
 from instances import HALF, THIRD, circ5m
@@ -43,6 +45,10 @@ def _bench_refill_circ4(benchmark, p):
     assert coins.total_flips == 0
 
 
+def test_bench_refill_circ4_half(benchmark):
+    _bench_refill_circ4(benchmark, HALF)
+
+
 def test_bench_refill_circ4_third(benchmark):
     _bench_refill_circ4(benchmark, THIRD)
 
@@ -52,6 +58,7 @@ def test_bench_refill_circ4_huge_den(benchmark):
 
 
 def test_bench_stage1_scan_circ4(benchmark):
+    # 1,000 hit walks, each stopped at its first hit.
     P = build_circulation_polytope(4)
     vertices = ExitTables(P, 1)
     coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
@@ -59,12 +66,29 @@ def test_bench_stage1_scan_circ4(benchmark):
 
     def hits():
         for _ in range(1000):
-            mask, n = next(coins.hits_in(vertices, 1 << 20))
-            rounds.append(n)
+            walk = coins.hits_in(vertices, 1 << 20)
+            _, span = next(walk)
+            rounds.append(walk.send(span[0]))
 
     benchmark.pedantic(hits, rounds=5, iterations=1)
     assert len(rounds) == 5 * 1000
     assert coins.total_flips == 12 * sum(rounds)
+
+
+def test_bench_hit_walk_circ4(benchmark):
+    # One walk over four buffers, reading every hit's mask, as a sample's
+    # restarts do; refills and scans included.
+    P = build_circulation_polytope(4)
+    vertices = ExitTables(P, 1)
+    coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
+    seen = []
+
+    def walk():
+        seen[:] = [masks[i] for masks, span in coins.hits_in(vertices, 4 * _BUFFER) for i in span]
+
+    benchmark.pedantic(walk, rounds=5, iterations=1)
+    assert coins.total_flips == 12 * 5 * 4 * _BUFFER
+    assert len(seen) > 4 * _BUFFER * 152 / 4096 / 2 and all(w in vertices for w in seen)
 
 
 def test_bench_refill_and_scan_circ5m(benchmark):
@@ -74,7 +98,7 @@ def test_bench_refill_and_scan_circ5m(benchmark):
 
     def refill_and_scan():
         coins._refill()
-        next(coins.hits_in(vertices, 1), None)  # tests the whole buffer, flips one round
+        list(coins.hits_in(vertices, 1))  # tests the whole buffer, flips one round
 
     benchmark.pedantic(refill_and_scan, rounds=5, iterations=1)
     assert coins.total_flips == 18 * 5
@@ -89,7 +113,7 @@ def test_bench_refill_and_scan_circ6(benchmark):
 
     def refill_and_scan():
         coins._refill()
-        next(coins.hits_in(vertices, 1), None)
+        list(coins.hits_in(vertices, 1))
 
     benchmark.pedantic(refill_and_scan, rounds=5, iterations=1)
     assert coins.total_flips == 30 * 5
@@ -97,6 +121,19 @@ def test_bench_refill_and_scan_circ6(benchmark):
     rows = coins._rows.tolist()
     assert masks == [sum((rows[e][j // 64] >> j % 64 & 1) << e for e in range(30)) for j in at]
     assert masks and all(w in vertices for w in masks)
+
+
+def test_bench_sample_line_circ4(benchmark):
+    # The output stage on its own: 10,000 JSONL lines of circ4 vertices.
+    vertices = enumerate_vertices(build_circulation_polytope(4))
+    lines = []
+
+    def format_lines():
+        lines[:] = [sample_line(vertices[k % 152], 12 * 1542 + k, 1541 + k) for k in range(10_000)]
+
+    benchmark.pedantic(format_lines, rounds=5, iterations=1)
+    assert lines[0] == json.dumps({"flips": 18504, "flow": [i for i, b in enumerate(vertices[0]) if b],
+                                   "restarts": 1541}, sort_keys=True)
 
 
 def test_bench_tree_count_circ5m(benchmark):

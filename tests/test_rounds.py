@@ -39,7 +39,7 @@ from flowfactory import (
     sample_flip_tree,
 )
 from flowfactory.cli import main
-from flowfactory.coins import _BUFFER, _SLICED, _WORD, CoinSource, _unpack
+from flowfactory.coins import _BUFFER, _SLICED, CoinSource, _unpack
 from flowfactory.graphs import flip_tree, is_vertex
 from flowfactory.io import polytope_from_dict, polytope_to_dict
 from flowfactory.spanning import (
@@ -50,7 +50,7 @@ from flowfactory.spanning import (
     qualifying_tree_count,
 )
 
-from instances import HALF, THIRD, circ5m, coins_to_dict, six_node_exchange, square, subprocess_env
+from instances import HALF, THIRD, WORD, circ5m, coins_to_dict, six_node_exchange, square, subprocess_env
 
 
 def _write_instance(tmp_path, P, p=HALF):
@@ -148,6 +148,13 @@ def test_flip_counts_exact_under_mixed_use():
     assert coins.total_flips == sum(expected)
 
 
+def _drawn(coins, edge, n):
+    """n flips of `edge` drawn into fresh words."""
+    out = np.empty((n + 63) // 64, dtype=np.uint64)
+    coins._draw_bits(edge, n, out)
+    return out
+
+
 def test_single_flips_cross_refills_byte_for_byte():
     # An edge's single flips are its own _draw_bits rows, one after another,
     # with rounds flipped in between from a buffer drawn before them.
@@ -161,8 +168,8 @@ def test_single_flips_cross_refills_byte_for_byte():
         if i % 1000 == 0:
             masks.append(coins.flip_round())
             assert coins.flip_counts == (i + 1 + len(masks), len(masks))
-    rounds = [_unpack(ref._draw_bits(e, _BUFFER), len(masks)).tolist() for e in range(2)]
-    flips = np.concatenate([ref._draw_bits(0, _BUFFER) for _ in range(3)])
+    rounds = [_unpack(_drawn(ref, e, _BUFFER), len(masks)).tolist() for e in range(2)]
+    flips = np.concatenate([_drawn(ref, 0, _BUFFER) for _ in range(3)])
     assert got == [int(b) for b in _unpack(flips, n)]
     assert masks == [rounds[0][j] | rounds[1][j] << 1 for j in range(len(masks))]
     assert coins.flip_counts == (n + len(masks), len(masks))
@@ -252,7 +259,7 @@ def test_draw_bits_is_u_below_p_at_the_first_differing_digit(p):
     recorder = coins._rng = RawRecorder(np.random.default_rng(6).bit_generator.random_raw)
     for n in (_BUFFER, 1000):
         recorder.calls.clear()
-        out = _unpack(coins._draw_bits(0, n), n)
+        out = _unpack(_drawn(coins, 0, n), n)
         assert out.tolist() == _flips_from_words(p, recorder.calls, n)
         # Only 1/2 and 1/16 stop within the sliced digits; the rest reach the tail.
         assert (len(recorder.calls) > _SLICED) == (p.denominator not in (2, 16))
@@ -269,9 +276,9 @@ def test_draw_bits_continues_while_u_equals_p(p):
     def digits_of_p(size):
         t = len(sent)
         if t < _SLICED:
-            word = _WORD if math.floor(p * 2 ** (t + 1)) & 1 else 0
+            word = WORD if math.floor(p * 2 ** (t + 1)) & 1 else 0
         elif t < _SLICED + 2:
-            word = math.floor(p * 2 ** (_SLICED + 64 * (t - _SLICED + 1))) & _WORD
+            word = math.floor(p * 2 ** (_SLICED + 64 * (t - _SLICED + 1))) & WORD
         else:
             return rng.bit_generator.random_raw(size)
         sent.append(word)
@@ -280,7 +287,7 @@ def test_draw_bits_continues_while_u_equals_p(p):
     coins = SimulatedCoins([p], seed=0)
     coins._rng = recorder = RawRecorder(digits_of_p)
     n = 256
-    out = _unpack(coins._draw_bits(0, n), n)
+    out = _unpack(_drawn(coins, 0, n), n)
     assert out.tolist() == _flips_from_words(p, recorder.calls, n)
     if p.denominator == 2**70:
         # p's digits end within the first 64-digit word: a flip equal to p that far is tails.
@@ -346,8 +353,9 @@ class CountingRounds(SimulatedCoins):
 
 
 def _first_hit(hits, limit):
-    """The first (mask, rounds) of a hit walk, or (None, limit) when none of its `limit` rounds hits."""
-    return next(hits, (None, limit))
+    """The first (mask, rounds) of a hit walk, stopped there, or (None, limit) when none of its `limit` rounds hits."""
+    masks, span = next(hits, (None, None))
+    return (None, limit) if masks is None else (masks[span[0]], hits.send(span[0]))
 
 
 def _assert_first_hit_matches_loop(biases, tests, calls):
@@ -404,20 +412,36 @@ def test_hit_walk_matches_flip_round_walk(P, start, limit):
             coins.flip_round()
     loop.rounds_read = 0
 
-    def walk(coins, hits):
+    def walk(coins, hits, stop):
+        """Every hit's mask up to hit number `stop` (or the walk's end), with
+        single flips between hits, as the re-flip stage makes them; and the
+        rounds the walk answers when stopped there."""
         seen, flips = [], []
-        for i, hit in enumerate(hits):
-            seen.append(hit)
-            if i % 5 == 0:  # single flips between hits, as the re-flip stage makes
-                flips.append(coins.flip(i % m))
-        return seen, flips, coins.flip_counts
+        for masks, span in hits:
+            for i in span:
+                seen.append(masks[i])
+                if len(seen) % 5 == 1:
+                    flips.append(coins.flip(len(seen) % m))
+                if len(seen) == stop:
+                    return seen, flips, hits.send(i), coins.flip_counts
+        return seen, flips, None, coins.flip_counts
 
-    got = walk(bulk, bulk.hits_in(vertices, limit))
-    assert got == walk(loop, CoinSource.hits_in(loop, vertices, limit))
+    got = walk(bulk, bulk.hits_in(vertices, limit), None)
+    assert got == walk(loop, CoinSource.hits_in(loop, vertices, limit), None)
     assert loop.rounds_read == limit and bulk._rounds == start + limit
     hits = got[0]
-    assert len(hits) > 10 and sum(n for _, n in hits) <= limit
+    assert len(hits) > 10
     assert [bulk.flip_round() for _ in range(100)] == [loop.flip_round() for _ in range(100)]
+    # Stopped at a hit, each walk answers the rounds through it and leaves the cursor just past it.
+    for stop in (len(hits) // 2, len(hits)):
+        bulk, loop = SimulatedCoins([HALF] * m, seed=6), SimulatedCoins([HALF] * m, seed=6)
+        for coins in (bulk, loop):
+            for _ in range(start):
+                coins.flip_round()
+        got = walk(bulk, bulk.hits_in(vertices, limit), stop)
+        assert got == walk(loop, CoinSource.hits_in(loop, vertices, limit), stop)
+        assert len(got[0]) == stop and got[2] <= limit and bulk._rounds == start + got[2]
+        assert [bulk.flip_round() for _ in range(100)] == [loop.flip_round() for _ in range(100)]
 
 
 @pytest.mark.parametrize("demand", [1 << 15, 1 << 16])
@@ -593,11 +617,10 @@ def test_unreachable_root_raises_before_any_walk():
         with pytest.raises(NoArborescence):
             sampler.sample(coins, rng)
         # It raises at the first stage-1 pass whose draw falls below B, before any further draw.
-        draws, rounds = random.Random(seed), 0
-        for _, n in SimulatedCoins([HALF] * 3, seed=seed).hits_in(sampler.exits, 1000):
-            rounds += n
-            if draws.randrange(sampler.total_trees) < sampler.exits.bound:
-                break
+        draws, hits = random.Random(seed), SimulatedCoins([HALF] * 3, seed=seed).hits_in(sampler.exits, 1000)
+        stop = next(i for _, span in hits for i in span
+                    if draws.randrange(sampler.total_trees) < sampler.exits.bound)
+        rounds = hits.send(stop)
         assert coins.total_flips == 3 * rounds and rng.getstate() == draws.getstate()
     rng = random.Random(0)
     state = rng.getstate()
@@ -662,6 +685,55 @@ def test_restart_cap_consumes_exactly_cap_plus_one_rounds(per_round, k):
                               max_restarts=k)
     rounds = [c - r for c, r in zip(coins.flip_counts, coins.reflips)]
     assert rounds == [k + 1] * len(P.edges)
+
+
+@pytest.mark.parametrize("per_round", [False, True])
+@pytest.mark.parametrize("cap", [_BUFFER - 2, _BUFFER - 1, _BUFFER])
+def test_restart_cap_at_a_buffer_edge_consumes_exactly_cap_plus_one_rounds(per_round, cap):
+    # The infeasible demands of test_negative_degree_factors_are_no_bound: no
+    # round passes stage 1, so the walk runs to its limit, one round short of
+    # a buffer's end, at it, and one round into the next buffer.
+    P = FlowPolytope(Graph(3, ((1, 2), (2, 3), (3, 1))), (2, 2, -4))
+    coins, ref, rng = SimulatedCoins([HALF] * 3, seed=0), SimulatedCoins([HALF] * 3, seed=0), random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(MaxRestartsExceeded):
+        FlowSampler(P, root=3).sample(PerRound(coins) if per_round else coins, rng, max_restarts=cap)
+    assert coins.flip_counts == (cap + 1,) * 3 and rng.getstate() == state
+    assert coins.flip_round() == [ref.flip_round() for _ in range(cap + 2)][-1]
+
+
+@pytest.mark.parametrize("P,root,seed,draws", [
+    # circ4 at coin seed 12: round _BUFFER - 1 is a vertex, and at rng seed 6
+    # its first tree draw qualifies and every re-flip differs, so it is accepted.
+    pytest.param(build_circulation_polytope(4), None, 12, 6, id="accept"),
+    # test_unreachable_root_raises_before_any_walk's instance: the draw
+    # falls below B and the tree stage raises.
+    pytest.param(FlowPolytope(Graph(3, ((1, 2), (2, 1), (3, 2))), (0, 0, 0)), 3, 0, 1,
+                 id="no-arborescence-at-a-draw"),
+    # test_node_without_exit_raises_at_the_first_stage1_pass's instance: B = 0.
+    pytest.param(FlowPolytope(Graph(2, ((1, 2),)), (1, -1)), 2, 1, 0, id="no-arborescence-at-b-0"),
+])
+def test_stop_at_the_last_round_of_a_buffer(P, root, seed, draws):
+    """A sample that stops at a hit on the last round of a buffer leaves the
+    coins and the rng as the per-round walk leaves them."""
+    sampler = FlowSampler(P, root=root)
+    m = len(P.edges)
+    ends = []
+    for per_round in (False, True):
+        coins, rng = SimulatedCoins([HALF] * m, seed=seed), random.Random(draws)
+        for _ in range(_BUFFER - 1):
+            coins.flip_round()
+        try:
+            result = sampler.sample(PerRound(coins) if per_round else coins, rng)
+        except NoArborescence as exc:
+            result = str(exc)
+        ends.append((result, coins.flip_counts, coins.total_flips, rng.getstate(), coins.flip_round()))
+    assert ends[0] == ends[1]
+    result, _, total_flips = ends[0][:3]
+    if root is None:
+        assert result.restarts == 0 and total_flips == m * (_BUFFER - 1) + result.total_flips
+    else:
+        assert total_flips == m * _BUFFER
 
 
 def test_cli_restart_cap_exits_6_without_traceback(tmp_path):
