@@ -19,7 +19,7 @@ from .errors import (
     NoArborescence,
 )
 from .graphs import FlowPolytope, FlowVertex, undirected_connected
-from .spanning import ExitTables, directed_tree_count
+from .spanning import ExitTables, directed_tree_count, qualifying_tree_count
 
 DEFAULT_MAX_RESTARTS = 10_000_000
 
@@ -120,6 +120,12 @@ class FlowSampler:
     re-flipped in node order.  The sampler keeps no state per vertex: each
     node's exits are read from its table, at most 2^deg(v) entries, by f's
     bits at its edges.
+
+    The tree stage only rejects.  Whether any tree qualifies is decided once,
+    at the sampler's first stage-1 pass and before any rng draw, by
+    qualifying_tree_count: K_f is 0 for every vertex or for none, as two
+    vertices' flip images differ by reversed directed cycles, which keep who
+    reaches whom.  0 raises NoArborescence; otherwise `qualifies` is set.
     """
 
     def __init__(self, P: FlowPolytope, root: int | None = None):
@@ -129,6 +135,7 @@ class FlowSampler:
         self.exits = ExitTables(P, root if root is not None else P.graph.incident_nodes[0])
         self.root = self.exits.root
         self.total_trees = directed_tree_count(P.graph)
+        self.qualifies = False  # some tree's flip is an arborescence toward root, once a vertex has shown it
 
     def sample(self, coins: CoinSource, rng, max_restarts: int = DEFAULT_MAX_RESTARTS) -> SampleTrace:
         _require_coin_per_edge(self.P, coins)
@@ -139,24 +146,22 @@ class FlowSampler:
         flip = coins.flip
         randrange = rng.randrange
         total_trees, bound, tree_of = self.total_trees, self.exits.bound, self.exits.tree
-        reflips = 0
+        m, reflips = len(self.P.edges), 0
         for masks, span in hits:
-            i = span[0]  # a raise, like an accept, stops the walk at hit masks[i]
-            try:
-                if bound == 0:
-                    raise NoArborescence("a node has no exit in any flip image; no tree qualifies")
-                for i in span:
-                    if (u := randrange(total_trees)) < bound and (tree := tree_of(mask := masks[i], u)) is not None:
-                        for eid in tree:
-                            reflips += 1
-                            if flip(eid) == (mask >> eid) & 1:
-                                break
-                        else:
-                            rounds = hits.send(i)
-                            m = len(self.P.edges)
-                            f = tuple((mask >> e) & 1 for e in range(m))
-                            return SampleTrace(output=f, total_flips=m * rounds + reflips, restarts=rounds - 1)
-            except NoArborescence:
-                hits.send(i)
-                raise
+            if not self.qualifies:
+                f = tuple((masks[span[0]] >> e) & 1 for e in range(m))
+                if not qualifying_tree_count(self.P, f, self.root):
+                    hits.send(span[0])
+                    raise NoArborescence(f"no tree flips to an arborescence toward node {self.root}")
+                self.qualifies = True
+            for i in span:
+                if (u := randrange(total_trees)) < bound and (tree := tree_of(mask := masks[i], u)) is not None:
+                    for eid in tree:
+                        reflips += 1
+                        if flip(eid) == (mask >> eid) & 1:
+                            break
+                    else:
+                        rounds = hits.send(i)
+                        f = tuple((mask >> e) & 1 for e in range(m))
+                        return SampleTrace(output=f, total_flips=m * rounds + reflips, restarts=rounds - 1)
         raise MaxRestartsExceeded(f"no sample accepted within {max_restarts} restarts")

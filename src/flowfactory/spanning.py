@@ -245,10 +245,10 @@ class ExitTables:
     flip image, and K_f <= B.  v's exits depend only on mask & at_v, so
     each non-root node keeps one table keyed by it; an entry, filled the
     first time its pattern is read, holds v's exits as (edge id, other end)
-    pairs in edge-id order and the bitmask of those other ends, nodes being
-    positions in `incident_nodes`.  An edge id is an exit of one end only,
-    so the maps that are arborescences toward root are the trees
-    qualifying_tree_count counts, each once.
+    pairs in edge-id order, nodes being positions in `incident_nodes`.  An
+    edge id is an exit of one end only, so the maps that are arborescences
+    toward root are the trees qualifying_tree_count counts, each once;
+    whether there are any, the tables do not decide.
     """
 
     def __init__(self, P: FlowPolytope, root: int):
@@ -257,7 +257,6 @@ class ExitTables:
         self.root = root
         self.feasible = P.demands_feasible
         self._root_bit = 1 << G.incident_nodes.index(root)
-        self._all = (1 << len(G.incident_nodes)) - 1
         self._other = (G.ends[0] ^ G.ends[1]).tolist()  # per edge, tail ^ head: xor with one end gives the other
         # Per non-root node: (its position, edges at it, its out-edges, its exit count, its table).
         self._nodes = tuple((v, out | into, out, out.bit_count() - P.demand(label), {})
@@ -299,49 +298,28 @@ class ExitTables:
                 found &= plane if target >> k & 1 else ~plane
         return found
 
-    def _fill(self, v: int, at: int, out: int, table: dict, mask: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    def _fill(self, v: int, at: int, out: int, table: dict, mask: int) -> tuple[tuple[int, int], ...]:
         bits = (mask & at) ^ out
-        exits = tuple((e, self._other[e] ^ v) for e in range(bits.bit_length()) if bits >> e & 1)
-        return table.setdefault(mask & at, (exits, sum({1 << w for _, w in exits})))
-
-    def _require_reach(self, mask: int, reach: int) -> None:
-        """Raise NoArborescence unless every node reaches root in mask's flip image.
-
-        `reach` holds nodes already known to reach root, root among them;
-        every node's entry for mask must be filled.
-        """
-        while reach != self._all:
-            before = reach
-            for v, at, _, _, table in self._nodes:
-                if table[mask & at][1] & reach:
-                    reach |= 1 << v
-            if reach == before:
-                raise NoArborescence(f"no tree flips to an arborescence toward node {self.root}")
+        return table.setdefault(mask & at, tuple((e, self._other[e] ^ v) for e in range(bits.bit_length())
+                                                 if bits >> e & 1))
 
     def maps(self, mask: int) -> int:
-        """The number of exit maps of mask's flip image (B for a vertex).
-
-        Raises NoArborescence when some node cannot reach root in the flip
-        image: then none of the maps is an arborescence.
-        """
-        count = prod(len((table.get(mask & at) or self._fill(v, at, out, table, mask))[0])
-                     for v, at, out, _, table in self._nodes)
-        self._require_reach(mask, self._root_bit)
-        return count
+        """The number of exit maps of mask's flip image (B for a vertex)."""
+        return prod(len(table.get(mask & at) or self._fill(v, at, out, table, mask))
+                    for v, at, out, _, table in self._nodes)
 
     def tree(self, mask: int, u: int) -> list[int] | None:
         """Edge ids of the exit map that u names, node by node, if it is an arborescence toward root.
 
         u is read in mixed radix over the nodes' exit counts, the first
         node's digit least significant, and each digit picks that node's
-        exit.  Returns None when the map has a cycle; raises NoArborescence
-        there if some node cannot reach root by any exit, since then no map
-        is an arborescence.
+        exit.  Returns None when the map has a cycle, whether or not any
+        map is an arborescence.
         """
         step = self._step
         eids = []
         for v, at, out, _, table in self._nodes:
-            exits = (table.get(mask & at) or self._fill(v, at, out, table, mask))[0]
+            exits = table.get(mask & at) or self._fill(v, at, out, table, mask)
             u, d = divmod(u, len(exits))
             eid, step[v] = exits[d]
             eids.append(eid)
@@ -350,7 +328,6 @@ class ExitTables:
             path = 0
             while not reach >> v & 1:
                 if path >> v & 1:
-                    self._require_reach(mask, reach)
                     return None
                 path |= 1 << v
                 v = step[v]
@@ -361,13 +338,14 @@ class ExitTables:
 def sample_flip_tree(P: FlowPolytope, f: FlowVertex, root: int, rng) -> frozenset[int]:
     """Uniform tree among those whose flip under f is an arborescence toward root.
 
-    Draws u uniformly below the number of exit maps until the map u names
-    (see ExitTables.tree) is one: cycle popping with a full restart (Propp
-    and Wilson, J. Algorithms 1998).  Raises NoArborescence, before any
-    draw, when there is none.
+    Raises NoArborescence, before any draw, when qualifying_tree_count finds
+    none.  Otherwise draws u uniformly below the number of exit maps until
+    the map u names (see ExitTables.tree) is one: cycle popping with a full
+    restart (Propp and Wilson, J. Algorithms 1998).
     """
+    if not qualifying_tree_count(P, f, root):
+        raise NoArborescence(f"no tree flips to an arborescence toward node {root}")
     tables = ExitTables(P, root)
-    _require_bits(P, f)
     mask = sum(b << i for i, b in enumerate(f))
     bound = tables.maps(mask)
     while (tree := tables.tree(mask, rng.randrange(bound))) is None:

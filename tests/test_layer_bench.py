@@ -172,6 +172,24 @@ def test_bench_exit_maps_circ5m(benchmark):
     assert len(trees) == 1000 and all(len(t) == 4 for t in trees)
 
 
+def test_bench_tree_stage_circ5m(benchmark):
+    # Every draw below B on 200 vertices' masks, as the tree stage reads them
+    # (B = 192 at root 1): more than half of the maps have a cycle and are
+    # rejected, so the cyclic maps dominate.
+    P = circ5m()
+    tables = ExitTables(P, 1)
+    vertices = enumerate_vertices(P)[:200]
+    masks = [sum(b << i for i, b in enumerate(f)) for f in vertices]
+    kept = []
+
+    def draws():
+        kept[:] = [sum(tables.tree(mask, u) is not None for u in range(tables.bound)) for mask in masks]
+
+    benchmark.pedantic(draws, rounds=5, iterations=1)
+    assert tables.bound == 192 and kept == [qualifying_tree_count(P, f, 1) for f in vertices]
+    assert 2 * sum(kept) < 192 * 200
+
+
 def _bench_per_root_pass(benchmark, P):
     """The orientation table from cold, then root 1's pass over the trees: every
     vertex's polynomial value at 1/2 and its qualifying-tree count."""

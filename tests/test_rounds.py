@@ -8,7 +8,9 @@ end to end; the stage-1 vertex test of ExitTables
 is checked against is_vertex at every root, both on single masks and over
 whole buffers of per-edge flip rows, and the bulk scan of SimulatedCoins
 against a flip_round loop; the tree count K_f, its bound B and the exit maps below B
-are checked against the flip_tree + is_arborescence reference.
+are checked against the flip_tree + is_arborescence reference, and K_f,
+zero at every vertex or at none, against the sampler's one NoArborescence
+check.
 """
 
 import hashlib
@@ -35,6 +37,7 @@ from flowfactory import (
     build_kflow_polytope,
     build_matching_polytope,
     enumerate_vertices,
+    factory,
     random_interior_point,
     sample_flip_tree,
 )
@@ -42,6 +45,7 @@ from flowfactory.cli import main
 from flowfactory.coins import _BUFFER, _SLICED, CoinSource, _unpack
 from flowfactory.graphs import flip_tree, is_vertex
 from flowfactory.io import polytope_from_dict, polytope_to_dict
+from flowfactory.oracle import qualifying_counts
 from flowfactory.spanning import (
     ExitTables,
     directed_tree_count,
@@ -50,7 +54,17 @@ from flowfactory.spanning import (
     qualifying_tree_count,
 )
 
-from instances import HALF, THIRD, WORD, circ5m, coins_to_dict, six_node_exchange, square, subprocess_env
+from instances import (
+    HALF,
+    THIRD,
+    WORD,
+    circ5m,
+    coins_to_dict,
+    interior_instances,
+    six_node_exchange,
+    square,
+    subprocess_env,
+)
 
 
 def _write_instance(tmp_path, P, p=HALF):
@@ -609,19 +623,21 @@ def test_sampler_state_is_bounded_by_the_exit_tables():
 
 def test_unreachable_root_raises_before_any_walk():
     # In every flip image nodes 1 and 2 exit only toward each other, so
-    # neither reaches node 3 and no exit map is an arborescence toward it.
+    # neither reaches node 3 and no tree qualifies toward it.  The first
+    # stage-1 pass finds K_f = 0 and raises there, before any rng draw, with
+    # the walk's cursor just past that hit.  The cap is far above that hit
+    # and small, so a sampler that drew on would fail fast.
     P = FlowPolytope(Graph(3, ((1, 2), (2, 1), (3, 2))), (0, 0, 0))
     sampler = FlowSampler(P, root=3)
     for seed in range(4):
         coins, rng = SimulatedCoins([HALF] * 3, seed=seed), random.Random(seed)
+        state = rng.getstate()
         with pytest.raises(NoArborescence):
-            sampler.sample(coins, rng)
-        # It raises at the first stage-1 pass whose draw falls below B, before any further draw.
-        draws, hits = random.Random(seed), SimulatedCoins([HALF] * 3, seed=seed).hits_in(sampler.exits, 1000)
-        stop = next(i for _, span in hits for i in span
-                    if draws.randrange(sampler.total_trees) < sampler.exits.bound)
-        rounds = hits.send(stop)
-        assert coins.total_flips == 3 * rounds and rng.getstate() == draws.getstate()
+            sampler.sample(coins, rng, max_restarts=1000)
+        ref = SimulatedCoins([HALF] * 3, seed=seed)
+        _, rounds = _first_hit(ref.hits_in(sampler.exits, 1000), 1000)
+        assert coins.total_flips == 3 * rounds < 3000 and rng.getstate() == state
+        assert coins.flip_round() == ref.flip_round() and not sampler.qualifies
     rng = random.Random(0)
     state = rng.getstate()
     for f in enumerate_vertices(P):
@@ -633,9 +649,9 @@ def test_unreachable_root_raises_before_any_walk():
 
 def test_node_without_exit_raises_at_the_first_stage1_pass():
     # Under its only vertex the edge 1->2 flips to 2->1, so node 1 has no
-    # exit toward root 2: B = 0, and the first stage-1 pass raises before
-    # any accept draw, however high the restart cap.  (No interior point
-    # exists here, so the CLI never gets this far.)
+    # exit toward root 2: B = 0 and K_f = 0, and the first stage-1 pass
+    # raises before any accept draw, however high the restart cap.  (No
+    # interior point exists here, so the CLI never gets this far.)
     P = FlowPolytope(Graph(2, ((1, 2),)), (1, -1))
     sampler = FlowSampler(P, root=2)
     assert sampler.exits.bound == 0 and sampler.total_trees == 1
@@ -645,6 +661,42 @@ def test_node_without_exit_raises_at_the_first_stage1_pass():
         sampler.sample(coins, rng)
     _, rounds = _first_hit(SimulatedCoins([HALF], seed=0).hits_in(sampler.exits, 1000), 1000)
     assert coins.total_flips == rounds and rng.getstate() == state
+
+
+_NO_ARBORESCENCE = [
+    pytest.param(FlowPolytope(Graph(3, ((1, 2), (2, 1), (3, 2))), (0, 0, 0)), 3, id="unreachable-root"),
+    pytest.param(FlowPolytope(Graph(2, ((1, 2),)), (1, -1)), 2, id="b-0"),
+]
+
+
+@pytest.mark.parametrize("P,root", _NO_ARBORESCENCE)
+def test_no_arborescence_raises_at_every_call(P, root):
+    # The check's answer is kept only once a tree qualifies: a sampler that
+    # raised checks again at its next call's first stage-1 pass.  The small
+    # cap makes a sampler that skipped the check and drew on fail fast.
+    sampler = FlowSampler(P, root=root)
+    coins, rng = SimulatedCoins([HALF] * len(P.edges), seed=0), random.Random(0)
+    for _ in range(2):
+        with pytest.raises(NoArborescence):
+            sampler.sample(coins, rng, max_restarts=100)
+
+
+def test_tree_count_runs_once_per_sampler(monkeypatch):
+    # K_f is 0 for every vertex or for none, so the first stage-1 pass of a
+    # sampler's life decides it and no later one asks again.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return qualifying_tree_count(*args)
+
+    monkeypatch.setattr(factory, "qualifying_tree_count", counted)
+    P = build_circulation_polytope(4)
+    sampler = FlowSampler(P)
+    coins, rng = SimulatedCoins([HALF] * len(P.edges), seed=0), random.Random(0)
+    for _ in range(50):
+        sampler.sample(coins, rng)
+    assert len(calls) == 1 and sampler.qualifies
 
 
 def test_negative_degree_factors_are_no_bound():
@@ -706,10 +758,10 @@ def test_restart_cap_at_a_buffer_edge_consumes_exactly_cap_plus_one_rounds(per_r
     # circ4 at coin seed 12: round _BUFFER - 1 is a vertex, and at rng seed 6
     # its first tree draw qualifies and every re-flip differs, so it is accepted.
     pytest.param(build_circulation_polytope(4), None, 12, 6, id="accept"),
-    # test_unreachable_root_raises_before_any_walk's instance: the draw
-    # falls below B and the tree stage raises.
+    # test_unreachable_root_raises_before_any_walk's instance: round
+    # _BUFFER - 1 at coin seed 0 is the first stage-1 pass, and K_f = 0 there.
     pytest.param(FlowPolytope(Graph(3, ((1, 2), (2, 1), (3, 2))), (0, 0, 0)), 3, 0, 1,
-                 id="no-arborescence-at-a-draw"),
+                 id="no-arborescence-unreachable-root"),
     # test_node_without_exit_raises_at_the_first_stage1_pass's instance: B = 0.
     pytest.param(FlowPolytope(Graph(2, ((1, 2),)), (1, -1)), 2, 1, 0, id="no-arborescence-at-b-0"),
 ])
@@ -757,13 +809,8 @@ def _assert_tree_stage_matches_reference(P):
             mask = sum(b << i for i, b in enumerate(f))
             qualifying = {t for t in trees if is_arborescence(flip_tree(P.graph, f, t), root)}
             assert qualifying_tree_count(P, f, root) == len(qualifying), (root, f)
-            if not qualifying:
-                with pytest.raises(NoArborescence):
-                    tables.maps(mask)
-                for u in range(bound):
-                    with pytest.raises(NoArborescence):
-                        tables.tree(mask, u)
-                continue
+            # Where no tree qualifies, every map below B is rejected: the
+            # tables never raise, qualifying_tree_count alone decides.
             assert tables.maps(mask) == bound, (root, f)
             maps = [tables.tree(mask, u) for u in range(bound)]
             named = sorted(tuple(sorted(t)) for t in maps if t is not None)
@@ -792,3 +839,57 @@ def strongly_connected_circulations(draw):
 @given(strongly_connected_circulations())
 def test_tree_count_and_exit_tables_match_reference_random(P):
     _assert_tree_stage_matches_reference(P)
+
+
+@st.composite
+def no_interior_instances(draw):
+    """A connected digraph on 2-5 nodes and at most 8 edges, under the demands
+    of a random 0/1 flow on it, with no interior point: some edge takes one
+    value at every vertex (a bridge always does)."""
+    n = draw(st.integers(2, 5))
+    edges = []
+    for v in range(2, n + 1):  # a spanning tree, each node hung from an earlier one
+        u = draw(st.integers(1, v - 1))
+        edges.append((u, v) if draw(st.booleans()) else (v, u))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and (u, v) not in edges]
+    edges += draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8 - len(edges)))
+    flow = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    demands = [0] * n
+    for (u, v), on in zip(edges, flow):
+        demands[u - 1] += on
+        demands[v - 1] -= on
+    P = FlowPolytope(Graph(n, tuple(edges)), tuple(demands))
+    bits = np.array(enumerate_vertices(P))
+    assume((bits.min(axis=0) == bits.max(axis=0)).any())
+    return P
+
+
+def _assert_qualifying_at_every_vertex_or_none(P):
+    # Two vertices' flip images differ by reversing edge-disjoint directed
+    # cycles, which keeps who reaches whom; a tree qualifies toward root iff
+    # every node reaches it.  So K_f > 0 at every vertex or at none.
+    for root in P.graph.incident_nodes:
+        counts = qualifying_counts(P, root)
+        assert counts.all() or not counts.any(), (root, counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_instances())
+def test_qualifying_at_every_vertex_and_root_with_an_interior_point(case):
+    # M_f(x) is balanced with positive weights, so strongly connected: every
+    # root's counts are positive, the "every vertex" side of the property.
+    P, _ = case
+    for root in P.graph.incident_nodes:
+        assert qualifying_counts(P, root).all(), root
+
+
+@settings(max_examples=60, deadline=None)
+@given(strongly_connected_circulations())
+def test_qualifying_at_every_vertex_or_none_on_circulations(P):
+    _assert_qualifying_at_every_vertex_or_none(P)
+
+
+@settings(max_examples=100, deadline=None)
+@given(no_interior_instances())
+def test_qualifying_at_every_vertex_or_none_without_an_interior_point(P):
+    _assert_qualifying_at_every_vertex_or_none(P)
