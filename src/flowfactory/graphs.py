@@ -99,7 +99,12 @@ class Graph:
 
 @dataclass(frozen=True)
 class FlowPolytope:
-    """A graph together with an integer demand per node."""
+    """A graph together with an integer demand per node.
+
+    The demands sum to zero, and each lies in [-indeg(v), outdeg(v)], the
+    net outflows a 0/1 flow can give v (so is 0 where no edge touches v), as
+    no vertex meets a demand outside it; InvalidInstance is raised otherwise.
+    """
 
     graph: Graph
     demands: tuple[int, ...]
@@ -111,6 +116,11 @@ class FlowPolytope:
             )
         if sum(self.demands) != 0:
             raise InvalidInstance("demands must sum to zero")
+        bits = dict(zip(self.graph.incident_nodes, self.graph.node_bits))
+        for v, d in enumerate(self.demands, 1):
+            out, into = (b.bit_count() for b in bits.get(v, (0, 0)))
+            if not -into <= d <= out:
+                raise InvalidInstance(f"demand {d} of node {v} lies outside its range [{-into}, {out}]")
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -122,14 +132,6 @@ class FlowPolytope:
 
     def demand(self, v: int) -> int:
         return self.demands[v - 1]
-
-    @cached_property
-    def demands_feasible(self) -> bool:
-        """Whether every node's demand lies in [-indeg(v), outdeg(v)], so is 0
-        where no edge touches v; no 0/1 flow meets P's demands otherwise."""
-        bits = dict(zip(self.graph.incident_nodes, self.graph.node_bits))
-        return all(-into.bit_count() <= d <= out.bit_count()
-                   for v, d in enumerate(self.demands, 1) for out, into in [bits.get(v, (0, 0))])
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +200,12 @@ def is_vertex(P: FlowPolytope, bits: Sequence[int]) -> bool:
     _require_bits(P, bits)
     net = _net_flow(P, bits)
     return all(net[v] == P.demand(v) for v in net)
+
+
+def _require_vertex(P: FlowPolytope, f: FlowVertex) -> None:
+    """Raise InvalidInstance unless f is a 0/1 vector and a vertex of P."""
+    if not is_vertex(P, f):
+        raise InvalidInstance(f"{tuple(f)} is no vertex of the polytope")
 
 
 def require_interior_point(P: FlowPolytope, x: Sequence[Fraction]) -> None:
@@ -278,19 +286,17 @@ def _vertices(P: FlowPolytope) -> tuple[FlowVertex, ...]:
 
     A row is the bits of edges 0..i-1 and the demand still unmet at each
     incident node, which the undecided edges can meet iff it lies in
-    [-in-edges left, out-edges left].  P's `demands_feasible` checks every
-    node up front; then each edge splits every row into its 0 child and its 1
-    child, in that order, so the rows stay in lexicographic order, and a
-    child is cut as soon as one of the edge's ends is out of range.
+    [-in-edges left, out-edges left]; FlowPolytope keeps every demand in
+    range for the first row.  Each edge splits every row into its 0 child
+    and its 1 child, in that order, so the rows stay in lexicographic order,
+    and a child is cut as soon as one of the edge's ends is out of range.
     """
     m = len(P.edges)
     if m > ENUMERATION_CAP:
         raise TooLargeForOracle(f"|E| = {m} exceeds enumeration cap {ENUMERATION_CAP}")
     nodes = P.graph.incident_nodes
     out_left, in_left = (np.bincount(end, minlength=len(nodes)) for end in P.graph.ends)
-    if not P.demands_feasible:
-        return ()
-    need = np.array([[P.demand(v) for v in nodes]], dtype=np.int8)  # |unmet demand| <= degree <= m, from here on
+    need = np.array([[P.demand(v) for v in nodes]], dtype=np.int8)  # |unmet demand| <= degree <= m
     bits = np.zeros((1, m), dtype=np.uint8)
     for i, (u, v) in enumerate(P.graph.ends.T):
         out_left[u] -= 1

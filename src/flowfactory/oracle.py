@@ -42,8 +42,8 @@ from .graphs import (
     FlowVertex,
     _require_bits,
     _require_root,
+    _require_vertex,
     enumerate_vertices,
-    is_vertex,
     require_interior_point,
 )
 from .spanning import enumerate_directed_trees, flip_laplacians, root_minors
@@ -61,12 +61,6 @@ def _require_fit(P: FlowPolytope, root: int, f: FlowVertex, x: Sequence) -> None
         raise InvalidInstance(f"expected {m} edge bits and coordinates, got {len(f)} and {len(x)}")
     _require_bits(P, f)
     _require_root(P, root)
-
-
-def _require_vertex(P: FlowPolytope, f: FlowVertex) -> None:
-    """Raise InvalidInstance unless the 0/1 vector f is a vertex of P."""
-    if not is_vertex(P, f):
-        raise InvalidInstance(f"{tuple(f)} is no vertex of the polytope")
 
 
 def _prefixes(bits: np.ndarray, num: np.ndarray, den: int) -> np.ndarray:

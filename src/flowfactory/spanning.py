@@ -37,6 +37,7 @@ from .graphs import (
     _connects,
     _require_bits,
     _require_root,
+    _require_vertex,
 )
 
 
@@ -236,11 +237,11 @@ class ExitTables:
     v's exits are its idle out-edges and its used in-edges, the set bits of
     (mask & at_v) ^ out_v for v's edges at_v and out-edges out_v (from
     `Graph.node_bits`), and f meets v's demand d(v) iff there are exactly
-    k_v = outdeg(v) - d(v) of them.  So a mask is `in` the tables iff P is
-    `demands_feasible` and every non-root node has k_v exits: the incident
-    nodes' demands sum to zero, as their net flows do, so the root's count
-    follows.  `scan` runs that test over a whole buffer of rounds.  `bound`,
-    the product of the k_v (0 unless P is `demands_feasible`), is the
+    k_v = outdeg(v) - d(v) of them, which FlowPolytope keeps in [0, deg(v)].
+    So a mask is `in` the tables iff every non-root node has k_v exits, that
+    is iff it is a vertex: the incident nodes' demands sum to zero, as their
+    net flows do, so the root's count follows.  `scan` runs that test over
+    a whole buffer of rounds.  `bound`, the product of the k_v, is the
     number B of maps that pick one exit per non-root node of a vertex's
     flip image, and K_f <= B.  v's exits depend only on mask & at_v, so
     each non-root node keeps one table keyed by it; an entry, filled the
@@ -255,18 +256,17 @@ class ExitTables:
         _require_root(P, root)
         G = P.graph
         self.root = root
-        self.feasible = P.demands_feasible
         self._root_bit = 1 << G.incident_nodes.index(root)
         self._other = (G.ends[0] ^ G.ends[1]).tolist()  # per edge, tail ^ head: xor with one end gives the other
         # Per non-root node: (its position, edges at it, its out-edges, its exit count, its table).
         self._nodes = tuple((v, out | into, out, out.bit_count() - P.demand(label), {})
                             for v, (label, (out, into)) in enumerate(zip(G.incident_nodes, G.node_bits))
                             if label != root)
-        self.bound = prod(k for _, _, _, k, _ in self._nodes) if self.feasible else 0
+        self.bound = prod(k for _, _, _, k, _ in self._nodes)
         self._step = [0] * len(G.incident_nodes)  # each node's exit target in the map last read
 
     def __contains__(self, mask: int) -> bool:
-        return self.feasible and all(((mask & at) ^ out).bit_count() == k for _, at, out, k, _ in self._nodes)
+        return all(((mask & at) ^ out).bit_count() == k for _, at, out, k, _ in self._nodes)
 
     def scan(self, rows: np.ndarray) -> np.ndarray:
         """Words whose bit j is set iff round j of `rows` is in the tables.
@@ -276,12 +276,9 @@ class ExitTables:
         word op: plane k holds bit k of every round's count, and the row of
         each edge at the node, in edge-id order (inverted for an edge out of
         the node), is added with a ripple of carries.  A round passes the
-        node where every plane equals k_v's bit.
+        node where every plane equals k_v's bit; k_v <= deg(v) fits the planes.
         """
-        found = np.zeros(rows.shape[1], dtype=np.uint64)
-        if not self.feasible:
-            return found
-        found = ~found
+        found = ~np.zeros(rows.shape[1], dtype=np.uint64)
         for _, at, out, target, _ in self._nodes:
             planes: list[np.ndarray] = []
             edges = (e for e in range(at.bit_length()) if at >> e & 1)
@@ -302,11 +299,6 @@ class ExitTables:
         bits = (mask & at) ^ out
         return table.setdefault(mask & at, tuple((e, self._other[e] ^ v) for e in range(bits.bit_length())
                                                  if bits >> e & 1))
-
-    def maps(self, mask: int) -> int:
-        """The number of exit maps of mask's flip image (B for a vertex)."""
-        return prod(len(table.get(mask & at) or self._fill(v, at, out, table, mask))
-                    for v, at, out, _, table in self._nodes)
 
     def tree(self, mask: int, u: int) -> list[int] | None:
         """Edge ids of the exit map that u names, node by node, if it is an arborescence toward root.
@@ -338,16 +330,17 @@ class ExitTables:
 def sample_flip_tree(P: FlowPolytope, f: FlowVertex, root: int, rng) -> frozenset[int]:
     """Uniform tree among those whose flip under f is an arborescence toward root.
 
-    Raises NoArborescence, before any draw, when qualifying_tree_count finds
-    none.  Otherwise draws u uniformly below the number of exit maps until
-    the map u names (see ExitTables.tree) is one: cycle popping with a full
-    restart (Propp and Wilson, J. Algorithms 1998).
+    Raises InvalidInstance, before any draw, unless f is a vertex of P, and
+    NoArborescence when qualifying_tree_count finds none.  Otherwise draws
+    u uniformly below B = ExitTables.bound until the map u names (see
+    ExitTables.tree) is one: cycle popping with a full restart (Propp and
+    Wilson, J. Algorithms 1998).
     """
+    _require_vertex(P, f)
     if not qualifying_tree_count(P, f, root):
         raise NoArborescence(f"no tree flips to an arborescence toward node {root}")
     tables = ExitTables(P, root)
     mask = sum(b << i for i, b in enumerate(f))
-    bound = tables.maps(mask)
-    while (tree := tables.tree(mask, rng.randrange(bound))) is None:
+    while (tree := tables.tree(mask, rng.randrange(tables.bound))) is None:
         pass
     return frozenset(tree)

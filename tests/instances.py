@@ -108,10 +108,33 @@ def dag6_point(P=None):
     return tuple(point)
 
 
+def no_vertex():
+    """Every demand in its node's range, and no vertex: node 1 must use 1->2
+    and node 4 must use 3->4, so node 3 sends out more than it takes in."""
+    return FlowPolytope(Graph(4, ((1, 2), (2, 1), (3, 2), (3, 4), (4, 3))), (1, 0, 0, -1))
+
+
 def disconnected_pair():
     """Two vertex-disjoint 2-cycles; undirected support is disconnected."""
     edges = ((1, 2), (2, 1), (3, 4), (4, 3))
     return FlowPolytope(Graph(4, edges), (0, 0, 0, 0))
+
+
+@st.composite
+def demands_in_range(draw, G):
+    """Demands on G's nodes that sum to zero, each in its node's range
+    [-indeg(v), outdeg(v)]: drawn node by node, then moved toward one end of
+    their ranges, node by node, until they sum to zero.  The ranges sum to
+    [-|E|, |E|], so that always ends; many such demands have no vertex."""
+    lo = [-sum(head == v for _, head in G.edges) for v in range(1, G.n + 1)]
+    hi = [sum(tail == v for tail, _ in G.edges) for v in range(1, G.n + 1)]
+    demands = [draw(st.integers(a, b)) for a, b in zip(lo, hi)]
+    excess = sum(demands)
+    for v in range(G.n):
+        shift = min(excess, demands[v] - lo[v]) if excess > 0 else max(excess, demands[v] - hi[v])
+        demands[v] -= shift
+        excess -= shift
+    return tuple(demands)
 
 
 @st.composite

@@ -40,11 +40,20 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    # The demand rule, stated once, and the vertex-only tree draw that rests on it.
+    Mutant("demand-range-check-dropped", "src/flowfactory/graphs.py",
+           "if not -into <= d <= out:",
+           "if False:",
+           ("tests/test_graphs.py::test_demands_outside_a_nodes_degree_range_are_rejected",)),
+    Mutant("demand-range-check-skips-edgeless-nodes", "src/flowfactory/graphs.py",
+           "if not -into <= d <= out:",
+           "if v in bits and not -into <= d <= out:",
+           ("tests/test_graphs.py::test_demands_outside_a_nodes_degree_range_are_rejected",)),
+    Mutant("sample-flip-tree-without-vertex-check", "src/flowfactory/spanning.py",
+           "    _require_vertex(P, f)\n    if not qualifying_tree_count(P, f, root):\n",
+           "    if not qualifying_tree_count(P, f, root):\n",
+           ("tests/test_spanning.py::test_sample_flip_tree_rejects_a_non_vertex_before_any_draw",)),
     # The stage-1 vertex test and its bulk scan.
-    Mutant("contains-without-feasible", "src/flowfactory/spanning.py",
-           "return self.feasible and all(((mask & at) ^ out)",
-           "return all(((mask & at) ^ out)",
-           ("tests/test_rounds.py::test_vertex_test_matches_is_vertex_random",)),
     Mutant("scan-inverts-in-edges", "src/flowfactory/spanning.py",
            "carry = ~rows[e] if out >> e & 1 else rows[e]",
            "carry = rows[e] if out >> e & 1 else ~rows[e]",
@@ -70,6 +79,35 @@ MUTANTS = (
            "((leaving != entering) | (leaving > 1))",
            "(leaving > 1)",
            ("tests/test_exchange_reference.py::test_array_exchange_check_agrees_with_the_reference[eta-circ3]",)),
+    # The oracle's integer weight table and its readers.
+    Mutant("weights-buffered-add", "src/flowfactory/oracle.py",
+           "np.add.at(sums, positions, np.repeat(terms, np.diff(offsets)))",
+           "sums[positions] += np.repeat(terms, np.diff(offsets))",
+           ("tests/test_orientation_reference.py::test_both_weight_dtypes_match_the_reference_on_circ4[int64]",)),
+    Mutant("qualifying-counts-without-minlength", "src/flowfactory/oracle.py",
+           "np.bincount(table.entries(root)[1], minlength=len(table.vertices))",
+           "np.bincount(table.entries(root)[1])",
+           ("tests/test_rounds.py::test_unreachable_root_raises_before_any_walk",)),
+    Mutant("row-reversed", "src/flowfactory/oracle.py",
+           "self.row = {f: j for j, f in enumerate(self.vertices)}",
+           "self.row = {f: j for j, f in enumerate(reversed(self.vertices))}",
+           ("tests/test_oracle.py::test_eval_polynomial_reads_the_read_only_integer_table",)),
+    Mutant("statistical-test-bins-reversed", "src/flowfactory/oracle.py",
+           "observed = np.bincount(rows, minlength=len(table.vertices))",
+           "observed = np.bincount(len(table.vertices) - 1 - rows, minlength=len(table.vertices))",
+           ("tests/test_oracle_goldens.py::test_statistical_test_report_golden[circ4-2000-0]",)),
+    Mutant("marginals-from-complement-bits", "src/flowfactory/oracle.py",
+           "observed @ table.bits / n",
+           "observed @ ~table.bits / n",
+           ("tests/test_oracle_goldens.py::test_statistical_test_report_golden[circ4-2000-0]",)),
+    Mutant("parallel-to-circ-always-true", "src/flowfactory/oracle.py",
+           "return bool((net == net[:1]).all())",
+           "return True",
+           ("tests/test_oracle.py::test_check_parallel_to_circ_fails_on_an_off_balance_vertex[triangle]",)),
+    Mutant("interior-point-accepts-a-zero-coordinate", "src/flowfactory/oracle.py",
+           "if 0 < used.min() and used.max() < total:",
+           "if 0 <= used.min() and used.max() < total:",
+           ("tests/test_oracle.py::test_random_interior_point_rejects_a_fixed_coordinate[edge-never-used]",)),
     # The sampler's once-per-sampler NoArborescence check.
     Mutant("no-arborescence-guard-removed", "src/flowfactory/factory.py",
            "if not qualifying_tree_count(self.P, f, self.root):",

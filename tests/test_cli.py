@@ -684,6 +684,43 @@ def test_empty_edge_list_exits_5(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+_OUT_OF_RANGE = {
+    # Node 1 has one out-edge and no in-edge, so it sends 0 or 1 units.
+    "above-out-degree": ({"nodes": 2, "edges": [{"id": 0, "from": 1, "to": 2}], "demands": [2, -2]},
+                         '{"coins": [{"edge": 0, "num": 1, "den": 2}]}', "[0, 1]", 2),
+    # No edge: the demand rule comes before the empty-edge-list check (exit 5).
+    "edgeless": ({"nodes": 2, "edges": [], "demands": [1, -1]}, '{"coins": []}', "[0, 0]", 1),
+    # The polytope file loads first, so the malformed coin file (exit 2) is never read.
+    "malformed-coins": ({"nodes": 2, "edges": [{"id": 0, "from": 1, "to": 2}], "demands": [2, -2]},
+                        "{not json", "[0, 1]", 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUT_OF_RANGE))
+@pytest.mark.parametrize("command", ["sample", "dist", "verify", "sample-path", "bench"])
+def test_a_demand_outside_its_nodes_range_exits_4_when_the_polytope_loads(tmp_path, capsys, command, case):
+    polytope, coin_text, bounds, demand = _OUT_OF_RANGE[case]
+    poly, coins = tmp_path / "p.json", tmp_path / "c.json"
+    poly.write_text(json.dumps(polytope))
+    coins.write_text(coin_text)
+    assert main([command, str(poly), str(coins), "--out", str(tmp_path / "out")]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"error: InvalidInstance: demand {demand} of node 1 lies outside its range {bounds}\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+def test_a_demand_outside_its_nodes_range_exits_4_without_traceback(tmp_path):
+    polytope, coin_text, _, _ = _OUT_OF_RANGE["above-out-degree"]
+    poly, coins = tmp_path / "p.json", tmp_path / "c.json"
+    poly.write_text(json.dumps(polytope))
+    coins.write_text(coin_text)
+    proc = subprocess.run([sys.executable, "-m", "flowfactory", "sample", str(poly), str(coins)],
+                          capture_output=True, text=True, env=subprocess_env(), timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "error: InvalidInstance: demand 2 of node 1 lies outside its range [0, 1]\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("checks", ["bogus", ",", "positivity,bogus", ""])
 def test_verify_unknown_check_is_parse_error(tmp_path, checks):
     paths = _write_two_node(tmp_path)

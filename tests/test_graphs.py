@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import chain, product
@@ -27,7 +28,7 @@ from flowfactory.graphs import _net_flow, require_interior_point
 from flowfactory.oracle import _over_common_denominator
 from flowfactory.spanning import flip_laplacians
 
-from instances import THIRD, disconnected_pair, square, square_cycle_flow, triangle, two_node
+from instances import THIRD, demands_in_range, disconnected_pair, square, square_cycle_flow, triangle, two_node
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -42,6 +43,23 @@ def test_graph_rejects_self_loops_and_duplicates():
 def test_demands_must_balance():
     with pytest.raises(InvalidInstance):
         FlowPolytope(Graph(2, ((1, 2),)), (1, 0))
+
+
+@pytest.mark.parametrize("n, edges, demands, message", [
+    (3, ((1, 2), (2, 1)), (1, 0, -1), "demand -1 of node 3 lies outside its range [0, 0]"),
+    (5, ((1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1)), (0, 0, 0, 1, -1),
+     "demand 1 of node 4 lies outside its range [0, 0]"),
+    (2, ((1, 2), (2, 1)), (2, -2), "demand 2 of node 1 lies outside its range [-1, 1]"),
+    (3, ((1, 2), (1, 3), (2, 3)), (1, -2, 1), "demand -2 of node 2 lies outside its range [-1, 1]"),
+    (2, ((1, 2), (2, 1)), (1 << 70, -(1 << 70)), f"demand {1 << 70} of node 1 lies outside its range [-1, 1]"),
+], ids=["edgeless-node", "two-edgeless-nodes-balancing", "above-out-degree", "below-minus-in-degree",
+        "past-any-machine-int"])
+def test_demands_outside_a_nodes_degree_range_are_rejected(n, edges, demands, message):
+    # A 0/1 flow sends node v between -indeg(v) and outdeg(v) units, so no
+    # polytope is built that would have no vertex for that reason alone;
+    # the error names the first such node and its range.
+    with pytest.raises(InvalidInstance, match=rf"^{re.escape(message)}$"):
+        FlowPolytope(Graph(n, edges), demands)
 
 
 def test_circulation_constructor():
@@ -190,19 +208,17 @@ def test_enumerate_vertices_matches_brute_force():
 
 @st.composite
 def small_polytopes(draw):
-    """Digraphs of at most 10 edges, often with edgeless nodes, under any demands summing to 0."""
+    """Digraphs of at most 10 edges, often with edgeless nodes, under demands
+    in their nodes' ranges summing to 0, with no vertex or with some."""
     n = draw(st.integers(1, 6))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
-    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else ())
-    demands = draw(st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1))
-    return FlowPolytope(Graph(n, edges), (*demands, -sum(demands)))
+    G = Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else ()))
+    return FlowPolytope(G, draw(demands_in_range(G)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_polytopes())
-@example(FlowPolytope(Graph(3, ((1, 2), (2, 1))), (1, 0, -1)))  # an edgeless node with a demand
-@example(FlowPolytope(Graph(2, ((1, 2), (2, 1))), (2, -2)))  # demands beyond the degrees
-@example(FlowPolytope(Graph(2, ((1, 2), (2, 1))), (1 << 70, -(1 << 70))))  # past any machine int
+@example(FlowPolytope(Graph(4, ((1, 2), (2, 1), (3, 2), (3, 4), (4, 3))), (1, 0, 0, -1)))  # in range, no vertex
 def test_enumerate_vertices_matches_brute_force_random(P):
     brute = [bits for bits in product((0, 1), repeat=len(P.edges)) if is_vertex(P, bits)]
     assert enumerate_vertices(P) == brute

@@ -163,8 +163,7 @@ def test_bench_exit_maps_circ5m(benchmark):
     def draws():
         trees.clear()
         for mask in masks:
-            bound = tables.maps(mask)
-            while (tree := tables.tree(mask, rng.randrange(bound))) is None:
+            while (tree := tables.tree(mask, rng.randrange(tables.bound))) is None:
                 pass
             trees.append(tree)
 

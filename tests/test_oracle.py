@@ -43,6 +43,7 @@ from instances import (
     THIRD,
     disconnected_pair,
     interior_instances,
+    no_vertex,
     six_node_exchange,
     square,
     square_cycle_flow,
@@ -188,13 +189,11 @@ def test_root_independence_negative_control():
 
 
 def test_zls_rejects_a_polytope_with_no_vertex():
-    # One edge cannot carry the demand 2: no vertex, so no first vertex to take cofactors of.
-    from flowfactory import FlowPolytope, Graph
-
-    P = FlowPolytope(Graph(2, ((1, 2),)), (2, -2))
+    # No vertex, so no first vertex to take cofactors of.
+    P = no_vertex()
     assert enumerate_vertices(P) == []
     with pytest.raises(InvalidInstance, match="polytope has no vertex"):
-        check_zls(P, (Fraction(1, 2),))
+        check_zls(P, (Fraction(1, 2),) * 5)
 
 
 def test_zls_and_factored_form_reject_an_unbalanced_point():

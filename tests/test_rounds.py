@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -30,6 +31,7 @@ from flowfactory import (
     FlowPolytope,
     FlowSampler,
     Graph,
+    InvalidInstance,
     MaxRestartsExceeded,
     NoArborescence,
     SimulatedCoins,
@@ -60,7 +62,9 @@ from instances import (
     WORD,
     circ5m,
     coins_to_dict,
+    demands_in_range,
     interior_instances,
+    no_vertex,
     six_node_exchange,
     square,
     subprocess_env,
@@ -347,10 +351,10 @@ def _two_cycle_chain(pairs, end_demand=0):
 
 
 def _ten_edge_tests():
-    """Vertex tests over ten edges on four nodes, feasible demands and infeasible ones,
-    each at a root of its own."""
+    """Vertex tests over ten edges on four nodes, each at a root of its own: demands
+    with vertices, and two in their nodes' ranges that no mask meets."""
     edges = ((1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (4, 1), (1, 4), (1, 3), (2, 4))
-    demands = [(0, 0, 0, 0), (1, 0, 0, -1), (2, -1, 1, -2), (3, 3, -3, -3), (5, -5, 0, 0)]
+    demands = [(0, 0, 0, 0), (1, 0, 0, -1), (2, -1, 1, -2), (3, 3, -3, -3), (3, -2, 2, -3)]
     return [ExitTables(FlowPolytope(Graph(4, edges), d), 1 + i % 4) for i, d in enumerate(demands)]
 
 
@@ -460,16 +464,12 @@ def test_hit_walk_matches_flip_round_walk(P, start, limit):
 
 @pytest.mark.parametrize("demand", [1 << 15, 1 << 16])
 def test_vertex_test_never_hits_through_a_wrapped_count(demand):
-    # A node whose demand is beyond its degree is never met, though the
-    # demand (or demand plus in-degree) wrapped to 8 or 16 bits is a value
-    # the node's count reaches.
-    P = FlowPolytope(Graph(3, ((1, 2), (2, 1), (2, 3), (3, 2))), (demand, 0, -demand))
-    vertices = ExitTables(P, 1)
-    bulk, loop = SimulatedCoins([HALF] * 4, seed=1), SimulatedCoins([HALF] * 4, seed=1)
-    limit = 2 * _BUFFER + 5
-    assert _first_hit(bulk.hits_in(vertices, limit), limit) == (None, limit)
-    assert _first_hit(CoinSource.hits_in(loop, vertices, limit), limit) == (None, limit)
-    assert bulk.flip_counts == loop.flip_counts and bulk.total_flips == 4 * limit
+    # The demand (or demand plus in-degree) wrapped to 8 or 16 bits is a
+    # value the node's exit count reaches, so a scan target of k_v =
+    # outdeg(v) - d(v) past v's count planes could hit.  No such target
+    # arises: the polytope is refused when it is built.
+    with pytest.raises(InvalidInstance, match=rf"^demand {demand} of node 1 lies outside its range \[-1, 1\]$"):
+        FlowPolytope(Graph(3, ((1, 2), (2, 1), (2, 3), (3, 2))), (demand, 0, -demand))
 
 
 def _scan(vertices, masks, m):
@@ -495,8 +495,7 @@ def _assert_vertex_test_matches_is_vertex(P, masks):
 
 def _triangle_and_isolated_nodes(demands):
     """The triangle's six edges on nodes 1-3 with `demands` on more nodes, and every mask:
-    the test leaves out the root's count, and a demand on a node no edge touches
-    (even one another such node's balances) must make it hit nothing."""
+    the test leaves out the root's count, and a node no edge touches has none."""
     edges = ((1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1))
     return FlowPolytope(Graph(len(demands), edges), demands), list(range(1 << len(edges)))
 
@@ -508,8 +507,8 @@ def polytopes_and_masks(draw):
     edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
                   if pairs else ())
     assume(edges)  # an edgeless graph has no root, and FlowSampler rejects it
-    demands = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
-    P = FlowPolytope(Graph(n, edges), (*demands, -sum(demands)))
+    G = Graph(n, edges)
+    P = FlowPolytope(G, draw(demands_in_range(G)))  # with no vertex or with some
     m = len(edges)
     masks = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=64))
     if m <= 12:
@@ -520,8 +519,7 @@ def polytopes_and_masks(draw):
 @settings(max_examples=80, deadline=None)
 @given(polytopes_and_masks())
 @example(_triangle_and_isolated_nodes((1, -1, 0, 0)))
-@example(_triangle_and_isolated_nodes((1, 0, 0, -1)))
-@example(_triangle_and_isolated_nodes((0, 0, 0, 1, -1)))
+@example(_triangle_and_isolated_nodes((0, 1, -1, 0, 0)))
 def test_vertex_test_matches_is_vertex_random(case):
     _assert_vertex_test_matches_is_vertex(*case)
 
@@ -640,7 +638,9 @@ def test_unreachable_root_raises_before_any_walk():
         assert coins.flip_round() == ref.flip_round() and not sampler.qualifies
     rng = random.Random(0)
     state = rng.getstate()
-    for f in enumerate_vertices(P):
+    vertices = enumerate_vertices(P)
+    assert qualifying_counts(P, 3).tolist() == [0] * len(vertices)
+    for f in vertices:
         assert qualifying_tree_count(P, f, 3) == 0
         with pytest.raises(NoArborescence):
             sample_flip_tree(P, f, 3, rng)
@@ -700,19 +700,22 @@ def test_tree_count_runs_once_per_sampler(monkeypatch):
 
 
 def test_negative_degree_factors_are_no_bound():
-    for P, root in [
-        # Nodes 1 and 2 each need two units out of one out-edge: no vertex
-        # exists, and the product of their factors, (-1)(-1), bounds nothing.
-        (FlowPolytope(Graph(3, ((1, 2), (2, 3), (3, 1))), (2, 2, -4)), 3),
-        # Node 1 sends two units over one out-edge, so no vertex exists; yet
-        # node 3, taking two units in over one in-edge, has factor 3 above its
-        # degree, and with node 2's 2 the product would be 6.
-        (FlowPolytope(Graph(3, ((1, 2), (2, 1), (2, 3), (3, 2))), (2, 0, -2)), 1),
+    # An exit count k_v = outdeg(v) - d(v) below 0 or above deg(v) would make
+    # B, the product of the k_v, count maps that do not exist.  Such demands
+    # are refused when the polytope is built, so every factor lies in [0, deg(v)].
+    for n, edges, demands, message in [
+        # Nodes 1 and 2 each need two units out of one out-edge: the factors
+        # (-1)(-1) would give B = 1 with no vertex.
+        (3, ((1, 2), (2, 3), (3, 1)), (2, 2, -4), "demand 2 of node 1 lies outside its range [-1, 1]"),
+        # Node 1 sends two units over one out-edge, and node 3, taking two
+        # units in over one in-edge, would have factor 3 above its degree.
+        (3, ((1, 2), (2, 1), (2, 3), (3, 2)), (2, 0, -2), "demand 2 of node 1 lies outside its range [-1, 1]"),
     ]:
-        assert ExitTables(P, root).bound == 0, P
-        with pytest.raises(MaxRestartsExceeded):
-            FlowSampler(P, root=root).sample(SimulatedCoins([HALF] * len(P.edges), seed=0),
-                                             random.Random(0), max_restarts=1000)
+        with pytest.raises(InvalidInstance, match=rf"^{re.escape(message)}$"):
+            FlowPolytope(Graph(n, edges), demands)
+    # Every factor in range and still no vertex: B = 4 at root 1 counts maps
+    # that exist, and no mask passes stage 1 to read them.
+    assert enumerate_vertices(no_vertex()) == [] and ExitTables(no_vertex(), 1).bound == 4
 
 
 class ReflipCountingCoins(SimulatedCoins):
@@ -742,15 +745,15 @@ def test_restart_cap_consumes_exactly_cap_plus_one_rounds(per_round, k):
 @pytest.mark.parametrize("per_round", [False, True])
 @pytest.mark.parametrize("cap", [_BUFFER - 2, _BUFFER - 1, _BUFFER])
 def test_restart_cap_at_a_buffer_edge_consumes_exactly_cap_plus_one_rounds(per_round, cap):
-    # The infeasible demands of test_negative_degree_factors_are_no_bound: no
-    # round passes stage 1, so the walk runs to its limit, one round short of
-    # a buffer's end, at it, and one round into the next buffer.
-    P = FlowPolytope(Graph(3, ((1, 2), (2, 3), (3, 1))), (2, 2, -4))
-    coins, ref, rng = SimulatedCoins([HALF] * 3, seed=0), SimulatedCoins([HALF] * 3, seed=0), random.Random(0)
+    # A polytope with no vertex: no round passes stage 1, so the walk runs to
+    # its limit, one round short of a buffer's end, at it, and one round into
+    # the next buffer.
+    P = no_vertex()
+    coins, ref, rng = SimulatedCoins([HALF] * 5, seed=0), SimulatedCoins([HALF] * 5, seed=0), random.Random(0)
     state = rng.getstate()
     with pytest.raises(MaxRestartsExceeded):
-        FlowSampler(P, root=3).sample(PerRound(coins) if per_round else coins, rng, max_restarts=cap)
-    assert coins.flip_counts == (cap + 1,) * 3 and rng.getstate() == state
+        FlowSampler(P, root=1).sample(PerRound(coins) if per_round else coins, rng, max_restarts=cap)
+    assert coins.flip_counts == (cap + 1,) * 5 and rng.getstate() == state
     assert coins.flip_round() == [ref.flip_round() for _ in range(cap + 2)][-1]
 
 
@@ -811,7 +814,6 @@ def _assert_tree_stage_matches_reference(P):
             assert qualifying_tree_count(P, f, root) == len(qualifying), (root, f)
             # Where no tree qualifies, every map below B is rejected: the
             # tables never raise, qualifying_tree_count alone decides.
-            assert tables.maps(mask) == bound, (root, f)
             maps = [tables.tree(mask, u) for u in range(bound)]
             named = sorted(tuple(sorted(t)) for t in maps if t is not None)
             assert named == sorted(qualifying), (root, f)

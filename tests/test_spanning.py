@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -391,11 +392,14 @@ def test_sample_arborescence_multiplicity_weighting():
 
 
 def test_flip_multigraph_multiplicities():
-    P = two_node()
-    # both edges map onto (1,2) under f = (0, 1): one kept, one reversed
-    # so node 1 has two exits toward root 2, edges 0 and 1, and each is a tree
+    # Node 1 takes one unit in, so f = (0, 1), the flow on edge 1 = (2,1), is
+    # the one vertex.  Both edges map onto (1,2) under f: one kept, one
+    # reversed, so node 1 has two exits toward root 2, edges 0 and 1, and
+    # each is a tree.
+    P = FlowPolytope(two_node().graph, (-1, 1))
+    assert enumerate_vertices(P) == [(0, 1)]
     tables = ExitTables(P, 2)
-    assert tables.maps(0b10) == 2
+    assert tables.bound == 2
     assert [tables.tree(0b10, u) for u in range(2)] == [[0], [1]]
     assert qualifying_tree_count(P, (0, 1), 2) == 2
     assert qualifying_tree_count(P, (0, 1), 1) == 0
@@ -418,6 +422,20 @@ def test_sample_flip_tree_two_node():
     for _ in range(5):
         assert sample_flip_tree(P, (0, 0), 1, rng) == frozenset({P.graph.edge_index[(2, 1)]})
         assert sample_flip_tree(P, (1, 1), 1, rng) == frozenset({P.graph.edge_index[(1, 2)]})
+
+
+def test_sample_flip_tree_rejects_a_non_vertex_before_any_draw():
+    # circ3's 0/1 vectors that are no vertex: some trees still flip to an
+    # arborescence under them, and their exit counts need not be B's factors.
+    P = build_circulation_polytope(3)
+    rng = random.Random(0)
+    state = rng.getstate()
+    bad = [f for f in itertools.product((0, 1), repeat=6) if not is_vertex(P, f)]
+    assert len(bad) == 54 and any(qualifying_tree_count(P, f, 1) for f in bad)
+    for f in bad:
+        with pytest.raises(InvalidInstance, match=rf"^{re.escape(str(f))} is no vertex of the polytope$"):
+            sample_flip_tree(P, f, 1, rng)
+    assert rng.getstate() == state
 
 
 def test_sample_flip_tree_always_qualifies():
