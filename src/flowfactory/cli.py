@@ -12,6 +12,7 @@ arborescence / every sampling polynomial vanishes; 6 restart cap exceeded;
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -280,12 +281,15 @@ def _add_run_flags(p, samples_default=1000):
     p.add_argument("--out", default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged, and every
+    default is immutable, so calls cannot pass state to one another."""
     top = argparse.ArgumentParser(prog="flowfactory", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="write a named polytope instance")
-    g.add_argument("kind", choices=["circulation", "matching", "kflow"])
+    g.add_argument("kind", choices=("circulation", "matching", "kflow"))
     g.add_argument("--nodes", type=int, default=3)
     g.add_argument("--m", type=int, default=2)
     g.add_argument("--k", type=int, default=1)
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="exact identity checks; exit 8 on failure")
     v.add_argument("polytope")
     v.add_argument("coins")
-    v.add_argument("--checks", type=check_names, default=list(_ALL_CHECKS),
+    v.add_argument("--checks", type=check_names, default=_ALL_CHECKS,
                    help="comma-separated subset of checks")
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)

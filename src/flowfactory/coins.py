@@ -78,7 +78,11 @@ class SimulatedCoins(CoinSource):
     0, so the per-edge tally of single flips is also the read position.
     Rounds come from buffers of _BUFFER rounds, kept as one row of flip words
     per edge just as _draw_bits decides them (round j at bit j % 64 of word
-    j // 64), in an array allocated once and reused by every refill;
+    j // 64), in an array allocated once and reused by every refill.  A
+    refill calls _draw_bits once a run of consecutive edges that share a
+    bias with no digit past _SLICED (_runs; any other edge is a run of
+    one), so a run's words come from one random_raw call in the order that
+    per-edge draws take them, and every bit is the same either way;
     _rounds counts the rounds flipped and _drawn those drawn, and the buffer
     holds rounds _drawn - _BUFFER to _drawn.  _passing reads a buffer: for a
     round test it runs the test's scan over the rows, for None it takes
@@ -96,6 +100,11 @@ class SimulatedCoins(CoinSource):
             if b <= 0 or b >= 1:
                 raise BoundaryCoin(f"bias of edge {i} is {b}, not strictly inside (0,1)")
         self._rng = np.random.default_rng(np.random.SeedSequence(seed))
+        # Runs of consecutive edges that share a bias with no digit past
+        # _SLICED, as (bias, first edge, end); every other edge is a run of one.
+        keys = [(b, 0 if (1 << _SLICED) % b.denominator == 0 else e) for e, b in enumerate(self._biases)]
+        starts = [e for e in range(self.num_edges) if not e or keys[e] != keys[e - 1]]
+        self._runs = [(self._biases[lo], lo, hi) for lo, hi in zip(starts, starts[1:] + [self.num_edges])]
         # Per-edge tallies of single flips; every round adds one flip to each
         # edge, counted from _rounds on read.
         self._flip_counts = [0] * self.num_edges
@@ -114,70 +123,79 @@ class SimulatedCoins(CoinSource):
     def total_flips(self) -> int:
         return sum(self._flip_counts) + self._rounds * self.num_edges
 
-    def _draw_bits(self, edge: int, n: int, out: np.ndarray) -> None:
-        """Decide n flips of `edge` into the words `out`: flip j is bit j % 64 of word j // 64.
+    def _draw_bits(self, p: Fraction, n: int, out: np.ndarray) -> None:
+        """Decide n flips of each of len(out) coins of bias p into the rows of `out`: flip j of
+        row i is bit j % 64 of out[i, j // 64].
 
         Flip j is [U_j < p] for a uniform binary fraction U_j, decided at the
-        first digit where U_j and p differ.  p's first _SLICED digits (long
-        division of num by den) are compared for every flip at once, one row
-        of raw words a digit: that digit of U_j is bit j % 64 of word j // 64.
-        The first digit assigns the first (n + 63) // 64 words of `out`, and
+        first digit where U_j and p differ.  p's first digits (long division
+        of num by den), _SLICED of them or fewer where p's last is among
+        them, are compared for every flip at once, one row of raw words a
+        digit: that digit of U_j is bit j % 64 of word j // 64.  One
+        random_raw call draws every digit row of every coin, coin after
+        coin and digit after digit within a coin, so a run of coins takes
+        the words that one draw per coin would, in the same order.  The
+        first digit assigns the first (n + 63) // 64 words of each row, and
         later digits update them in place.  A dyadic p stops at its last
         digit, since a flip still equal to p there has U_j >= p.  The flips
         still open after _SLICED digits, about one in 64, then take one raw
         word each, compared as an integer with p's next 64 digits, until
-        they differ.  Bits from n on in the last word are not flips.
+        they differ; those words follow the digit rows, so only a run of
+        one coin keeps the order of per-coin draws.  Bits from n on in the
+        last word are not flips.
         """
-        num, den = self._biases[edge].numerator, self._biases[edge].denominator
-        raw = self._rng.bit_generator.random_raw
+        num, den = p.numerator, p.denominator
+        digits, r = [], num  # p's sliced digits, and the remainder past them
+        while r and len(digits) < _SLICED:
+            r <<= 1
+            digits.append(r >= den)
+            if r >= den:
+                r -= den
         words = (n + 63) // 64
-        ones = out[:words]  # flips decided heads
-        open_ = raw(words)  # flips equal to p so far
-        r = num << 1
-        if r >= den:  # p's digit is 1: U's digit 0 decides heads
-            r -= den
+        raw = self._rng.bit_generator.random_raw
+        u = raw(len(out) * len(digits) * words).reshape(len(out), len(digits), words)
+        ones = out[:, :words]  # flips decided heads
+        open_ = u[:, 0]  # flips equal to p so far
+        if digits[0]:  # p's digit is 1: U's digit 0 decides heads
             np.invert(open_, out=ones)
         else:  # p's digit is 0: U's digit 1 decides tails
             ones.fill(0)
             np.invert(open_, out=open_)
-        for _ in range(_SLICED - 1):
-            if not r:
-                break
-            u = raw(words)
-            r <<= 1
-            if r >= den:
-                r -= den
-                np.invert(u, out=u)
-                u &= open_
-                ones |= u
+        for k in range(1, len(digits)):
+            digit = u[:, k]
+            if digits[k]:
+                np.invert(digit, out=digit)
+                digit &= open_
+                ones |= digit
             else:
-                u &= open_
-            open_ ^= u  # drop the flips this digit decided
+                digit &= open_
+            open_ ^= digit  # drop the flips this digit decided
         if r:
-            lanes = np.flatnonzero(_unpack(open_, n))
-            while r and len(lanes):
-                d, r = divmod(r << 64, den)
-                u = raw(len(lanes))
-                heads = lanes[u < np.uint64(d)]
-                np.bitwise_or.at(ones, heads >> 6, np.uint64(1) << (heads & 63).astype(np.uint64))
-                # Lanes still equal take p's next 64 digits; where p ends, they are tails.
-                lanes = lanes[u == np.uint64(d)]
+            for row_ones, row_open in zip(ones, open_):
+                lanes, rest = np.flatnonzero(_unpack(row_open, n)), r
+                while rest and len(lanes):
+                    d, rest = divmod(rest << 64, den)
+                    w = raw(len(lanes))
+                    heads = lanes[w < np.uint64(d)]
+                    np.bitwise_or.at(row_ones, heads >> 6, np.uint64(1) << (heads & 63).astype(np.uint64))
+                    # Lanes still equal take p's next 64 digits; where p ends, they are tails.
+                    lanes = lanes[w == np.uint64(d)]
 
     def flip(self, edge: int) -> int:
         if not 0 <= edge < self.num_edges:
             raise InvalidInstance(f"unknown edge id {edge}")
         pos = self._flip_counts[edge] % _BUFFER
         if not pos:
-            self._draw_bits(edge, _BUFFER, self._bits[edge])
+            self._draw_bits(self._biases[edge], _BUFFER, self._bits[edge:edge + 1])
         self._flip_counts[edge] += 1
         return int(self._bits[edge, pos >> 6]) >> (pos & 63) & 1
 
     def _refill(self) -> None:
-        """Draw the next _BUFFER rounds, edge by edge, into the flip rows."""
+        """Draw the next _BUFFER rounds into the flip rows, one _draw_bits call a run of edges."""
         self._drawn = self._rounds + _BUFFER
         self._hits.clear()
-        for e, row in enumerate(self._rows):
-            self._draw_bits(e, _BUFFER, row)
+        for p, lo, hi in self._runs:
+            self._draw_bits(p, _BUFFER, self._rows[lo:hi])
 
     def _passing(self, test: ExitTables | None) -> tuple[list[int], list[int]]:
         """Positions in the current buffer of the rounds passing `test`, and their masks.

@@ -7,6 +7,7 @@ from a separate seeded generator, never from the coins.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from graphlib import CycleError, TopologicalSorter
@@ -97,6 +98,26 @@ def sample_path(
 # The flow-polytope factory
 # ---------------------------------------------------------------------------
 
+def _below(rng, n: int):
+    """A callable drawing u = rng.randrange(n): the same words, and the same rng state, call by call.
+
+    For an exact random.Random (and n >= 1) it is the __next__ of a
+    generator running CPython's own _randbelow_with_getrandbits loop, one u
+    a call: draw getrandbits(n.bit_length()) and reject values >= n.  That
+    skips randrange's two Python frames.  Any other rng, a wrapper that
+    counts calls among them, gets one randrange(n) a call.
+    """
+    if type(rng) is not random.Random or n < 1:
+        return partial(rng.randrange, n)
+    return _randbelow(rng.getrandbits, n, n.bit_length()).__next__
+
+
+def _randbelow(getrandbits, n: int, k: int):
+    while True:
+        if (r := getrandbits(k)) < n:
+            yield r
+
+
 class FlowSampler:
     """Reusable sampler for one polytope; one per-node exit table serves both stages of a round.
 
@@ -113,7 +134,9 @@ class FlowSampler:
     list at a time (a buffer's worth from SimulatedCoins), one loop runs the
     tree stage over them in round order, and the accept, or a raise, sends
     the walk the hit it stopped at.  The tree stage is one draw
-    u = randrange(|T(E)|) per stage-1 pass: u < B = ExitTables.bound names
+    u = randrange(|T(E)|) per stage-1 pass, taken through `_below` (the
+    same words and state as randrange, without its Python frames on an
+    exact random.Random): u < B = ExitTables.bound names
     one of the B maps that pick an exit per non-root node of f's flip image,
     and K_f of them are the trees whose flip is an arborescence.  So the
     round goes on with probability K_f/|T(E)| and a uniform such tree,
@@ -144,8 +167,8 @@ class FlowSampler:
         walk = coins.hits_in if isinstance(coins, CoinSource) else partial(CoinSource.hits_in, coins)
         hits = walk(self.exits, max_restarts + 1)
         flip = coins.flip
-        randrange = rng.randrange
-        total_trees, bound, tree_of = self.total_trees, self.exits.bound, self.exits.tree
+        below = _below(rng, self.total_trees)
+        bound, tree_of = self.exits.bound, self.exits.tree
         m, reflips = len(self.P.edges), 0
         for masks, span in hits:
             if not self.qualifies:
@@ -155,7 +178,7 @@ class FlowSampler:
                     raise NoArborescence(f"no tree flips to an arborescence toward node {self.root}")
                 self.qualifies = True
             for i in span:
-                if (u := randrange(total_trees)) < bound and (tree := tree_of(mask := masks[i], u)) is not None:
+                if (u := below()) < bound and (tree := tree_of(mask := masks[i], u)) is not None:
                     for eid in tree:
                         reflips += 1
                         if flip(eid) == (mask >> eid) & 1:

@@ -372,7 +372,10 @@ def check_parallel_to_circ(P: FlowPolytope) -> bool:
 
     a - b is balanced exactly when a and b have the same net flow at every
     node, so each vertex's net flow, its bits times the edge-node incidence,
-    is compared with the first vertex's.
+    is compared with the first vertex's.  Every row of enumerate_vertices
+    meets every demand by construction, so on any polytope this only
+    re-tests the vertex enumeration: it fails only where that enumeration
+    yields a non-vertex.
     """
     verts = enumerate_vertices(P)
     tail, head = P.graph.ends[..., None] == np.arange(len(P.graph.incident_nodes))
@@ -392,6 +395,11 @@ class BijectionWitness:
 
 
 #: The exchange checks in the order each pair takes them, as the messages they raise.
+#: Check 3 is never a pair's first failure, so no test reaches it: once checks 0
+#: and 1 pass, plus and minus share at most eta, and either eta is not in minus
+#: (g is then the signed indicator of T + eta's one cycle, and checks 2 and 3
+#: both pass) or eta is in both (g's only arc is eta, and check 2 fails first).
+#: It is kept as a statement of what the decomposition must give.
 _EXCHANGE_CHECKS = (
     "exchange vector is not balanced",
     "exchange vector leaves the tree support",

@@ -230,6 +230,9 @@ def qualifying_tree_count(P: FlowPolytope, f: FlowVertex, root: int) -> int:
     return root_minors(flip_laplacians(P, [f], ones, ones), P.graph.incident_nodes.index(root))[0]
 
 
+_WORD = (1 << 64) - 1  # a uint64 word of all ones
+
+
 class ExitTables:
     """Each non-root node's exits in the flip image of a round mask: the stage-1 test and the tree stage.
 
@@ -245,11 +248,11 @@ class ExitTables:
     number B of maps that pick one exit per non-root node of a vertex's
     flip image, and K_f <= B.  v's exits depend only on mask & at_v, so
     each non-root node keeps one table keyed by it; an entry, filled the
-    first time its pattern is read, holds v's exits as (edge id, other end)
-    pairs in edge-id order, nodes being positions in `incident_nodes`.  An
-    edge id is an exit of one end only, so the maps that are arborescences
-    toward root are the trees qualifying_tree_count counts, each once;
-    whether there are any, the tables do not decide.
+    first time its pattern is read from v's edges alone, holds v's exits as
+    (edge id, other end) pairs in edge-id order, nodes being positions in
+    `incident_nodes`.  An edge id is an exit of one end only, so the maps
+    that are arborescences toward root are the trees qualifying_tree_count
+    counts, each once; whether there are any, the tables do not decide.
     """
 
     def __init__(self, P: FlowPolytope, root: int):
@@ -257,48 +260,82 @@ class ExitTables:
         G = P.graph
         self.root = root
         self._root_bit = 1 << G.incident_nodes.index(root)
-        self._other = (G.ends[0] ^ G.ends[1]).tolist()  # per edge, tail ^ head: xor with one end gives the other
-        # Per non-root node: (its position, edges at it, its out-edges, its exit count, its table).
-        self._nodes = tuple((v, out | into, out, out.bit_count() - P.demand(label), {})
-                            for v, (label, (out, into)) in enumerate(zip(G.incident_nodes, G.node_bits))
-                            if label != root)
-        self.bound = prod(k for _, _, _, k, _ in self._nodes)
+        ends = G.ends.T.tolist()
+        # Per non-root node: (its position, edges at it, its out-edges, its exit count, its table,
+        # and per edge at it in edge-id order, (the edge's bit, (edge id, the edge's other end))).
+        nodes = []
+        for v, (label, (out, into)) in enumerate(zip(G.incident_nodes, G.node_bits)):
+            if label != root:
+                at = out | into
+                nodes.append((v, at, out, out.bit_count() - P.demand(label), {},
+                              tuple((1 << e, (e, ends[e][0] ^ ends[e][1] ^ v))
+                                    for e in range(at.bit_length()) if at >> e & 1)))
+        self._nodes = tuple(nodes)
+        self.bound = prod(k for _, _, _, k, _, _ in nodes)
         self._step = [0] * len(G.incident_nodes)  # each node's exit target in the map last read
+        # scan's rows: slot s of node i reads row _slot_rows[s, i] of [rows; ~rows; 0], its s-th
+        # edge's row, inverted for an edge out of it, or the zero row past its degree, over an even
+        # number of slots; plane b of _target holds, in words of all ones or all zeros, bit b of
+        # each node's exit count.
+        m, degree = len(ends), max(len(pairs) for *_, pairs in nodes)
+        slots = degree + degree % 2
+        self._slot_rows = np.full((slots, len(nodes)), 2 * m, dtype=np.intp)
+        self._target = np.zeros((slots.bit_length(), len(nodes), 1), dtype=np.uint64)
+        for i, (_, _, out, k, _, pairs) in enumerate(nodes):
+            for slot, (_, (e, _)) in enumerate(pairs):
+                self._slot_rows[slot, i] = e + m * (out >> e & 1)
+            for b, plane in enumerate(self._target):
+                plane[i] = _WORD * (k >> b & 1)
 
     def __contains__(self, mask: int) -> bool:
-        return all(((mask & at) ^ out).bit_count() == k for _, at, out, k, _ in self._nodes)
+        return all(((mask & at) ^ out).bit_count() == k for _, at, out, k, _, _ in self._nodes)
 
     def scan(self, rows: np.ndarray) -> np.ndarray:
         """Words whose bit j is set iff round j of `rows` is in the tables.
 
         Row e of `rows` holds edge e's flips, round j at bit j % 64 of word
-        j // 64.  Each node's exit count is summed bit-sliced, 64 rounds a
-        word op: plane k holds bit k of every round's count, and the row of
-        each edge at the node, in edge-id order (inverted for an edge out of
-        the node), is added with a ripple of carries.  A round passes the
-        node where every plane equals k_v's bit; k_v <= deg(v) fits the planes.
+        j // 64.  Every non-root node's exit count is summed at once,
+        bit-sliced, 64 rounds a word op: one gather takes each node's edge
+        rows, slot by slot (inverted for an edge out of the node, zero past
+        its degree), and plane b of the count holds bit b of every node's
+        count in every round.  Carry-save adders add the slots two at a
+        time: a full adder puts both into plane 0, and its carry ripples
+        up only as far as the count can yet reach, so the top plane takes
+        no carry out.  A round passes where every plane of every node
+        equals the bit of its k_v; k_v <= deg(v) fits the planes.
         """
-        found = ~np.zeros(rows.shape[1], dtype=np.uint64)
-        for _, at, out, target, _ in self._nodes:
-            planes: list[np.ndarray] = []
-            edges = (e for e in range(at.bit_length()) if at >> e & 1)
-            for added, e in enumerate(edges, 1):
-                carry = ~rows[e] if out >> e & 1 else rows[e]
-                for k, plane in enumerate(planes):
-                    planes[k] = plane ^ carry
-                    carry = plane & carry
-                # The count is at most `added`, so the carry out is zero
-                # unless `added` needs one more bit.
-                if added.bit_length() > len(planes):
-                    planes.append(carry)
-            for k, plane in enumerate(planes):
-                found &= plane if target >> k & 1 else ~plane
-        return found
+        m = len(rows)
+        signed = np.empty((2 * m + 1, rows.shape[1]), dtype=np.uint64)
+        signed[:m] = rows
+        np.invert(rows, out=signed[m:2 * m])
+        signed[2 * m] = 0
+        x = signed.take(self._slot_rows, axis=0)
+        planes = np.zeros((len(self._target), *x.shape[1:]), dtype=np.uint64)
+        carry = np.empty(x.shape[1:], dtype=np.uint64)
+        reach = 0  # the largest count the slots added so far can make
+        for a, b in zip(x[0::2], x[1::2]):
+            np.bitwise_and(a, b, out=carry)
+            a ^= b
+            np.bitwise_and(a, planes[0], out=b)
+            carry |= b
+            planes[0] ^= a
+            reach += 2
+            top = reach.bit_length() - 1
+            for plane in planes[1:top]:
+                np.bitwise_and(plane, carry, out=a)
+                plane ^= carry
+                carry, a = a, carry
+            planes[top] ^= carry
+        planes ^= self._target
+        miss = np.bitwise_or.reduce(planes.reshape(-1, planes.shape[-1]), axis=0)
+        return np.invert(miss, out=miss)
 
-    def _fill(self, v: int, at: int, out: int, table: dict, mask: int) -> tuple[tuple[int, int], ...]:
+    @staticmethod
+    def _fill(at: int, out: int, table: dict, pairs: tuple, mask: int) -> tuple[tuple[int, int], ...]:
+        """Enter, and return, a node's exits under `mask`: the (edge id, other end) of each of
+        `pairs`, the node's (edge bit, (edge id, other end)) in edge-id order, whose bit is an exit."""
         bits = (mask & at) ^ out
-        return table.setdefault(mask & at, tuple((e, self._other[e] ^ v) for e in range(bits.bit_length())
-                                                 if bits >> e & 1))
+        return table.setdefault(mask & at, tuple(exit for bit, exit in pairs if bits & bit))
 
     def tree(self, mask: int, u: int) -> list[int] | None:
         """Edge ids of the exit map that u names, node by node, if it is an arborescence toward root.
@@ -310,13 +347,13 @@ class ExitTables:
         """
         step = self._step
         eids = []
-        for v, at, out, _, table in self._nodes:
-            exits = table.get(mask & at) or self._fill(v, at, out, table, mask)
+        for v, at, out, _, table, pairs in self._nodes:
+            exits = table.get(mask & at) or self._fill(at, out, table, pairs, mask)
             u, d = divmod(u, len(exits))
             eid, step[v] = exits[d]
             eids.append(eid)
         reach = self._root_bit  # nodes whose path along the map reaches root
-        for v, _, _, _, _ in self._nodes:
+        for v, _, _, _, _, _ in self._nodes:
             path = 0
             while not reach >> v & 1:
                 if path >> v & 1:

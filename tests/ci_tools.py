@@ -1,8 +1,10 @@
 """Small helpers for the CI jobs, standard library only.
 
-    python3 tests/ci_tools.py coins POLYTOPE NUM DEN OUT
+    python3 tests/ci_tools.py coins POLYTOPE NUM DEN OUT [CYCLE NUM DEN ...]
         Write to OUT the coin file with every edge of the polytope file
-        POLYTOPE at bias NUM/DEN.
+        POLYTOPE at bias NUM/DEN, except that each further CYCLE NUM DEN
+        puts the edges of the directed cycle CYCLE (comma-separated nodes,
+        closed back to the first) at NUM/DEN.
     python3 tests/ci_tools.py peak-rss LIMIT_MB COMMAND [ARG ...]
         Run COMMAND, print its peak resident set size, and exit with its
         exit code, or 1 when it exits 0 but its peak RSS is above LIMIT_MB.
@@ -16,11 +18,17 @@ import subprocess
 import sys
 
 
-def coins(polytope: str, num: str, den: str, out: str) -> int:
+def coins(polytope: str, num: str, den: str, out: str, *cycles: str) -> int:
     with open(polytope, encoding="utf-8") as fh:
-        m = len(json.load(fh)["edges"])
+        records = json.load(fh)["edges"]
+    ids = {(e["from"], e["to"]): e["id"] for e in records}
+    biases = [(int(num), int(den))] * len(records)
+    for cycle, cnum, cden in zip(cycles[::3], cycles[1::3], cycles[2::3]):
+        nodes = [int(v) for v in cycle.split(",")]
+        for arc in zip(nodes, nodes[1:] + nodes[:1]):
+            biases[ids[arc]] = (int(cnum), int(cden))
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump({"coins": [{"edge": i, "num": int(num), "den": int(den)} for i in range(m)]}, fh)
+        json.dump({"coins": [{"edge": i, "num": n, "den": d} for i, (n, d) in enumerate(biases)]}, fh)
     return 0
 
 

@@ -55,10 +55,28 @@ MUTANTS = (
            ("tests/test_spanning.py::test_sample_flip_tree_rejects_a_non_vertex_before_any_draw",)),
     # The stage-1 vertex test and its bulk scan.
     Mutant("scan-inverts-in-edges", "src/flowfactory/spanning.py",
-           "carry = ~rows[e] if out >> e & 1 else rows[e]",
-           "carry = rows[e] if out >> e & 1 else ~rows[e]",
+           "e + m * (out >> e & 1)",
+           "e + m * (1 - (out >> e & 1))",
            ("tests/test_rounds.py::test_first_hit_matches_flip_round_loop",
             "tests/test_rounds.py::test_bulk_scan_matches_per_round_path[circ4]")),
+    Mutant("scan-drops-a-full-adders-carry", "src/flowfactory/spanning.py",
+           "            carry |= b\n",
+           "",
+           ("tests/test_rounds.py::test_scan_matches_membership_round_by_round[circ4]",
+            "tests/test_rounds.py::test_scan_matches_membership_round_by_round[circ5m]")),
+    Mutant("exit-pairs-take-the-tail", "src/flowfactory/spanning.py",
+           "(e, ends[e][0] ^ ends[e][1] ^ v)",
+           "(e, ends[e][0])",
+           ("tests/test_rounds.py::test_tree_count_and_exit_tables_match_reference",)),
+    # The round buffer's run-wise refill and the tree stage's draw.
+    Mutant("run-key-merges-tail-edges", "src/flowfactory/coins.py",
+           "0 if (1 << _SLICED) % b.denominator == 0 else e",
+           "0",
+           ("tests/test_draw_reference.py::test_run_refill_matches_per_edge_reference",)),
+    Mutant("below-accepts-u-equal-to-n", "src/flowfactory/factory.py",
+           "if (r := getrandbits(k)) < n:",
+           "if (r := getrandbits(k)) <= n:",
+           ("tests/test_rounds.py::test_below_matches_randrange_draw_for_draw",)),
     Mutant("exit-count-outdeg-plus-demand", "src/flowfactory/spanning.py",
            "out.bit_count() - P.demand(label)",
            "out.bit_count() + P.demand(label)",

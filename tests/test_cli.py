@@ -14,6 +14,7 @@ from flowfactory import (
     build_matching_polytope,
     random_interior_point,
 )
+from flowfactory import cli
 from flowfactory.cli import main
 from flowfactory.io import (
     coins_from_dict,
@@ -357,6 +358,22 @@ def test_verify_all_pass(tmp_path, capsys):
         {"den": 3, "edge": 0, "num": 1},
         {"den": 3, "edge": 1, "num": 1},
     ]
+
+
+def test_verify_twice_in_process_writes_equal_reports_from_one_parser(tmp_path):
+    # The parser is built once per process and shared by every call; a call
+    # with a --checks subset in between leaves no state in it for the next.
+    poly, coins = _write_triangle(tmp_path)
+    cli.build_parser.cache_clear()
+    first, subset, second = (str(tmp_path / name) for name in ("first.json", "subset.json", "second.json"))
+    assert main(["verify", poly, coins, "--out", first]) == 0
+    assert main(["verify", poly, coins, "--checks", "zls,positivity", "--out", subset]) == 0
+    assert main(["verify", poly, coins, "--out", second]) == 0
+    with open(first, "rb") as a, open(second, "rb") as b:
+        report = a.read()
+        assert report == b.read()
+    assert [c["name"] for c in json.loads(report)["checks"]] == list(cli._ALL_CHECKS)
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_verify_positivity_failure_exit(tmp_path, capsys):

@@ -5,6 +5,7 @@ a bool row for the tail, as the draw did before it wrote into its
 destination words.  Drawn from equal generators, the two must return the
 same words, flips beyond n in the last word included, and leave the
 generators in the same state, so the same raw words give the same flips.
+Round buffers drawn a run of edges at a time must equal it edge by edge.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from flowfactory import SimulatedCoins
 from flowfactory.coins import _BUFFER, _SLICED, _unpack
 
-from instances import THIRD, WORD
+from instances import HALF, THIRD, WORD
 
 
 def reference_draw_bits(coins: SimulatedCoins, edge: int, n: int) -> np.ndarray:
@@ -69,8 +70,39 @@ biases = st.one_of(dyadic, st.just(THIRD), st.just(Fraction(2**64, 2**65 + 1)),
 def test_in_place_draw_matches_reference(p, n, seed):
     coins, ref = SimulatedCoins([p], seed=seed), SimulatedCoins([p], seed=seed)
     out = np.full(_BUFFER // 64, 0x5555_5555_5555_5555, dtype=np.uint64)  # stale words of an earlier draw
-    coins._draw_bits(0, n, out)
+    coins._draw_bits(p, n, out[None])
     words = (n + 63) // 64
     assert out[:words].tolist() == reference_draw_bits(ref, 0, n).tolist()
     assert (out[words:] == 0x5555_5555_5555_5555).all()  # words past the draw stay as they were
     assert coins._rng.bit_generator.state == ref._rng.bit_generator.state
+
+
+# Biases with no digit past _SLICED (1/2, 3/8, 1/2^_SLICED), which share a run
+# with equal neighbours, and two that reach the tail (1/3, and 5/2^(_SLICED+1),
+# dyadic one digit past _SLICED), each a run of its own.
+run_biases = st.sampled_from([HALF, Fraction(3, 8), Fraction(1, 1 << _SLICED), THIRD,
+                              Fraction(5, 1 << (_SLICED + 1))])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(run_biases, min_size=1, max_size=10), st.lists(st.integers(0, 9), max_size=3),
+       st.integers(0, 2**32))
+@example([HALF] * 3 + [Fraction(3, 8)] * 3, [], 0)  # two runs
+@example([HALF, HALF, THIRD, HALF, HALF, Fraction(3, 8), THIRD, Fraction(3, 8)], [2, 0], 1)  # runs split by 1/3
+@example([Fraction(5, 1 << (_SLICED + 1))] * 3 + [HALF] * 2, [0, 4, 0], 2)  # equal tail biases stay apart
+@example([THIRD, HALF, HALF], [1, 1], 3)  # one edge's single flips cross a flip-buffer end
+def test_run_refill_matches_per_edge_reference(biases, flips, seed):
+    """Round buffers drawn a run at a time equal per-edge reference draws, with
+    single-flip buffers drawn between them: the same rows, flips and rng state."""
+    coins, ref = SimulatedCoins(biases, seed=seed), SimulatedCoins(biases, seed=seed)
+    for k in range(len(flips) + 1):
+        coins._refill()
+        assert coins._rows.tolist() == [reference_draw_bits(ref, e, _BUFFER).tolist() for e in range(len(biases))]
+        assert coins._rng.bit_generator.state == ref._rng.bit_generator.state
+        if k < len(flips):
+            # A whole flip buffer of one edge: it is drawn at the first flip,
+            # where the edge's last buffer, if any, ended.
+            e = flips[k] % len(biases)
+            got = [coins.flip(e) for _ in range(_BUFFER)]
+            assert got == _unpack(reference_draw_bits(ref, e, _BUFFER), _BUFFER).tolist()
+            assert coins._rng.bit_generator.state == ref._rng.bit_generator.state

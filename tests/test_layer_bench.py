@@ -10,13 +10,14 @@ from fractions import Fraction
 
 from flowfactory import (
     SimulatedCoins,
+    factory,
     build_circulation_polytope,
     build_matching_polytope,
     enumerate_vertices,
     oracle,
 )
 from flowfactory.cli import _CHECKS
-from flowfactory.coins import _BUFFER
+from flowfactory.coins import _BUFFER, _unpack
 from flowfactory.io import sample_line
 from flowfactory.spanning import ExitTables, flip_laplacians, qualifying_tree_count, root_minors
 
@@ -55,6 +56,49 @@ def test_bench_refill_circ4_third(benchmark):
 
 def test_bench_refill_circ4_huge_den(benchmark):
     _bench_refill_circ4(benchmark, Fraction(2**64, 2**65 + 1))
+
+
+def test_bench_refill_circ5m_half(benchmark):
+    # circ5m's 18 edges at 1/2 are one run: one random_raw call and one
+    # invert a buffer.
+    coins = SimulatedCoins([HALF] * len(circ5m().edges), seed=0)
+    benchmark.pedantic(coins._refill, rounds=5, iterations=1)
+    assert coins._runs == [(HALF, 0, 18)]
+    n = 18 * _BUFFER
+    heads = sum(w.bit_count() for w in coins._rows.ravel().tolist())
+    assert abs(heads - n / 2) < 4 * (n / 4) ** 0.5
+
+
+def test_bench_tree_stage_draws(benchmark):
+    # 10,000 tree-stage draws u below |T| = 1200 (circ5m's tree count) from an
+    # exact random.Random, each equal to randrange's.
+    rng, draws = random.Random(0), []
+
+    def draw():
+        below = factory._below(rng, 1200)
+        draws[:] = [below() for _ in range(10_000)]
+
+    benchmark.pedantic(draw, rounds=5, iterations=1)
+    ref = random.Random(0)
+    for _ in range(4 * 10_000):
+        ref.randrange(1200)
+    assert draws == [ref.randrange(1200) for _ in range(10_000)] and rng.getstate() == ref.getstate()
+
+
+def test_bench_scan_circ5m(benchmark):
+    # The carry-save stage-1 scan of one circ5m buffer at root 1, alone.
+    P = circ5m()
+    tables = ExitTables(P, 1)
+    coins = SimulatedCoins([HALF] * len(P.edges), seed=0)
+    coins._refill()
+    found = []
+
+    def scan():
+        found[:] = [tables.scan(coins._rows)]
+
+    benchmark.pedantic(scan, rounds=5, iterations=1)
+    hits = int(_unpack(found[0], _BUFFER).sum())
+    assert abs(hits - _BUFFER * 2440 / (1 << 18)) < 4 * (_BUFFER * 2440 / (1 << 18)) ** 0.5
 
 
 def test_bench_stage1_scan_circ4(benchmark):

@@ -7,7 +7,8 @@ took, and biases with denominators above 2^63 by their frequencies and
 end to end; the stage-1 vertex test of ExitTables
 is checked against is_vertex at every root, both on single masks and over
 whole buffers of per-edge flip rows, and the bulk scan of SimulatedCoins
-against a flip_round loop; the tree count K_f, its bound B and the exit maps below B
+against a flip_round loop; the tree stage's draw is checked against
+randrange, word for word; the tree count K_f, its bound B and the exit maps below B
 are checked against the flip_tree + is_arborescence reference, and K_f,
 zero at every vertex or at none, against the sampler's one NoArborescence
 check.
@@ -168,9 +169,9 @@ def test_flip_counts_exact_under_mixed_use():
 
 def _drawn(coins, edge, n):
     """n flips of `edge` drawn into fresh words."""
-    out = np.empty((n + 63) // 64, dtype=np.uint64)
-    coins._draw_bits(edge, n, out)
-    return out
+    out = np.empty((1, (n + 63) // 64), dtype=np.uint64)
+    coins._draw_bits(coins._biases[edge], n, out)
+    return out[0]
 
 
 def test_single_flips_cross_refills_byte_for_byte():
@@ -248,20 +249,22 @@ def _decided(p, a, t):
 def _flips_from_words(p, calls, n):
     """The flips [U_j < p], j < n, with each U_j's digits rebuilt from the raw words a draw took.
 
-    The first calls, one per sliced digit of p, hold that digit of every U_j
-    (bit j % 64 of word j // 64); each later call holds the next 64 digits of
-    every flip still undecided, in order.  The calls must have exactly those
-    lengths, so the draw took no word more or fewer than that needs.
+    The first call holds one row of words a sliced digit of p, that digit of
+    every U_j (bit j % 64 of word j // 64); each later call holds the next 64
+    digits of every flip still undecided, in order.  The calls must have
+    exactly those lengths, so the draw took no word more or fewer than that
+    needs.
     """
     words = (n + 63) // 64
     den = p.denominator
     sliced = min(_SLICED, den.bit_length() - 1) if den & (den - 1) == 0 else _SLICED
-    assert [len(c) for c in calls[:sliced]] == [words] * sliced
+    assert len(calls[0]) == sliced * words
     digits = [0] * n
-    for c in calls[:sliced]:
+    for k in range(sliced):
+        c = calls[0][k * words:(k + 1) * words]
         digits = [2 * a + (c[j // 64] >> (j % 64) & 1) for j, a in enumerate(digits)]
     t = [sliced] * n
-    for c in calls[sliced:]:
+    for c in calls[1:]:
         lanes = [j for j in range(n) if _decided(p, digits[j], t[j]) is None]
         assert len(c) == len(lanes)
         for j, u in zip(lanes, c):
@@ -280,7 +283,7 @@ def test_draw_bits_is_u_below_p_at_the_first_differing_digit(p):
         out = _unpack(_drawn(coins, 0, n), n)
         assert out.tolist() == _flips_from_words(p, recorder.calls, n)
         # Only 1/2 and 1/16 stop within the sliced digits; the rest reach the tail.
-        assert (len(recorder.calls) > _SLICED) == (p.denominator not in (2, 16))
+        assert (len(recorder.calls) > 1) == (p.denominator not in (2, 16))
 
 
 @pytest.mark.parametrize("p", [THIRD, Fraction(3, 7), Fraction(10**30, 10**30 + 1), Fraction(1, 2**70)],
@@ -293,10 +296,12 @@ def test_draw_bits_continues_while_u_equals_p(p):
 
     def digits_of_p(size):
         t = len(sent)
-        if t < _SLICED:
-            word = WORD if math.floor(p * 2 ** (t + 1)) & 1 else 0
-        elif t < _SLICED + 2:
-            word = math.floor(p * 2 ** (_SLICED + 64 * (t - _SLICED + 1))) & WORD
+        if t == 0:  # every sliced digit's row in one call
+            word = [WORD if math.floor(p * 2 ** (k + 1)) & 1 else 0 for k in range(_SLICED)]
+            sent.append(word)
+            return np.repeat(np.array(word, dtype=np.uint64), size // _SLICED)
+        if t < 3:
+            word = math.floor(p * 2 ** (_SLICED + 64 * t)) & WORD
         else:
             return rng.bit_generator.random_raw(size)
         sent.append(word)
@@ -309,9 +314,9 @@ def test_draw_bits_continues_while_u_equals_p(p):
     assert out.tolist() == _flips_from_words(p, recorder.calls, n)
     if p.denominator == 2**70:
         # p's digits end within the first 64-digit word: a flip equal to p that far is tails.
-        assert len(recorder.calls) == _SLICED + 1 and not out.any()
+        assert len(recorder.calls) == 2 and not out.any()
     else:
-        assert [len(c) for c in recorder.calls[_SLICED:]] == [n, n, n]
+        assert [len(c) for c in recorder.calls[1:]] == [n, n, n]
 
 
 @pytest.mark.parametrize("p", _HUGE_BIASES, ids=str)
@@ -697,6 +702,87 @@ def test_tree_count_runs_once_per_sampler(monkeypatch):
     for _ in range(50):
         sampler.sample(coins, rng)
     assert len(calls) == 1 and sampler.qualifies
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64), st.sampled_from([1, 2, 3, 127, 128, 129, 1200, 2**32 - 1, 2**32, 2**32 + 1,
+                                                2**70 + 3]))
+def test_below_matches_randrange_draw_for_draw(seed, n):
+    # The tree stage's draw on an exact random.Random takes getrandbits words
+    # itself: each u and the generator's state after it are randrange's.
+    rng, ref = random.Random(seed), random.Random(seed)
+    below = factory._below(rng, n)
+    for _ in range(20):
+        assert below() == ref.randrange(n)
+        assert rng.getstate() == ref.getstate()
+
+
+class CountingRng:
+    """Not a random.Random: hands each randrange to one and records its argument."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self.calls = []
+
+    def randrange(self, n):
+        self.calls.append(n)
+        return self._rng.randrange(n)
+
+
+class RecordedRounds:
+    """Coins seen round by round, as perfbench's traced proxy sees them, keeping every mask."""
+
+    def __init__(self, coins):
+        self.num_edges, self.flip, self._flip_round = coins.num_edges, coins.flip, coins.flip_round
+        self.masks = []
+
+    def flip_round(self):
+        self.masks.append(mask := self._flip_round())
+        return mask
+
+
+@pytest.mark.parametrize("P", [build_circulation_polytope(4), circ5m()], ids=["circ4", "circ5m"])
+def test_other_rngs_get_one_randrange_per_stage1_pass(P):
+    # One randrange(|T|) per round that passes stage 1, the count perfbench's
+    # traced stage-1 gate reads; the exact random.Random's own draw gives the
+    # same samples.
+    sampler, m = FlowSampler(P), len(P.edges)
+    coins, rng = RecordedRounds(SimulatedCoins([HALF] * m, seed=3)), CountingRng(4)
+    traces = [sampler.sample(coins, rng) for _ in range(12)]
+    passes = sum(mask in sampler.exits for mask in coins.masks)
+    assert passes > 12 and rng.calls == [sampler.total_trees] * passes
+    fast, exact, sampler = SimulatedCoins([HALF] * m, seed=3), random.Random(4), FlowSampler(P)
+    assert [sampler.sample(fast, exact) for _ in range(12)] == traces
+    assert exact.getstate() == rng._rng.getstate()
+
+
+def _pendant():
+    """A triangle with a fourth node hanging off node 3 by one edge, which carries node 3's unit to it."""
+    edges = ((1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1), (3, 4))
+    return FlowPolytope(Graph(4, edges), (0, 0, 1, -1))
+
+
+@pytest.mark.parametrize("P", [
+    pytest.param(build_circulation_polytope(3), id="circ3"),
+    pytest.param(build_circulation_polytope(4), id="circ4"),
+    pytest.param(circ5m(), id="circ5m"),
+    pytest.param(build_matching_polytope(3), id="match3"),
+    pytest.param(build_kflow_polytope(4, 2), id="kflow4_2"),
+    pytest.param(build_kflow_polytope(5, 2), id="kflow5_2"),
+    pytest.param(_pendant(), id="degree-1-node"),
+])
+def test_scan_matches_membership_round_by_round(P):
+    # Uniform random rounds with every vertex mixed in, at every root: the
+    # bulk scan's carry-save count agrees with `in` on each round.
+    m = len(P.edges)
+    rng = random.Random(m)
+    masks = [rng.getrandbits(m) for _ in range(3000)] + [sum(b << i for i, b in enumerate(f))
+                                                          for f in enumerate_vertices(P)]
+    rng.shuffle(masks)
+    for root in P.graph.incident_nodes:
+        tables = ExitTables(P, root)
+        expected = [w in tables for w in masks]
+        assert any(expected) and _scan(tables, masks, m) == expected, root
 
 
 def test_negative_degree_factors_are_no_bound():
