@@ -395,16 +395,10 @@ class BijectionWitness:
 
 
 #: The exchange checks in the order each pair takes them, as the messages they raise.
-#: Check 3 is never a pair's first failure, so no test reaches it: once checks 0
-#: and 1 pass, plus and minus share at most eta, and either eta is not in minus
-#: (g is then the signed indicator of T + eta's one cycle, and checks 2 and 3
-#: both pass) or eta is in both (g's only arc is eta, and check 2 fails first).
-#: It is kept as a statement of what the decomposition must give.
 _EXCHANGE_CHECKS = (
     "exchange vector is not balanced",
     "exchange vector leaves the tree support",
     "eta with the exchange edges is not a directed cycle",
-    "cycle decomposition does not recompose the vector",
     "image of the exchange map leaves {0,1}",
     "exchange map is not a bijection onto the target family",
 )
@@ -420,7 +414,7 @@ def _exchange_vector(eta_bit, pattern_s, pattern_t):
 
 
 def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], int]]) -> np.ndarray:
-    """Which of the six exchange checks each (tree, eta) pair fails: a bool
+    """Which of the five exchange checks each (tree, eta) pair fails: a bool
     array with one row per check, in _EXCHANGE_CHECKS order, and one column
     per pair.
 
@@ -432,15 +426,12 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
     - support: g lies on T + eta;
     - directed cycle: g's arcs (its +1 edges, and its -1 edges reversed)
       form one directed cycle.  Arc slot i is edge i, and slot m + i is
-      edge i reversed unless that is an edge of P, whose slot it then takes
-      (an arc named twice is one arc, as in a set).  A node's tail slots
-      are its out-edges and its in-edges shifted by m, its head slots the
-      other way round.  T + eta is connected with as many edges as nodes,
-      so its cycle space has dimension one: once checks 0 and 1 pass, the
-      arcs are one directed cycle iff every node is the tail of as many
-      arcs as it is the head of, and of at most one;
-    - recomposition: that cycle minus the two-cycles of g's -1 edges is g
-      iff no +1 edge is the reverse of a -1 edge;
+      edge i reversed.  A node's tail slots are its out-edges and its
+      in-edges shifted by m, its head slots the other way round.  T + eta
+      is connected with as many edges as nodes, so its cycle space has
+      dimension one: once checks 0 and 1 pass, the arcs are one directed
+      cycle iff every node is the tail of as many arcs as it is the head
+      of, and of at most one;
     - image in {0,1}: every f in F_s is 0 where g is 1 and 1 where g is -1;
     - bijection: then f + g is f XOR g's support, which is one-to-one, so
       the map is a bijection iff the images and F_t are equal sets of
@@ -451,7 +442,7 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
     entries' positions with one repeat/arange index.
     """
     table = _orientations(P)
-    edges, n = P.edges, len(pairs)
+    n = len(pairs)
     # Each tree's entries toward every node, tree after tree; a pair reads
     # its tree's two at eta's ends.
     nodes = P.graph.incident_nodes
@@ -471,15 +462,12 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
     failed[0] = (count(plus & out) + count(minus & into) != count(minus & out) + count(plus & into)).any(axis=0)
     tree_masks = table.tree_masks[[table.index[tree] for tree in trees]][tree_at]
     failed[1] = support & ~(tree_masks | eta_bit) != 0
-    m, index = len(edges), P.graph.edge_index
-    width = np.uint64(m)
-    slot = np.array([index.get((v, u), m + i) for i, (u, v) in enumerate(edges)], dtype=np.uint64)
-    turned = np.bitwise_or.reduce(
-        ((minus & ~plus)[:, None] >> np.arange(m, dtype=np.uint64) & np.uint64(1)) << slot, axis=1)
-    arcs = plus | turned
+    width = np.uint64(len(P.edges))
+    # Once checks 0 and 1 pass, g is 0 or T + eta's one cycle, which holds edges (u, v) and
+    # (v, u) only as a 2-cycle of one sign: no -1 edge's reverse is a +1 edge to merge with.
+    arcs = plus | (minus & ~plus) << width
     leaving, entering = count(arcs & (out | into << width)), count(arcs & (into | out << width))
     failed[2] = ((leaving != entering) | (leaving > 1)).any(axis=0)
-    failed[3] = plus & turned != 0
 
     sizes = np.array([len(positions) for _, positions in entries], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
@@ -497,11 +485,11 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
         return pair[keep], f[keep]
 
     pair, f = family(at_s, 0)
-    failed[4, pair[f & support[pair] != minus[pair]]] = True
+    failed[3, pair[f & support[pair] != minus[pair]]] = True
     images = _distinct(pair.astype(np.uint64) << width | f ^ support[pair])
     pair, f = family(at_t, 1)
     lone = np.setxor1d(images, _distinct(pair.astype(np.uint64) << width | f), assume_unique=True)
-    failed[5, (lone >> width).astype(np.intp)] = True
+    failed[4, (lone >> width).astype(np.intp)] = True
     return failed
 
 

@@ -82,12 +82,32 @@ MUTANTS = (
            "out.bit_count() + P.demand(label)",
            ("tests/test_rounds.py::test_vertex_test_matches_is_vertex_random",
             "tests/test_rounds.py::test_tree_count_and_exit_tables_match_reference")),
+    # Every edge's ends as positions in the incident nodes, and the Laplacians' minors.
+    Mutant("ends-are-labels-minus-one", "src/flowfactory/graphs.py",
+           "ends = np.searchsorted(self.incident_nodes,\n"
+           "                               np.array(self.edges, dtype=np.intp).reshape(len(self.edges), 2).T)",
+           "ends = np.array(self.edges, dtype=np.intp).reshape(len(self.edges), 2).T - 1",
+           ("tests/test_spanning.py::test_flip_laplacians_match_a_per_arc_build",
+            "tests/test_orientation_reference.py::test_bulk_table_matches_the_reference_on_random_instances")),
+    Mutant("det-stack-swap-keeps-the-sign", "src/flowfactory/spanning.py",
+           "            sign[at] *= -1\n",
+           "",
+           ("tests/test_spanning.py::test_det_bareiss_small",)),
+    Mutant("flip-image-weights-swapped", "src/flowfactory/spanning.py",
+           "np.where(bits, np.array(turned, dtype=object), np.array(kept, dtype=object))",
+           "np.where(bits, np.array(kept, dtype=object), np.array(turned, dtype=object))",
+           ("tests/test_spanning.py::test_flip_laplacians_sum_the_arcs_that_share_a_cell",
+            "tests/test_cli.py::test_oracle_bytes_golden_circ4[match3-verify]")),
     # The exchange check's array form.
-    Mutant("exchange-checks-2-3-never-fail", "src/flowfactory/oracle.py",
-           "    failed[2] = ((leaving != entering) | (leaving > 1)).any(axis=0)\n"
-           "    failed[3] = plus & turned != 0\n",
+    Mutant("exchange-check-2-never-fails", "src/flowfactory/oracle.py",
+           "    failed[2] = ((leaving != entering) | (leaving > 1)).any(axis=0)\n",
            "",
            ("tests/test_exchange_reference.py::test_array_exchange_check_agrees_with_the_reference[eta-circ3]",)),
+    Mutant("exchange-minus-arcs-not-reversed", "src/flowfactory/oracle.py",
+           "plus | (minus & ~plus) << width",
+           "plus | (minus & ~plus)",
+           ("tests/test_exchange_reference.py::test_array_exchange_check_agrees_with_the_reference[honest-circ3]",
+            "tests/test_cli.py::test_oracle_bytes_golden_circ4[verify]")),
     Mutant("exchange-tail-bits-out-alone", "src/flowfactory/oracle.py",
            "count(arcs & (out | into << width))",
            "count(arcs & out)",
@@ -97,7 +117,36 @@ MUTANTS = (
            "((leaving != entering) | (leaving > 1))",
            "(leaving > 1)",
            ("tests/test_exchange_reference.py::test_array_exchange_check_agrees_with_the_reference[eta-circ3]",)),
+    # The oracle's tree table: each tree's orientation toward a root, and its entries.
+    Mutant("reversed-edges-point-away-from-the-root", "src/flowfactory/oracle.py",
+           "self.sides >> np.uint64(self._nodes.index(root)) & np.uint64(1) == 0",
+           "self.sides >> np.uint64(self._nodes.index(root)) & np.uint64(1) != 0",
+           ("tests/test_orientation_reference.py::test_both_weight_dtypes_match_the_reference_on_circ4[int64]",)),
+    Mutant("head-side-is-the-tails-subtree", "src/flowfactory/oracle.py",
+           "else below[0] ^ below[tails[i]] for i in tree]",
+           "else below[tails[i]] for i in tree]",
+           ("tests/test_orientation_reference.py::test_both_weight_dtypes_match_the_reference_on_circ4[int64]",
+            "tests/test_cli.py::test_oracle_bytes_golden_circ4[verify]")),
+    Mutant("entry-offsets-lose-the-leading-zero", "src/flowfactory/oracle.py",
+           "counts, positions = [np.zeros(1, dtype=np.intp)]",
+           "counts, positions = [np.zeros(0, dtype=np.intp)]",
+           ("tests/test_orientation_reference.py::test_both_weight_dtypes_match_the_reference_on_circ4[int64]",)),
+    Mutant("entries-match-the-complemented-pattern", "src/flowfactory/oracle.py",
+           "== patterns[b:b + step, None])",
+           "== ~patterns[b:b + step, None])",
+           ("tests/test_oracle.py::test_positivity",
+            "tests/test_cli.py::test_oracle_bytes_golden_circ4[verify]")),
     # The oracle's integer weight table and its readers.
+    Mutant("int64-bound-without-the-node-count", "src/flowfactory/oracle.py",
+           "size ** (len(num) + len(P.graph.incident_nodes))",
+           "size ** len(num)",
+           ("tests/test_orientation_reference.py::test_both_weight_dtypes_match_the_reference_on_circ4[just-past-int64]",
+            "tests/test_oracle.py::test_marginal_identity")),
+    Mutant("prefix-swaps-x-and-one-minus-x", "src/flowfactory/oracle.py",
+           "return np.where(bits, num, den - num).prod(axis=1)",
+           "return np.where(bits, den - num, num).prod(axis=1)",
+           ("tests/test_oracle.py::test_marginal_identity",
+            "tests/test_cli.py::test_oracle_bytes_golden_circ4[match3-verify]")),
     Mutant("weights-buffered-add", "src/flowfactory/oracle.py",
            "np.add.at(sums, positions, np.repeat(terms, np.diff(offsets)))",
            "sums[positions] += np.repeat(terms, np.diff(offsets))",
@@ -106,6 +155,11 @@ MUTANTS = (
            "np.bincount(table.entries(root)[1], minlength=len(table.vertices))",
            "np.bincount(table.entries(root)[1])",
            ("tests/test_rounds.py::test_unreachable_root_raises_before_any_walk",)),
+    Mutant("qualifying-counts-at-the-first-root", "src/flowfactory/oracle.py",
+           "np.bincount(table.entries(root)[1], minlength",
+           "np.bincount(table.entries(P.graph.incident_nodes[0])[1], minlength",
+           ("tests/test_oracle.py::test_qualifying_trees_match_brute_force_on_random_instances",
+            "tests/test_cli.py::test_oracle_bytes_golden_circ4[match3-verify]")),
     Mutant("row-reversed", "src/flowfactory/oracle.py",
            "self.row = {f: j for j, f in enumerate(self.vertices)}",
            "self.row = {f: j for j, f in enumerate(reversed(self.vertices))}",

@@ -4,7 +4,10 @@
 order.  It reads the same (tree, root) entries and vertex edge-bit ints as
 `oracle._exchange_failures`, so under any perturbation of those the two
 must fail at the same pair with the same message, or both pass the same
-number of pairs.
+number of pairs.  The array form has five of the checks: it drops the
+recomposition test, which never fails once the first two checks pass, and
+with it the merge of a -1 edge's reverse with a +1 edge, which never fires
+then (`test_no_minus_edge_reverses_a_plus_edge_once_balanced`).
 """
 
 import random
@@ -173,3 +176,31 @@ def test_array_exchange_check_agrees_with_the_reference(name, kind, monkeypatch)
             undo()
     assert (failures > 0) == (kind != "honest")  # each kind of perturbation is seen
 
+
+def _subsets(bits):
+    """Every edge-bit int inside bits."""
+    ids = [i for i in range(bits.bit_length()) if bits >> i & 1]
+    return [sum(1 << i for j, i in enumerate(ids) if k >> j & 1) for k in range(1 << len(ids))]
+
+
+@pytest.mark.parametrize("name, balanced", [("circ3", 264), ("circ4", 12_096), ("kflow4_2", 468)])
+def test_no_minus_edge_reverses_a_plus_edge_once_balanced(name, balanced):
+    # The array form gives every -1 edge i its own arc slot m + i, merged with
+    # no +1 edge.  That is exact because no g that passes the balance test on
+    # T + eta has a -1 edge whose reverse is a +1 edge: checked here for every
+    # (tree, eta), every plus holding eta and every minus inside T + eta, not
+    # only for the g that honest or perturbed patterns give.
+    P = INSTANCES[name]()
+    index = P.graph.edge_index
+    reverse = [1 << index[reverse_edge(e)] if reverse_edge(e) in index else 0 for e in P.edges]
+    seen = 0
+    for tree, eta in _pairs(P):
+        within = _subsets(sum(1 << i for i in tree) | 1 << eta)
+        for plus in (bits for bits in within if bits >> eta & 1):
+            for minus in within:
+                if all((plus & out).bit_count() - (minus & out).bit_count()
+                       == (plus & into).bit_count() - (minus & into).bit_count() for out, into in P.graph.node_bits):
+                    seen += 1
+                    assert not any(plus & reverse[i] for i in range(len(P.edges)) if (minus & ~plus) >> i & 1), (
+                        tree, eta, plus, minus)
+    assert seen == balanced

@@ -101,12 +101,15 @@ def test_bulk_table_matches_the_reference_on_random_instances(case):
     (Fraction(-3), np.int64),
     (Fraction(10 ** 4), object),
     (Fraction(-10 ** 4), object),
-], ids=["int64", "object", "negative-int64", "large", "large-negative"])
+    (Fraction(16), object),
+], ids=["int64", "object", "negative-int64", "large", "large-negative", "just-past-int64"])
 def test_both_weight_dtypes_match_the_reference_on_circ4(x, dtype):
     # A constant point is balanced on K4, where every node has equal in- and
     # out-degree.  Over d = 2^62 a single tree term already exceeds 2^63, so
     # the table must hold Python ints; at +-10^4 d is 1 but the factors x and
-    # 1 - x are large, and a prefix alone is about 10^48.
+    # 1 - x are large, and a prefix alone is about 10^48.  At 16 the largest
+    # weight is a 64-bit int while |V| |T| 16^|E| is below 2^63: the bound's
+    # exponent needs its k node factors too.
     P = build_circulation_polytope(4)
     point = (x,) * len(P.edges)
     assert _weights(P, point, 1).dtype == dtype
