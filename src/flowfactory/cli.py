@@ -24,6 +24,7 @@ from .errors import (
     DegenerateDistribution,
     DisconnectedEdges,
     FlowFactoryError,
+    InputError,
     InvalidInstance,
     MaxRestartsExceeded,
     NoArborescence,
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FlowFactoryError as exc:

@@ -1,6 +1,10 @@
 """Exception types shared across the package."""
 
 
+class InputError(ValueError):
+    """A polytope or coin file that is not JSON or not in its schema."""
+
+
 class FlowFactoryError(Exception):
     """Base class for all errors raised by flowfactory."""
 

@@ -12,13 +12,14 @@ whose edge-bit ints (bit i = f_i) AND the tree's edge bits equal it.  Each
 root's (pattern, vertices) entries come from one numpy pass; the tree sum is
 one `np.add.at` over them, the Matrix-Tree counts one bincount of their
 positions, and the exchange bijection compares one family's images with the
-other as sets of edge-bit ints, a block of (tree, eta) pairs at once.  With
-x = num / d, the value checks compare integers: w_f = P_f(x) d^(|E|+k-1) for
-k incident nodes, and every Laplacian cofactor is an integer root minor over
-d, of a `spanning.flip_laplacians` stack that the one fraction-free
-elimination in `spanning` takes, every vertex's at a root in one call.
-Fractions are built from w only for a caller that reads values.  M_f(x)'s
-balance is checked in one place, `_image_laplacians`, on its column sums.
+other as edge-bit ints in vertex order, for every (tree, eta) pair at once.
+With x = num / d, the value checks compare integers: w_f = P_f(x)
+d^(|E|+k-1) for k incident nodes, and every Laplacian cofactor is an integer
+root minor over d, of a `spanning.flip_laplacians` stack that the one
+fraction-free elimination in `spanning` takes, every vertex's at every root
+together.  Fractions are built from w only for a caller that reads
+values.  M_f(x)'s balance is checked in one place, `_image_laplacians`, on
+its column sums.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .graphs import (
     enumerate_vertices,
     require_interior_point,
 )
-from .spanning import enumerate_directed_trees, flip_laplacians, root_minors
+from .spanning import component_labels, enumerate_directed_trees, flip_laplacians, root_minors
 
 
 # ---------------------------------------------------------------------------
@@ -77,25 +78,15 @@ def _over_common_denominator(x: tuple) -> tuple[tuple[int, ...], int]:
     return tuple(c.numerator * (den // c.denominator) for c in xs), den
 
 
-def _head_sides(tree: Sequence[int], tails: Sequence[int], heads: Sequence[int]) -> list[int]:
-    """Per edge of a spanning tree (edge ids; each edge's tail and head as
-    node positions), the node-bit int of the nodes that cutting the edge
-    leaves on its head's side: one traversal from position 0."""
-    links: dict[int, list[int]] = {}
-    for i in tree:
-        links.setdefault(tails[i], []).append(i)
-        links.setdefault(heads[i], []).append(i)
-    up, order = {0: None}, [0]  # each node's edge toward position 0, nearest first
-    for v in order:
-        for i in links[v]:
-            w = tails[i] + heads[i] - v
-            if w not in up:
-                up[w] = i
-                order.append(w)
-    below = {v: 1 << v for v in order}  # each node and the nodes beyond it
-    for v in reversed(order[1:]):
-        below[tails[up[v]] + heads[up[v]] - v] |= below[v]
-    return [below[heads[i]] if up[heads[i]] == i else below[0] ^ below[tails[i]] for i in tree]
+def _head_sides(ends: np.ndarray, tree_edges: np.ndarray, k: int) -> np.ndarray:
+    """Per tree and tree edge (a (trees, k - 1) array of edge ids; ends as node positions below k), the
+    node-bit int of the nodes that cutting the edge leaves on its head's side: labelled as the head."""
+    trees, e = tree_edges.shape
+    others = np.arange(e - 1) + (np.arange(e - 1) >= np.arange(e)[:, None])  # row j: every slot but j
+    cut = ends[:, tree_edges[:, others]].reshape(2, trees * e, max(e - 1, 0))  # each tree less one edge
+    labels = component_labels(k, *cut).reshape(trees, e, k)
+    side = labels == np.take_along_axis(labels, ends[1, tree_edges][..., None], axis=2)
+    return (side * (np.uint64(1) << np.arange(k, dtype=np.uint64))).sum(axis=2, dtype=np.uint64)
 
 
 #: Cells (trees x vertices) per chunk of an entries compare: bounds its temporaries to a few MB.
@@ -110,8 +101,9 @@ class _Orientations:
     from (the 24-edge enumeration cap keeps masks inside uint64); `bits` is
     the same as a (vertex, edge) bool matrix, and `row` maps each vertex to
     its row.  `sides` holds each tree edge's head side as a node-bit int,
-    from one traversal per tree: orienting toward a root reverses exactly
-    the tree edges whose head side misses it.  A root's `entries`, built by
+    from component labels of every tree less one edge, all in one pass:
+    orienting toward a root reverses exactly the tree edges whose head side
+    misses it.  A root's `entries`, built by
     one chunked compare the first time it is read, are every tree's pattern
     (the edge-bit int of the edges it reverses) and, tree after tree and in
     vertex order, the positions of the vertices whose bits on the tree equal
@@ -133,9 +125,7 @@ class _Orientations:
         self.tree_edges = np.array(self.trees, dtype=np.intp).reshape(shape)
         self._edge_bit = np.uint64(1) << self.tree_edges.astype(np.uint64)
         self.tree_masks = self._edge_bit.sum(axis=1, dtype=np.uint64)
-        tails, heads = P.graph.ends.tolist()
-        self.sides = np.array([_head_sides(tree, tails, heads) for tree in self.trees],
-                              dtype=np.uint64).reshape(shape)
+        self.sides = _head_sides(P.graph.ends, self.tree_edges, len(self._nodes))
         self._by_root: dict = {}
 
     def reversed_edges(self, root: int) -> np.ndarray:
@@ -259,7 +249,7 @@ def factored_form_mismatch(P: FlowPolytope, x: Sequence[Fraction]) -> tuple[Flow
 
     x's common denominator is taken once.  Every vertex's M_f(x) is one
     flip-image Laplacian with weights x and 1 - x over it, and all their
-    minors at a root come from one stacked elimination; NotCirculation is
+    minors at every root come from one root_minors call; NotCirculation is
     raised when some M_f(x) is not balanced.  Both sides are integers over
     d^(|E|+k-1): w_f against prefix_f * minor_f.
     """
@@ -267,10 +257,10 @@ def factored_form_mismatch(P: FlowPolytope, x: Sequence[Fraction]) -> tuple[Flow
     tables = [_weights(P, tuple(x), r) for r in roots]
     table = _orientations(P)
     num, den = _over_common_denominator(tuple(x))
-    L = _image_laplacians(P, table.vertices, num, den)
+    minors = root_minors(_image_laplacians(P, table.bits, num, den), np.arange(len(roots)))
     prefixes = _prefixes(table.bits, np.array(num, dtype=object), den)
-    for k, (root, w) in enumerate(zip(roots, tables)):
-        bad = np.flatnonzero(w != root_minors(L, k) * prefixes)
+    for root, w, minor in zip(roots, tables, minors):
+        bad = np.flatnonzero(w != minor * prefixes)
         if bad.size:
             return table.vertices[bad[0]], root
     return None
@@ -284,14 +274,13 @@ def matrix_tree_mismatch(P: FlowPolytope) -> tuple[FlowVertex, int] | None:
     """
     roots = P.graph.incident_nodes
     counts = [qualifying_counts(P, r) for r in roots]
-    vertices = _orientations(P).vertices
-    ones = (1,) * len(P.edges)
-    L = flip_laplacians(P, vertices, ones, ones)
-    bad = np.array([count != root_minors(L, k) for k, count in enumerate(counts)]).T  # vertex by root
+    table, ones = _orientations(P), (1,) * len(P.edges)
+    minors = root_minors(flip_laplacians(P, table.bits, ones, ones), np.arange(len(roots)))
+    bad = (np.array(counts) != minors).T  # vertex by root
     if not bad.any():
         return None
     j, k = divmod(int(bad.argmax()), len(roots))
-    return vertices[j], roots[k]
+    return table.vertices[j], roots[k]
 
 
 def check_root_independence(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
@@ -327,7 +316,7 @@ def check_zls(P: FlowPolytope, x: Sequence[Fraction]) -> bool:
         raise InvalidInstance("polytope has no vertex")
     _require_fit(P, nodes[0], vertices[0], x)
     L = _image_laplacians(P, vertices[:1], *_over_common_denominator(tuple(x)))
-    return len({root_minors(L, k)[0] for k in range(len(nodes))}) == 1
+    return len(set(root_minors(L, np.arange(len(nodes)))[:, 0])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +402,18 @@ def _exchange_vector(eta_bit, pattern_s, pattern_t):
     return eta_bit | pattern_t & ~pattern_s, pattern_s & ~pattern_t
 
 
-def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], int]]) -> np.ndarray:
+#: Entry vertices per chunk of the exchange check's families: keeps their arrays below 128 kB.
+_GATHER = 1 << 13
+
+
+def _exchange_failures(P: FlowPolytope, tree: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Which of the five exchange checks each (tree, eta) pair fails: a bool
     array with one row per check, in _EXCHANGE_CHECKS order, and one column
     per pair.
 
-    Each tree is an enumerated tree of P (sorted ids) and eta an edge off it.
-    Each (tree, root) entry is read once, and the checks run as array
-    operations over all pairs with plus, minus and the support as uint64s:
+    Pair i is row tree[i] of the tree table and the edge eta[i] off it.  The
+    checks run as array operations over all pairs with plus, minus and the
+    support as uint64s, from every root's entries stacked:
     - balance: at every node, the popcounts of plus and minus on its out-
       and in-edges cancel;
     - support: g lies on T + eta;
@@ -434,34 +427,27 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
       of, and of at most one;
     - image in {0,1}: every f in F_s is 0 where g is 1 and 1 where g is -1;
     - bijection: then f + g is f XOR g's support, which is one-to-one, so
-      the map is a bijection iff the images and F_t are equal sets of
-      edge-bit ints.  Both are held as sorted (pair, mask) keys, and a key
-      in only one of them fails its pair.
-    F_s and F_t are the vertices at the pair's s and t entries whose bit at
-    eta (read from the `masks` array) is 0 and 1; they are gathered from the
-    entries' positions with one repeat/arange index.
+      the map is a bijection iff the images and F_t are equal sets.  F_s
+      agrees on the support, which lies on T + eta, so the XOR keeps its
+      vertex order: the sets are equal iff the two lists, both in vertex
+      order, have one length and are equal element by element.
+    F_s and F_t, the vertices at the pair's s and t entries whose bit at eta is 0 and 1,
+    are read by one repeat/arange index a chunk of about _GATHER entry vertices at a time.
     """
     table = _orientations(P)
-    n = len(pairs)
-    # Each tree's entries toward every node, tree after tree; a pair reads
-    # its tree's two at eta's ends.
-    nodes = P.graph.incident_nodes
-    trees = {tree: k for k, tree in enumerate(dict.fromkeys(tree for tree, _ in pairs))}
-    entries = [table.orientation(tree, root) for tree in trees for root in nodes]
-    tree_at = np.array([trees[tree] for tree, _ in pairs], dtype=np.intp)
-    eta = np.array([e for _, e in pairs], dtype=np.intp)
-    at_s, at_t = tree_at * len(nodes) + P.graph.ends[:, eta]
+    n = len(tree)
+    entries = [table.entries(root) for root in P.graph.incident_nodes]
+    patterns, offsets = np.stack([p for p, _, _ in entries]), np.stack([o for _, _, o in entries])
+    ends = P.graph.ends[:, eta]  # each pair's s and t
     eta_bit = np.uint64(1) << eta.astype(np.uint64)
-    patterns = np.array([pattern for pattern, _ in entries], dtype=np.uint64)
-    plus, minus = _exchange_vector(eta_bit, patterns[at_s], patterns[at_t])
+    plus, minus = _exchange_vector(eta_bit, *patterns[ends, tree])
     support = plus | minus
     failed = np.zeros((len(_EXCHANGE_CHECKS), n), dtype=bool)
 
     count = np.bitwise_count
     out, into = np.array(P.graph.node_bits, dtype=np.uint64).T[:, :, None]  # one row per node
     failed[0] = (count(plus & out) + count(minus & into) != count(minus & out) + count(plus & into)).any(axis=0)
-    tree_masks = table.tree_masks[[table.index[tree] for tree in trees]][tree_at]
-    failed[1] = support & ~(tree_masks | eta_bit) != 0
+    failed[1] = support & ~(table.tree_masks[tree] | eta_bit) != 0
     width = np.uint64(len(P.edges))
     # Once checks 0 and 1 pass, g is 0 or T + eta's one cycle, which holds edges (u, v) and
     # (v, u) only as a 2-cycle of one sign: no -1 edge's reverse is a +1 edge to merge with.
@@ -469,34 +455,29 @@ def _exchange_failures(P: FlowPolytope, pairs: Sequence[tuple[tuple[int, ...], i
     leaving, entering = count(arcs & (out | into << width)), count(arcs & (into | out << width))
     failed[2] = ((leaving != entering) | (leaving > 1)).any(axis=0)
 
-    sizes = np.array([len(positions) for _, positions in entries], dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    # Each entry's vertices' edge-bit ints, entry after entry (np.asarray
-    # views an int array's buffer, and converts a list).
-    held = table.masks[np.concatenate(
-        [np.zeros(0, dtype=np.intc), *(np.asarray(positions, dtype=np.intc) for _, positions in entries)])]
-
-    def family(entry, bit):
-        """Per vertex at each pair's entry whose bit at eta is `bit`: its pair, and its edge-bit int."""
-        lengths = sizes[entry]
-        pair = np.repeat(np.arange(n), lengths)
-        f = held[np.arange(len(pair)) + np.repeat(starts[entry] - (np.cumsum(lengths) - lengths), lengths)]
-        keep = (f & eta_bit[pair] != 0) == bit
-        return pair[keep], f[keep]
-
-    pair, f = family(at_s, 0)
-    failed[3, pair[f & support[pair] != minus[pair]]] = True
-    images = _distinct(pair.astype(np.uint64) << width | f ^ support[pair])
-    pair, f = family(at_t, 1)
-    lone = np.setxor1d(images, _distinct(pair.astype(np.uint64) << width | f), assume_unique=True)
-    failed[4, (lone >> width).astype(np.intp)] = True
+    sizes = offsets[ends, tree + 1] - offsets[ends, tree]
+    starts = np.flatnonzero(np.diff(np.cumsum(sizes.sum(axis=0)) // _GATHER, prepend=-1))
+    for a, b in zip(starts.tolist(), [*starts[1:].tolist(), n]):
+        # `held` holds every root's entries of trees lo..hi - 1, root after root; the chunk's
+        # s entries and then its t entries are runs of it, read into f slot by slot.
+        lo, hi = tree[a:b].min(), tree[a:b].max() + 1
+        held = table.masks[np.concatenate([positions[o[lo]:o[hi]] for _, positions, o in entries])]
+        spans = offsets[:, hi] - offsets[:, lo]
+        at = offsets[ends[:, a:b], tree[a:b]] + (np.cumsum(spans) - spans - offsets[:, lo])[ends[:, a:b]]
+        size, sources = sizes[:, a:b].ravel(), sizes[0, a:b].sum()
+        slot = np.arange(size.sum())
+        f = held[slot + np.repeat(at.ravel() - np.cumsum(size) + size, size)]
+        pair = np.repeat(np.tile(np.arange(a, b), 2), size)
+        # Integer indices: a bool mask as random as these is far slower to index with.
+        keep = np.flatnonzero((f & eta_bit[pair] != 0) == (slot >= sources))
+        pair, f, split = pair[keep], f[keep], np.searchsorted(keep, sources)
+        source, target, g = pair[:split], pair[split:], support[pair[:split]]
+        failed[3, source[f[:split] & g != minus[source]]] = True
+        same = np.bincount(source - a, minlength=b - a) == np.bincount(target - a, minlength=b - a)
+        failed[4, a:b] = ~same
+        kept = same[source - a]
+        failed[4, source[kept][(f[:split] ^ g)[kept] != f[split:][same[target - a]]]] = True
     return failed
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """keys sorted, each once (np.unique hashes them, and that is far slower on these keys)."""
-    keys = np.sort(keys)
-    return np.concatenate([keys[:-1][keys[:-1] != keys[1:]], keys[-1:]])
 
 
 def _raise_first_failure(failed: np.ndarray) -> None:
@@ -507,26 +488,15 @@ def _raise_first_failure(failed: np.ndarray) -> None:
         raise IdentityViolated(_EXCHANGE_CHECKS[failed[:, bad.argmax()].argmax()])
 
 
-#: Trees per block of the exchange check: bounds the memory of its family arrays.
-_TREES_PER_BLOCK = 32
-
-
 def check_exchanges(P: FlowPolytope) -> int:
     """Check the exchange map of every (tree, eta) pair, eta an edge off the
-    enumerated tree; return how many pairs there are.
-
-    The trees are taken _TREES_PER_BLOCK at a time, each block's pairs in one
-    _exchange_failures call.  The first failing pair, tree by tree and eta
-    in edge order, raises IdentityViolated with its first failing check's
-    message.
-    """
-    trees, pairs = _orientations(P).trees, 0
-    for b in range(0, len(trees), _TREES_PER_BLOCK):
-        block = [(tree, eta) for tree in trees[b:b + _TREES_PER_BLOCK]
-                 for eta in range(len(P.edges)) if eta not in tree]
-        _raise_first_failure(_exchange_failures(P, block))
-        pairs += len(block)
-    return pairs
+    enumerated tree, in one _exchange_failures call; return how many pairs
+    there are.  The first failing pair, tree by tree and eta in edge order,
+    raises IdentityViolated with its first failing check's message."""
+    off = _orientations(P).tree_masks[:, None] >> np.arange(len(P.edges), dtype=np.uint64) & np.uint64(1) == 0
+    tree, eta = np.nonzero(off)
+    _raise_first_failure(_exchange_failures(P, tree, eta))
+    return len(tree)
 
 
 def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWitness:
@@ -549,7 +519,7 @@ def check_bijection(P: FlowPolytope, T: Sequence[int], eta: int) -> BijectionWit
     table = _orientations(P)
     if tree not in table.index:
         raise InvalidInstance(f"tree {tree} is no spanning tree of the incident nodes")
-    _raise_first_failure(_exchange_failures(P, [(tree, eta)]))
+    _raise_first_failure(_exchange_failures(P, np.array([table.index[tree]]), np.array([eta])))
     (pattern_s, at_s), (pattern_t, at_t) = (table.orientation(tree, r) for r in P.edges[eta])
     plus, minus = _exchange_vector(1 << eta, pattern_s, pattern_t)
     masks = table.masks

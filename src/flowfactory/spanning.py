@@ -2,18 +2,19 @@
 
 All counting is exact: every Laplacian cofactor, the oracle's included, is
 an integer root minor taken by one fraction-free Bareiss elimination
-(`det_stack`) over a stack of object arrays of Python ints, and rational
-weights are cleared to integers first.  Every out-Laplacian comes from one
-scatter (`_laplacians`), and a stack's minors at a root are taken in one
-call (`root_minors`): `flip_laplacians` picks each vertex's flip-image arcs
-from `Graph.ends`, and a whole graph's count is a stack of one.  The
-Laplacian uses the out-weight diagonal, so the minor at r counts
-arborescences directed toward r (validated against enumeration in the test
-suite).  Trees whose flip is an arborescence are counted on the flip image
-of the edge set, and drawn as the acyclic maps among those that pick one
-exit per node of the image, each node's exits read from a table keyed by
-the flow's bits at its edges; a node's exit count is also the sampler's
-stage-1 test of its demand (`ExitTables`).
+(`det_stack`) over a stack of int64s where no value it forms can overflow
+and of Python ints otherwise, and rational weights are cleared to integers
+first.  Every out-Laplacian comes from one scatter (`_laplacians`), and a
+stack's minors at one root or at several are taken by `root_minors`:
+`flip_laplacians` picks each vertex's flip-image arcs from `Graph.ends`,
+and a whole graph's count is a stack of one.  The Laplacian uses the
+out-weight diagonal, so the minor at r counts arborescences directed toward
+r (validated against enumeration in the test suite).  Trees whose flip is
+an arborescence are counted on the flip image of the edge set, and drawn as
+the acyclic maps among those that pick one exit per node of the image, each
+node's exits read from a table keyed by the flow's bits at its edges; a
+node's exit count is also the sampler's stage-1 test of its demand
+(`ExitTables`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .graphs import (
     FlowPolytope,
     FlowVertex,
     Graph,
-    _connects,
     _require_bits,
     _require_root,
     _require_vertex,
@@ -67,7 +67,8 @@ class WeightedDigraph:
 
 def det_stack(stack: np.ndarray) -> np.ndarray:
     """Fraction-free (Bareiss) determinants of an (N, n, n) object array of
-    Python ints, as an (N,) object array: exact however large the entries.
+    Python ints, as an (N,) object array: exact however large the entries,
+    and for int64 entries wherever no value an elimination forms overflows.
 
     Every matrix takes the same elimination steps at once.  Where a matrix's
     pivot is 0 its row is swapped with the first row below that is nonzero
@@ -101,14 +102,14 @@ def det_stack(stack: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _laplacians(k: int, tail: np.ndarray, head: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The (N, k, k) object array of N out-Laplacians on k nodes, in which
-    list n's arc j runs from node index tail[n, j] to head[n, j] with
+    """The (N, k, k) array, of w's dtype, of N out-Laplacians on k nodes, in
+    which list n's arc j runs from node index tail[n, j] to head[n, j] with
     weight w[n, j].
 
     Every list's arcs are added in two scatters, one on the diagonal and one
     off it, and each sums the arcs that share a cell.
     """
-    L = np.zeros((len(w), k, k), dtype=object)
+    L = np.zeros((len(w), k, k), dtype=w.dtype)
     rows = np.arange(len(w))[:, None]
     np.add.at(L, (rows, tail, tail), w)
     np.subtract.at(L, (rows, tail, head), w)
@@ -117,8 +118,8 @@ def _laplacians(k: int, tail: np.ndarray, head: np.ndarray, w: np.ndarray) -> np
 
 def flip_laplacians(P: FlowPolytope, vertices: Sequence[FlowVertex],
                     kept: Sequence[int], turned: Sequence[int]) -> np.ndarray:
-    """Per vertex f, the out-Laplacian of its flip image on P's incident
-    nodes, as an (N, k, k) object array of ints in node order.
+    """Per vertex f, the out-Laplacian of its flip image on P's incident nodes, as an (N, k, k)
+    array of ints in node order, int64 when no entry (at most |E| weights) can reach 2^63.
 
     Edge i = (u, v) is the arc u -> v of weight kept[i] where f_i = 0 and
     the arc v -> u of weight turned[i] where f_i = 1: all 1 for the flip
@@ -128,16 +129,27 @@ def flip_laplacians(P: FlowPolytope, vertices: Sequence[FlowVertex],
     """
     u, v = P.graph.ends
     bits = np.array(vertices, dtype=bool).reshape(len(vertices), len(u))
-    w = np.where(bits, np.array(turned, dtype=object), np.array(kept, dtype=object))
+    dtype = np.int64 if len(u) * max(map(abs, [*kept, *turned, 0])) < 2 ** 63 else object
+    w = np.where(bits, np.array(turned, dtype=dtype), np.array(kept, dtype=dtype))
     return _laplacians(len(P.graph.incident_nodes), np.where(bits, v, u), np.where(bits, u, v), w)
 
 
-def root_minors(L: np.ndarray, at: int) -> np.ndarray:
-    """The (N,) object array of a stack of N Laplacians' minors at node index
-    `at`: each determinant without row and column `at`, all taken by one
-    det_stack call."""
-    rest = np.arange(L.shape[1]) != at
-    return det_stack(L[:, rest][:, :, rest])
+#: Matrices per det_stack call of root_minors: bounds the Python ints that an elimination makes.
+_MINORS = 1 << 12
+
+
+def root_minors(L: np.ndarray, at) -> np.ndarray:
+    """A stack of N Laplacians' minors at node index `at` (an int: an (N,) object array) or at each
+    of an array of them (a (len(at), N) array), by det_stack, _MINORS at a time.  Each value it forms
+    is a minor of under k rows, at most M^(k-1) for M = k max|L|, or a difference of two products
+    of two: it runs in int64 when 2 M^(2k-2) < 2^63."""
+    k, at, rows = L.shape[1], np.asarray(at), np.arange(len(L))[:, None, None]
+    rest = np.nonzero(np.arange(k) != at[..., None])[-1].reshape(*at.shape, k - 1)
+    minors = L[rows, rest[..., None, :, None], rest[..., None, None, :]].reshape(-1, k - 1, k - 1)
+    big = k * int(max(L.max(initial=0), -L.min(initial=0)))
+    minors = minors.astype(np.int64 if 2 * big ** (2 * k - 2) < 2 ** 63 else object, copy=False)
+    dets = [det_stack(minors[i:i + _MINORS]) for i in range(0, max(len(minors), 1), _MINORS)]
+    return np.concatenate(dets).reshape(*at.shape, len(L))
 
 
 def count_arborescences(W: WeightedDigraph, root: int):
@@ -161,19 +173,31 @@ def count_arborescences(W: WeightedDigraph, root: int):
 # Tree enumeration oracles
 # ---------------------------------------------------------------------------
 
+def component_labels(k: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Per row of the (N, e) arrays of edge ends (node positions below k), the (N, k) array of
+    node labels in which two nodes share a label iff the row's edges join them.  Edge by
+    edge, the nodes labelled as the edge's head take its tail's label."""
+    rows = np.arange(len(tails))
+    labels = np.broadcast_to(np.arange(k, dtype=np.int8), (len(tails), k))
+    for j in range(tails.shape[1]):
+        labels = np.where(labels == labels[rows, heads[:, j], None], labels[rows, tails[:, j], None], labels)
+    return labels
+
+
 @lru_cache(maxsize=256)
 def enumerate_directed_trees(G: Graph) -> tuple[tuple[int, ...], ...]:
-    """All directed trees spanning the incident nodes, as sorted edge-id tuples."""
+    """All directed trees spanning the incident nodes, as sorted edge-id tuples in itertools.combinations
+    order: the (k - 1)-edge combinations that component_labels finds join, 2^16 at a time (a few MB)."""
     m = len(G.edges)
     if m > ENUMERATION_CAP:
         raise TooLargeForOracle(f"|E| = {m} exceeds enumeration cap {ENUMERATION_CAP}")
-    nodes = G.incident_nodes
-    k = len(nodes)
-    if k < 2 or m < k - 1:
-        return ()
-    # k - 1 edges that join the k nodes are a spanning tree.
-    return tuple(combo for combo in itertools.combinations(range(m), k - 1)
-                 if _connects(nodes, [G.edges[i] for i in combo]))
+    k = len(G.incident_nodes)
+    combos, trees = itertools.combinations(range(m), max(k - 1, 0)), []
+    while len(chunk := np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, 1 << 16)), dtype=np.intp)):
+        chunk = chunk.reshape(-1, k - 1)
+        labels = component_labels(k, *G.ends[:, chunk])
+        trees += map(tuple, chunk[(labels == labels[:, :1]).all(axis=1)].tolist())
+    return tuple(trees)
 
 
 def directed_tree_count(G: Graph) -> int:

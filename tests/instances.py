@@ -4,6 +4,7 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import strategies as st
 
 from flowfactory import (
@@ -12,6 +13,7 @@ from flowfactory import (
     build_circulation_polytope,
     random_interior_point,
 )
+from flowfactory.oracle import _Orientations
 
 THIRD = Fraction(1, 3)
 HALF = Fraction(1, 2)
@@ -27,6 +29,30 @@ def subprocess_env():
 def coins_to_dict(biases) -> dict:
     """The coin file holding each edge's bias as a fraction in lowest terms."""
     return {"coins": [{"edge": i, "num": b.numerator, "den": b.denominator} for i, b in enumerate(biases)]}
+
+
+def replace_entry(monkeypatch, tree, root, change):
+    """Patch `_Orientations.entries` so that the entry of `tree` (sorted edge
+    ids) toward `root` is change(table, pattern, positions) of its honest
+    (pattern, positions), and every other entry stays: the tree table's
+    entries are what the oracle's exchange check and tree sums read."""
+    honest = _Orientations.entries
+
+    def perturbed(self, r):
+        patterns, positions, offsets = honest(self, r)
+        if r != root:
+            return patterns, positions, offsets
+        k = self.index[tree]
+        start, end = offsets[k], offsets[k + 1]
+        pattern, held = change(self, int(patterns[k]), positions[start:end])
+        patterns = patterns.copy()
+        patterns[k] = pattern
+        held = np.asarray(held, dtype=positions.dtype)
+        offsets = offsets.copy()
+        offsets[k + 1:] += len(held) - (end - start)
+        return patterns, np.concatenate([positions[:start], held, positions[end:]]), offsets
+
+    monkeypatch.setattr(_Orientations, "entries", perturbed)
 
 
 def two_node():

@@ -87,15 +87,20 @@ MUTANTS = (
            "ends = np.searchsorted(self.incident_nodes,\n"
            "                               np.array(self.edges, dtype=np.intp).reshape(len(self.edges), 2).T)",
            "ends = np.array(self.edges, dtype=np.intp).reshape(len(self.edges), 2).T - 1",
-           ("tests/test_spanning.py::test_flip_laplacians_match_a_per_arc_build",
+           ("tests/test_graphs.py::test_edge_ends_and_node_bits_match_each_edge",
+            "tests/test_spanning.py::test_flip_laplacians_match_a_per_arc_build",
             "tests/test_orientation_reference.py::test_bulk_table_matches_the_reference_on_random_instances")),
+    Mutant("root-minors-int64-past-the-bound", "src/flowfactory/spanning.py",
+           "np.int64 if 2 * big ** (2 * k - 2) < 2 ** 63 else object",
+           "np.int64 if big ** (k - 1) < 2 ** 63 else object",
+           ("tests/test_spanning.py::test_root_minors_run_in_int64_only_below_its_bound[65536-object]",)),
     Mutant("det-stack-swap-keeps-the-sign", "src/flowfactory/spanning.py",
            "            sign[at] *= -1\n",
            "",
            ("tests/test_spanning.py::test_det_bareiss_small",)),
     Mutant("flip-image-weights-swapped", "src/flowfactory/spanning.py",
-           "np.where(bits, np.array(turned, dtype=object), np.array(kept, dtype=object))",
-           "np.where(bits, np.array(kept, dtype=object), np.array(turned, dtype=object))",
+           "np.where(bits, np.array(turned, dtype=dtype), np.array(kept, dtype=dtype))",
+           "np.where(bits, np.array(kept, dtype=dtype), np.array(turned, dtype=dtype))",
            ("tests/test_spanning.py::test_flip_laplacians_sum_the_arcs_that_share_a_cell",
             "tests/test_cli.py::test_oracle_bytes_golden_circ4[match3-verify]")),
     # The exchange check's array form.
@@ -117,16 +122,25 @@ MUTANTS = (
            "((leaving != entering) | (leaving > 1))",
            "(leaving > 1)",
            ("tests/test_exchange_reference.py::test_array_exchange_check_agrees_with_the_reference[eta-circ3]",)),
+    Mutant("bijection-compares-sizes-only", "src/flowfactory/oracle.py",
+           "        failed[4, source[kept][(f[:split] ^ g)[kept] != f[split:][same[target - a]]]] = True\n",
+           "",
+           ("tests/test_exchange_reference.py::test_array_exchange_check_agrees_with_the_reference[mask-circ4]",)),
     # The oracle's tree table: each tree's orientation toward a root, and its entries.
     Mutant("reversed-edges-point-away-from-the-root", "src/flowfactory/oracle.py",
            "self.sides >> np.uint64(self._nodes.index(root)) & np.uint64(1) == 0",
            "self.sides >> np.uint64(self._nodes.index(root)) & np.uint64(1) != 0",
            ("tests/test_orientation_reference.py::test_both_weight_dtypes_match_the_reference_on_circ4[int64]",)),
     Mutant("head-side-is-the-tails-subtree", "src/flowfactory/oracle.py",
-           "else below[0] ^ below[tails[i]] for i in tree]",
-           "else below[tails[i]] for i in tree]",
+           "np.take_along_axis(labels, ends[1, tree_edges][..., None], axis=2)",
+           "np.take_along_axis(labels, ends[0, tree_edges][..., None], axis=2)",
            ("tests/test_orientation_reference.py::test_both_weight_dtypes_match_the_reference_on_circ4[int64]",
             "tests/test_cli.py::test_oracle_bytes_golden_circ4[verify]")),
+    Mutant("tree-labels-skip-the-last-merge", "src/flowfactory/spanning.py",
+           "for j in range(tails.shape[1]):",
+           "for j in range(tails.shape[1] - 1):",
+           ("tests/test_orientation_reference.py::test_tree_labels_match_union_find_and_traversal_on_random_instances",
+            "tests/test_spanning.py::test_enumerate_directed_trees")),
     Mutant("entry-offsets-lose-the-leading-zero", "src/flowfactory/oracle.py",
            "counts, positions = [np.zeros(1, dtype=np.intp)]",
            "counts, positions = [np.zeros(0, dtype=np.intp)]",

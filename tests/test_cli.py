@@ -26,7 +26,7 @@ from flowfactory.io import (
 
 from fractions import Fraction
 
-from instances import circ5m, coins_to_dict, subprocess_env, triangle, two_node
+from instances import circ5m, coins_to_dict, replace_entry, subprocess_env, triangle, two_node
 
 
 def _write_two_node(tmp_path, num=1, den=3):
@@ -202,6 +202,39 @@ def test_deeply_nested_json_is_parse_error(tmp_path, capsys, which):
     assert main(["dist", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b'{"nodes": ' + b"9" * 5000 + b"}"],
+                         ids=["not-utf8", "integer-past-the-digit-limit"])
+def test_a_json_file_that_cannot_be_read_is_a_parse_error(tmp_path, capsys, text):
+    # Both raise a ValueError other than JSONDecodeError inside json.load
+    # (the integer where Python limits the digits of an int read from text).
+    poly, coins = _write_two_node(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    assert main(["dist", str(bad), coins]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_only_input_errors_exit_2(tmp_path, monkeypatch):
+    # io's schema and JSON faults raise InputError, a ValueError, and exit 2.
+    # Any other ValueError, as a numpy shape fault inside the oracle raises,
+    # is a fault of the program, not of the input: it is not reported as a
+    # parse error but propagates.
+    from flowfactory import oracle
+    from flowfactory.errors import InputError
+
+    assert issubclass(InputError, ValueError)
+    with pytest.raises(InputError):
+        coins_from_dict({"coins": []}, 1)
+
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(oracle, "_weights", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["verify", *_write_triangle(tmp_path), "--checks", "positivity"])
 
 
 @pytest.mark.parametrize("command", ["gen", "sample", "sample-path", "dist", "verify", "bench"])
@@ -443,8 +476,8 @@ def test_verify_check_fails_on_a_perturbed_side(tmp_path, monkeypatch, check, mo
     honest = mod.root_minors
 
     def perturbed(L, at):
-        minors = honest(L, at)  # one per vertex
-        minors[-1] += P.graph.incident_nodes[at] == r_bad
+        minors = honest(L, at)  # per root in `at` (an array of node indices), one per vertex
+        minors[:, -1] += at == P.graph.incident_nodes.index(r_bad)
         return minors
 
     monkeypatch.setattr(mod, "root_minors", perturbed)
@@ -470,9 +503,9 @@ def test_verify_checks_name_their_first_mismatch_in_their_own_order(tmp_path, mo
     honest = oracle.root_minors
 
     def perturbed(L, at):
-        minors = honest(L, at)  # one per vertex
-        minors[0] += at == len(roots) - 1
-        minors[-1] += at == 0
+        minors = honest(L, at)  # per root in `at` (an array of node indices), one per vertex
+        minors[:, 0] += at == len(roots) - 1
+        minors[:, -1] += at == 0
         return minors
 
     monkeypatch.setattr(oracle, "root_minors", perturbed)
@@ -516,7 +549,8 @@ def test_verify_passes_where_the_minors_exceed_int64(tmp_path):
 def _root_minors_off_at_the_last_root(oracle, P):
     honest = oracle.root_minors
     last = len(P.graph.incident_nodes) - 1
-    return "root_minors", lambda L, at: honest(L, at) + (at == last)
+    # `at` is an array of node indices, one row of minors each.
+    return "root_minors", lambda L, at: honest(L, at) + (at == last)[:, None]
 
 
 def _weights_edited(edit):
@@ -579,60 +613,65 @@ def test_verify_parallel_to_circ_fails_on_an_off_balance_vertex(tmp_path, monkey
 
 def test_verify_evaluates_each_vertex_polynomial_once_per_root(tmp_path, monkeypatch):
     import re
-    from collections import Counter
     from pathlib import Path
 
     from flowfactory import cli, oracle
 
-    traversals = Counter()
+    builds = []
     head_sides = oracle._head_sides
 
-    def counted_traversal(tree, tails, heads):
-        traversals[tree] += 1
-        return head_sides(tree, tails, heads)
+    def counted_build(ends, tree_edges, k):
+        builds.append(len(tree_edges))
+        return head_sides(ends, tree_edges, k)
 
     oracle._weights.cache_clear()
     oracle._orientations.cache_clear()
-    monkeypatch.setattr(oracle, "_head_sides", counted_traversal)
+    monkeypatch.setattr(oracle, "_head_sides", counted_build)
     assert main(["verify", *_write_triangle(tmp_path)]) == 0
     assert oracle._weights.cache_info().misses == 3  # one integer table per root
-    # One traversal per tree, for every root: 12 trees.
-    assert len(traversals) == 12 and max(traversals.values()) == 1
+    # The sides are built once per polytope, for all 12 trees and every root.
+    assert builds == [12]
     text = Path(cli.__file__).read_text()
     for name in ("flip_tree", "is_arborescence", "eval_polynomial", "_orient_toward"):
         assert not re.search(rf"\b{name}\b", text), name
+
+
+def _verify_with_one_entry_replaced(monkeypatch, argv, change):
+    """main(argv) with the triangle's first tree's entry toward its first node
+    replaced by change(table, pattern, positions) (instances.replace_entry),
+    from an empty tree table and weight cache, which are emptied again after."""
+    from flowfactory import oracle
+
+    P = triangle()
+    oracle._orientations.cache_clear()
+    oracle._weights.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            replace_entry(patch, oracle.enumerate_directed_trees(P.graph)[0], P.graph.incident_nodes[0], change)
+            return main(argv)
+    finally:
+        oracle._orientations.cache_clear()
+        oracle._weights.cache_clear()
 
 
 def test_verify_bijection_fails_on_one_perturbed_flip_image(tmp_path, monkeypatch):
     # Flip the bit that one (tree, root) pattern asks of the tree's first
     # edge, so that root's family is the vertices with the wrong flip image:
     # the exchange map must then break, and mend once it is gone.
-    from flowfactory import oracle
     from flowfactory.graphs import enumerate_vertices
 
-    P = triangle()
-    tree = oracle.enumerate_directed_trees(P.graph)[0]
-    root = P.graph.incident_nodes[0]
-    honest = oracle._Orientations.orientation
-
-    def perturbed(self, t, r):
-        pattern, positions = honest(self, t, r)
-        if (t, r) == (tree, root):
-            pattern ^= 1 << t[0]
-            positions = [j for j, f in enumerate(enumerate_vertices(P))
-                         if all(f[i] == pattern >> i & 1 for i in t)]
-        return pattern, positions
+    def perturbed(table, pattern, positions):
+        tree = table.trees[0]
+        pattern ^= 1 << tree[0]
+        return pattern, [j for j, f in enumerate(enumerate_vertices(triangle()))
+                         if all(f[i] == pattern >> i & 1 for i in tree)]
 
     paths = _write_triangle(tmp_path)
     out = tmp_path / "report.json"
     argv = ["verify", *paths, "--checks", "bijection", "--out", str(out)]
-    oracle._orientations.cache_clear()
-    monkeypatch.setattr(oracle._Orientations, "orientation", perturbed)
-    assert main(argv) == 8
+    assert _verify_with_one_entry_replaced(monkeypatch, argv, perturbed) == 8
     (check,) = json.loads(out.read_text())["checks"]
     assert not check["pass"] and check["detail"].startswith("IdentityViolated: "), check
-    monkeypatch.undo()
-    oracle._orientations.cache_clear()
     assert main(argv) == 0
     assert json.loads(out.read_text())["checks"][0]["pass"] is True
 
@@ -641,27 +680,17 @@ def test_verify_bijection_fails_on_a_family_off_its_pattern(tmp_path, monkeypatc
     # Keep one (tree, root) pattern, so the exchange vector stays sound, but
     # list as its vertices those whose bits on the tree's first edge differ
     # from it: the family check, not the vector checks, must then fail.
-    from flowfactory import oracle
     from flowfactory.graphs import enumerate_vertices
 
-    P = triangle()
-    tree = oracle.enumerate_directed_trees(P.graph)[0]
-    root = P.graph.incident_nodes[0]
-    honest = oracle._Orientations.orientation
-
-    def perturbed(self, t, r):
-        pattern, positions = honest(self, t, r)
-        if (t, r) == (tree, root):
-            wrong = pattern ^ 1 << t[0]
-            positions = [j for j, f in enumerate(enumerate_vertices(P))
-                         if all(f[i] == wrong >> i & 1 for i in t)]
-        return pattern, positions
+    def perturbed(table, pattern, positions):
+        tree = table.trees[0]
+        wrong = pattern ^ 1 << tree[0]
+        return pattern, [j for j, f in enumerate(enumerate_vertices(triangle()))
+                         if all(f[i] == wrong >> i & 1 for i in tree)]
 
     out = tmp_path / "report.json"
-    oracle._orientations.cache_clear()
-    monkeypatch.setattr(oracle._Orientations, "orientation", perturbed)
-    assert main(["verify", *_write_triangle(tmp_path), "--checks", "bijection", "--out", str(out)]) == 8
-    oracle._orientations.cache_clear()
+    argv = ["verify", *_write_triangle(tmp_path), "--checks", "bijection", "--out", str(out)]
+    assert _verify_with_one_entry_replaced(monkeypatch, argv, perturbed) == 8
     (check,) = json.loads(out.read_text())["checks"]
     assert check["detail"] == "IdentityViolated: exchange map is not a bijection onto the target family"
 

@@ -2,9 +2,11 @@
 
 `reference_check_bijection` runs the six checks of one (tree, eta) pair in
 order.  It reads the same (tree, root) entries and vertex edge-bit ints as
-`oracle._exchange_failures`, so under any perturbation of those the two
-must fail at the same pair with the same message, or both pass the same
-number of pairs.  The array form has five of the checks: it drops the
+`oracle._exchange_failures`, so under any perturbation of those (of
+`_Orientations.entries`, or of `masks` in place) the two must fail at the
+same pair with the same message, or both pass the same number of pairs.
+The reference compares the bijection's two families as sets; the array
+form, as lists in vertex order.  The array form has five of the checks: it drops the
 recomposition test, which never fails once the first two checks pass, and
 with it the merge of a -1 edge's reverse with a +1 edge, which never fires
 then (`test_no_minus_edge_reverses_a_plus_edge_once_balanced`).
@@ -13,6 +15,7 @@ then (`test_no_minus_edge_reverses_a_plus_edge_once_balanced`).
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from flowfactory import (
@@ -24,6 +27,8 @@ from flowfactory import (
 from flowfactory.cli import _CHECKS
 from flowfactory.graphs import _connects, reverse_edge
 from flowfactory.oracle import _EXCHANGE_CHECKS, _exchange_failures, _Orientations, _orientations
+
+from instances import replace_entry
 
 INSTANCES = {
     "circ3": lambda: build_circulation_polytope(3),
@@ -104,7 +109,8 @@ def _reference_outcomes(P, pairs):
 
 
 def _array_outcomes(P, pairs):
-    failed = _exchange_failures(P, pairs)
+    index = _orientations(P).index
+    failed = _exchange_failures(P, np.array([index[tree] for tree, _ in pairs]), np.array([eta for _, eta in pairs]))
     return [_EXCHANGE_CHECKS[column.argmax()] if column.any() else None for column in failed.T]
 
 
@@ -113,7 +119,6 @@ def _perturb(kind, P, rng, monkeypatch):
     table = _orientations(P)
     tree = rng.choice(table.trees)
     root = rng.choice(P.graph.incident_nodes)
-    honest = _Orientations.orientation
     if kind == "mask":
         # Every root's entries are built first, from the honest bits.
         for r in P.graph.incident_nodes:
@@ -124,36 +129,28 @@ def _perturb(kind, P, rng, monkeypatch):
     if kind == "pattern":
         # A pattern bit flipped, on or off the tree; the family stays.
         bit = 1 << rng.randrange(len(P.edges))
-
-        def perturbed(self, t, r):
-            pattern, positions = honest(self, t, r)
-            return (pattern ^ bit if (t, r) == (tree, root) else pattern), positions
+        replace_entry(monkeypatch, tree, root, lambda self, pattern, positions: (pattern ^ bit, positions))
     elif kind == "eta":
         # The tail entry's pattern is the head entry's with eta's bit set: g's only arc is eta.
         eta = rng.choice([e for e in range(len(P.edges)) if e not in tree])
         tail, head = P.edges[eta]
-
-        def perturbed(self, t, r):
-            pattern, positions = honest(self, t, r)
-            return (honest(self, tree, head)[0] | 1 << eta if (t, r) == (tree, tail) else pattern), positions
+        honest = _Orientations.entries
+        replace_entry(monkeypatch, tree, tail, lambda self, pattern, positions: (
+            int(honest(self, head)[0][self.index[tree]]) | 1 << eta, positions))
     else:
         # The pattern stays, but the family is the vertices one tree bit off it.
         bit = 1 << rng.choice(tree)
-
-        def perturbed(self, t, r):
-            pattern, positions = honest(self, t, r)
-            if (t, r) == (tree, root):
-                positions = [j for j, f in enumerate(self.masks) if f & sum(1 << i for i in t) == pattern ^ bit]
-            return pattern, positions
-    monkeypatch.setattr(_Orientations, "orientation", perturbed)
+        tree_bits = sum(1 << i for i in tree)
+        replace_entry(monkeypatch, tree, root, lambda self, pattern, positions: (
+            pattern, [j for j, f in enumerate(self.masks) if f & tree_bits == pattern ^ bit]))
     return monkeypatch.undo
 
 
 @pytest.mark.parametrize("name", INSTANCES)
 @pytest.mark.parametrize("kind", ["honest", "pattern", "family", "mask", "eta"])
 def test_array_exchange_check_agrees_with_the_reference(name, kind, monkeypatch):
-    # Each pair's first failing check, and verify's result over every pair in
-    # blocks, agree with the reference, honest and under seeded perturbations.
+    # Each pair's first failing check, and verify's result over every pair,
+    # agree with the reference, honest and under seeded perturbations.
     P = INSTANCES[name]()
     x = [Fraction(1, 2)] * len(P.edges)
     pairs = _pairs(P)

@@ -209,26 +209,31 @@ def test_enumerate_vertices_matches_brute_force():
 @st.composite
 def small_polytopes(draw):
     """Digraphs of at most 10 edges, often with edgeless nodes, under demands
-    in their nodes' ranges summing to 0, with no vertex or with some."""
+    in their nodes' ranges summing to 0, with no vertex or with some: each as
+    its (node count, edges, demands), for the test body to build, so that a
+    fault in building a polytope fails the test rather than its collection."""
     n = draw(st.integers(1, 6))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
-    G = Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else ()))
-    return FlowPolytope(G, draw(demands_in_range(G)))
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else ())
+    return n, edges, draw(demands_in_range(Graph(n, edges)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_polytopes())
-@example(FlowPolytope(Graph(4, ((1, 2), (2, 1), (3, 2), (3, 4), (4, 3))), (1, 0, 0, -1)))  # in range, no vertex
-def test_enumerate_vertices_matches_brute_force_random(P):
+@example((4, ((1, 2), (2, 1), (3, 2), (3, 4), (4, 3)), (1, 0, 0, -1)))  # in range, no vertex
+def test_enumerate_vertices_matches_brute_force_random(spec):
+    n, edges, demands = spec
+    P = FlowPolytope(Graph(n, edges), demands)
     brute = [bits for bits in product((0, 1), repeat=len(P.edges)) if is_vertex(P, bits)]
     assert enumerate_vertices(P) == brute
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_polytopes())
-@example(FlowPolytope(Graph(5, ((3, 1), (1, 3), (4, 1))), (0,) * 5))  # nodes 2 and 5 touch no edge
-def test_edge_ends_and_node_bits_match_each_edge(P):
-    G = P.graph
+@example((5, ((3, 1), (1, 3), (4, 1)), (0,) * 5))  # nodes 2 and 5 touch no edge
+def test_edge_ends_and_node_bits_match_each_edge(spec):
+    n, edges, demands = spec
+    G = FlowPolytope(Graph(n, edges), demands).graph
     nodes = G.incident_nodes
     assert G.ends.shape == (2, len(G.edges)) and not G.ends.flags.writeable
     assert [(nodes[u], nodes[v]) for u, v in G.ends.T.tolist()] == list(G.edges)

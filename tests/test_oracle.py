@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from operator import add
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -344,16 +345,16 @@ def test_bijection_sees_an_unbalanced_exchange_vector_at_either_end(monkeypatch)
     # that edge, which unbalances both of its ends: the balance test must
     # catch it for every pair and every tree edge.
     P = triangle()
-    honest = _Orientations.orientation
+    honest = _Orientations.entries
     for tree in enumerate_directed_trees(P.graph):
         for eta in (i for i in range(len(P.edges)) if i not in tree):
             s = P.edges[eta][0]
             for i in tree:
-                def perturbed(self, t, r, i=i, s=s):
-                    pattern, positions = honest(self, t, r)
-                    return pattern ^ (1 << i if r == s else 0), positions
+                def perturbed(self, r, i=i, s=s):
+                    patterns, positions, offsets = honest(self, r)
+                    return patterns ^ np.uint64(1 << i if r == s else 0), positions, offsets
 
-                monkeypatch.setattr(_Orientations, "orientation", perturbed)
+                monkeypatch.setattr(_Orientations, "entries", perturbed)
                 with pytest.raises(IdentityViolated, match="exchange vector is not balanced"):
                     check_bijection(P, tree, eta)
 

@@ -6,8 +6,13 @@ are that orientation's pattern; `reference_weights` adds each tree's term
 at those positions one at a time and multiplies by each vertex's prefix.
 The oracle builds all of a root's entries in one pass and sums them with
 one `np.add.at`, so its entries, its integer sums and its weight table must
-equal these everywhere.
+equal these everywhere.  `reference_trees` and `reference_head_sides` are the
+tree enumeration by union-find, combination by combination, and the head
+sides by one traversal per tree, which the oracle's component labels over
+whole arrays of edge lists replace.
 """
+
+import itertools
 
 from fractions import Fraction
 from math import prod
@@ -16,7 +21,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from flowfactory import InvalidInstance, build_circulation_polytope
+from flowfactory import (
+    InvalidInstance,
+    build_circulation_polytope,
+    build_kflow_polytope,
+    build_matching_polytope,
+    enumerate_vertices,
+)
+from flowfactory.graphs import _connects
 from flowfactory.oracle import (
     _orientations,
     _over_common_denominator,
@@ -27,6 +39,13 @@ from flowfactory.oracle import (
 )
 
 from instances import interior_instances
+
+LADDER = {
+    **{f"circ{n}": (lambda n=n: build_circulation_polytope(n)) for n in (2, 3, 4, 5)},
+    **{f"match{m}": (lambda m=m: build_matching_polytope(m)) for m in (2, 3, 4)},
+    "kflow4_2": lambda: build_kflow_polytope(4, 2),
+    "kflow5_2": lambda: build_kflow_polytope(5, 2),
+}
 
 
 def _orient_toward(edges, root):
@@ -118,3 +137,72 @@ def test_both_weight_dtypes_match_the_reference_on_circ4(x, dtype):
     table = _orientations(P)
     assert [eval_polynomial(P, f, 1, point) for f in table.vertices] == [
         eval_polynomial_factored(P, f, 1, point) for f in table.vertices]
+
+
+def reference_trees(G):
+    """Every (k - 1)-edge combination, in itertools order, that joins the k incident nodes."""
+    nodes = G.incident_nodes
+    if len(nodes) < 2:
+        return ()
+    return tuple(combo for combo in itertools.combinations(range(len(G.edges)), len(nodes) - 1)
+                 if _connects(nodes, [G.edges[i] for i in combo]))
+
+
+def reference_head_sides(tree, tails, heads):
+    """Per edge of a spanning tree (edge ids; each edge's tail and head as
+    node positions), the node-bit int of the nodes that cutting the edge
+    leaves on its head's side: one traversal from position 0."""
+    links = {}
+    for i in tree:
+        links.setdefault(tails[i], []).append(i)
+        links.setdefault(heads[i], []).append(i)
+    up, order = {0: None}, [0]  # each node's edge toward position 0, nearest first
+    for v in order:
+        for i in links[v]:
+            w = tails[i] + heads[i] - v
+            if w not in up:
+                up[w] = i
+                order.append(w)
+    below = {v: 1 << v for v in order}  # each node and the nodes beyond it
+    for v in reversed(order[1:]):
+        below[tails[up[v]] + heads[up[v]] - v] |= below[v]
+    return [below[heads[i]] if up[heads[i]] == i else below[0] ^ below[tails[i]] for i in tree]
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_instances())
+def test_tree_labels_match_union_find_and_traversal_on_random_instances(case):
+    # The trees, in combination order, and every tree edge's head side, on
+    # shapes with isolated nodes and non-contiguous labels.
+    P, _ = case
+    table = _orientations(P)
+    assert table.trees == reference_trees(P.graph)
+    tails, heads = P.graph.ends.tolist()
+    assert table.sides.tolist() == [reference_head_sides(tree, tails, heads) for tree in table.trees]
+
+
+def _assert_sorted_rows_and_entries(P):
+    rows = np.array(enumerate_vertices(P), dtype=np.int8).reshape(-1, len(P.edges))
+    first = (rows[1:] != rows[:-1]).argmax(axis=1)  # where two neighbouring rows first differ
+    steps = np.arange(len(first))
+    assert (rows[steps, first] < rows[steps + 1, first]).all()
+    table = _orientations(P)
+    for root in P.graph.incident_nodes:
+        _, positions, offsets = table.entries(root)
+        inside = np.ones(len(positions), dtype=bool)
+        inside[offsets[:-1][offsets[:-1] < len(positions)]] = False  # each entry's first position
+        assert (np.diff(positions, prepend=-1)[inside] > 0).all(), root
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_instances())
+def test_vertex_rows_and_entry_positions_strictly_increase_on_random_instances(case):
+    # The exchange check compares F_s's images with F_t as lists in vertex
+    # order: that needs the vertex rows in strictly increasing lexicographic
+    # order and each (tree, root) entry's positions strictly increasing.
+    _assert_sorted_rows_and_entries(case[0])
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_vertex_rows_and_entry_positions_strictly_increase_on_the_ladder(name):
+    _assert_sorted_rows_and_entries(LADDER[name]())

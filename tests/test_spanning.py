@@ -271,6 +271,25 @@ def test_zls_cofactor_random():
         assert len(set(minors)) == 1
 
 
+@pytest.mark.parametrize("top, dtype", [(322, np.int64), (323, object), (1 << 16, object)])
+def test_root_minors_run_in_int64_only_below_its_bound(monkeypatch, top, dtype):
+    # On 4 x 4 stacks, 2 (4 max|L|)^6 < 2^63 holds up to max|L| = 322: there
+    # the eliminations run in int64, one past it in Python ints, and on both
+    # sides every root's minors equal cofactor expansions.  At 2^16 the last
+    # step's products of 2 x 2 minors are near 2^67, past int64.
+    import flowfactory.spanning as spanning
+
+    seen, honest = [], spanning.det_stack
+    monkeypatch.setattr(spanning, "det_stack", lambda stack: seen.append(stack.dtype) or honest(stack))
+    rng = random.Random(top)
+    stack = [[[rng.choice([-top, top, rng.randrange(-top, top + 1)]) for _ in range(4)] for _ in range(4)]
+             for _ in range(30)]
+    minors = root_minors(np.array(stack, dtype=object), np.arange(4))
+    assert seen == [dtype] and all(type(v) is int for v in minors.ravel())
+    assert minors.tolist() == [[det_cofactor([row[:r] + row[r + 1:] for k, row in enumerate(m) if k != r])
+                                for m in stack] for r in range(4)]
+
+
 def _laplacian_by_arcs(P, f, kept, turned):
     """flip_laplacians of one vertex built one arc at a time: a k x k list of ints."""
     at = {v: i for i, v in enumerate(P.graph.incident_nodes)}
