@@ -275,69 +275,68 @@ def check_names(text: str) -> list[str]:
     return names
 
 
-def _add_run_flags(p, samples_default=1000):
-    p.add_argument("--seed", type=nonnegative_int, default=0)
-    p.add_argument("--samples", type=positive_int, default=samples_default)
-    p.add_argument("--max-restarts", type=nonnegative_int, default=DEFAULT_MAX_RESTARTS)
-    p.add_argument("--out", default=None)
+_INSTANCE = (("polytope", {}), ("coins", {}))
+_ROOT = (("--root", {"type": int, "default": None}),)
+
+
+def _run_flags(samples: int) -> tuple:
+    return (("--seed", {"type": nonnegative_int, "default": 0}),
+            ("--samples", {"type": positive_int, "default": samples}),
+            ("--max-restarts", {"type": nonnegative_int, "default": DEFAULT_MAX_RESTARTS}))
+
+
+#: Every subcommand: name -> (help, handler, its arguments but the closing --out, as (name, add_argument keywords)).
+_COMMANDS = {
+    "gen": ("write a named polytope instance", cmd_gen, (
+        ("kind", {"choices": ("circulation", "matching", "kflow")}), ("--nodes", {"type": int, "default": 3}),
+        ("--m", {"type": int, "default": 2}), ("--k", {"type": int, "default": 1}))),
+    "sample": ("run the flow sampler", cmd_sample, _INSTANCE + _ROOT + _run_flags(1000)),
+    "sample-path": ("run the DAG path sampler", cmd_sample, _INSTANCE + _run_flags(1000)),
+    "dist": ("exact output distribution and marginals", cmd_dist, _INSTANCE + _ROOT),
+    "verify": ("exact identity checks; exit 8 on failure", cmd_verify, _INSTANCE + (
+        ("--checks", {"type": check_names, "default": _ALL_CHECKS, "help": "comma-separated subset of checks"}),)),
+    "bench": ("throughput and restart statistics", cmd_bench, _INSTANCE + _ROOT + _run_flags(100)),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, func, arguments = _COMMANDS[name]
+    for flag, options in arguments + (("--out", {"default": None}),):
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=func)
+    return parser
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged, and every
-    default is immutable, so calls cannot pass state to one another."""
+    """The whole parser, every command a subparser.  Each parser is built once per process, on first use: parsing
+    leaves it unchanged, and every default is immutable, so calls cannot pass state to one another."""
     top = argparse.ArgumentParser(prog="flowfactory", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="write a named polytope instance")
-    g.add_argument("kind", choices=("circulation", "matching", "kflow"))
-    g.add_argument("--nodes", type=int, default=3)
-    g.add_argument("--m", type=int, default=2)
-    g.add_argument("--k", type=int, default=1)
-    g.add_argument("--out", default=None)
-    g.set_defaults(func=cmd_gen)
-
-    s = sub.add_parser("sample", help="run the flow sampler")
-    s.add_argument("polytope")
-    s.add_argument("coins")
-    s.add_argument("--root", type=int, default=None)
-    _add_run_flags(s)
-    s.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("sample-path", help="run the DAG path sampler")
-    sp.add_argument("polytope")
-    sp.add_argument("coins")
-    _add_run_flags(sp)
-    sp.set_defaults(func=cmd_sample)
-
-    d = sub.add_parser("dist", help="exact output distribution and marginals")
-    d.add_argument("polytope")
-    d.add_argument("coins")
-    d.add_argument("--root", type=int, default=None)
-    d.add_argument("--out", default=None)
-    d.set_defaults(func=cmd_dist)
-
-    v = sub.add_parser("verify", help="exact identity checks; exit 8 on failure")
-    v.add_argument("polytope")
-    v.add_argument("coins")
-    v.add_argument("--checks", type=check_names, default=_ALL_CHECKS,
-                   help="comma-separated subset of checks")
-    v.add_argument("--out", default=None)
-    v.set_defaults(func=cmd_verify)
-
-    b = sub.add_parser("bench", help="throughput and restart statistics")
-    b.add_argument("polytope")
-    b.add_argument("coins")
-    b.add_argument("--root", type=int, default=None)
-    _add_run_flags(b, samples_default=100)
-    b.set_defaults(func=cmd_bench)
+    for name, (text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return top
 
 
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The subcommand `name`'s parser alone, named as build_parser names its subparser."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"flowfactory {name}"), name)
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """Parse `argv` as build_parser() would, building only the parser of the command argv[0] names.  With no command
+    named, or arguments that command leaves unrecognised, the whole parser parses: its help and errors stand."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = command_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -194,6 +194,17 @@ MUTANTS = (
            "if 0 < used.min() and used.max() < total:",
            "if 0 <= used.min() and used.max() < total:",
            ("tests/test_oracle.py::test_random_interior_point_rejects_a_fixed_coordinate[edge-never-used]",)),
+    # The CLI's one-command parse, which must parse as the whole parser does.
+    Mutant("one-command-parse-ignores-leftovers", "src/flowfactory/cli.py",
+           "        if not extras:\n            return args\n",
+           "        return args\n",
+           ("tests/test_cli.py::test_one_command_parse_matches_the_whole_parser[extra-positional]",
+            "tests/test_cli.py::test_one_command_parse_matches_the_whole_parser[unknown-flag]")),
+    Mutant("one-command-parse-drops-the-command-name", "src/flowfactory/cli.py",
+           "argparse.Namespace(command=argv[0])",
+           "argparse.Namespace(command=None)",
+           ("tests/test_cli.py::test_one_command_parse_matches_the_whole_parser[out-equals]",
+            "tests/test_cli.py::test_sample_path_rejects_a_directed_cycle_under_unit_demands")),
     # The sampler's once-per-sampler NoArborescence check.
     Mutant("no-arborescence-guard-removed", "src/flowfactory/factory.py",
            "if not qualifying_tree_count(self.P, f, self.root):",

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -397,7 +398,7 @@ def test_verify_twice_in_process_writes_equal_reports_from_one_parser(tmp_path):
     # The parser is built once per process and shared by every call; a call
     # with a --checks subset in between leaves no state in it for the next.
     poly, coins = _write_triangle(tmp_path)
-    cli.build_parser.cache_clear()
+    cli.command_parser.cache_clear()
     first, subset, second = (str(tmp_path / name) for name in ("first.json", "subset.json", "second.json"))
     assert main(["verify", poly, coins, "--out", first]) == 0
     assert main(["verify", poly, coins, "--checks", "zls,positivity", "--out", subset]) == 0
@@ -406,7 +407,70 @@ def test_verify_twice_in_process_writes_equal_reports_from_one_parser(tmp_path):
         report = a.read()
         assert report == b.read()
     assert [c["name"] for c in json.loads(report)["checks"]] == list(cli._ALL_CHECKS)
-    assert cli.build_parser.cache_info().misses == 1
+    assert cli.command_parser.cache_info().misses == 1
+
+
+_COMMANDS = ("gen", "sample", "sample-path", "dist", "verify", "bench")
+
+# Each argv runs through main and through the whole parser; P, C and OUT stand
+# for the two-node instance's files and a report path.
+_PARSE_CASES = {
+    "no-argv": [], "help": ["-h"], "unknown-command": ["nonsense"],
+    **{f"{name}-help": [name, "-h"] for name in _COMMANDS},
+    "missing-positional": ["verify", "P"],
+    "extra-positional": ["verify", "P", "C", "extra"],
+    "unknown-flag": ["sample", "P", "C", "--bogus"],
+    "out-equals": ["verify", "P", "C", "--out=OUT"],
+    "abbreviated-flag": ["sample", "P", "C", "--sam", "5"],
+    "zero-samples": ["bench", "P", "C", "--samples", "0"],
+    "negative-seed": ["sample-path", "P", "C", "--seed", "-1"],
+    "unknown-check": ["verify", "P", "C", "--checks", "bogus"],
+    "gen-kflow": ["gen", "kflow", "--nodes", "4", "--k", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES.values(), ids=_PARSE_CASES)
+def test_one_command_parse_matches_the_whole_parser(tmp_path, capsys, monkeypatch, argv):
+    # The same exit code, stdout, stderr and written file, and on success the same namespace.
+    poly, coins = _write_two_node(tmp_path)
+    out = tmp_path / "out.json"
+    names = {"P": poly, "C": coins, "--out=OUT": f"--out={out}"}
+    argv = [names.get(a, a) for a in argv]
+
+    def run(parse):
+        parsed = []
+        monkeypatch.setattr(cli, "parse_args", lambda argv: parsed.append(parse(argv)) or parsed[-1])
+        code = main(argv)
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, capsys.readouterr(), written, parsed
+
+    one = run(cli.parse_args)
+    assert one == run(lambda argv: cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [["verify", "P", "C", "--checks", "zls"]] + [[name, "-h"] for name in _COMMANDS])
+def test_a_named_command_builds_one_parser(tmp_path, capsys, monkeypatch, argv):
+    poly, coins = _write_two_node(tmp_path)
+    argv = [{"P": poly, "C": coins}.get(a, a) for a in argv]
+    cli.build_parser.cache_clear()
+    cli.command_parser.cache_clear()
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw))
+    assert main(argv) == 0
+    assert built == [f"flowfactory {argv[0]}"]
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import argparse\n"
+            "built, init = [], argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **kw: built.append(kw) or init(self, *a, **kw)\n"
+            "import flowfactory.cli\n"
+            "print(len(built))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(),
+                          timeout=120, check=True)
+    assert done.stdout == "0\n"
 
 
 def test_verify_positivity_failure_exit(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the sampler's per-round layers, its output lines and the oracle's orientation table (pytest-benchmark).
+"""Micro-benchmarks of the sampler's per-round layers, its output lines, the oracle's orientation table and the CLI's parse (pytest-benchmark).
 
 Fixed rounds keep them short; compare runs with `pytest tests/test_layer_bench.py
 --benchmark-only` or `--benchmark-autosave`.
@@ -16,6 +16,7 @@ from flowfactory import (
     enumerate_vertices,
     oracle,
 )
+from flowfactory import cli
 from flowfactory.cli import _CHECKS
 from flowfactory.coins import _BUFFER, _unpack
 from flowfactory.io import sample_line
@@ -302,3 +303,20 @@ def test_bench_factored_form_check_circ4(benchmark):
 
     benchmark.pedantic(check, rounds=5, iterations=1)
     assert details == [(True, "tree-sum equals prefix * arborescence-sum everywhere")]
+
+
+def test_bench_parse_verify_argv(benchmark):
+    # A fresh `flowfactory verify` call's parse: the verify parser alone built
+    # from cold, then its argv parsed.
+    argv = ["verify", "poly.json", "coins.json", "--out", "report.json"]
+    parsed = []
+
+    def parse():
+        cli.build_parser.cache_clear()
+        cli.command_parser.cache_clear()
+        parsed[:] = [cli.parse_args(argv)]
+
+    benchmark.pedantic(parse, rounds=20, iterations=1)
+    assert vars(parsed[0]) == {"command": "verify", "polytope": "poly.json", "coins": "coins.json",
+                               "checks": cli._ALL_CHECKS, "out": "report.json", "func": cli.cmd_verify}
+    assert cli.build_parser.cache_info().currsize == 0

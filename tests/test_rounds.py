@@ -502,23 +502,21 @@ def _triangle_and_isolated_nodes(demands):
     """The triangle's six edges on nodes 1-3 with `demands` on more nodes, and every mask:
     the test leaves out the root's count, and a node no edge touches has none."""
     edges = ((1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1))
-    return FlowPolytope(Graph(len(demands), edges), demands), list(range(1 << len(edges)))
+    return (len(demands), edges, demands), list(range(1 << len(edges)))
 
 
 @st.composite
 def polytopes_and_masks(draw):
+    """A digraph under demands in its nodes' ranges, as its (node count, edges, demands), for the
+    test body to build, so that a fault in building a polytope fails the test rather than its
+    collection; and masks on its edges."""
     n = draw(st.integers(1, 6))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
     edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
                   if pairs else ())
     assume(edges)  # an edgeless graph has no root, and FlowSampler rejects it
-    G = Graph(n, edges)
-    P = FlowPolytope(G, draw(demands_in_range(G)))  # with no vertex or with some
-    m = len(edges)
-    masks = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=64))
-    if m <= 12:
-        masks += [sum(b << i for i, b in enumerate(f)) for f in enumerate_vertices(P)]
-    return P, masks
+    demands = draw(demands_in_range(Graph(n, edges)))  # with no vertex or with some
+    return (n, edges, demands), draw(st.lists(st.integers(0, (1 << len(edges)) - 1), min_size=1, max_size=64))
 
 
 @settings(max_examples=80, deadline=None)
@@ -526,7 +524,11 @@ def polytopes_and_masks(draw):
 @example(_triangle_and_isolated_nodes((1, -1, 0, 0)))
 @example(_triangle_and_isolated_nodes((0, 1, -1, 0, 0)))
 def test_vertex_test_matches_is_vertex_random(case):
-    _assert_vertex_test_matches_is_vertex(*case)
+    (n, edges, demands), masks = case
+    P = FlowPolytope(Graph(n, edges), demands)
+    if len(edges) <= 12:
+        masks = masks + [sum(b << i for i, b in enumerate(f)) for f in enumerate_vertices(P)]
+    _assert_vertex_test_matches_is_vertex(P, masks)
 
 
 @pytest.mark.parametrize("P", [
